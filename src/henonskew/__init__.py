@@ -18,7 +18,6 @@ from .errors import (
     DegenerateFamily,
     DegenerateLift,
     EmptyCandidateSet,
-    ExperimentError,
     HenonSkewError,
     NotInvertible,
     SurjectivityRequired,
@@ -74,7 +73,6 @@ from .green import (
     green_plus,
     green_random,
     green_values,
-    green_values_seq,
     holder_estimate,
     pluri_green,
 )

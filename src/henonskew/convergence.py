@@ -17,19 +17,11 @@ import numpy as np
 from .base import CONTRACTION, IDENTITY, BaseSystem, ParamSequence
 from .errors import UnsupportedBase, ValidationError
 from .family import HenonFamily
-from .filtration import FiltrationRadius, compute_radius
-from .green import (
-    STATUS_UNDECIDED,
-    _Orbit,
-    _SeqSupplier,
-    _SigmaSupplier,
-    _step_map,
-    avg_green_field,
-    green_field,
-    green_field_seq,
-)
+from .filtration import FiltrationRadius, resolve_radius
+from .green import STATUS_UNDECIDED, avg_green_field, green_field, green_field_seq
 from .currents import laplacian_density
 from .grids import SliceGrid
+from .orbit import Orbit, SeqSupplier, SigmaSupplier, iterate
 
 LOG_PLUS = "log-plus"
 FUBINI_STUDY = "fubini-study"
@@ -70,14 +62,8 @@ class PotentialSpec:
         with np.errstate(under="ignore"):
             return L + 0.5 * np.log1p(c * c * np.exp(-2.0 * L))
 
-    def eval_orbit(self, orbit: _Orbit) -> np.ndarray:
-        out = np.empty(len(orbit))
-        ex = ~orbit.logm
-        if ex.any():
-            out[ex] = self.eval_points(orbit.x[ex], orbit.y[ex])
-        if orbit.logm.any():
-            out[orbit.logm] = self.eval_lognorm(orbit.log_norm()[orbit.logm])
-        return out
+    def eval_orbit(self, orbit: Orbit) -> np.ndarray:
+        return orbit.radial(self.eval_points, self.eval_lognorm)
 
 
 @dataclass
@@ -128,17 +114,11 @@ class ConvergenceReport:
 def _pullback_stack(fam, supplier, grid: SliceGrid, u: PotentialSpec, depths, inverse=False):
     """d^(-n) u(H_n(z)) rasters for each requested depth (incremental)."""
     x, y = grid.points()
-    orbit = _Orbit(x.ravel(), y.ravel())
     d = float(fam.degree)
-    want = sorted(depths)
-    out = {}
-    n_done = 0
-    for n in want:
-        while n_done < n:
-            _step_map(orbit, fam, supplier(n_done, None), inverse)
-            n_done += 1
-        out[n] = (d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
-    return out
+    return {
+        n: (d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
+        for n, orbit in iterate(fam, supplier, x.ravel(), y.ravel(), depths, inverse)
+    }
 
 
 def pullback_convergence(
@@ -158,15 +138,11 @@ def pullback_convergence(
     """
     if not u.bounded_near_iminus:
         raise ValidationError("potential must be bounded near the backward indeterminacy point")
-    sp = space if space is not None else getattr(seq, "space", None)
-    if flt is None:
-        if sp is None:
-            raise UnsupportedBase("need flt or space")
-        flt = compute_radius(fam, sp)
-    ref = green_field_seq(fam, seq, grid, tol, max(200, n_max + flt.depth_for(tol)), flt, space=sp, threads=threads)
+    flt = resolve_radius(fam, flt, space, seq)
+    ref = green_field_seq(fam, seq, grid, tol, max(200, n_max + flt.depth_for(tol)), flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
     masked_fraction = 1.0 - float(mask.mean())
-    stack = _pullback_stack(fam, _SeqSupplier(seq), grid, u, range(1, n_max + 1))
+    stack = _pullback_stack(fam, SeqSupplier(seq), grid, u, range(1, n_max + 1))
     errors = [float(np.abs(stack[n] - ref.values)[mask].max()) for n in range(1, n_max + 1)]
     return ConvergenceReport(list(range(1, n_max + 1)), errors, fam.degree, masked_fraction)
 
@@ -188,8 +164,7 @@ def theta_average_pullback(
     Returns (report, noise_floor): e_n should fall to the Monte-Carlo
     floor estimated from both averaging errors.
     """
-    if flt is None:
-        flt = compute_radius(fam, space)
+    flt = resolve_radius(fam, flt, space)
     ref, ref_stderr = avg_green_field(fam, space, grid, tol, n_mc, seed + 1, flt=flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
     masked_fraction = 1.0 - float(mask.mean())
@@ -198,7 +173,7 @@ def theta_average_pullback(
     acc = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
     acc2 = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
     for i in range(n_mc):
-        stack = _pullback_stack(fam, _SeqSupplier(root.spawn(i)), grid, u, range(1, n_max + 1))
+        stack = _pullback_stack(fam, SeqSupplier(root.spawn(i)), grid, u, range(1, n_max + 1))
         for n in range(1, n_max + 1):
             acc[n] += stack[n]
             acc2[n] += stack[n] ** 2
@@ -233,15 +208,11 @@ def rigidity_probe(
     for u in (u1, u2):
         if not u.bounded_near_iminus:
             raise ValidationError("potentials must be admissible")
-    sp = space if space is not None else getattr(seq, "space", None)
-    if flt is None:
-        if sp is None:
-            raise UnsupportedBase("need flt or space")
-        flt = compute_radius(fam, sp)
-    ref = green_field_seq(fam, seq, grid, tol, 200, flt, space=sp)
+    flt = resolve_radius(fam, flt, space, seq)
+    ref = green_field_seq(fam, seq, grid, tol, 200, flt)
     mask = ref.status != STATUS_UNDECIDED
-    s1 = _pullback_stack(fam, _SeqSupplier(seq), grid, u1, [n_max])[n_max]
-    s2 = _pullback_stack(fam, _SeqSupplier(seq), grid, u2, [n_max])[n_max]
+    s1 = _pullback_stack(fam, SeqSupplier(seq), grid, u1, [n_max])[n_max]
+    s2 = _pullback_stack(fam, SeqSupplier(seq), grid, u2, [n_max])[n_max]
     return float(np.abs(s1 - s2)[mask].max())
 
 
@@ -251,19 +222,19 @@ class CutoffSpec:
 
     radius: float | None = None  # None means psi == 1 (no cutoff)
 
-    def eval_orbit(self, orbit: _Orbit) -> np.ndarray:
+    def eval_orbit(self, orbit: Orbit) -> np.ndarray:
         if self.radius is None:
             return np.ones(len(orbit))
-        out = np.zeros(len(orbit))
-        ex = ~orbit.logm  # log-form points are far outside any bump
-        if ex.any():
-            n2 = (np.abs(orbit.x[ex]) ** 2 + np.abs(orbit.y[ex]) ** 2) / self.radius ** 2
-            inside = n2 < 1.0
-            vals = np.zeros(n2.shape)
-            with np.errstate(over="ignore"):
-                vals[inside] = np.exp(1.0 - 1.0 / (1.0 - n2[inside]))
-            out[ex] = vals
-        return out
+        # log-form points are far outside any bump
+        return orbit.radial(self._bump, lambda L: 0.0)
+
+    def _bump(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        n2 = (np.abs(x) ** 2 + np.abs(y) ** 2) / self.radius ** 2
+        inside = n2 < 1.0
+        vals = np.zeros(n2.shape)
+        with np.errstate(over="ignore"):
+            vals[inside] = np.exp(1.0 - 1.0 / (1.0 - n2[inside]))
+        return vals
 
 
 @dataclass
@@ -307,8 +278,7 @@ def cutoff_limit_probe(
     """
     if base.sigma.kind not in (IDENTITY, CONTRACTION):
         raise UnsupportedBase("unique-limit regime requires identity or contraction base")
-    if flt is None:
-        flt = compute_radius(fam, base.space)
+    flt = resolve_radius(fam, flt, base.space)
     if cutoff.radius is not None and cutoff.radius > flt.R:
         raise ValidationError("cutoff support must stay clear of the escape wedge V_R^+")
     ref = green_field(fam, base, lam, grid, tol, 200, flt)
@@ -318,12 +288,9 @@ def cutoff_limit_probe(
         raise ValidationError("reference Green density vanishes on this window")
 
     x, y = grid.points()
-    orbit = _Orbit(x.ravel(), y.ravel())
-    sup = _SigmaSupplier(base.sigma, lam)
     d = float(fam.degree)
     depths, cs, res = [], [], []
-    for n in range(1, n_max + 1):
-        _step_map(orbit, fam, sup(n - 1, None), inverse=False)
+    for n, orbit in iterate(fam, SigmaSupplier(base.sigma, lam), x.ravel(), y.ravel(), range(1, n_max + 1)):
         fldn = (d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
         weight = cutoff.eval_orbit(orbit).reshape(grid.ny, grid.nx)[1:-1, 1:-1]
         den = _smooth(weight * laplacian_density(fldn, grid.dx, grid.dy)).ravel()
@@ -338,12 +305,6 @@ def cutoff_limit_probe(
 
 def pullback_identity_check(fam, seq, grid: SliceGrid, u: PotentialSpec, n: int, space=None) -> float:
     """Max gap between incremental and from-scratch depth-n pullbacks."""
-    inc = _pullback_stack(fam, _SeqSupplier(seq), grid, u, range(1, n + 1))[n]
-
-    x, y = grid.points()
-    orbit = _Orbit(x.ravel(), y.ravel())
-    sup = _SeqSupplier(seq)
-    for k in range(n):
-        _step_map(orbit, fam, sup(k, None), inverse=False)
-    direct = (float(fam.degree) ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
+    inc = _pullback_stack(fam, SeqSupplier(seq), grid, u, range(1, n + 1))[n]
+    direct = _pullback_stack(fam, SeqSupplier(seq), grid, u, [n])[n]
     return float(np.abs(inc - direct).max())

@@ -17,7 +17,7 @@ import numpy as np
 from .base import CIRCLE, SHIFT, BaseSystem, advance
 from .errors import EmptyCandidateSet, UnsupportedBase, ValidationError
 from .family import HenonFamily, eval_map
-from .filtration import FiltrationRadius, compute_radius
+from .filtration import FiltrationRadius, resolve_radius
 from .green import green_values
 
 
@@ -116,7 +116,7 @@ def draw_candidates(
     window = (re x, im x, re y, im y) bounds as four (lo, hi) pairs; None
     uses the filtration bidisc.
     """
-    flt = flt if flt is not None else compute_radius(fam, base.space)
+    flt = resolve_radius(fam, flt, base.space)
     R = flt.R
     if window is None:
         window = (-R, R, -R, R, -R, R, -R, R)
@@ -233,7 +233,7 @@ def entropy_lower_bound(
         raise ValidationError("eps must be positive")
     if base.sigma.kind == SHIFT:
         raise UnsupportedBase("entropy packing needs a pointwise base dynamics")
-    flt = flt if flt is not None else compute_radius(fam, base.space)
+    flt = resolve_radius(fam, flt, base.space)
     if candidates is None:
         candidates = draw_candidates(fam, base, window, n_candidates, seed, green_threshold, flt=flt)
     lam, x, y = candidates

@@ -47,7 +47,3 @@ class ZeroVector(HenonSkewError):
 
 class DegenerateLift(ValidationError):
     """Homogeneous lift nearly vanishes on the unit sphere."""
-
-
-class ExperimentError(HenonSkewError):
-    """An experiment failed while running (wraps module-level errors)."""

@@ -16,10 +16,6 @@ from .expr import CoeffMap
 
 JACOBIAN_FLOOR = 1e-12
 
-# Explicit orbits switch to log-scale once the dominant coordinate passes
-# this bound; keeps p(y) representable in doubles for factor degrees <= 15.
-OVERFLOW_SWITCH = 1e20
-
 
 @dataclass(frozen=True)
 class HenonFactor:
@@ -85,12 +81,22 @@ def _horner(coeffs: np.ndarray, y):
     return acc
 
 
+def factor_step(c, a, x, y, inverse: bool = False):
+    """One explicit factor step with monic coefficients c and Jacobian a.
+
+    Forward (x, y) -> (y, p(y) - a x); inverse (x, y) -> ((p(x) - y) / a, x).
+    """
+    if inverse:
+        return (_horner(c, x) - y) / a, x
+    return y, _horner(c, y) - a * x
+
+
 def eval_factor(f: HenonFactor, lam, z):
     """Apply one factor at base point(s) lam to z = (x, y)."""
     x, y = z
     c = f.poly_coeffs(lam)
     a = f.a(lam)
-    return y, _horner(c, y) - a * x
+    return factor_step(c, a, x, y)
 
 
 def eval_map(fam: HenonFamily, lam, z):
@@ -107,8 +113,7 @@ def eval_inverse(fam: HenonFamily, lam, z):
         a = f.a(lam)
         if np.min(np.abs(a)) < JACOBIAN_FLOOR:
             raise ZeroJacobian(f"|a| = {np.min(np.abs(a)):.3e} below {JACOBIAN_FLOOR}")
-        c = f.poly_coeffs(lam)
-        x, y = (_horner(c, x) - y) / a, x
+        x, y = factor_step(f.poly_coeffs(lam), a, x, y, inverse=True)
     return x, y
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import BaseSpace
-from .errors import DegenerateFamily
+from .errors import DegenerateFamily, UnsupportedBase
 from .family import JACOBIAN_FLOOR, HenonFamily, eval_inverse, eval_map
 
 DEFAULT_MARGIN = 1.1
@@ -123,6 +123,16 @@ def compute_radius(
         K_plus=K_plus,
         K_minus=K_minus,
     )
+
+
+def resolve_radius(fam: HenonFamily, flt: FiltrationRadius | None, space: BaseSpace | None = None, seq=None) -> FiltrationRadius:
+    """`flt` if given, else compute_radius over `space` or, failing that, `seq.space`."""
+    if flt is not None:
+        return flt
+    sp = space if space is not None else getattr(seq, "space", None)
+    if sp is None:
+        raise UnsupportedBase("need flt or a base space to derive the filtration constants")
+    return compute_radius(fam, sp)
 
 
 def region_masks(x: np.ndarray, y: np.ndarray, R: float):

@@ -3,10 +3,10 @@
 The forward Green function along base orbit (lam_k) is
 G_n(z) = d^(-n) log+ ||H_(lam_(n-1)) o ... o H_(lam_0)(z)|| and satisfies
 |G_(n+1) - G_n| <= K d^(-n) once the orbit sits in V_R u V_R^+, so a depth
-with K d/(d-1) d^(-n) < tol certifies the value. Orbits switch to a
-log-scale representation (log of the dominant coordinate, subordinate
-ratio and reciprocal) before doubles overflow; inside the invariant wedge
-the switch is exact to machine precision.
+with K d/(d-1) d^(-n) < tol certifies the value. Orbits are iterated by
+the engine in orbit.py, which switches them to a log-scale representation
+before doubles overflow; inside the invariant wedge the switch is exact to
+machine precision.
 
 Variants differ only in the map direction and in how base points are
 drawn per step:
@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SHIFT, BaseDynamics, BaseSystem, FrozenSequence, ParamSequence, advance
-from .errors import NotInvertible, SurjectivityRequired, UnsupportedBase
-from .family import OVERFLOW_SWITCH, HenonFamily
-from .filtration import FiltrationRadius, compute_radius
+from .base import SHIFT, BaseSystem, ParamSequence, advance
+from .errors import SurjectivityRequired, UnsupportedBase
+from .family import HenonFamily, factor_step
+from .filtration import FiltrationRadius, resolve_radius
 from .grids import SliceGrid
+from .orbit import Orbit, SeqSupplier, SigmaSupplier, iterate, step_map
 
 STATUS_UNDECIDED = 0
 STATUS_ESCAPED = 1
@@ -57,175 +58,6 @@ class GreenEval:
 
 
 # ---------------------------------------------------------------------------
-# orbit representation
-
-
-class _Orbit:
-    """Vectorized orbit state: explicit points plus log-scale entries.
-
-    For forward orbits the log form tracks the dominant y coordinate
-    (L = log|y|, r = x/y, u = 1/y); for inverse orbits the roles of x and
-    y swap. Entries in log form are always inside the invariant wedge.
-    """
-
-    __slots__ = ("x", "y", "logm", "L", "r", "u")
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        n = len(x)
-        self.x = np.array(x, dtype=complex)
-        self.y = np.array(y, dtype=complex)
-        self.logm = np.zeros(n, dtype=bool)
-        self.L = np.zeros(n, dtype=float)
-        self.r = np.zeros(n, dtype=complex)
-        self.u = np.zeros(n, dtype=complex)
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def take(self, idx: np.ndarray) -> "_Orbit":
-        o = _Orbit.__new__(_Orbit)
-        for name in self.__slots__:
-            setattr(o, name, getattr(self, name)[idx])
-        return o
-
-    def log_norm(self) -> np.ndarray:
-        """log ||z|| per point (exact for both representations)."""
-        out = np.empty(len(self), dtype=float)
-        ex = ~self.logm
-        if ex.any():
-            with np.errstate(divide="ignore"):
-                out[ex] = np.log(np.hypot(np.abs(self.x[ex]), np.abs(self.y[ex])))
-        if self.logm.any():
-            lg = self.logm
-            out[lg] = self.L[lg] + 0.5 * np.log1p(np.abs(self.r[lg]) ** 2)
-        return out
-
-    def log_plus_norm(self) -> np.ndarray:
-        return np.maximum(self.log_norm(), 0.0)
-
-    def in_wedge(self, R: float, inverse: bool) -> np.ndarray:
-        """Closed invariant wedge: V_R^+ forward, V_R^- backward."""
-        out = self.logm.copy()
-        ex = ~self.logm
-        if ex.any():
-            ax, ay = np.abs(self.x[ex]), np.abs(self.y[ex])
-            out[ex] = (ax >= ay) & (ax > R) if inverse else (ay >= ax) & (ay > R)
-        return out
-
-
-def _horner(coeffs, y):
-    acc = coeffs[0] * np.ones_like(y)
-    for c in coeffs[1:]:
-        acc = acc * y + c
-    return acc
-
-
-def _tail_poly(coeffs, u):
-    """c_(d-1) u + c_(d-2) u^2 + ... + c_0 u^d for monic coeffs [1, c_(d-1)..c_0]."""
-    acc = coeffs[-1] * np.ones_like(u)
-    for c in coeffs[-2:0:-1]:
-        acc = acc * u + c
-    return acc * u
-
-
-def _step_factor(o: _Orbit, coeffs, a, inverse: bool, T: float = OVERFLOW_SWITCH) -> None:
-    """Apply one (inverse) factor in place, switching reps as needed.
-
-    `coeffs` is (d+1,) for a shared base point or (d+1, n) per point;
-    `a` is a scalar or per-point array accordingly.
-    """
-    coeffs = np.asarray(coeffs)
-    per_point = coeffs.ndim == 2
-    deg = coeffs.shape[0] - 1
-    logm0 = o.logm.copy()
-    ex = ~logm0
-    if ex.any():
-        cs = coeffs[:, ex] if per_point else coeffs
-        av = a[ex] if per_point and np.ndim(a) == 1 else a
-        if inverse:
-            p = _horner(cs, o.x[ex])
-            xn = (p - o.y[ex]) / av
-            yn = o.x[ex]
-        else:
-            p = _horner(cs, o.y[ex])
-            xn = o.y[ex]
-            yn = p - av * o.x[ex]
-        o.x[ex] = xn
-        o.y[ex] = yn
-        dom = np.abs(xn) if inverse else np.abs(yn)
-        big_local = dom > T
-        if big_local.any():
-            big = np.zeros(len(o), dtype=bool)
-            big[np.flatnonzero(ex)[big_local]] = True
-            lead = o.x[big] if inverse else o.y[big]
-            sub = o.y[big] if inverse else o.x[big]
-            o.L[big] = np.log(np.abs(lead))
-            o.r[big] = sub / lead
-            o.u[big] = 1.0 / lead
-            o.logm |= big
-    if logm0.any():
-        cs = coeffs[:, logm0] if per_point else coeffs
-        av = a[logm0] if per_point and np.ndim(a) == 1 else a
-        u = o.u[logm0]
-        r = o.r[logm0]
-        with np.errstate(under="ignore"):
-            upow = u ** (deg - 1)
-            if inverse:
-                delta = _tail_poly(cs, u) - r * upow
-                one = 1.0 + delta
-                o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one)) - np.log(np.abs(av))
-                o.r[logm0] = av * upow / one
-                o.u[logm0] = av * upow * u / one
-            else:
-                delta = _tail_poly(cs, u) - av * r * upow
-                one = 1.0 + delta
-                o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one))
-                o.r[logm0] = upow / one
-                o.u[logm0] = upow * u / one
-
-
-def _step_map(o: _Orbit, fam: HenonFamily, lam, inverse: bool) -> None:
-    """One full map application H_lam (or its inverse) at base point(s) lam."""
-    factors = tuple(reversed(fam.factors)) if inverse else fam.factors
-    for f in factors:
-        _step_factor(o, f.poly_coeffs(lam), f.a(lam), inverse)
-
-
-# ---------------------------------------------------------------------------
-# base-point suppliers
-
-
-class _SigmaSupplier:
-    """lam_k = sigma^(k * step)(lam), step = +1 forward or -1 backward."""
-
-    def __init__(self, sigma: BaseDynamics, lam, back: bool = False):
-        if sigma.kind == SHIFT:
-            raise UnsupportedBase(
-                "pointwise Green functions need identity/contraction/rotation; "
-                "use green_random with a ParamSequence for shift bases"
-            )
-        if back and not sigma.invertible:
-            raise NotInvertible(f"{sigma.kind} base has no backward orbit")
-        self.sigma = sigma
-        self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
-        self.back = back
-
-    def __call__(self, k: int, idx: np.ndarray | None = None):
-        lam = self.lam if idx is None or np.ndim(self.lam) == 0 else self.lam[idx]
-        return advance(self.sigma, lam, -(k + 1) if self.back else k)
-
-
-class _SeqSupplier:
-    def __init__(self, seq):
-        if isinstance(seq, np.ndarray):
-            seq = FrozenSequence(seq)
-        self.seq = seq
-
-    def __call__(self, k: int, idx: np.ndarray | None = None):
-        return self.seq.entry(k)
-
-
-# ---------------------------------------------------------------------------
 # certifying engine
 
 
@@ -242,23 +74,25 @@ def _run_green(
     """Certified Green values for a batch of points sharing a lam-supply.
 
     Returns (value, status, depth) arrays aligned with the input points.
+    A point whose orbit state is not finite stays undecided.
     """
     n_pts = len(x)
     value = np.zeros(n_pts, dtype=float)
     status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
     depth = np.full(n_pts, n_max, dtype=np.int32)
 
-    orbit = _Orbit(x, y)
+    orbit = Orbit(fam, x, y, inverse)
     alive = np.arange(n_pts)
     d = float(fam.degree)
     for n in range(1, n_max + 1):
         lam = supplier(n - 1, alive)
-        _step_map(orbit, fam, lam, inverse)
+        step_map(orbit, fam, lam, inverse)
         if flt.tail_bound(n, inverse) < tol:
             wedge = orbit.in_wedge(flt.R, inverse)
             if wedge.any():
-                value[alive[wedge]] = d ** (-n) * orbit.log_plus_norm()[wedge]
-                status[alive[wedge]] = STATUS_ESCAPED
+                g = d ** (-n) * orbit.log_plus_norm()[wedge]
+                value[alive[wedge]] = g
+                status[alive[wedge]] = np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED)
                 depth[alive[wedge]] = n
                 keep = ~wedge
                 alive = alive[keep]
@@ -268,23 +102,18 @@ def _run_green(
 
     if len(alive):
         wedge = orbit.in_wedge(flt.R, inverse)
-        value[alive[wedge]] = d ** (-n_max) * orbit.log_plus_norm()[wedge]
-        status[alive[wedge]] = STATUS_UNDECIDED
-        value[alive[~wedge]] = 0.0
-        status[alive[~wedge]] = STATUS_BOUNDED
+        g = d ** (-n_max) * orbit.log_plus_norm()
+        bounded = ~wedge & np.isfinite(g)
+        value[alive] = np.where(bounded, 0.0, g)
+        status[alive[bounded]] = STATUS_BOUNDED
     return value, status, depth
 
 
-def _green_eval(value: float, status: int, depth: int, flt: FiltrationRadius, tol: float, inverse: bool) -> GreenEval:
-    if status == STATUS_BOUNDED:
-        err = tol
-    else:
-        err = flt.tail_bound(depth, inverse)
-    return GreenEval(float(value), int(depth), float(err), STATUS_NAMES[status])
-
-
-def _require_flt(fam, space, flt):
-    return flt if flt is not None else compute_radius(fam, space)
+def _green_at(supplier, fam: HenonFamily, z, flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> GreenEval:
+    """Certified Green value at the single point z."""
+    v, s, n = _run_green(supplier, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse)
+    err = tol if s[0] == STATUS_BOUNDED else flt.tail_bound(n[0], inverse)
+    return GreenEval(float(v[0]), int(n[0]), float(err), STATUS_NAMES[s[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +130,8 @@ def green_plus(
     flt: FiltrationRadius | None = None,
 ) -> GreenEval:
     """Forward Green function G_lam^+ at a point, certified within tol."""
-    flt = _require_flt(fam, base.space, flt)
-    sup = _SigmaSupplier(base.sigma, lam)
-    v, s, n = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse=False)
-    return _green_eval(v[0], s[0], n[0], flt, tol, inverse=False)
+    flt = resolve_radius(fam, flt, base.space)
+    return _green_at(SigmaSupplier(base.sigma, lam), fam, z, flt, tol, n_max, inverse=False)
 
 
 def green_minus(
@@ -317,10 +144,8 @@ def green_minus(
     flt: FiltrationRadius | None = None,
 ) -> GreenEval:
     """Backward Green function along sigma-forward base indices."""
-    flt = _require_flt(fam, base.space, flt)
-    sup = _SigmaSupplier(base.sigma, lam)
-    v, s, n = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse=True)
-    return _green_eval(v[0], s[0], n[0], flt, tol, inverse=True)
+    flt = resolve_radius(fam, flt, base.space)
+    return _green_at(SigmaSupplier(base.sigma, lam), fam, z, flt, tol, n_max, inverse=True)
 
 
 def green_minus_cal(
@@ -336,10 +161,8 @@ def green_minus_cal(
 
     Satisfies value(H_lam(z)) = (1/d) value(z) up to certified errors.
     """
-    flt = _require_flt(fam, base.space, flt)
-    sup = _SigmaSupplier(base.sigma, lam, back=True)
-    v, s, n = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse=True)
-    return _green_eval(v[0], s[0], n[0], flt, tol, inverse=True)
+    flt = resolve_radius(fam, flt, base.space)
+    return _green_at(SigmaSupplier(base.sigma, lam, back=True), fam, z, flt, tol, n_max, inverse=True)
 
 
 def green_minus_tilde(
@@ -359,17 +182,18 @@ def green_minus_tilde(
     with n; the reported bound is the last Cauchy increment, not a
     certified tail.
     """
-    flt = _require_flt(fam, base.space, flt)
+    flt = resolve_radius(fam, flt, base.space)
     if base.sigma.kind == SHIFT:
         raise UnsupportedBase("tilde variant needs a pointwise base dynamics")
     d = float(fam.degree)
     prev = None
     last = 0.0
     for n in range(1, n_max + 1):
-        orbit = _Orbit(np.array([z[0]]), np.array([z[1]]))
-        # H_(sigma^(n-1) lam)^-1 is applied first, H_lam^-1 last
-        for k in range(n - 1, -1, -1):
-            _step_map(orbit, fam, advance(base.sigma, lam, k), inverse=True)
+        def reversed_sup(k, idx, n=n):
+            # H_(sigma^(n-1) lam)^-1 is applied first, H_lam^-1 last
+            return advance(base.sigma, lam, n - 1 - k)
+
+        (_, orbit), = iterate(fam, reversed_sup, np.array([z[0]]), np.array([z[1]]), [n], inverse=True)
         cur = d ** (-n) * float(orbit.log_plus_norm()[0])
         if prev is not None and abs(cur - prev) < tol * (d - 1) / d and n >= 4:
             return GreenEval(cur, n, tol, STATUS_NAMES[STATUS_CONVERGED])
@@ -394,14 +218,8 @@ def green_random(
     points; `space` is only needed when `flt` is not supplied and `seq`
     carries no space of its own.
     """
-    if flt is None:
-        sp = space if space is not None else getattr(seq, "space", None)
-        if sp is None:
-            raise UnsupportedBase("green_random needs either flt or a space to derive constants")
-        flt = compute_radius(fam, sp)
-    sup = _SeqSupplier(seq)
-    v, s, n = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse)
-    return _green_eval(v[0], s[0], n[0], flt, tol, inverse)
+    flt = resolve_radius(fam, flt, space, seq)
+    return _green_at(SeqSupplier(seq), fam, z, flt, tol, n_max, inverse)
 
 
 def avg_green(
@@ -417,7 +235,7 @@ def avg_green(
     """Monte-Carlo average Green function EG^+ with its standard error."""
     if n_mc < 2:
         raise UnsupportedBase("avg_green needs n_mc >= 2")
-    flt = _require_flt(fam, space, flt)
+    flt = resolve_radius(fam, flt, space)
     root = ParamSequence(space, seed)
     vals = np.empty(n_mc, dtype=float)
     for i in range(n_mc):
@@ -435,7 +253,7 @@ def pluri_green(
     flt: FiltrationRadius | None = None,
 ) -> float:
     """Pluricomplex Green function of K_lam: max of the two components."""
-    flt = _require_flt(fam, base.space, flt)
+    flt = resolve_radius(fam, flt, base.space)
     gp = green_plus(fam, base, lam, z, tol, n_max, flt)
     minus = green_minus_cal if base.sigma.invertible else green_minus
     gm = minus(fam, base, lam, z, tol, n_max, flt)
@@ -457,8 +275,8 @@ def classify(
     flt: FiltrationRadius | None = None,
 ) -> OrbitClass:
     """Certified orbit classification via the filtration."""
-    flt = _require_flt(fam, base.space, flt)
-    sup = _SigmaSupplier(base.sigma, lam)
+    flt = resolve_radius(fam, flt, base.space)
+    sup = SigmaSupplier(base.sigma, lam)
     _, s_f, n_f = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=False)
     if s_f[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-forward", int(n_f[0]))
@@ -487,28 +305,8 @@ def green_values(
     backward_base: bool = False,
 ):
     """Vectorized Green values; lam may be per-point. Returns (value, status, depth)."""
-    flt = _require_flt(fam, base.space, flt)
-    sup = _SigmaSupplier(base.sigma, lam, back=backward_base)
-    return _run_green(sup, fam, np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel(), flt, tol, n_max, inverse)
-
-
-def green_values_seq(
-    fam: HenonFamily,
-    seq,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-6,
-    n_max: int = 200,
-    flt: FiltrationRadius | None = None,
-    inverse: bool = False,
-    space=None,
-):
-    if flt is None:
-        sp = space if space is not None else getattr(seq, "space", None)
-        if sp is None:
-            raise UnsupportedBase("need flt or space")
-        flt = compute_radius(fam, sp)
-    sup = _SeqSupplier(seq)
+    flt = resolve_radius(fam, flt, base.space)
+    sup = SigmaSupplier(base.sigma, lam, back=backward_base)
     return _run_green(sup, fam, np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel(), flt, tol, n_max, inverse)
 
 
@@ -580,10 +378,10 @@ def green_field(
     threads: int = 1,
 ) -> GreenField:
     """Rasterize a fibered Green function over a slice grid."""
-    flt = _require_flt(fam, base.space, flt)
+    flt = resolve_radius(fam, flt, base.space)
 
     def chunk(xs, ys):
-        sup = _SigmaSupplier(base.sigma, lam)
+        sup = SigmaSupplier(base.sigma, lam)
         return _run_green(sup, fam, xs, ys, flt, tol, n_max, inverse)
 
     v, s, n = _run_field(chunk, grid, threads)
@@ -601,16 +399,12 @@ def green_field_seq(
     threads: int = 1,
 ) -> GreenField:
     """Rasterize the random Green function along one sequence."""
-    if flt is None:
-        sp = space if space is not None else getattr(seq, "space", None)
-        if sp is None:
-            raise UnsupportedBase("need flt or space")
-        flt = compute_radius(fam, sp)
+    flt = resolve_radius(fam, flt, space, seq)
     if hasattr(seq, "prefix"):
         seq.prefix(n_max)  # prefetch so threaded chunks only read
 
     def chunk(xs, ys):
-        return _run_green(_SeqSupplier(seq), fam, xs, ys, flt, tol, n_max, inverse=False)
+        return _run_green(SeqSupplier(seq), fam, xs, ys, flt, tol, n_max, inverse=False)
 
     v, s, n = _run_field(chunk, grid, threads)
     return _field_from_flat(grid, v, s, n, tol, n_max, "random")
@@ -632,14 +426,14 @@ def avg_green_field(
     Returns (mean field, per-pixel standard error, per-sequence fields'
     value stack is not retained).
     """
-    flt = _require_flt(fam, space, flt)
+    flt = resolve_radius(fam, flt, space)
     root = ParamSequence(space, seed)
     acc = np.zeros((grid.ny, grid.nx))
     acc2 = np.zeros_like(acc)
     any_undecided = np.zeros((grid.ny, grid.nx), dtype=bool)
     depth = np.zeros((grid.ny, grid.nx), dtype=np.int32)
     for i in range(n_mc):
-        f = green_field_seq(fam, root.spawn(i), grid, tol, n_max, flt, space=space, threads=threads)
+        f = green_field_seq(fam, root.spawn(i), grid, tol, n_max, flt, threads=threads)
         acc += f.values
         acc2 += f.values ** 2
         any_undecided |= f.status == STATUS_UNDECIDED
@@ -666,21 +460,10 @@ def depth_values(
     supplier_kind: 'sigma' (source = BaseDynamics) or 'seq' (source =
     sequence / array).
     """
-    if supplier_kind == "sigma":
-        sup = _SigmaSupplier(source, lam)
-    else:
-        sup = _SeqSupplier(source)
-    depths = sorted(depths)
+    sup = SigmaSupplier(source, lam) if supplier_kind == "sigma" else SeqSupplier(source)
     d = float(fam.degree)
-    orbit = _Orbit(np.array([z[0]]), np.array([z[1]]))
-    out = []
-    n_done = 0
-    for n in depths:
-        while n_done < n:
-            _step_map(orbit, fam, sup(n_done, None), inverse)
-            n_done += 1
-        out.append(d ** (-n) * float(orbit.log_plus_norm()[0]))
-    return np.array(out)
+    steps = iterate(fam, sup, np.array([z[0]]), np.array([z[1]]), depths, inverse)
+    return np.array([d ** (-n) * float(orbit.log_plus_norm()[0]) for n, orbit in steps])
 
 
 def finite_depth_green(fam: HenonFamily, words: np.ndarray, x: np.ndarray, y: np.ndarray, depth: int) -> np.ndarray:
@@ -691,13 +474,14 @@ def finite_depth_green(fam: HenonFamily, words: np.ndarray, x: np.ndarray, y: np
     Monte-Carlo averaged Green function at the same depth.
     """
     n_words, n_pts = len(words), len(x)
-    X = np.broadcast_to(np.asarray(x, dtype=complex), (n_words, n_pts)).ravel().copy()
-    Y = np.broadcast_to(np.asarray(y, dtype=complex), (n_words, n_pts)).ravel().copy()
-    orbit = _Orbit(X, Y)
-    for k in range(depth):
-        lam = np.repeat(words[:, k], n_pts)
-        _step_map(orbit, fam, lam, inverse=False)
-    vals = np.maximum(orbit.log_norm(), 0.0) / float(fam.degree) ** depth
+    X = np.broadcast_to(np.asarray(x, dtype=complex), (n_words, n_pts)).ravel()
+    Y = np.broadcast_to(np.asarray(y, dtype=complex), (n_words, n_pts)).ravel()
+
+    def word_sup(k, idx):
+        return np.repeat(words[:, k], n_pts)
+
+    (_, orbit), = iterate(fam, word_sup, X, Y, [depth])
+    vals = orbit.log_plus_norm() / float(fam.degree) ** depth
     return vals.reshape(n_words, n_pts)
 
 
@@ -719,7 +503,7 @@ def holder_estimate(
     """
     if not base.sigma.surjective:
         raise SurjectivityRequired("Holder continuity clause needs surjective sigma")
-    flt = _require_flt(fam, base.space, flt)
+    flt = resolve_radius(fam, flt, base.space)
     rng = np.random.Generator(np.random.PCG64(seed))
     cx, cy, rad = region
 
@@ -746,7 +530,7 @@ def holder_estimate(
             step[:, 1, 0] = -a
             step[:, 1, 1] = dp
             jac = step @ jac
-            x_cur, y_cur = y_cur, _horner(c, y_cur) - a * x_cur
+            x_cur, y_cur = factor_step(c, a, x_cur, y_cur)
         fro2 = np.sum(np.abs(jac) ** 2, axis=(1, 2))
         det2 = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]) ** 2
         smax2 = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 ** 2 - 4 * det2, 0.0)))

@@ -2,7 +2,8 @@
 
 A degree-d homogeneous lift satisfies l ||x||^d <= ||F_lam(x)|| <= L ||x||^d
 uniformly over the base; the radii r = (2L)^(-1/(d-1)) and
-R = (2l)^(-1/(d-1)) certify attraction to 0 and escape to infinity. The
+R = (2/l)^(1/(d-1)) certify attraction to 0 (||F(x)|| <= ||x||/2 inside r)
+and escape to infinity (||F(x)|| >= 2 ||x|| outside R). The
 Green function G_lam = lim d^(-n) log ||F^n|| (no positive part; values
 can be negative) has basin {G < 0} and its pluriharmonicity locus detects
 the fibered Fatou set.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import SHIFT, BaseSystem, advance
+from .currents import laplacian_density
 from .errors import DegenerateLift, UnsupportedBase, ValidationError, ZeroVector
 from .expr import CoeffMap, Poly, parse_poly
 
@@ -162,7 +164,7 @@ def estimate_constants(
         l_emp=l_emp,
         L_emp=L_emp,
         r=(2.0 * L_emp) ** -ex,
-        R=(2.0 * l_emp) ** -ex,
+        R=(2.0 / l_emp) ** ex,
         n_sphere=n_sphere,
         margin=margin,
     )
@@ -321,11 +323,7 @@ def fatou_detect(
         v /= np.linalg.norm(v)
         pts = lift[None, None, :] + w[..., None] * v[None, None, :]
         g = green_proj_batch(F, base, lam, pts.reshape(-1, F.k + 1), tol=1e-9, constants=constants)
-        g = g.reshape(m, m)
-        lap = (g[1:-1, 2:] + g[1:-1, :-2] - 2 * g[1:-1, 1:-1]) / dxy ** 2 + (
-            g[2:, 1:-1] + g[:-2, 1:-1] - 2 * g[1:-1, 1:-1]
-        ) / dxy ** 2
-        mass = abs(float((lap * dxy * dxy).sum()))
+        mass = abs(float(laplacian_density(g.reshape(m, m), dxy, dxy).sum()))
         if mass >= tol * area:
             return "julia-suspect"
     return "fatou"

@@ -293,7 +293,7 @@ def test_c11_basin_radii():
     F = diag_power_lift(2, 2)
     base = point_base(0.0)
     consts = estimate_constants(F, base.space, n_sphere=200_000, seed=3, margin=0.0)
-    ok_vals = abs(consts.r - 0.5) / 0.5 < 0.02 and abs(consts.R - math.sqrt(3) / 2) / (math.sqrt(3) / 2) < 0.02
+    ok_vals = abs(consts.r - 0.5) / 0.5 < 0.02 and abs(consts.R - 2 * math.sqrt(3)) / (2 * math.sqrt(3)) < 0.02
     rng = np.random.Generator(np.random.PCG64(14))
     sph = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
     sph /= np.linalg.norm(sph, axis=1, keepdims=True)
@@ -304,7 +304,7 @@ def test_c11_basin_radii():
         11,
         "basin radii",
         ok_vals and ok_cls,
-        f"r = {consts.r:.4f} (0.5 +/- 2%), R = {consts.R:.4f} (0.8660 +/- 2%); certificates decisive on both spheres",
+        f"r = {consts.r:.4f} (0.5 +/- 2%), R = {consts.R:.4f} (3.4641 +/- 2%); certificates decisive on both spheres",
     )
 
 

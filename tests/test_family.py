@@ -15,6 +15,7 @@ from henonskew.family import (
     quadratic_family,
     validate_family,
 )
+from henonskew.orbit import Orbit, step_map
 
 
 def test_factor_fixed_point(quad_fam):
@@ -50,6 +51,27 @@ def test_two_factor_composition():
 def test_single_factor_equals_eval_factor(quad_fam):
     z = (0.3 + 0.1j, -0.7 + 0.2j)
     assert eval_map(quad_fam, 0.0, z) == eval_factor(quad_fam.factors[0], 0.0, z)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("per_point", [False, True], ids=["shared-lam", "per-point-lam"])
+@pytest.mark.parametrize("n_factors", [1, 2])
+def test_engine_step_equals_family_maps(n_factors, per_point, inverse):
+    # the orbit engine and eval_map / eval_inverse share one explicit factor kernel
+    factors = (
+        HenonFactor(2, (CoeffMap.parse("0.1*u"), CoeffMap.parse("u - 0.2")), CoeffMap.parse("0.3 + 0.1*u")),
+        HenonFactor(3, (CoeffMap.constant(0.0), CoeffMap.parse("u"), CoeffMap.constant(0.5j)), CoeffMap.constant(-0.7)),
+    )
+    fam = HenonFamily(factors[:n_factors])
+    rng = np.random.Generator(np.random.PCG64(5))
+    n = 256
+    x = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    y = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    lam = rng.uniform(-0.5, 0.5, n) + 0j if per_point else 0.25 + 0j
+    orbit = Orbit(fam, x, y, inverse)
+    step_map(orbit, fam, lam, inverse)
+    ex, ey = (eval_inverse if inverse else eval_map)(fam, lam, (x, y))
+    assert np.array_equal(orbit.x, ex) and np.array_equal(orbit.y, ey)
 
 
 def test_inverse_examples(quad_fam):

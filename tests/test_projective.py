@@ -38,7 +38,7 @@ def test_closed_form_constants(squaring_consts):
     assert c.L_emp == pytest.approx(1.0, rel=0.02)
     assert c.l_emp == pytest.approx(1 / math.sqrt(3), rel=0.02)
     assert c.r == pytest.approx(0.5, rel=0.02)
-    assert c.R == pytest.approx(math.sqrt(3) / 2, rel=0.02)
+    assert c.R == pytest.approx(2 * math.sqrt(3), rel=0.02)
 
 
 def test_scaling_doubles_constants(squaring, squaring_consts):
@@ -124,14 +124,13 @@ def test_basin_radii_certificates(squaring, squaring_consts):
 
 
 def test_basin_indeterminate_on_torus(squaring, squaring_consts):
-    # (1,1,1) has constant orbit norm sqrt(3). Its norm already exceeds
-    # the configured escape radius, so the certificate (optimistic for
-    # balanced points, see ledger) fires; with the sound expansion radius
-    # 2/l the point stays indeterminate at any depth.
+    # (1,1,1) has constant orbit norm sqrt(3), between the attraction
+    # radius r and the escape radius R = 2/l, so neither certificate fires
+    # at any depth.
     from henonskew.projective import LiftConstants
 
     v = basin_classify(squaring, BASE, 0.0, np.array([1.0, 1.0, 1.0]), n_max=60, constants=squaring_consts)
-    assert v == ESCAPES
+    assert v == INDETERMINATE
     sound = LiftConstants(
         l_emp=squaring_consts.l_emp,
         L_emp=squaring_consts.L_emp,
