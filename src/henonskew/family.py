@@ -8,6 +8,7 @@ base. Inverses are exact: (x, y) -> ((p(x) - y) / a, x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,15 @@ class HenonFactor:
         if lam.ndim:
             return np.stack([np.broadcast_to(np.asarray(r, dtype=complex), lam.shape) for r in rows])
         return np.array(rows, dtype=complex)
+
+    @cached_property
+    def constant_coeffs(self) -> tuple[np.ndarray, complex] | None:
+        """(poly_coeffs, a), evaluated once, when every coefficient map is constant; else None."""
+        if not (self.a.is_constant() and all(c.is_constant() for c in self.coeffs)):
+            return None
+        c = self.poly_coeffs(0j)
+        c.flags.writeable = False
+        return c, self.a(0j)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ forward invariant and V_R^- backward invariant, uniformly over the base.
 
 This module also derives the one-step potential-increment bound K with
 |G_(n+1) - G_n| <= K d^(-n) on V_R u V_R^+ (and the analogue for the
-inverse direction), which is what certifies Green-function tails.
+inverse direction), which is what certifies Green-function tails, and the
+per-step distortion bound e(rho) on V_R^+ at a point's own radius, which
+certifies a forward point's tail before the uniform one is small enough.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class FiltrationRadius:
     a_sup: float
     a_inf: float
     coeff_sums: tuple[float, ...]
+    factor_degrees: tuple[int, ...]
     K_plus: float
     K_minus: float
 
@@ -48,6 +51,19 @@ class FiltrationRadius:
         K = self.K_minus if inverse else self.K_plus
         d = self.degree
         return K * d / (d - 1) * d ** (-float(n))
+
+    def wedge_distortion(self, inv_rho):
+        """Forward per-step log-distortion bound e(rho) on V_R^+ at |y| = rho.
+
+        e(rho) = sum_j (d/d_j) * -log(1 - (S_j + a_sup)/rho) bounds
+        |log|y'| - d log|y|| over one map step from a point with |y| = rho.
+        It falls with rho, and at rho = R it is the wedge term of K_plus.
+        Takes 1/rho so that log-form radii beyond the double range give 0.
+        """
+        return sum(
+            self.degree / dj * -np.log1p(-(S + self.a_sup) * inv_rho)
+            for dj, S in zip(self.factor_degrees, self.coeff_sums)
+        )
 
     def depth_for(self, tol: float, inverse: bool = False) -> int:
         """Smallest n with tail_bound(n) < tol."""
@@ -120,6 +136,7 @@ def compute_radius(
         a_sup=a_sup,
         a_inf=a_inf,
         coeff_sums=tuple(coeff_sums),
+        factor_degrees=tuple(f.degree for f in fam.factors),
         K_plus=K_plus,
         K_minus=K_minus,
     )

@@ -2,9 +2,29 @@
 
 The forward Green function along base orbit (lam_k) is
 G_n(z) = d^(-n) log+ ||H_(lam_(n-1)) o ... o H_(lam_0)(z)|| and satisfies
-|G_(n+1) - G_n| <= K d^(-n) once the orbit sits in V_R u V_R^+, so a depth
-with K d/(d-1) d^(-n) < tol certifies the value. Orbits are iterated by
-the engine in orbit.py, which switches them to a log-scale representation
+|G_(n+1) - G_n| <= K d^(-n) once the orbit sits in V_R u V_R^+. A point
+whose orbit is in the wedge at depth n is certified by the first of two
+rules that holds:
+
+  uniform   K d/(d-1) d^(-n) < tol, the same depth for every point;
+  own tail  (forward only) err_n <= min(tol, eps * G_n), eps the double
+            epsilon, with
+              err_n = d^(-n) (e(rho_n)/(d-1) + 1/2 log1p(|x_n/y_n|^2)),
+            rho_n = |y_n| and e(rho) the filtration's per-step distortion
+            bound (FiltrationRadius.wedge_distortion) at the point's own
+            radius instead of at R. The first term bounds the tail of
+            d^(-k) log|y_k| beyond n, the second the gap between log|y_n|
+            and log||z_n||. Both fall like 1/|y_n|, so an escaping point
+            stops a few steps after it enters V_R^+, once further steps can
+            no longer change the double.
+
+The reported err_bound is err_n or the uniform tail, whichever certified
+the point. It bounds the truncation only; the value carries a few ulp of
+rounding besides. Inverse orbits keep the uniform rule alone: backward,
+log|x_(k+1)| - d log|x_k| tends to -log|a| rather than 0, so a point's own
+increments do not vanish. GreenField.depth is each pixel's certification
+depth (n_max for bounded and undecided pixels). Orbits are iterated by the
+engine in orbit.py, which switches them to a log-scale representation
 before doubles overflow; inside the invariant wedge the switch is exact to
 machine precision.
 
@@ -38,6 +58,10 @@ STATUS_UNDECIDED = 0
 STATUS_ESCAPED = 1
 STATUS_BOUNDED = 2
 STATUS_CONVERGED = 3
+
+# the own-tail rule stops a forward point once its tail is below one unit of
+# relative rounding of its value (see the module docstring)
+EPS = np.finfo(float).eps
 
 STATUS_NAMES = {
     STATUS_UNDECIDED: "undecided",
@@ -73,32 +97,39 @@ def _run_green(
 ):
     """Certified Green values for a batch of points sharing a lam-supply.
 
-    Returns (value, status, depth) arrays aligned with the input points.
+    Returns (value, status, depth, err) arrays aligned with the input
+    points; err is the certified bound on |value - G| for escaped points
+    (the truncation error; the double itself carries its own rounding).
     A point whose orbit state is not finite stays undecided.
     """
     n_pts = len(x)
     value = np.zeros(n_pts, dtype=float)
     status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
     depth = np.full(n_pts, n_max, dtype=np.int32)
+    err = np.empty(n_pts, dtype=float)
 
     orbit = Orbit(fam, x, y, inverse)
     alive = np.arange(n_pts)
     d = float(fam.degree)
     for n in range(1, n_max + 1):
-        lam = supplier(n - 1, alive)
-        step_map(orbit, fam, lam, inverse)
-        if flt.tail_bound(n, inverse) < tol:
-            wedge = orbit.in_wedge(flt.R, inverse)
-            if wedge.any():
-                g = d ** (-n) * orbit.log_plus_norm()[wedge]
-                value[alive[wedge]] = g
-                status[alive[wedge]] = np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED)
-                depth[alive[wedge]] = n
-                keep = ~wedge
-                alive = alive[keep]
-                orbit = orbit.take(keep)
-                if len(alive) == 0:
-                    break
+        step_map(orbit, fam, supplier(n - 1, alive), inverse)
+        found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
+        if found is None:
+            continue
+        pos, g, e = found
+        idx = alive[pos]
+        value[idx] = g
+        status[idx] = np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED)
+        depth[idx] = n
+        err[idx] = e
+        keep = np.ones(len(alive), dtype=bool)
+        keep[pos] = False
+        alive = alive[keep]
+        orbit.keep(keep)
+        # free the per-step arrays before the next step, where memory peaks
+        del found, pos, g, e, idx, keep
+        if len(alive) == 0:
+            break
 
     if len(alive):
         wedge = orbit.in_wedge(flt.R, inverse)
@@ -106,14 +137,39 @@ def _run_green(
         bounded = ~wedge & np.isfinite(g)
         value[alive] = np.where(bounded, 0.0, g)
         status[alive[bounded]] = STATUS_BOUNDED
-    return value, status, depth
+        err[alive] = np.where(bounded, tol, flt.tail_bound(n_max, inverse))
+    return value, status, depth, err
+
+
+def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, tol: float, inverse: bool):
+    """(positions, values, error bounds) of the points certified at depth n, or None.
+
+    Once the uniform tail K d/(d-1) d^-n is below tol every wedge point is
+    certified. Before that a forward point is certified when its own tail
+    err_n = d^-n (e(rho_n)/(d-1) + 1/2 log1p(|x_n/y_n|^2)) is at most
+    min(tol, eps * value).
+    """
+    tail = flt.tail_bound(n, inverse)
+    if tail >= tol and inverse:
+        return None
+    pos = np.flatnonzero(orbit.in_wedge(flt.R, inverse))
+    if pos.size == 0:
+        return None
+    g = d ** (-n) * orbit.log_plus_norm(pos)
+    if tail < tol:
+        return pos, g, tail
+    inv_rho, ratio = orbit.wedge_ratios(pos)
+    e = d ** (-n) * (flt.wedge_distortion(inv_rho) / (d - 1.0) + 0.5 * np.log1p(ratio * ratio))
+    done = e <= np.minimum(tol, EPS * g)
+    if not done.any():
+        return None
+    return pos[done], g[done], e[done]
 
 
 def _green_at(supplier, fam: HenonFamily, z, flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> GreenEval:
     """Certified Green value at the single point z."""
-    v, s, n = _run_green(supplier, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse)
-    err = tol if s[0] == STATUS_BOUNDED else flt.tail_bound(n[0], inverse)
-    return GreenEval(float(v[0]), int(n[0]), float(err), STATUS_NAMES[s[0]])
+    v, s, n, e = _run_green(supplier, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse)
+    return GreenEval(float(v[0]), int(n[0]), float(e[0]), STATUS_NAMES[s[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +333,10 @@ def classify(
     """Certified orbit classification via the filtration."""
     flt = resolve_radius(fam, flt, base.space)
     sup = SigmaSupplier(base.sigma, lam)
-    _, s_f, n_f = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=False)
+    _, s_f, n_f, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=False)
     if s_f[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-forward", int(n_f[0]))
-    _, s_b, n_b = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=True)
+    _, s_b, n_b, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=True)
     if s_b[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-backward", int(n_b[0]))
     if s_f[0] == STATUS_BOUNDED and s_b[0] == STATUS_BOUNDED:
@@ -307,7 +363,7 @@ def green_values(
     """Vectorized Green values; lam may be per-point. Returns (value, status, depth)."""
     flt = resolve_radius(fam, flt, base.space)
     sup = SigmaSupplier(base.sigma, lam, back=backward_base)
-    return _run_green(sup, fam, np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel(), flt, tol, n_max, inverse)
+    return _run_green(sup, fam, np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel(), flt, tol, n_max, inverse)[:3]
 
 
 @dataclass
@@ -382,7 +438,7 @@ def green_field(
 
     def chunk(xs, ys):
         sup = SigmaSupplier(base.sigma, lam)
-        return _run_green(sup, fam, xs, ys, flt, tol, n_max, inverse)
+        return _run_green(sup, fam, xs, ys, flt, tol, n_max, inverse)[:3]
 
     v, s, n = _run_field(chunk, grid, threads)
     return _field_from_flat(grid, v, s, n, tol, n_max, "minus" if inverse else "plus")
@@ -404,7 +460,7 @@ def green_field_seq(
         seq.prefix(n_max)  # prefetch so threaded chunks only read
 
     def chunk(xs, ys):
-        return _run_green(SeqSupplier(seq), fam, xs, ys, flt, tol, n_max, inverse=False)
+        return _run_green(SeqSupplier(seq), fam, xs, ys, flt, tol, n_max, inverse=False)[:3]
 
     v, s, n = _run_field(chunk, grid, threads)
     return _field_from_flat(grid, v, s, n, tol, n_max, "random")

@@ -36,7 +36,7 @@ class Orbit:
     entries lie in the invariant wedge.
     """
 
-    __slots__ = ("x", "y", "logm", "L", "r", "u", "switch")
+    __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "switch")
 
     def __init__(self, fam: HenonFamily, x: np.ndarray, y: np.ndarray, inverse: bool):
         n = len(x)
@@ -47,19 +47,20 @@ class Orbit:
         self.r = np.zeros(n, dtype=complex)
         self.u = np.zeros(n, dtype=complex)
         self.switch = switch_bound(fam)
-        big = np.abs(self.x if inverse else self.y) > self.switch
+        # |dominant coordinate| of explicit entries, refreshed by every step
+        # and shared by the switch test and in_wedge; stale on log entries
+        self.dom = np.abs(self.x if inverse else self.y)
+        big = self.dom > self.switch
         if big.any():
             self.to_log(big, inverse)
 
     def __len__(self) -> int:
         return len(self.x)
 
-    def take(self, idx: np.ndarray) -> "Orbit":
-        o = Orbit.__new__(Orbit)
-        for name in ("x", "y", "logm", "L", "r", "u"):
-            setattr(o, name, getattr(self, name)[idx])
-        o.switch = self.switch
-        return o
+    def keep(self, idx: np.ndarray) -> None:
+        """Keep only the points idx selects, replacing one array at a time."""
+        for name in ("x", "y", "logm", "L", "r", "u", "dom"):
+            setattr(self, name, getattr(self, name)[idx])
 
     def to_log(self, mask: np.ndarray, inverse: bool) -> None:
         """Move the masked explicit entries to log form."""
@@ -70,37 +71,51 @@ class Orbit:
         self.u[mask] = 1.0 / lead
         self.logm |= mask
 
-    def radial(self, explicit_fn, from_log_fn) -> np.ndarray:
+    def radial(self, explicit_fn, from_log_fn, idx=None) -> np.ndarray:
         """Per-point values of a function of the point's norm.
 
         explicit_fn(x, y) evaluates explicit entries; from_log_fn(log||z||)
-        evaluates log-form entries.
+        evaluates log-form entries. With `idx` only the indexed points are
+        evaluated.
         """
-        out = np.empty(len(self), dtype=float)
-        ex = ~self.logm
+        if idx is None:
+            idx = slice(None)
+        lg = self.logm[idx]
+        out = np.empty(len(lg), dtype=float)
+        if not lg.any():
+            out[:] = explicit_fn(self.x[idx], self.y[idx])
+            return out
+        ex = ~lg
         if ex.any():
-            out[ex] = explicit_fn(self.x[ex], self.y[ex])
-        lg = self.logm
-        if lg.any():
-            out[lg] = from_log_fn(self.L[lg] + 0.5 * np.log1p(np.abs(self.r[lg]) ** 2))
+            out[ex] = explicit_fn(self.x[idx][ex], self.y[idx][ex])
+        out[lg] = from_log_fn(self.L[idx][lg] + 0.5 * np.log1p(np.abs(self.r[idx][lg]) ** 2))
         return out
 
-    def log_norm(self) -> np.ndarray:
+    def log_norm(self, idx=None) -> np.ndarray:
         """log ||z|| per point (exact for both representations)."""
         with np.errstate(divide="ignore"):
-            return self.radial(lambda x, y: np.log(np.hypot(np.abs(x), np.abs(y))), lambda L: L)
+            return self.radial(lambda x, y: np.log(np.hypot(np.abs(x), np.abs(y))), lambda L: L, idx)
 
-    def log_plus_norm(self) -> np.ndarray:
-        return np.maximum(self.log_norm(), 0.0)
+    def log_plus_norm(self, idx=None) -> np.ndarray:
+        return np.maximum(self.log_norm(idx), 0.0)
 
     def in_wedge(self, R: float, inverse: bool) -> np.ndarray:
         """Closed invariant wedge: V_R^+ forward, V_R^- backward."""
-        out = self.logm.copy()
-        ex = ~self.logm
-        if ex.any():
-            ax, ay = np.abs(self.x[ex]), np.abs(self.y[ex])
-            out[ex] = (ax >= ay) & (ax > R) if inverse else (ay >= ax) & (ay > R)
-        return out
+        sub = np.abs(self.y if inverse else self.x)
+        return self.logm | ((self.dom >= sub) & (self.dom > R))
+
+    def wedge_ratios(self, idx: np.ndarray):
+        """(1/|y|, |x/y|) at the indexed points of a forward orbit in V_R^+."""
+        dom = self.dom[idx]
+        sub = np.abs(self.x[idx])
+        lg = self.logm[idx]
+        with np.errstate(under="ignore", invalid="ignore"):
+            inv_rho, ratio = 1.0 / dom, sub / dom
+            if lg.any():
+                j = idx[lg]
+                inv_rho[lg] = np.exp(-self.L[j])
+                ratio[lg] = np.abs(self.r[j])
+        return inv_rho, ratio
 
 
 def _tail_poly(coeffs, u):
@@ -118,48 +133,55 @@ def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
     `a` is a scalar or per-point array accordingly.
     """
     coeffs = np.asarray(coeffs)
+    o.dom = None  # recomputed below; dropping it first lowers the step's memory peak
+    if o.logm.any():
+        _step_mixed(o, coeffs, a, inverse)
+    else:
+        # all explicit: step the whole arrays, no mask gather or scatter
+        o.x, o.y = factor_step(coeffs, a, o.x, o.y, inverse)
+    o.dom = np.abs(o.x if inverse else o.y)
+    big = (o.dom > o.switch) & ~o.logm
+    if big.any():
+        o.to_log(big, inverse)
+
+
+def _step_mixed(o: Orbit, coeffs: np.ndarray, a, inverse: bool) -> None:
+    """Factor step with some entries in log form: explicit and log entries
+    are stepped separately through masks."""
     per_point = coeffs.ndim == 2
     deg = coeffs.shape[0] - 1
-    logm0 = o.logm.copy()
+    logm0 = o.logm
     ex = ~logm0
     if ex.any():
         cs = coeffs[:, ex] if per_point else coeffs
         av = a[ex] if per_point and np.ndim(a) == 1 else a
-        xn, yn = factor_step(cs, av, o.x[ex], o.y[ex], inverse)
-        o.x[ex] = xn
-        o.y[ex] = yn
-        dom = np.abs(xn) if inverse else np.abs(yn)
-        big_local = dom > o.switch
-        if big_local.any():
-            big = np.zeros(len(o), dtype=bool)
-            big[np.flatnonzero(ex)[big_local]] = True
-            o.to_log(big, inverse)
-    if logm0.any():
-        cs = coeffs[:, logm0] if per_point else coeffs
-        av = a[logm0] if per_point and np.ndim(a) == 1 else a
-        u = o.u[logm0]
-        r = o.r[logm0]
-        with np.errstate(under="ignore"):
-            upow = u ** (deg - 1)
-            if inverse:
-                delta = _tail_poly(cs, u) - r * upow
-                one = 1.0 + delta
-                o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one)) - np.log(np.abs(av))
-                o.r[logm0] = av * upow / one
-                o.u[logm0] = av * upow * u / one
-            else:
-                delta = _tail_poly(cs, u) - av * r * upow
-                one = 1.0 + delta
-                o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one))
-                o.r[logm0] = upow / one
-                o.u[logm0] = upow * u / one
+        o.x[ex], o.y[ex] = factor_step(cs, av, o.x[ex], o.y[ex], inverse)
+    cs = coeffs[:, logm0] if per_point else coeffs
+    av = a[logm0] if per_point and np.ndim(a) == 1 else a
+    u = o.u[logm0]
+    r = o.r[logm0]
+    with np.errstate(under="ignore"):
+        upow = u ** (deg - 1)
+        if inverse:
+            delta = _tail_poly(cs, u) - r * upow
+            one = 1.0 + delta
+            o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one)) - np.log(np.abs(av))
+            o.r[logm0] = av * upow / one
+            o.u[logm0] = av * upow * u / one
+        else:
+            delta = _tail_poly(cs, u) - av * r * upow
+            one = 1.0 + delta
+            o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one))
+            o.r[logm0] = upow / one
+            o.u[logm0] = upow * u / one
 
 
 def step_map(o: Orbit, fam: HenonFamily, lam, inverse: bool) -> None:
     """One full map application H_lam (or its inverse) at base point(s) lam."""
     factors = tuple(reversed(fam.factors)) if inverse else fam.factors
     for f in factors:
-        step_factor(o, f.poly_coeffs(lam), f.a(lam), inverse)
+        c, a = f.constant_coeffs or (f.poly_coeffs(lam), f.a(lam))
+        step_factor(o, c, a, inverse)
 
 
 # ---------------------------------------------------------------------------

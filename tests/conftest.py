@@ -42,6 +42,31 @@ def two_letter_base():
     return BaseSystem(BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j)), BaseDynamics("shift"))
 
 
+def _mp_map(factor_data, lam, x, y, inverse):
+    """One application of the family (or its inverse) in mpmath."""
+    facs = factor_data(lam)
+    if inverse:
+        for deg, coeffs, a in reversed(facs):
+            p = mpmath.mpc(1)
+            for c in coeffs:
+                p = p * x + mpmath.mpc(c)
+            x, y = (p - y) / mpmath.mpc(a), x
+    else:
+        for deg, coeffs, a in facs:
+            p = mpmath.mpc(1)
+            for c in coeffs:
+                p = p * y + mpmath.mpc(c)
+            x, y = y, p - mpmath.mpc(a) * x
+    return x, y
+
+
+def _mp_g(x, y, degree, depth):
+    """d^-n log+ ||(x, y)|| in mpmath."""
+    norm = mpmath.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    val = mpmath.log(norm) if norm > 1 else mpmath.mpf(0)
+    return val / mpmath.mpf(degree) ** depth
+
+
 def mp_orbit_green(factor_data, lam_of_step, z, depth, degree, inverse=False, dps=40):
     """Arbitrary-precision Green oracle: d^-n log+ ||orbit point||.
 
@@ -51,23 +76,49 @@ def mp_orbit_green(factor_data, lam_of_step, z, depth, degree, inverse=False, dp
     with mpmath.workdps(dps):
         x, y = mpmath.mpc(z[0]), mpmath.mpc(z[1])
         for n in range(depth):
-            lam = lam_of_step(n)
-            facs = factor_data(lam)
-            if inverse:
-                for deg, coeffs, a in reversed(facs):
-                    p = mpmath.mpc(1)
-                    for c in coeffs:
-                        p = p * x + mpmath.mpc(c)
-                    x, y = (p - y) / mpmath.mpc(a), x
-            else:
-                for deg, coeffs, a in facs:
-                    p = mpmath.mpc(1)
-                    for c in coeffs:
-                        p = p * y + mpmath.mpc(c)
-                    x, y = y, p - mpmath.mpc(a) * x
-        norm = mpmath.sqrt(abs(x) ** 2 + abs(y) ** 2)
-        val = mpmath.log(norm) if norm > 1 else mpmath.mpf(0)
-        return float(val / mpmath.mpf(degree) ** depth)
+            x, y = _mp_map(factor_data, lam_of_step(n), x, y, inverse)
+        return float(_mp_g(x, y, degree, depth))
+
+
+def _mp_wedge_orbit(factor_data, lam_of_step, z, degree, inverse, max_steps=400):
+    """Yield (n, x, y, done) along the mpmath orbit of z.
+
+    done marks the stopping depth of the benchmark's mpmath oracle: the
+    dominant coordinate (y forward, x backward) exceeds 1e100 inside its
+    wedge. Backward, log|x'| - d log|x| tends to -log|a| rather than 0,
+    which leaves a tail of about d^-n |log a| / (d - 1), so there done also
+    needs d^-n < 1e-13.
+    """
+    big = mpmath.mpf(10) ** 100
+    x, y = mpmath.mpc(z[0]), mpmath.mpc(z[1])
+    for n in range(1, max_steps + 1):
+        x, y = _mp_map(factor_data, lam_of_step(n - 1), x, y, inverse)
+        dom, sub = (abs(x), abs(y)) if inverse else (abs(y), abs(x))
+        yield n, x, y, dom > big and dom >= sub and (not inverse or mpmath.mpf(degree) ** -n < 1e-13)
+
+
+def mp_wedge_green(factor_data, lam_of_step, z, degree, inverse=False, dps=40):
+    """Arbitrary-precision Green value of an escaping point, or None.
+
+    The depth comes from the orbit alone (see _mp_wedge_orbit), never from
+    a depth the program chose.
+    """
+    with mpmath.workdps(dps):
+        for n, x, y, done in _mp_wedge_orbit(factor_data, lam_of_step, z, degree, inverse):
+            if done:
+                return float(_mp_g(x, y, degree, n))
+    return None
+
+
+def mp_truncation(factor_data, lam_of_step, z, degree, depth, dps=60):
+    """|G_n(z) - G^+(z)| at n = depth, both in mpmath (forward orbits)."""
+    with mpmath.workdps(dps):
+        for n, x, y, done in _mp_wedge_orbit(factor_data, lam_of_step, z, degree, False):
+            if n == depth:
+                at_depth = _mp_g(x, y, degree, n)
+            if done and n >= depth:
+                return float(abs(at_depth - _mp_g(x, y, degree, n)))
+    return None
 
 
 def quad_factor_data(a=0.3, c=0.0):

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from conftest import mp_orbit_green
+from conftest import mp_orbit_green, mp_truncation, mp_wedge_green
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, advance
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily
 from henonskew.filtration import compute_radius
-from henonskew.green import green_minus, green_plus
-from henonskew.orbit import OVERFLOW_SWITCH, switch_bound
+from henonskew.green import EPS, STATUS_BOUNDED, STATUS_ESCAPED, _run_green, classify, green_field, green_minus, green_plus
+from henonskew.grids import SliceGrid, SliceSpec
+from henonskew.orbit import OVERFLOW_SWITCH, SigmaSupplier, iterate, switch_bound
 
 TOL = 1e-6
 A = 0.3
@@ -47,7 +50,7 @@ def test_certificates_match_oracle(degs, inverse, single_base):
         for z in ((0.5 * m, m), (m, 0.5j * m)):
             g = green(fam, single_base, 0.0, z, TOL, flt=flt)
             if g.status == "escaped-certified":
-                ref = mp_orbit_green(data, lambda n: 0.0, z, g.depth + 8, fam.degree, inverse=inverse)
+                ref = mp_wedge_green(data, lambda n: 0.0, z, fam.degree, inverse=inverse)
                 assert abs(g.value - ref) <= g.err_bound + 1e-9 * max(1.0, ref), (z, g, ref)
             else:
                 assert g.status == "bounded-certified", (z, g)
@@ -58,10 +61,11 @@ def test_certificates_match_oracle(degs, inverse, single_base):
 def test_degree_24_and_huge_start_points(single_base):
     g = green_plus(_family((24,), c=0.0), single_base, 0.0, (0j, 5 + 0j), TOL)
     assert g.status == "escaped-certified"
-    assert g.value == pytest.approx(math.log(5), abs=g.err_bound)
+    # err_bound bounds the truncation; the double adds its own rounding
+    assert g.value == pytest.approx(math.log(5), abs=g.err_bound + 4 * math.ulp(math.log(5)))
     g = green_plus(_family((2,), c=0.0), single_base, 0.0, (0j, 1e200 + 0j), TOL)
     assert g.status == "escaped-certified"
-    assert g.value == pytest.approx(math.log(1e200), abs=g.err_bound)
+    assert g.value == pytest.approx(math.log(1e200), abs=g.err_bound + 4 * math.ulp(math.log(1e200)))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -77,3 +81,91 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_input_is_undecided(z, inverse, quad_fam, single_base, quad_flt):
     green = green_minus if inverse else green_plus
     assert green(quad_fam, single_base, 0.0, z, TOL, flt=quad_flt).status == "undecided"
+
+
+# ---------------------------------------------------------------------------
+# per-point wedge certificates: earlier than the uniform tail, never looser
+
+_K, _P = CoeffMap.constant, CoeffMap.parse
+SLICE_FAMILIES = {
+    "quadratic": HenonFamily((HenonFactor(2, (_K(0.0), _K(-0.1 + 0.05j)), _K(0.3)),)),
+    "cubic": HenonFamily((HenonFactor(3, (_K(0.0), _P("0.05*u"), _K(0.02)), _K(0.3)),)),
+    "two-factor": HenonFamily((
+        HenonFactor(2, (_K(0.0), _P("0.1*u - 0.05")), _K(0.3)),
+        HenonFactor(2, (_K(0.0), _K(0.1j)), _P("0.25 + 0.02*u")),
+    )),
+}
+SLICE_BASES = {
+    "identity": (BaseSystem(BaseSpace("box", bounds=((-0.5, 0.5),)), BaseDynamics("identity")), 0.3),
+    "rotation": (BaseSystem(BaseSpace("circle"), BaseDynamics("rotation", alpha=0.37)), 0.2),
+}
+
+
+@pytest.mark.parametrize("base_name", SLICE_BASES)
+@pytest.mark.parametrize("fam_name", SLICE_FAMILIES)
+def test_wedge_certificates_are_earlier_not_looser(fam_name, base_name):
+    fam = SLICE_FAMILIES[fam_name]
+    base, lam = SLICE_BASES[base_name]
+    flt = compute_radius(fam, base.space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 64)
+    x, y = (p.ravel() for p in grid.points())
+    value, status, depth, err = _run_green(SigmaSupplier(base.sigma, lam), fam, x, y, flt, TOL, 200, False)
+    esc = status == STATUS_ESCAPED
+    N = flt.depth_for(TOL)
+    assert 0.5 < esc.mean() < 1.0 and np.any(depth[esc] < N)
+
+    # a pixel stopped before the uniform rule only with its own tail below one ulp
+    assert np.all(((err <= np.minimum(TOL, EPS * value)) | (depth >= N))[esc])
+
+    (_, orbit), = iterate(fam, SigmaSupplier(base.sigma, lam), x, y, [N])
+    wedge = orbit.in_wedge(flt.R, False)
+    assert np.all(depth[esc & wedge] <= N)
+    assert np.all(wedge[esc & (depth <= N)])  # V_R^+ is forward invariant
+    # the depth-N reference carries its own log-form rounding (3L is inexact
+    # for d = 3), so an ulp here is eps * |value| rather than the spacing
+    ref = float(fam.degree) ** (-N) * orbit.log_plus_norm()
+    near = esc & wedge
+    assert np.all(np.abs(value[near] - ref[near]) <= 4 * EPS * ref[near])
+
+    rng = np.random.Generator(np.random.PCG64(7))
+    picks = [rng.choice(np.flatnonzero(status == s), 10, replace=False) for s in (STATUS_ESCAPED, STATUS_BOUNDED)]
+    for i in np.concatenate(picks):
+        c = classify(fam, base, lam, (x[i], y[i]), 200, flt)
+        assert status[i] == (STATUS_ESCAPED if c.kind == "escaped-forward" else STATUS_BOUNDED), (i, c)
+        assert c.kind != "undecided" and (status[i] == STATUS_BOUNDED or c.depth <= depth[i])
+
+
+@pytest.mark.parametrize("fam_name", SLICE_FAMILIES)
+def test_wedge_error_bound_covers_truncation(fam_name):
+    """err_bound of an early certificate bounds |G_n - G| computed in mpmath."""
+    fam = SLICE_FAMILIES[fam_name]
+    base, lam = SLICE_BASES["rotation"]
+    flt = compute_radius(fam, base.space)
+
+    def data(mu):
+        return [(f.degree, [complex(c(mu)) for c in f.coeffs], complex(f.a(mu))) for f in fam.factors]
+
+    def lam_of_step(k):
+        return advance(base.sigma, lam, k)
+
+    early = 0
+    for t in np.linspace(0.0, 1.0, 12):
+        z = (0.1j * t, (flt.R - 1.0 + 2.0 * t) * np.exp(2j * np.pi * t))
+        g = green_plus(fam, base, lam, z, TOL, flt=flt)
+        assert g.status == "escaped-certified", (z, g)
+        if g.depth < flt.depth_for(TOL):
+            early += 1
+            assert mp_truncation(data, lam_of_step, z, fam.degree, g.depth) <= g.err_bound, (z, g)
+    assert early >= 8
+
+
+@pytest.mark.parametrize("fam_name", ["quadratic", "two-factor"])
+def test_field_threads_match_single_thread(fam_name):
+    fam = SLICE_FAMILIES[fam_name]
+    base, lam = SLICE_BASES["rotation"]
+    flt = compute_radius(fam, base.space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 48)
+    one = green_field(fam, base, lam, grid, TOL, 200, flt, threads=1)
+    two = green_field(fam, base, lam, grid, TOL, 200, flt, threads=2)
+    for attr in ("values", "status", "depth"):
+        assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
