@@ -5,10 +5,20 @@ d_n(p, q) = max over 0 <= i < n of [base dist + fiber dist] of the i-step
 images. Greedy first-fit packing of a candidate cloud near the chaotic
 region gives s_n(eps); rate = log(s_n)/n lower-bounds the entropy (which
 is at least log d on the Julia set).
+
+The packing is a block sweep over the shuffled candidates (`_greedy_pack`).
+Candidates are binned into step-0 cells at least eps wide; for each block
+of `BLOCK` candidates the pairs in adjacent cells are tested stage by stage
+against the Bowen increment in a few vectorised passes, first-fit resolves
+the block, and the block's kept candidates kill their conflicts further
+on. The count is exactly that of candidate-by-candidate first-fit. Pairs
+are expanded at most `PAIR_BUDGET` at a time, so memory stays bounded for
+any eps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,17 +30,33 @@ from .family import HenonFamily, eval_map
 from .filtration import FiltrationRadius, resolve_radius
 from .green import green_values
 
+#: Positions of the shuffled candidate order resolved per packing block.
+BLOCK = 256
+#: Most candidate pairs the packer expands at once.
+PAIR_BUDGET = 2**11
+#: Most cells per real coordinate; cells are max(eps, extent / CELL_RANGE) wide.
+CELL_RANGE = 2**14
+# offsets of the 3^4 cells adjacent to a cell (itself included)
+_NEIGHBOURS = np.array(list(itertools.product((-1, 0, 1), repeat=4)), dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class SeparatedSetEstimate:
+    """s_n = size of the first-fit separated set at depth n; `survivors` is
+    the number of candidates packed (those staying in the bidisc for n
+    steps), so s_n / survivors is the saturation of the packing."""
+
     n: int
     eps: float
     s_n: int
     rate: float
+    survivors: int | None = None
 
     def __post_init__(self):
         if self.s_n < 1 or self.rate < 0:
             raise ValidationError("separated-set estimate needs s_n >= 1, rate >= 0")
+        if self.survivors is not None and self.s_n > self.survivors:
+            raise ValidationError("separated-set estimate needs s_n <= survivors")
 
 
 def _base_dist(space_kind_is_circle: bool, a: np.ndarray, b) -> np.ndarray:
@@ -38,6 +64,11 @@ def _base_dist(space_kind_is_circle: bool, a: np.ndarray, b) -> np.ndarray:
         t = np.abs(a.real - np.real(b)) % 1.0
         return np.minimum(t, 1.0 - t)
     return np.abs(a - b)
+
+
+def _bowen_step(circ: bool, la, xa, ya, lb, xb, yb) -> np.ndarray:
+    """One step's term of the Bowen metric: base distance plus fiber distance."""
+    return _base_dist(circ, la, lb) + np.hypot(np.abs(xa - xb), np.abs(ya - yb))
 
 
 def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndarray, y: np.ndarray, n: int, R: float):
@@ -56,8 +87,7 @@ def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndar
     xs[0], ys[0], ls[0] = np.where(ok, x, 0), np.where(ok, y, 0), lam
     ok_hist[0] = ok
     for i in range(1, n):
-        lam_prev = np.atleast_1d(np.asarray(advance(base.sigma, lam, i - 1), dtype=complex))
-        xi, yi = eval_map(fam, lam_prev, (xs[i - 1], ys[i - 1]))
+        xi, yi = eval_map(fam, ls[i - 1], (xs[i - 1], ys[i - 1]))
         ok = ok & (np.abs(xi) <= R) & (np.abs(yi) <= R)
         xs[i] = np.where(ok, xi, 0)
         ys[i] = np.where(ok, yi, 0)
@@ -74,18 +104,18 @@ def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int, flt: Filtratio
         raise UnsupportedBase("Bowen metric needs a pointwise base dynamics")
     lam_p, zp = p
     lam_q, zq = q
-    lam = np.array([lam_p, lam_q], dtype=complex)
+    lam0 = np.array([lam_p, lam_q], dtype=complex)
+    lam = lam0
     x = np.array([zp[0], zq[0]], dtype=complex)
     y = np.array([zp[1], zq[1]], dtype=complex)
     best = 0.0
     circ = base.space.kind == CIRCLE
+    # lam_i and z_i as `_orbit_track` computes them, so that both see the same metric
     for i in range(n):
-        fiber = math.hypot(abs(x[0] - x[1]), abs(y[0] - y[1]))
-        bd = float(_base_dist(circ, lam[:1], lam[1])[0])
-        best = max(best, bd + fiber)
-        if i < n - 1:
+        if i:
             x, y = eval_map(fam, lam, (x, y))
-            lam = np.asarray(advance(base.sigma, lam, 1), dtype=complex)
+            lam = advance(base.sigma, lam0, i)
+        best = max(best, float(_bowen_step(circ, lam[:1], x[:1], y[:1], lam[1:], x[1:], y[1:])[0]))
     return best
 
 
@@ -152,64 +182,116 @@ def draw_candidates(
 def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray) -> int:
     """First-fit maximal (n, eps)-separated subset; returns its size.
 
-    d_n dominates the step-0 fiber distance, so candidates within eps of
-    a kept point must sit in one of its 3^4 adjacent eps-cells; only
-    those are tested against the full Bowen max, stagewise.
-    """
-    n = xs.shape[0]
-    keys = np.stack(
-        [
-            np.floor(xs[0].real[order] / eps).astype(np.int64),
-            np.floor(xs[0].imag[order] / eps).astype(np.int64),
-            np.floor(ys[0].real[order] / eps).astype(np.int64),
-            np.floor(ys[0].imag[order] / eps).astype(np.int64),
-        ],
-        axis=1,
-    )
-    bins: dict[tuple[int, ...], list[int]] = {}
-    for pos, key in enumerate(map(tuple, keys)):
-        bins.setdefault(key, []).append(pos)
-    bin_arrays = {k: np.asarray(v) for k, v in bins.items()}
+    Candidates are taken in `order`; one is kept iff no earlier kept
+    candidate lies within d_n <= eps of it. The sweep resolves `BLOCK`
+    positions of `order` at a time:
 
-    alive = np.ones(order.size, dtype=bool)
-    offsets = [
-        (a, b, c, d)
-        for a in (-1, 0, 1)
-        for b in (-1, 0, 1)
-        for c in (-1, 0, 1)
-        for d in (-1, 0, 1)
-    ]
-    count = 0
-    for pos in range(order.size):
-        if not alive[pos]:
+    1. the block's candidates not yet killed are paired with the later
+       candidates of the block that sit in adjacent step-0 cells, and the
+       pairs are filtered by the Bowen increment one step at a time (step
+       0 first, where most pairs drop out);
+    2. first-fit runs over the block, each kept candidate killing the
+       block's later candidates it conflicts with;
+    3. the block's kept candidates are paired with the surviving
+       candidates after the block, and the conflicting ones are killed.
+
+    So every kill comes from a kept candidate, and in `order`: the count
+    equals that of candidate-by-candidate first-fit. The conflict test is
+    `dn_distance`'s floating-point expression (`_bowen_step`, symmetric
+    to the bit since |a - b| = |b - a| in IEEE arithmetic), and at most
+    `PAIR_BUDGET` pairs are expanded at once.
+
+    The prefilter is complete for any cell width w >= eps, because d_n is
+    at least the step-0 distance in each real coordinate; so the result
+    does not depend on w. Cells are max(eps, extent / CELL_RANGE) wide, so
+    the four integer cell keys fit one int64 code at any eps. Keys are
+    taken from the cloud's lower corner, a subtraction that rounds at the
+    scale of the extent rather than of eps, so the cells are widened by a
+    relative 2^-20: two candidates exactly eps apart can then never land
+    two cells apart.
+    """
+    n, size = xs.shape[0], order.size
+    if size == 0:
+        return 0
+    coords = np.stack([xs[0].real[order], xs[0].imag[order], ys[0].real[order], ys[0].imag[order]])
+    lo = coords.min(axis=1, keepdims=True)
+    width = max(eps, float((coords.max(axis=1) - lo[:, 0]).max()) / CELL_RANGE) * (1 + 2.0**-20)
+    # keys in [1, CELL_RANGE], so a neighbour key stays in [0, radix - 1]
+    keys = np.floor((coords - lo) / width).astype(np.int64) + 1
+    radix = int(keys.max()) + 2
+    weights = radix ** np.arange(4, dtype=np.int64)
+    code = weights @ keys
+    hood = _NEIGHBOURS @ weights
+    cells, cell_of = np.unique(code, return_inverse=True)
+    # (cell, position) entries in one sorted int64 key: a cell's candidates
+    # are a contiguous run, in `order`, so a position range is two searches
+    entry = np.sort(cell_of.ravel() * size + np.arange(size))
+    entry_pos = entry % size
+    stale = 0  # entries no longer alive, dropped once they are half of `entry`
+    alive = np.ones(size, dtype=bool)
+
+    def near_cells(q):
+        # (row into q, cell id) for every occupied cell adjacent to q's
+        want = code[q][:, None] + hood
+        cid = np.minimum(np.searchsorted(cells, want), cells.size - 1)
+        row, col = np.nonzero(cells[cid] == want)
+        return row, cid[row, col]
+
+    def conflicts(q, row, cid, first, stop):
+        # pairs (q[row], p) with p alive in cell cid, first <= p < stop, and
+        # d_n(p, q[row]) <= eps; yielded in chunks, sorted by q position
+        base = cid * size
+        start = np.searchsorted(entry, base + first)
+        count = np.searchsorted(entry, base + stop) - start
+        busy = count > 0
+        earlier, start, count = q[row[busy]], start[busy], count[busy]
+        if count.size == 0:
+            return
+        ends = np.cumsum(count)
+        for t0 in range(0, int(ends[-1]), PAIR_BUDGET):
+            t = np.arange(t0, min(t0 + PAIR_BUDGET, int(ends[-1])))
+            r = np.searchsorted(ends, t, side="right")
+            a = earlier[r]
+            b = entry_pos[start[r] + t - (ends[r] - count[r])]
+            live = alive[b]
+            a, b = a[live], b[live]
+            for i in range(n):
+                if b.size == 0:
+                    break
+                ia, ib = order[a], order[b]
+                near = _bowen_step(circ, ls[i][ib], xs[i][ib], ys[i][ib], ls[i][ia], xs[i][ia], ys[i][ia]) <= eps
+                a, b = a[near], b[near]
+            if b.size:
+                yield a, b
+
+    kept_total = 0
+    for s in range(0, size, BLOCK):
+        e = min(s + BLOCK, size)
+        q = s + np.flatnonzero(alive[s:e])
+        if q.size == 0:
             continue
-        count += 1
-        alive[pos] = False
-        k = order[pos]
-        key = tuple(keys[pos])
-        hood = [
-            bin_arrays[nk]
-            for nk in ((key[0] + o[0], key[1] + o[1], key[2] + o[2], key[3] + o[3]) for o in offsets)
-            if nk in bin_arrays
-        ]
-        if not hood:
-            continue
-        cand_pos = np.concatenate(hood)
-        cand_pos = cand_pos[alive[cand_pos]]
-        idx = order[cand_pos]
-        near = np.ones(cand_pos.size, dtype=bool)
-        sub = idx
-        for i in range(n):
-            if sub.size == 0:
-                break
-            bd = _base_dist(circ, ls[i][sub], ls[i][k])
-            fd = np.hypot(np.abs(xs[i][sub] - xs[i][k]), np.abs(ys[i][sub] - ys[i][k]))
-            still = (bd + fd) <= eps
-            keep_pos = np.flatnonzero(near)
-            near[keep_pos[~still]] = False
-            sub = order[cand_pos[near]]
-        alive[cand_pos[near]] = False
-    return count
+        row, cid = near_cells(q)
+        found = list(conflicts(q, row, cid, q[row] + 1, e))
+        if found:
+            a = np.concatenate([f[0] for f in found])
+            b = np.concatenate([f[1] for f in found])
+            cut = np.flatnonzero(a[1:] != a[:-1]) + 1
+            for head, victims in zip(a[np.r_[0, cut]].tolist(), np.split(b, cut)):
+                if alive[head]:
+                    alive[victims] = False
+        kept = alive[q]
+        kept_total += int(kept.sum())
+        if e < size:
+            take = kept[row]
+            for _, b in conflicts(q, row[take], cid[take], e, size):
+                alive[b] = False
+                stale += b.size
+        alive[s:e] = False
+        stale += q.size
+        if 2 * stale > entry.size:
+            live = alive[entry_pos]
+            entry, entry_pos, stale = entry[live], entry_pos[live], 0
+    return kept_total
 
 
 def entropy_lower_bound(
@@ -248,5 +330,6 @@ def entropy_lower_bound(
             raise EmptyCandidateSet(f"no candidate orbit stays in the bidisc for {n} steps")
         order = keep[rng.permutation(keep.size)]
         s_n = _greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order)
-        out.append(SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, rate=math.log(s_n) / n if s_n > 1 else 0.0))
+        rate = math.log(s_n) / n if s_n > 1 else 0.0
+        out.append(SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, rate=rate, survivors=keep.size))
     return out

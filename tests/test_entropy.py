@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from henonskew.base import BaseDynamics, BaseSpace, BaseSystem
+from henonskew.base import CIRCLE, BaseDynamics, BaseSpace, BaseSystem, point_base
 from henonskew.entropy import (
+    BLOCK,
+    CELL_RANGE,
     SeparatedSetEstimate,
+    _base_dist,
+    _greedy_pack,
+    _orbit_track,
     dn_distance,
     draw_candidates,
     entropy_lower_bound,
 )
 from henonskew.errors import EmptyCandidateSet, UnsupportedBase, ValidationError
+from henonskew.expr import CoeffMap
+from henonskew.family import HenonFactor, HenonFamily, quadratic_family
+from henonskew.filtration import compute_radius
 
 
 def test_dn_distance_basics(quad_fam, single_base, quad_flt):
@@ -119,3 +127,133 @@ def test_empty_candidates(quad_fam, single_base, quad_flt):
     win = (50.0, 60.0, 50.0, 60.0, 50.0, 60.0, 50.0, 60.0)
     with pytest.raises(EmptyCandidateSet):
         draw_candidates(quad_fam, single_base, win, 100, seed=2, flt=quad_flt, max_batches=2)
+
+
+# -- block-sweep packer against a direct first-fit ------------------------------------------
+
+
+def _first_fit(xs, ys, ls, eps, circ, order):
+    """Direct quadratic-time first-fit over `order`: the reference for `_greedy_pack`."""
+    kept = np.empty(0, dtype=np.int64)
+    for k in order:
+        near = np.ones(kept.size, dtype=bool)
+        for i in range(xs.shape[0]):
+            d = _base_dist(circ, ls[i][kept], ls[i][k]) + np.hypot(
+                np.abs(xs[i][kept] - xs[i][k]), np.abs(ys[i][kept] - ys[i][k])
+            )
+            near &= d <= eps
+            if not near.any():
+                break
+        if not near.any():
+            kept = np.append(kept, k)
+    return kept.size
+
+
+def _lam_family():
+    f = HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("0.1*u")), CoeffMap.constant(0.3))
+    return HenonFamily((f,))
+
+
+_BASES = {
+    "identity": (quadratic_family(a=0.3), point_base(0.0)),
+    "rotation": (_lam_family(), BaseSystem(BaseSpace("circle"), BaseDynamics("rotation", alpha=0.381966))),
+    "contraction": (_lam_family(), BaseSystem(BaseSpace("box", bounds=((-0.5, 0.5),)), BaseDynamics("contraction", c=0.7))),
+}
+
+
+def _check_against_first_fit(fam, base, flt, cands, eps, n_range, seed):
+    ests = entropy_lower_bound(fam, base, eps, n_range, seed=seed, flt=flt, candidates=cands)
+    lam, x, y = cands
+    xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, max(n_range), flt.R)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    circ = base.space.kind == CIRCLE
+    for est, n in zip(ests, sorted(n_range)):
+        keep = np.flatnonzero(ok_hist[n - 1])
+        order = keep[rng.permutation(keep.size)]
+        assert est.survivors == keep.size
+        assert est.s_n == _first_fit(xs[:n], ys[:n], ls[:n], eps, circ, order), (n, eps)
+    return ests
+
+
+@pytest.mark.parametrize("bname", sorted(_BASES))
+def test_greedy_pack_equals_first_fit(bname):
+    # more candidates than BLOCK, several n in one call, orbits leaving the bidisc between them
+    fam, base = _BASES[bname]
+    flt = compute_radius(fam, base.space, margin=1.0)
+    cands = draw_candidates(fam, base, None, 600, seed=11, flt=flt)
+    assert cands[0].size > 2 * BLOCK
+    for eps in (0.05, 0.15, 0.4, 1.0):
+        ests = _check_against_first_fit(fam, base, flt, cands, eps, [1, 3, 6], seed=11)
+        assert ests[0].survivors > ests[-1].survivors
+        if eps == 1.0:
+            assert ests[-1].s_n < ests[-1].survivors
+
+
+def test_greedy_pack_duplicates_and_coarse_cells(quad_fam, single_base, quad_flt):
+    lam, x, y = draw_candidates(quad_fam, single_base, None, 400, seed=2, flt=quad_flt)
+    # exact duplicates (distance 0) and near-duplicates 4e-8 away, so eps = 1e-7 has conflicts
+    cands = (
+        np.concatenate([lam, lam[:150], lam[150:300]]),
+        np.concatenate([x, x[:150], x[150:300] + 4e-8]),
+        np.concatenate([y, y[:150], y[150:300]]),
+    )
+    for eps in (1e-7, 0.05, 0.4):
+        ests = _check_against_first_fit(quad_fam, single_base, quad_flt, cands, eps, [1, 2, 4], seed=2)
+        assert all(e.s_n < e.survivors for e in ests)
+    # eps = 1e-7 is far below extent / CELL_RANGE, so the cells are the coarse ones
+    assert 1e-7 < float(np.ptp(x.real)) / CELL_RANGE
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05])
+def test_greedy_pack_lattice_ties_conflict(eps):
+    # a 5^4 lattice with spacing eps: neighbours sit at d_n == eps, which must conflict
+    g = np.arange(5) * eps
+    a, b, c, d = (v.ravel() for v in np.meshgrid(g, g, g, g, indexing="ij"))
+    x, y = a + 1j * b, c + 1j * d
+    xs, ys, ls = np.stack([x, x]), np.stack([y, y]), np.zeros((2, x.size), dtype=complex)
+    rng = np.random.Generator(np.random.PCG64(4))
+    for order in (np.arange(x.size), rng.permutation(x.size)):
+        s = _greedy_pack(xs, ys, ls, eps, False, order)
+        assert s == _first_fit(xs, ys, ls, eps, False, order)
+        assert s < x.size
+    if eps == 0.25:
+        # exact ties: first-fit in lattice order keeps one parity class
+        assert _greedy_pack(xs, ys, ls, eps, False, np.arange(x.size)) == (x.size + 1) // 2
+
+
+def test_greedy_pack_tie_across_rounded_cell_keys():
+    # a - b == eps exactly, but (a - lo) / eps and (b - lo) / eps round two cells apart:
+    # the cells must be wide enough that the pair is still tested, and conflicts
+    lo, eps = -1.3, 0.1
+    b, a = 0.09999999999999987, 0.19999999999999987
+    assert a - b == eps and np.floor((a - lo) / eps) - np.floor((b - lo) / eps) == 2
+    xs = np.array([[lo + 1j * lo, b, a]])
+    ys = np.full((1, 3), lo * (1 + 1j))
+    ls = np.zeros((1, 3), dtype=complex)
+    order = np.array([1, 2, 0])
+    assert _greedy_pack(xs, ys, ls, eps, False, order) == _first_fit(xs, ys, ls, eps, False, order) == 2
+
+
+@pytest.mark.parametrize("bname", sorted(_BASES))
+def test_dn_distance_matches_packer_predicate(bname):
+    fam, base = _BASES[bname]
+    flt = compute_radius(fam, base.space, margin=1.0)
+    lam, x, y = draw_candidates(fam, base, None, 300, seed=6, flt=flt)
+    n = 6
+    xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, n, flt.R)
+    inside = np.flatnonzero(ok_hist[n - 1])
+    rng = np.random.Generator(np.random.PCG64(6))
+    circ = base.space.kind == CIRCLE
+    for _ in range(150):
+        p, q = rng.choice(inside, 2, replace=False)
+        d = dn_distance(fam, base, (lam[p], (x[p], y[p])), (lam[q], (x[q], y[q])), n)
+        # at eps = d_n the pair conflicts (one kept), one ulp below it does not
+        for eps in (d, np.nextafter(d, 0.0)):
+            kept = _greedy_pack(xs, ys, ls, eps, circ, np.array([p, q]))
+            assert (kept == 1) == (d <= eps)
+
+
+def test_estimate_survivors_bound():
+    assert SeparatedSetEstimate(n=2, eps=0.1, s_n=4, rate=0.69, survivors=4).survivors == 4
+    with pytest.raises(ValidationError):
+        SeparatedSetEstimate(n=2, eps=0.1, s_n=5, rate=0.8, survivors=4)
