@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import CONTRACTION, IDENTITY, BaseSystem, ParamSequence
+from .base import CONTRACTION, IDENTITY, BaseSystem
 from .errors import UnsupportedBase, ValidationError
 from .family import HenonFamily
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_UNDECIDED, avg_green_field, green_field, green_field_seq
+from .green import STATUS_UNDECIDED, avg_green_field, green_field, green_field_seq, mc_chunks, mc_supplier
 from .currents import laplacian_density
 from .grids import SliceGrid
 from .orbit import Orbit, SeqSupplier, SigmaSupplier, iterate
@@ -111,14 +111,24 @@ class ConvergenceReport:
         )
 
 
-def _pullback_stack(fam, supplier, grid: SliceGrid, u: PotentialSpec, depths, inverse=False):
-    """d^(-n) u(H_n(z)) rasters for each requested depth (incremental)."""
-    x, y = grid.points()
+def _pullback_stack(fam, supplier, x: np.ndarray, y: np.ndarray, us, depths, idx=None):
+    """d^(-n) u(H_n(z)) at the points (x, y) for each potential u in `us`
+    and each requested depth, on one incremental orbit.
+
+    Returns {n: [values for each u]}; `idx` names the points to the supplier.
+    """
     d = float(fam.degree)
     return {
-        n: (d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
-        for n, orbit in iterate(fam, supplier, x.ravel(), y.ravel(), depths, inverse)
+        n: [d ** (-n) * u.eval_orbit(orbit) for u in us]
+        for n, orbit in iterate(fam, supplier, x, y, depths, idx=idx)
     }
+
+
+def _grid_stack(fam, seq, grid: SliceGrid, us, depths):
+    """_pullback_stack over a slice grid along one sequence, as rasters."""
+    x, y = grid.points()
+    stack = _pullback_stack(fam, SeqSupplier(seq, max(depths)), x.ravel(), y.ravel(), us, depths)
+    return {n: [v.reshape(grid.ny, grid.nx) for v in vals] for n, vals in stack.items()}
 
 
 def pullback_convergence(
@@ -142,8 +152,8 @@ def pullback_convergence(
     ref = green_field_seq(fam, seq, grid, tol, max(200, n_max + flt.depth_for(tol)), flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
     masked_fraction = 1.0 - float(mask.mean())
-    stack = _pullback_stack(fam, SeqSupplier(seq), grid, u, range(1, n_max + 1))
-    errors = [float(np.abs(stack[n] - ref.values)[mask].max()) for n in range(1, n_max + 1)]
+    stack = _grid_stack(fam, seq, grid, (u,), range(1, n_max + 1))
+    errors = [float(np.abs(stack[n][0] - ref.values)[mask].max()) for n in range(1, n_max + 1)]
     return ConvergenceReport(list(range(1, n_max + 1)), errors, fam.degree, masked_fraction)
 
 
@@ -159,30 +169,35 @@ def theta_average_pullback(
     flt: FiltrationRadius | None = None,
     threads: int = 1,
 ):
-    """Averaged pullback against the averaged Green potential.
+    """Averaged pullback against the averaged Green potential, n_mc >= 2.
 
     Returns (report, noise_floor): e_n should fall to the Monte-Carlo
-    floor estimated from both averaging errors.
+    floor estimated from both averaging errors. The pullbacks along the
+    n_mc sequences are stepped a chunk of sequences at a time.
     """
     flt = resolve_radius(fam, flt, space)
     ref, ref_stderr = avg_green_field(fam, space, grid, tol, n_mc, seed + 1, flt=flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
     masked_fraction = 1.0 - float(mask.mean())
 
-    root = ParamSequence(space, seed)
+    x, y = grid.points()
+    n_pts = x.size
+    sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
     acc = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
     acc2 = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
-    for i in range(n_mc):
-        stack = _pullback_stack(fam, SeqSupplier(root.spawn(i)), grid, u, range(1, n_max + 1))
-        for n in range(1, n_max + 1):
-            acc[n] += stack[n]
-            acc2[n] += stack[n] ** 2
+    for ids, rows in mc_chunks(n_mc, n_pts):
+        stack = _pullback_stack(fam, sup, np.tile(x.ravel(), rows), np.tile(y.ravel(), rows), (u,),
+                                range(1, n_max + 1), ids)
+        for n, (vals,) in stack.items():
+            for v in vals.reshape(rows, grid.ny, grid.nx):
+                acc[n] += v
+                acc2[n] += v ** 2
     errors = []
     floors = []
     for n in range(1, n_max + 1):
         mean = acc[n] / n_mc
         var = np.maximum(acc2[n] / n_mc - mean ** 2, 0.0)
-        se = np.sqrt(var / max(n_mc - 1, 1))
+        se = np.sqrt(var / (n_mc - 1))
         errors.append(float(np.abs(mean - ref.values)[mask].max()))
         floors.append(float((se + ref_stderr)[mask].max()))
     report = ConvergenceReport(list(range(1, n_max + 1)), errors, fam.degree, masked_fraction)
@@ -211,8 +226,7 @@ def rigidity_probe(
     flt = resolve_radius(fam, flt, space, seq)
     ref = green_field_seq(fam, seq, grid, tol, 200, flt)
     mask = ref.status != STATUS_UNDECIDED
-    s1 = _pullback_stack(fam, SeqSupplier(seq), grid, u1, [n_max])[n_max]
-    s2 = _pullback_stack(fam, SeqSupplier(seq), grid, u2, [n_max])[n_max]
+    s1, s2 = _grid_stack(fam, seq, grid, (u1, u2), [n_max])[n_max]
     return float(np.abs(s1 - s2)[mask].max())
 
 
@@ -305,6 +319,6 @@ def cutoff_limit_probe(
 
 def pullback_identity_check(fam, seq, grid: SliceGrid, u: PotentialSpec, n: int, space=None) -> float:
     """Max gap between incremental and from-scratch depth-n pullbacks."""
-    inc = _pullback_stack(fam, SeqSupplier(seq), grid, u, range(1, n + 1))[n]
-    direct = _pullback_stack(fam, SeqSupplier(seq), grid, u, [n])[n]
+    inc, = _grid_stack(fam, seq, grid, (u,), range(1, n + 1))[n]
+    direct, = _grid_stack(fam, seq, grid, (u,), [n])[n]
     return float(np.abs(inc - direct).max())

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseSystem, ParamSequence
+from .base import BaseSystem
 from .errors import UndecidedCells, ValidationError
-from .filtration import FiltrationRadius
-from .green import STATUS_ESCAPED, GreenField, green_field, green_field_seq
+from .filtration import FiltrationRadius, resolve_radius
+from .green import STATUS_ESCAPED, GreenField, green_field, mc_green
 from .grids import SliceGrid
 
 
@@ -179,18 +179,19 @@ def avg_current_slice(
     per-sequence Laplacians: identical up to roundoff by linearity, both
     reported so the commutation is exercised end to end.
     """
-    if n_mc < 2:
-        raise ValidationError("avg_current_slice needs n_mc >= 2")
-    root = ParamSequence(space, seed)
+    flt = resolve_radius(fam, flt, space)
+    x, y = grid.points()
+    mc = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
+    bad = np.flatnonzero(mc.seq_undecided)
+    if bad.size:
+        raise UndecidedCells(f"sequence {bad[0]}: {mc.seq_undecided[bad[0]]} undecided pixels")
     mean_vals = np.zeros((grid.ny, grid.nx))
     mean_den = None
     masses = np.empty(n_mc)
-    for i in range(n_mc):
-        f = green_field_seq(fam, root.spawn(i), grid, tol, n_max, flt, space=space, threads=threads)
-        if f.undecided:
-            raise UndecidedCells(f"sequence {i}: {f.undecided} undecided pixels")
-        mean_vals += f.values
-        den = laplacian_density(f.values, grid.dx, grid.dy)
+    for i, row in enumerate(mc.values):
+        vals = row.reshape(grid.ny, grid.nx)
+        mean_vals += vals
+        den = laplacian_density(vals, grid.dx, grid.dy)
         masses[i] = den.sum()
         mean_den = den if mean_den is None else mean_den + den
     mean_vals /= n_mc

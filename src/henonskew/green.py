@@ -48,11 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import SHIFT, BaseSystem, ParamSequence, advance
-from .errors import SurjectivityRequired, UnsupportedBase
+from .errors import SurjectivityRequired, UnsupportedBase, ValidationError
 from .family import HenonFamily, factor_step
 from .filtration import FiltrationRadius, resolve_radius
 from .grids import SliceGrid
-from .orbit import Orbit, SeqSupplier, SigmaSupplier, iterate, step_map
+from .orbit import Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate, step_coeffs
 
 STATUS_UNDECIDED = 0
 STATUS_ESCAPED = 1
@@ -85,6 +85,43 @@ class GreenEval:
 # certifying engine
 
 
+def _certify(supplier, fam: HenonFamily, orbit: Orbit, alive: np.ndarray, flt: FiltrationRadius, tol: float,
+             n_lo: int, n_hi: int, inverse: bool, record) -> np.ndarray:
+    """Step the orbit of the points `alive` from depth n_lo to n_hi, certifying as it goes.
+
+    `alive` names the orbit's points to the supplier. Each point certified
+    at depth n is passed to record(ids, n, values, err_bounds) and dropped
+    from the orbit; returns the names of the points left, whose state the
+    orbit then holds at depth n_hi.
+    """
+    d = float(fam.degree)
+    for n in range(n_lo + 1, n_hi + 1):
+        step_coeffs(orbit, supplier.coeffs(fam, n - 1, alive), inverse)
+        found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
+        if found is None:
+            continue
+        pos, g, e = found
+        idx = alive[pos]
+        record(idx, n, g, e)
+        keep = np.ones(len(alive), dtype=bool)
+        keep[pos] = False
+        alive = alive[keep]
+        orbit.keep(keep)
+        # free the per-step arrays before the next step, where memory peaks
+        del found, pos, g, e, idx, keep
+        if len(alive) == 0:
+            break
+    return alive
+
+
+def _final_values(orbit: Orbit, flt: FiltrationRadius, d: float, n_max: int, inverse: bool):
+    """(G_n_max, bounded) of the points left at n_max: bounded points are
+    outside the wedge with a finite state, and their value is 0."""
+    wedge = orbit.in_wedge(flt.R, inverse)
+    g = d ** (-n_max) * orbit.log_plus_norm()
+    return g, ~wedge & np.isfinite(g)
+
+
 def _run_green(
     supplier,
     fam: HenonFamily,
@@ -108,33 +145,16 @@ def _run_green(
     depth = np.full(n_pts, n_max, dtype=np.int32)
     err = np.empty(n_pts, dtype=float)
 
-    orbit = Orbit(fam, x, y, inverse)
-    alive = np.arange(n_pts)
-    d = float(fam.degree)
-    for n in range(1, n_max + 1):
-        step_map(orbit, fam, supplier(n - 1, alive), inverse)
-        found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
-        if found is None:
-            continue
-        pos, g, e = found
-        idx = alive[pos]
+    def record(idx, n, g, e):
         value[idx] = g
         status[idx] = np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED)
         depth[idx] = n
         err[idx] = e
-        keep = np.ones(len(alive), dtype=bool)
-        keep[pos] = False
-        alive = alive[keep]
-        orbit.keep(keep)
-        # free the per-step arrays before the next step, where memory peaks
-        del found, pos, g, e, idx, keep
-        if len(alive) == 0:
-            break
 
+    orbit = Orbit(fam, x, y, inverse)
+    alive = _certify(supplier, fam, orbit, np.arange(n_pts), flt, tol, 0, n_max, inverse, record)
     if len(alive):
-        wedge = orbit.in_wedge(flt.R, inverse)
-        g = d ** (-n_max) * orbit.log_plus_norm()
-        bounded = ~wedge & np.isfinite(g)
+        g, bounded = _final_values(orbit, flt, float(fam.degree), n_max, inverse)
         value[alive] = np.where(bounded, 0.0, g)
         status[alive[bounded]] = STATUS_BOUNDED
         err[alive] = np.where(bounded, tol, flt.tail_bound(n_max, inverse))
@@ -245,10 +265,8 @@ def green_minus_tilde(
     prev = None
     last = 0.0
     for n in range(1, n_max + 1):
-        def reversed_sup(k, idx, n=n):
-            # H_(sigma^(n-1) lam)^-1 is applied first, H_lam^-1 last
-            return advance(base.sigma, lam, n - 1 - k)
-
+        # H_(sigma^(n-1) lam)^-1 is applied first, H_lam^-1 last
+        reversed_sup = TableSupplier([[advance(base.sigma, lam, n - 1 - k) for k in range(n)]])
         (_, orbit), = iterate(fam, reversed_sup, np.array([z[0]]), np.array([z[1]]), [n], inverse=True)
         cur = d ** (-n) * float(orbit.log_plus_norm()[0])
         if prev is not None and abs(cur - prev) < tol * (d - 1) / d and n >= 4:
@@ -275,7 +293,7 @@ def green_random(
     carries no space of its own.
     """
     flt = resolve_radius(fam, flt, space, seq)
-    return _green_at(SeqSupplier(seq), fam, z, flt, tol, n_max, inverse)
+    return _green_at(SeqSupplier(seq, n_max), fam, z, flt, tol, n_max, inverse)
 
 
 def avg_green(
@@ -289,13 +307,10 @@ def avg_green(
     flt: FiltrationRadius | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo average Green function EG^+ with its standard error."""
-    if n_mc < 2:
-        raise UnsupportedBase("avg_green needs n_mc >= 2")
     flt = resolve_radius(fam, flt, space)
-    root = ParamSequence(space, seed)
-    vals = np.empty(n_mc, dtype=float)
-    for i in range(n_mc):
-        vals[i] = green_random(fam, root.spawn(i), z, tol, n_max, flt).value
+    mc = mc_green(fam, space, seed, n_mc, np.array([z[0]], dtype=complex), np.array([z[1]], dtype=complex),
+                   flt, tol, n_max)
+    vals = mc.values[:, 0]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_mc))
 
 
@@ -398,27 +413,31 @@ def _field_from_flat(grid, v, s, n, tol, n_max, variant):
     )
 
 
+def _in_threads(work, n: int, threads: int) -> None:
+    """work(i, lo, hi) over `threads` contiguous ranges of range(n), one thread each."""
+    bounds = np.linspace(0, n, max(threads, 1) + 1, dtype=int)
+    if threads <= 1:
+        work(0, 0, n)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(lambda i: work(i, bounds[i], bounds[i + 1]), range(threads)))
+
+
 def _run_field(run_chunk, grid: SliceGrid, threads: int = 1):
     x, y = grid.points()
     xf, yf = x.ravel(), y.ravel()
     if threads <= 1:
         return run_chunk(xf, yf)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = np.linspace(0, len(xf), threads + 1, dtype=int)
     parts_v = np.empty(len(xf))
     parts_s = np.empty(len(xf), dtype=np.uint8)
     parts_n = np.empty(len(xf), dtype=np.int32)
 
-    def work(i):
-        lo, hi = bounds[i], bounds[i + 1]
-        v, s, n = run_chunk(xf[lo:hi], yf[lo:hi])
-        parts_v[lo:hi] = v
-        parts_s[lo:hi] = s
-        parts_n[lo:hi] = n
+    def work(i, lo, hi):
+        parts_v[lo:hi], parts_s[lo:hi], parts_n[lo:hi] = run_chunk(xf[lo:hi], yf[lo:hi])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(threads)))
+    _in_threads(work, len(xf), threads)
     return parts_v, parts_s, parts_n
 
 
@@ -456,14 +475,109 @@ def green_field_seq(
 ) -> GreenField:
     """Rasterize the random Green function along one sequence."""
     flt = resolve_radius(fam, flt, space, seq)
-    if hasattr(seq, "prefix"):
-        seq.prefix(n_max)  # prefetch so threaded chunks only read
+    sup = SeqSupplier(seq, n_max)
 
     def chunk(xs, ys):
-        return _run_green(SeqSupplier(seq), fam, xs, ys, flt, tol, n_max, inverse=False)[:3]
+        return _run_green(sup, fam, xs, ys, flt, tol, n_max, inverse=False)[:3]
 
     v, s, n = _run_field(chunk, grid, threads)
     return _field_from_flat(grid, v, s, n, tol, n_max, "random")
+
+
+# Points per orbit in mc_green: sequences are stepped a chunk
+# of rows at a time, and the bounded cores left by the chunks are pooled
+# into pieces of at most this many points (a chunk holds at least one row).
+MC_CHUNK = 2 ** 14
+
+
+def mc_supplier(space, seed: int, n_mc: int, n_steps: int, width: int) -> TableSupplier:
+    """Table supplier of the first n_steps entries of the n_mc sequences
+    ParamSequence(space, seed).spawn(i), row i driving `width` points."""
+    if n_mc < 2:
+        raise ValidationError(f"Monte-Carlo averages need n_mc >= 2, got {n_mc}")
+    root = ParamSequence(space, seed)
+    return TableSupplier(np.array([root.spawn(i).prefix(n_steps) for i in range(n_mc)]), width)
+
+
+def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
+    """Yield (names, rows) per chunk of sequences over the points lo:hi.
+
+    The point p along sequence i is named i * n_pts + p; a chunk holds
+    `rows` whole sequences, MC_CHUNK points or one sequence at most.
+    """
+    hi = n_pts if hi is None else hi
+    step = max(1, MC_CHUNK // (hi - lo))
+    for r0 in range(0, n_mc, step):
+        r = np.arange(r0, min(n_mc, r0 + step))
+        yield (r[:, None] * n_pts + np.arange(lo, hi)).ravel(), len(r)
+
+
+@dataclass
+class MCGreen:
+    values: np.ndarray  # (n_mc, n_pts) certified value along each sequence
+    undecided: np.ndarray  # (n_pts,) undecided along some sequence
+    depth: np.ndarray  # (n_pts,) largest depth over the sequences
+    seq_undecided: np.ndarray  # (n_mc,) undecided points per sequence
+
+
+def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np.ndarray,
+              flt: FiltrationRadius, tol: float, n_max: int, threads: int = 1) -> MCGreen:
+    """Certified forward Green values of the points (x, y) along n_mc spawned sequences.
+
+    Each point along each sequence gets exactly the value, status and
+    depth that _run_green gives it along that sequence alone. Chunks of
+    sequences are stepped to n_cut = min(n_max, depth_for(tol)), where the
+    uniform rule certifies every wedge point; the bounded cores left are
+    pooled into one orbit, in pieces of at most MC_CHUNK points, for the
+    steps after n_cut. Threads split the points, never a point's sequences.
+    """
+    n_pts = len(x)
+    sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
+    d = float(fam.degree)
+    n_cut = min(n_max, flt.depth_for(tol))
+    out = MCGreen(np.empty((n_mc, n_pts)), np.zeros(n_pts, dtype=bool), np.zeros(n_pts, dtype=np.int32),
+                   np.zeros(n_mc, dtype=np.int64))
+    flat = out.values.reshape(-1)
+    counts = np.zeros((max(threads, 1), n_mc), dtype=np.int64)
+
+    def work(t, lo, hi):
+        if hi == lo:
+            return
+
+        def undecided(ids):
+            out.undecided[ids % n_pts] = True
+            counts[t] += np.bincount(ids // n_pts, minlength=n_mc)
+
+        def record(ids, n, g, e):
+            flat[ids] = g
+            p = ids % n_pts
+            out.depth[p] = np.maximum(out.depth[p], n)
+            undecided(ids[~np.isfinite(g)])
+
+        def run_pool(pool):
+            orbit = Orbit.concat([o for o, _ in pool])
+            ids = _certify(sup, fam, orbit, np.concatenate([i for _, i in pool]), flt, tol, n_cut, n_max, False, record)
+            if len(ids):
+                g, bounded = _final_values(orbit, flt, d, n_max, False)
+                flat[ids] = np.where(bounded, 0.0, g)
+                out.depth[ids % n_pts] = n_max
+                undecided(ids[~bounded])
+
+        pool = []
+        for ids, rows in mc_chunks(n_mc, n_pts, lo, hi):
+            orbit = Orbit(fam, np.tile(x[lo:hi], rows), np.tile(y[lo:hi], rows), False)
+            ids = _certify(sup, fam, orbit, ids, flt, tol, 0, n_cut, False, record)
+            if pool and sum(len(i) for _, i in pool) + len(ids) > MC_CHUNK:
+                run_pool(pool)
+                pool = []
+            if len(ids):
+                pool.append((orbit, ids))
+        if pool:
+            run_pool(pool)
+
+    _in_threads(work, n_pts, threads)
+    out.seq_undecided[:] = counts.sum(axis=0)
+    return out
 
 
 def avg_green_field(
@@ -477,28 +591,28 @@ def avg_green_field(
     flt: FiltrationRadius | None = None,
     threads: int = 1,
 ):
-    """Monte-Carlo EG^+ raster.
+    """Monte-Carlo EG^+ raster over n_mc >= 2 spawned sequences.
 
-    Returns (mean field, per-pixel standard error, per-sequence fields'
-    value stack is not retained).
+    Returns (mean field, per-pixel standard error). The per-sequence
+    values are not retained. A pixel's status is undecided if it is
+    undecided along some sequence, else converged; its depth is the
+    largest over the sequences.
     """
     flt = resolve_radius(fam, flt, space)
-    root = ParamSequence(space, seed)
-    acc = np.zeros((grid.ny, grid.nx))
+    x, y = grid.points()
+    mc = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
+    shape = (grid.ny, grid.nx)
+    acc = np.zeros(shape)
     acc2 = np.zeros_like(acc)
-    any_undecided = np.zeros((grid.ny, grid.nx), dtype=bool)
-    depth = np.zeros((grid.ny, grid.nx), dtype=np.int32)
-    for i in range(n_mc):
-        f = green_field_seq(fam, root.spawn(i), grid, tol, n_max, flt, threads=threads)
-        acc += f.values
-        acc2 += f.values ** 2
-        any_undecided |= f.status == STATUS_UNDECIDED
-        depth = np.maximum(depth, f.depth)
+    for row in mc.values:
+        v = row.reshape(shape)
+        acc += v
+        acc2 += v ** 2
     mean = acc / n_mc
     var = np.maximum(acc2 / n_mc - mean ** 2, 0.0)
-    stderr = np.sqrt(var / max(n_mc - 1, 1))
-    status = np.where(any_undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8)
-    field = GreenField(grid.with_data(mean), status, depth, tol, n_max, "avg")
+    stderr = np.sqrt(var / (n_mc - 1))
+    status = np.where(mc.undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8).reshape(shape)
+    field = GreenField(grid.with_data(mean), status, mc.depth.reshape(shape), tol, n_max, "avg")
     return field, stderr
 
 
@@ -516,7 +630,7 @@ def depth_values(
     supplier_kind: 'sigma' (source = BaseDynamics) or 'seq' (source =
     sequence / array).
     """
-    sup = SigmaSupplier(source, lam) if supplier_kind == "sigma" else SeqSupplier(source)
+    sup = SigmaSupplier(source, lam) if supplier_kind == "sigma" else SeqSupplier(source, max(depths, default=0))
     d = float(fam.degree)
     steps = iterate(fam, sup, np.array([z[0]]), np.array([z[1]]), depths, inverse)
     return np.array([d ** (-n) * float(orbit.log_plus_norm()[0]) for n, orbit in steps])
@@ -533,10 +647,7 @@ def finite_depth_green(fam: HenonFamily, words: np.ndarray, x: np.ndarray, y: np
     X = np.broadcast_to(np.asarray(x, dtype=complex), (n_words, n_pts)).ravel()
     Y = np.broadcast_to(np.asarray(y, dtype=complex), (n_words, n_pts)).ravel()
 
-    def word_sup(k, idx):
-        return np.repeat(words[:, k], n_pts)
-
-    (_, orbit), = iterate(fam, word_sup, X, Y, [depth])
+    (_, orbit), = iterate(fam, TableSupplier(words, n_pts), X, Y, [depth])
     vals = orbit.log_plus_norm() / float(fam.degree) ** depth
     return vals.reshape(n_words, n_pts)
 

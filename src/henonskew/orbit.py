@@ -1,6 +1,13 @@
 """Orbit engine: vectorized orbit state, factor and map steps, base-point
 suppliers and the step-to-depth loop.
 
+A supplier gives each step's factor coefficients: supplier.coeffs(fam, k,
+idx) is the tuple of (coeffs, a) pairs, one per factor in the family's
+order, for step k at the points idx (None: every point). `coeffs` lists
+the monic coefficients [1, c_(d-1), ..., c_0] (a (d+1,) or (d+1, n) array,
+or a sequence of rows); each row and `a` is either shared by every point
+(a scalar) or given per point (an array of length n).
+
 Orbits are iterated explicitly until the dominant coordinate (y forward,
 x backward) passes the switch bound, then in a log-scale form: L = log of
 the dominant coordinate, r = subordinate / dominant, u = 1 / dominant.
@@ -13,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import SHIFT, BaseDynamics, FrozenSequence, advance
-from .errors import NotInvertible, UnsupportedBase
+from .errors import NotInvertible, UnsupportedBase, ValidationError
 from .family import HenonFamily, factor_step
 
 # Largest switch bound; factors of degree > 15 get 10^(300/degree) so that
@@ -37,6 +44,7 @@ class Orbit:
     """
 
     __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "switch")
+    _STATE = ("x", "y", "logm", "L", "r", "u", "dom")
 
     def __init__(self, fam: HenonFamily, x: np.ndarray, y: np.ndarray, inverse: bool):
         n = len(x)
@@ -59,8 +67,17 @@ class Orbit:
 
     def keep(self, idx: np.ndarray) -> None:
         """Keep only the points idx selects, replacing one array at a time."""
-        for name in ("x", "y", "logm", "L", "r", "u", "dom"):
+        for name in self._STATE:
             setattr(self, name, getattr(self, name)[idx])
+
+    @classmethod
+    def concat(cls, parts: list["Orbit"]) -> "Orbit":
+        """One orbit holding the points of `parts` in order (same family and direction)."""
+        o = cls.__new__(cls)
+        for name in cls._STATE:
+            setattr(o, name, np.concatenate([getattr(p, name) for p in parts]))
+        o.switch = parts[0].switch
+        return o
 
     def to_log(self, mask: np.ndarray, inverse: bool) -> None:
         """Move the masked explicit entries to log form."""
@@ -129,10 +146,9 @@ def _tail_poly(coeffs, u):
 def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
     """Apply one (inverse) factor in place, switching reps as needed.
 
-    `coeffs` is (d+1,) for a shared base point or (d+1, n) per point;
-    `a` is a scalar or per-point array accordingly.
+    Each coefficient row and `a` is shared or per point on its own (see
+    the module docstring).
     """
-    coeffs = np.asarray(coeffs)
     o.dom = None  # recomputed below; dropping it first lowers the step's memory peak
     if o.logm.any():
         _step_mixed(o, coeffs, a, inverse)
@@ -145,19 +161,22 @@ def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
         o.to_log(big, inverse)
 
 
-def _step_mixed(o: Orbit, coeffs: np.ndarray, a, inverse: bool) -> None:
+def _masked(v, mask):
+    """A per-point array restricted to the mask; a shared scalar as it is."""
+    return v[mask] if np.ndim(v) else v
+
+
+def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
     """Factor step with some entries in log form: explicit and log entries
     are stepped separately through masks."""
-    per_point = coeffs.ndim == 2
-    deg = coeffs.shape[0] - 1
+    deg = len(coeffs) - 1
     logm0 = o.logm
     ex = ~logm0
     if ex.any():
-        cs = coeffs[:, ex] if per_point else coeffs
-        av = a[ex] if per_point and np.ndim(a) == 1 else a
-        o.x[ex], o.y[ex] = factor_step(cs, av, o.x[ex], o.y[ex], inverse)
-    cs = coeffs[:, logm0] if per_point else coeffs
-    av = a[logm0] if per_point and np.ndim(a) == 1 else a
+        cs = [_masked(c, ex) for c in coeffs]
+        o.x[ex], o.y[ex] = factor_step(cs, _masked(a, ex), o.x[ex], o.y[ex], inverse)
+    cs = [_masked(c, logm0) for c in coeffs]
+    av = _masked(a, logm0)
     u = o.u[logm0]
     r = o.r[logm0]
     with np.errstate(under="ignore"):
@@ -176,17 +195,24 @@ def _step_mixed(o: Orbit, coeffs: np.ndarray, a, inverse: bool) -> None:
             o.u[logm0] = upow * u / one
 
 
-def step_map(o: Orbit, fam: HenonFamily, lam, inverse: bool) -> None:
-    """One full map application H_lam (or its inverse) at base point(s) lam."""
-    factors = tuple(reversed(fam.factors)) if inverse else fam.factors
-    for f in factors:
-        c, a = f.constant_coeffs or (f.poly_coeffs(lam), f.a(lam))
+def map_coeffs(fam: HenonFamily, lam) -> tuple:
+    """Per-factor (poly_coeffs, a) at base point(s) lam; constant factors are evaluated once."""
+    return tuple(f.constant_coeffs or (f.poly_coeffs(lam), f.a(lam)) for f in fam.factors)
+
+
+def step_coeffs(o: Orbit, coeffs: tuple, inverse: bool) -> None:
+    """One full map application (or its inverse) from per-factor (poly_coeffs, a) pairs."""
+    for c, a in reversed(coeffs) if inverse else coeffs:
         step_factor(o, c, a, inverse)
 
 
+def step_map(o: Orbit, fam: HenonFamily, lam, inverse: bool) -> None:
+    """One full map application H_lam (or its inverse) at base point(s) lam."""
+    step_coeffs(o, map_coeffs(fam, lam), inverse)
+
+
 # ---------------------------------------------------------------------------
-# base-point suppliers: supplier(k, idx) is the base point (or per-point
-# base points, restricted to the indices idx) used by step k
+# base-point suppliers (see the module docstring)
 
 
 class SigmaSupplier:
@@ -204,33 +230,92 @@ class SigmaSupplier:
         self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
         self.back = back
 
-    def __call__(self, k: int, idx: np.ndarray | None = None):
+    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray | None = None) -> tuple:
         lam = self.lam if idx is None or np.ndim(self.lam) == 0 else self.lam[idx]
-        return advance(self.sigma, lam, -(k + 1) if self.back else k)
+        return map_coeffs(fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
 
 
-class SeqSupplier:
-    """lam_k = entry k of a parameter sequence (or plain array of base points)."""
+class TableSupplier:
+    """lam_k from an (n_rows, n_steps) table of base points.
 
-    def __init__(self, seq):
+    Row r drives the points r * width ... (r + 1) * width - 1; a one-row
+    table drives every point. Each factor's coefficients are evaluated once
+    per family, on the table's distinct base points (for a finite base, its
+    letters). A coefficient whose map is constant stays shared; the others
+    are shared when a step's points all lie in one row, and spread over the
+    points row by row otherwise.
+    """
+
+    def __init__(self, table, width: int = 1):
+        table = np.asarray(table, dtype=complex)
+        self.points, index = np.unique(table, return_inverse=True)
+        self.index = index.reshape(table.shape)
+        self.width = width
+        self._bound = None  # (fam, per-factor (rows, a)), set on first use
+
+    def _tables(self, fam: HenonFamily) -> tuple:
+        bound = self._bound
+        if bound is None or bound[0] is not fam:
+            def at(m):
+                return m(0j) if m.is_constant() else m(self.points)
+
+            bound = (fam, tuple(
+                (tuple(f.constant_coeffs[0]), f.constant_coeffs[1]) if f.constant_coeffs
+                else ((1.0 + 0j,) + tuple(at(c) for c in f.coeffs), at(f.a))
+                for f in fam.factors
+            ))
+            self._bound = bound  # one assignment, so concurrent first uses agree
+        return bound[1]
+
+    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray | None = None) -> tuple:
+        if k >= self.index.shape[1]:
+            raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
+        col = self.index[:, k]
+        j, counts = col[0], None
+        if len(col) > 1 and idx is None:
+            j, counts = col, self.width
+        elif len(col) > 1:
+            # idx ascends, so its points form one run per row from its first row to its last
+            first, last = idx[0] // self.width, idx[-1] // self.width
+            j = col[first]
+            if first != last:
+                ends = np.searchsorted(idx, np.arange(first, last + 2) * self.width)
+                j, counts = col[first:last + 1], ends[1:] - ends[:-1]
+
+        def spread(v):
+            if np.ndim(v) == 0:
+                return v
+            return v[j] if counts is None else np.repeat(v[j], counts)
+
+        return tuple((tuple(map(spread, rows)), spread(a)) for rows, a in self._tables(fam))
+
+
+class SeqSupplier(TableSupplier):
+    """lam_k = entry k of a parameter sequence (or plain array of base points),
+    for k < n: the one-row table of its prefix. A finite sequence shorter
+    than n raises only at the first step past its end."""
+
+    def __init__(self, seq, n: int):
         if isinstance(seq, np.ndarray):
             seq = FrozenSequence(seq)
-        self.seq = seq
+        if isinstance(seq, FrozenSequence) and seq.parent is None and not seq.cycle:
+            row = np.asarray(seq.head, dtype=complex)[:n]
+        else:
+            row = seq.prefix(n)
+        super().__init__(row[None, :])
 
-    def __call__(self, k: int, idx: np.ndarray | None = None):
-        return self.seq.entry(k)
 
-
-def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = False):
+def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = False, idx=None):
     """Yield (n, orbit) for each n in `depths`, ascending.
 
     One orbit of the points (x, y) is stepped incrementally and updated in
     place, so each yielded orbit is valid until the next one is requested.
+    `idx` names the points to the supplier (None: all of them).
     """
     orbit = Orbit(fam, x, y, inverse)
     n_done = 0
     for n in sorted(depths):
         while n_done < n:
-            step_map(orbit, fam, supplier(n_done, None), inverse)
+            step_coeffs(orbit, supplier.coeffs(fam, n_done, idx), inverse)
             n_done += 1
         yield n, orbit

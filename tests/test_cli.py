@@ -160,3 +160,10 @@ def test_pgm16_roundtrip(tmp_path):
 def test_unknown_experiment(tmp_path):
     cfg = _write(tmp_path, MINIMAL.replace("kind = filtration", "kind = frobnicate"))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_monte_carlo_kinds_reject_fewer_than_two_sequences(tmp_path):
+    # exit code 2 is a configuration or validation error
+    for kind, n_mc in (("avg-green", 1), ("avg-green", 0), ("theta", 1)):
+        cfg = _write(tmp_path, TWO_LETTER + f"n_mc = {n_mc}\nn_max = 4\n", f"{kind}{n_mc}.cfg")
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / f"{kind}{n_mc}")]) == 2

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import henonskew.green as green_mod
+from conftest import theta_loop
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, FrozenSequence, ParamSequence
 from henonskew.convergence import (
     ConvergenceReport,
@@ -13,9 +15,11 @@ from henonskew.convergence import (
     theta_average_pullback,
 )
 from henonskew.errors import UnsupportedBase, ValidationError
-from henonskew.family import quadratic_family
+from henonskew.expr import CoeffMap
+from henonskew.family import HenonFactor, HenonFamily, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.grids import SliceGrid, SliceSpec
+from henonskew.orbit import SeqSupplier, iterate
 
 U_FS = PotentialSpec("fubini-study")
 U_LOG = PotentialSpec("log-plus")
@@ -158,3 +162,46 @@ def test_rate_dominance(box_fam, two_letter_base):
     window = ConvergenceReport(rep.depths[3:], rep.errors[3:], 2, rep.masked_fraction)
     for n, e in zip(window.depths, window.errors):
         assert e <= 1.5 * window.fit_a * n * 2.0 ** -n
+
+
+LAM_A_FAMILY = HenonFamily((
+    HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("u")), CoeffMap.parse("0.2 + 0.5*u")),
+    HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.constant(0.05)), CoeffMap.parse("0.3 - u")),
+))
+
+
+@pytest.mark.parametrize("space", [BaseSpace("box", bounds=((-0.1, 0.1),)), BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j))],
+                         ids=["box", "two-letter"])
+@pytest.mark.parametrize("fam_name", ["box-family", "lam-a"])
+def test_theta_matches_per_sequence_loop(fam_name, space, box_fam, monkeypatch):
+    # 3-sequence chunks of a 12^2 grid, n_mc = 7: the last chunk is short
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 500)
+    fam = box_fam if fam_name == "box-family" else LAM_A_FAMILY
+    flt = compute_radius(fam, space)
+    grid = _grid(12)
+    rep, floors = theta_average_pullback(fam, space, U_FS, grid, n_max=6, n_mc=7, seed=5, tol=1e-6, flt=flt)
+    errors, ref_floors = theta_loop(fam, space, U_FS, grid, 6, 7, 5, 1e-6, flt)
+    assert rep.errors == errors and floors == ref_floors
+
+
+@pytest.mark.parametrize("n_mc", [0, 1])
+def test_theta_needs_two_sequences(n_mc, box_fam, two_letter_base):
+    flt = compute_radius(box_fam, two_letter_base.space)
+    with pytest.raises(ValidationError):
+        theta_average_pullback(box_fam, two_letter_base.space, U_FS, _grid(8), n_max=4, n_mc=n_mc, flt=flt)
+
+
+def test_rigidity_one_orbit_matches_two(box_fam, two_letter_base):
+    # both potentials are read off one orbit; the distance is that of two separate orbits
+    flt = compute_radius(box_fam, two_letter_base.space)
+    seq = ParamSequence(two_letter_base.space, 4)
+    grid = _grid(40)
+    d = rigidity_probe(box_fam, seq, U_LOG, U_FS, grid, 9, flt=flt)
+    x, y = grid.points()
+    (_, o1), = iterate(box_fam, SeqSupplier(seq, 9), x.ravel(), y.ravel(), [9])
+    s1 = 2.0 ** -9 * U_LOG.eval_orbit(o1)
+    (_, o2), = iterate(box_fam, SeqSupplier(seq, 9), x.ravel(), y.ravel(), [9])
+    s2 = 2.0 ** -9 * U_FS.eval_orbit(o2)
+    ref = green_mod.green_field_seq(box_fam, seq, grid, 1e-6, 200, flt)
+    mask = (ref.status != green_mod.STATUS_UNDECIDED).ravel()
+    assert d == float(np.abs(s1 - s2)[mask].max())

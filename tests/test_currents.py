@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import henonskew.green as green_mod
+from conftest import avg_current_slice_loop
 from henonskew.base import BaseSpace
 from henonskew.currents import (
     avg_current_slice,
@@ -122,3 +124,30 @@ def test_avg_current_two_letter(box_fam, two_letter_base):
     # Laplacian of mean == mean of Laplacians (exact linearity)
     assert res.l1_distance < 1e-9
     assert res.measure_of_mean.total_mass == pytest.approx(TWO_PI, rel=0.02)
+
+
+@pytest.mark.parametrize("space", [BaseSpace("box", bounds=((-0.1, 0.1),)), BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j))],
+                         ids=["box", "two-letter"])
+def test_avg_current_slice_matches_per_sequence_loop(space, box_fam, monkeypatch):
+    # 3-sequence chunks of a 12^2 grid, n_mc = 7: the last chunk is short
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 500)
+    flt = compute_radius(box_fam, space)
+    grid = _grid((-3.3, 3.3, -3.3, 3.3), 12)
+    res = avg_current_slice(box_fam, space, grid, n_mc=7, seed=8, tol=1e-6, flt=flt)
+    mean_vals, mean_den, masses = avg_current_slice_loop(box_fam, space, grid, 7, 8, 1e-6, 200, flt)
+    assert np.array_equal(res.measure_of_mean.grid.data, mean_vals)
+    assert np.array_equal(res.mean_of_measures.density, mean_den)
+    assert res.stderr_mass == float(masses.std(ddof=1) / np.sqrt(7))
+
+
+def test_avg_current_slice_names_first_undecided_sequence(box_fam, two_letter_base):
+    from henonskew.base import ParamSequence
+    from henonskew.green import green_field_seq
+
+    space = two_letter_base.space
+    flt = compute_radius(box_fam, space)
+    grid = _grid((-3.3, 3.3, -3.3, 3.3), 12)
+    first = green_field_seq(box_fam, ParamSequence(space, 8).spawn(0), grid, 1e-6, 6, flt)
+    assert first.undecided
+    with pytest.raises(UndecidedCells, match=f"^sequence 0: {first.undecided} undecided pixels$"):
+        avg_current_slice(box_fam, space, grid, n_mc=3, seed=8, tol=1e-6, n_max=6, flt=flt)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mp_orbit_green, quad_factor_data
+import henonskew.green as green_mod
+from conftest import avg_green_field_loop, avg_green_loop, mp_orbit_green, quad_factor_data
 from henonskew.base import (
     BaseDynamics,
     BaseSpace,
@@ -13,12 +14,13 @@ from henonskew.base import (
     advance,
     point_base,
 )
-from henonskew.errors import NotInvertible, SurjectivityRequired, UnsupportedBase
+from henonskew.errors import NotInvertible, SurjectivityRequired, UnsupportedBase, ValidationError
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import (
     avg_green,
+    avg_green_field,
     classify,
     depth_values,
     green_minus,
@@ -30,6 +32,7 @@ from henonskew.green import (
     holder_estimate,
     pluri_green,
 )
+from henonskew.grids import SliceGrid, SliceSpec
 
 TOL = 1e-6
 
@@ -308,3 +311,117 @@ def test_avg_green_subharmonicity_proxy(box_fam, two_letter_base):
     assert mins[96] >= -eps_grid
     assert negfrac[96] < 0.01  # negative mass is a sub-percent artifact
     assert abs(mins[192]) < abs(mins[96])  # and it shrinks under refinement
+
+
+# ---------------------------------------------------------------------------
+# the batched Monte-Carlo averages against the per-sequence loops in conftest
+
+# two factors: lam-dependent coefficients in the first, constant
+# coefficients with a lam-dependent Jacobian in the second
+LAM_A_FAMILY = HenonFamily((
+    HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("u")), CoeffMap.parse("0.2 + 0.5*u")),
+    HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.constant(0.05)), CoeffMap.parse("0.3 - u")),
+))
+MC_SPACES = {
+    "box": BaseSpace("box", bounds=((-0.1, 0.1),)),
+    "two-letter": BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j)),
+}
+MC_WINDOWS = {
+    "julia": (-3.3, 3.3, -3.3, 3.3),
+    "all-bounded": (-0.4, 0.4, -0.4, 0.4),
+    "log-form-start": (-3e20, 3e20, -3e20, 3e20),
+}
+
+
+def _mc_family(name, box_fam):
+    return box_fam if name == "box-family" else LAM_A_FAMILY
+
+
+@pytest.mark.parametrize("window", MC_WINDOWS)
+@pytest.mark.parametrize("space_name", MC_SPACES)
+@pytest.mark.parametrize("fam_name", ["box-family", "lam-a"])
+def test_avg_green_field_matches_per_sequence_loop(fam_name, space_name, window, box_fam, monkeypatch):
+    # a 500-point budget makes 3-sequence chunks of a 12^2 grid, so n_mc = 7 ends
+    # on a short chunk, and an all-bounded window's pool (432 points a chunk)
+    # exceeds the budget and runs in pieces
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 500)
+    fam, space = _mc_family(fam_name, box_fam), MC_SPACES[space_name]
+    flt = compute_radius(fam, space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), MC_WINDOWS[window], 12)
+    field, stderr = avg_green_field(fam, space, grid, TOL, n_mc=7, seed=3, flt=flt)
+    mean, se, status, depth = avg_green_field_loop(fam, space, grid, TOL, 7, 3, 200, flt)
+    assert np.array_equal(field.values, mean) and np.array_equal(stderr, se)
+    assert np.array_equal(field.status, status) and np.array_equal(field.depth, depth)
+    if window == "all-bounded":
+        assert np.all(field.depth == 200) and np.all(field.values == 0.0)
+    if window == "log-form-start":
+        assert np.abs(grid.points()[1]).max() > 1e20 and np.all(field.depth < 5)
+
+
+@pytest.mark.parametrize("space_name", MC_SPACES)
+def test_avg_green_field_short_depth_matches_loop(space_name, box_fam, monkeypatch):
+    # n_max below depth_for(tol): wedge points left at n_max are undecided
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 500)
+    space = MC_SPACES[space_name]
+    flt = compute_radius(box_fam, space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), MC_WINDOWS["julia"], 12)
+    field, stderr = avg_green_field(box_fam, space, grid, TOL, n_mc=7, seed=3, n_max=6, flt=flt)
+    mean, se, status, depth = avg_green_field_loop(box_fam, space, grid, TOL, 7, 3, 6, flt)
+    assert field.undecided and not np.all(field.status == green_mod.STATUS_UNDECIDED)
+    assert np.array_equal(field.values, mean) and np.array_equal(stderr, se)
+    assert np.array_equal(field.status, status) and np.array_equal(field.depth, depth)
+
+
+@pytest.mark.parametrize("space_name", MC_SPACES)
+def test_avg_green_field_matches_loop_at_full_budget(space_name, box_fam):
+    # at the module's budget a 50^2 grid takes several sequences a chunk, and n_mc = 7 ends on a short chunk
+    space = MC_SPACES[space_name]
+    flt = compute_radius(box_fam, space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), MC_WINDOWS["julia"], 50)
+    rows = green_mod.MC_CHUNK // (grid.nx * grid.ny)
+    assert 1 < rows < 7 and 7 % rows
+    field, stderr = avg_green_field(box_fam, space, grid, TOL, n_mc=7, seed=11, flt=flt)
+    mean, se, status, depth = avg_green_field_loop(box_fam, space, grid, TOL, 7, 11, 200, flt)
+    assert np.array_equal(field.values, mean) and np.array_equal(stderr, se)
+    assert np.array_equal(field.status, status) and np.array_equal(field.depth, depth)
+
+
+@pytest.mark.parametrize("fam_name", ["box-family", "lam-a"])
+def test_avg_green_field_threads_match_single_thread(fam_name, box_fam, monkeypatch):
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 500)
+    fam, space = _mc_family(fam_name, box_fam), MC_SPACES["box"]
+    flt = compute_radius(fam, space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), MC_WINDOWS["julia"], 15)
+    one, se1 = avg_green_field(fam, space, grid, TOL, n_mc=5, seed=2, flt=flt, threads=1)
+    two, se2 = avg_green_field(fam, space, grid, TOL, n_mc=5, seed=2, flt=flt, threads=2)
+    assert np.array_equal(one.values, two.values) and np.array_equal(se1, se2)
+    assert np.array_equal(one.status, two.status) and np.array_equal(one.depth, two.depth)
+
+
+@pytest.mark.parametrize("space_name", MC_SPACES)
+@pytest.mark.parametrize("fam_name", ["box-family", "lam-a"])
+def test_avg_green_matches_green_random_loop(fam_name, space_name, box_fam):
+    fam, space = _mc_family(fam_name, box_fam), MC_SPACES[space_name]
+    flt = compute_radius(fam, space)
+    for z in ((0j, 1.7 + 0j), (0.3j, 0.2 - 0.1j), (0j, 5e20 + 0j)):
+        assert avg_green(fam, space, z, TOL, n_mc=9, seed=4, flt=flt) == avg_green_loop(fam, space, z, TOL, 9, 4, 200, flt)
+
+
+@pytest.mark.parametrize("n_mc", [-1, 0, 1])
+def test_monte_carlo_needs_two_sequences(n_mc, box_fam, two_letter_base):
+    # with fewer than two sequences there is no standard error to report
+    flt = compute_radius(box_fam, two_letter_base.space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), MC_WINDOWS["julia"], 8)
+    with pytest.raises(ValidationError):
+        avg_green_field(box_fam, two_letter_base.space, grid, TOL, n_mc=n_mc, flt=flt)
+    with pytest.raises(ValidationError):
+        avg_green(box_fam, two_letter_base.space, (0j, 1.7 + 0j), TOL, n_mc=n_mc, flt=flt)
+
+
+def test_green_random_short_sequence_fails_only_past_its_end(box_fam, two_letter_base):
+    flt = compute_radius(box_fam, two_letter_base.space)
+    word = np.full(6, 0.1 + 0j)
+    far = green_random(box_fam, word, (0j, 1e3 + 0j), TOL, flt=flt)
+    assert far.status == "escaped-certified" and far.depth <= 6
+    with pytest.raises(ValidationError):
+        green_random(box_fam, word, (0j, 0j), TOL, flt=flt)

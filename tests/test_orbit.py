@@ -6,11 +6,11 @@ import pytest
 from conftest import mp_orbit_green, mp_truncation, mp_wedge_green
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, advance
 from henonskew.expr import CoeffMap
-from henonskew.family import HenonFactor, HenonFamily
+from henonskew.family import HenonFactor, HenonFamily, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import EPS, STATUS_BOUNDED, STATUS_ESCAPED, _run_green, classify, green_field, green_minus, green_plus
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import OVERFLOW_SWITCH, SigmaSupplier, iterate, switch_bound
+from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, iterate, step_factor, switch_bound
 
 TOL = 1e-6
 A = 0.3
@@ -169,3 +169,26 @@ def test_field_threads_match_single_thread(fam_name):
     two = green_field(fam, base, lam, grid, TOL, 200, flt, threads=2)
     for attr in ("values", "status", "depth"):
         assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_mixed_and_explicit_orbits_step_points_alike(inverse):
+    """Shared coefficients with a per-point Jacobian: a point steps the same
+    in an orbit with log-form entries as in an all-explicit one."""
+    fam = quadratic_family(a=0.3)
+    coeffs, _ = fam.factors[0].constant_coeffs
+    big = 1e30 + 0j
+    x = np.array([0.5 + 0j, big, 1.2 - 0.3j, -0.7 + 0j]) if inverse else np.array([0.5 + 0j, 0j, 1.2 - 0.3j, -0.7 + 0j])
+    y = np.array([0.2 + 0j, 0j, 0.4j, 1.1 + 0j]) if inverse else np.array([0.2 + 0j, big, 0.4j, 1.1 + 0j])
+    a = np.array([0.3, 0.25, 0.2 + 0.1j, 0.35])
+    mixed = Orbit(fam, x, y, inverse)
+    assert mixed.logm.tolist() == [False, True, False, False]
+    step_factor(mixed, coeffs, a, inverse)
+    ex = ~mixed.logm
+    explicit = Orbit(fam, x[ex], y[ex], inverse)
+    step_factor(explicit, coeffs, a[ex], inverse)
+    assert np.array_equal(mixed.x[ex], explicit.x) and np.array_equal(mixed.y[ex], explicit.y)
+    alone = Orbit(fam, x[1:2], y[1:2], inverse)
+    step_factor(alone, coeffs, a[1:2], inverse)
+    for name in ("L", "r", "u"):
+        assert np.array_equal(getattr(mixed, name)[1:2], getattr(alone, name)), name
