@@ -47,6 +47,7 @@ class PotentialSpec:
             raise ValidationError("smoothed-log needs c > 0")
 
     def eval_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Potential at (x, y); reads only |x| and |y|, so moduli serve as well."""
         norm = np.hypot(np.abs(x), np.abs(y))
         if self.kind == LOG_PLUS:
             with np.errstate(divide="ignore"):
@@ -243,6 +244,7 @@ class CutoffSpec:
         return orbit.radial(self._bump, lambda L: 0.0)
 
     def _bump(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Bump at (x, y) or at the moduli (|x|, |y|), in either order."""
         n2 = (np.abs(x) ** 2 + np.abs(y) ** 2) / self.radius ** 2
         inside = n2 < 1.0
         vals = np.zeros(n2.shape)

@@ -85,20 +85,38 @@ def quadratic_family(a: complex | str = 0.3, c: complex | str = 0.0) -> HenonFam
 
 
 def _horner(coeffs: np.ndarray, y):
-    acc = coeffs[0] * np.ones_like(y)
-    for c in coeffs[1:]:
-        acc = acc * y + c
+    """p(y) for monic coefficients [1, c_(d-1), ..., c_0].
+
+    The leading 1 is not read: every coefficient source (poly_coeffs, the
+    orbit engine's suppliers) is monic, so the sum starts at y + c_(d-1)
+    and is updated in place.
+    """
+    acc = y + coeffs[1]
+    for c in coeffs[2:]:
+        acc *= y
+        acc += c
     return acc
 
 
-def factor_step(c, a, x, y, inverse: bool = False):
+def factor_step(c, a, x, y, inverse: bool = False, scratch: bool = False):
     """One explicit factor step with monic coefficients c and Jacobian a.
 
     Forward (x, y) -> (y, p(y) - a x); inverse (x, y) -> ((p(x) - y) / a, x).
+    With scratch=True a forward step may overwrite the array x, which the
+    caller then no longer reads, instead of allocating a x.
     """
     if inverse:
-        return (_horner(c, x) - y) / a, x
-    return y, _horner(c, y) - a * x
+        p = _horner(c, x)
+        p -= y
+        p /= a
+        return p, x
+    p = _horner(c, y)
+    if scratch:
+        x *= a
+        p -= x
+    else:
+        p -= a * x
+    return y, p
 
 
 def eval_factor(f: HenonFactor, lam, z):

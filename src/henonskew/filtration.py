@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,26 @@ class FiltrationRadius:
             self.degree / dj * -np.log1p(-(S + self.a_sup) * inv_rho)
             for dj, S in zip(self.factor_degrees, self.coeff_sums)
         )
+
+    @cached_property
+    def rho_star(self) -> float:
+        """Radius below which an explicit point of V_R^+ cannot pass the own-tail rule.
+
+        The rule needs e(rho)/(d-1) <= eps * log||z|| (green.py). Since
+        -log1p(-t) >= t, e(rho)/(d-1) >= C/rho with
+        C = sum_j (d/d_j)(S_j + a_sup) / (d-1), and log||z|| <= log(sqrt(2) rho)
+        on V_R^+; so it needs rho log(sqrt(2) rho) >= C/eps. rho_star solves
+        this with 2 eps in place of eps, a margin for the rounding of the
+        evaluated bound. Fixed-point steps rho <- C/(2 eps log(sqrt(2) rho))
+        alternate around the root, so the smaller of the last two is below it.
+        """
+        d = self.degree
+        c = sum(d / dj * (S + self.a_sup) for dj, S in zip(self.factor_degrees, self.coeff_sums)) / (d - 1)
+        k = c / (2.0 * np.finfo(float).eps)
+        rho = prev = max(self.R, 2.0)
+        for _ in range(64):
+            prev, rho = rho, k / math.log(math.sqrt(2.0) * rho)
+        return min(rho, prev)
 
     def depth_for(self, tol: float, inverse: bool = False) -> int:
         """Smallest n with tail_bound(n) < tol."""

@@ -18,12 +18,25 @@ rules that holds:
             stops a few steps after it enters V_R^+, once further steps can
             no longer change the double.
 
+Before the uniform rule applies, only the own-tail rule is tried, and only
+on log-form points and on explicit points with |y_n| >= rho_star
+(FiltrationRadius.rho_star). Below that radius err_n <= eps * G_n cannot
+hold: err_n >= d^(-n) C/rho_n and G_n <= d^(-n) log(sqrt(2) rho_n) on
+V_R^+, and rho_star solves C/rho = 2 eps log(sqrt(2) rho), so the gate
+skips only points the rule would reject, with a factor 2 to spare for
+rounding.
+
 The reported err_bound is err_n or the uniform tail, whichever certified
 the point. It bounds the truncation only; the value carries a few ulp of
 rounding besides. Inverse orbits keep the uniform rule alone: backward,
 log|x_(k+1)| - d log|x_k| tends to -log|a| rather than 0, so a point's own
-increments do not vanish. GreenField.depth is each pixel's certification
-depth (n_max for bounded and undecided pixels). Orbits are iterated by the
+increments do not vanish. A point left at n_max is bounded-certified only
+if z_(n_max) lies in the bidisc V_R; its value is 0 with err_bound
+max(tol, d^(-n_max) M), M = log(sqrt(2) R) + K d/(d-1) (K_plus forward,
+K_minus backward), which bounds G there when n_max is below the certifying
+depth. A finite point left in the opposite wedge is undecided.
+GreenField.depth is each pixel's certification depth (n_max for bounded
+and undecided pixels). Orbits are iterated by the
 engine in orbit.py, which switches them to a log-scale representation
 before doubles overflow; inside the invariant wedge the switch is exact to
 machine precision.
@@ -115,11 +128,18 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, alive: np.ndarray, flt: F
 
 
 def _final_values(orbit: Orbit, flt: FiltrationRadius, d: float, n_max: int, inverse: bool):
-    """(G_n_max, bounded) of the points left at n_max: bounded points are
-    outside the wedge with a finite state, and their value is 0."""
-    wedge = orbit.in_wedge(flt.R, inverse)
+    """(G_n_max, bounded) of the points left at n_max: bounded points lie in
+    the bidisc V_R (so their state is finite), and their value is 0."""
     g = d ** (-n_max) * orbit.log_plus_norm()
-    return g, ~wedge & np.isfinite(g)
+    return g, ~orbit.logm & (orbit.dom <= flt.R) & (orbit.sub <= flt.R)
+
+
+def _bounded_err(flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> float:
+    """Error bound of the value 0 at a point whose orbit is in V_R at n_max:
+    there G <= d^-n_max (log(sqrt(2) R) + K d/(d-1)), the cap of log+||z||
+    on V_R plus the uniform tail."""
+    cap = math.log(math.sqrt(2.0) * flt.R) + flt.tail_bound(0, inverse)
+    return max(tol, float(flt.degree) ** (-n_max) * cap)
 
 
 def _run_green(
@@ -157,7 +177,7 @@ def _run_green(
         g, bounded = _final_values(orbit, flt, float(fam.degree), n_max, inverse)
         value[alive] = np.where(bounded, 0.0, g)
         status[alive[bounded]] = STATUS_BOUNDED
-        err[alive] = np.where(bounded, tol, flt.tail_bound(n_max, inverse))
+        err[alive] = np.where(bounded, _bounded_err(flt, tol, n_max, inverse), flt.tail_bound(n_max, inverse))
     return value, status, depth, err
 
 
@@ -172,14 +192,20 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, t
     tail = flt.tail_bound(n, inverse)
     if tail >= tol and inverse:
         return None
-    pos = np.flatnonzero(orbit.in_wedge(flt.R, inverse))
+    # under the own-tail rule alone, explicit points below rho_star cannot pass
+    pos = np.flatnonzero(orbit.in_wedge(flt.R if tail < tol else max(flt.R, flt.rho_star), inverse))
     if pos.size == 0:
         return None
-    g = d ** (-n) * orbit.log_plus_norm(pos)
+    g = orbit.log_plus_norm(pos)
+    g *= d ** (-n)
     if tail < tol:
         return pos, g, tail
     inv_rho, ratio = orbit.wedge_ratios(pos)
-    e = d ** (-n) * (flt.wedge_distortion(inv_rho) / (d - 1.0) + 0.5 * np.log1p(ratio * ratio))
+    e = flt.wedge_distortion(inv_rho)
+    e /= d - 1.0
+    ratio *= ratio
+    e += 0.5 * np.log1p(ratio, out=ratio)
+    e *= d ** (-n)
     done = e <= np.minimum(tol, EPS * g)
     if not done.any():
         return None

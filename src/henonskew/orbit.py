@@ -41,10 +41,16 @@ class Orbit:
     y swap. Start points whose dominant coordinate is already above the
     switch bound enter log form at step 0; from the first step on, log
     entries lie in the invariant wedge.
+
+    `dom` and `sub` hold |dominant| and |subordinate| of the explicit
+    entries (stale on log entries). A factor step moves the dominant
+    coordinate into the subordinate slot (x' = y forward, y' = x
+    backward), so the step carries the old `dom` over as the new `sub`
+    instead of taking another absolute value.
     """
 
-    __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "switch")
-    _STATE = ("x", "y", "logm", "L", "r", "u", "dom")
+    __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "sub", "switch")
+    _STATE = ("x", "y", "logm", "L", "r", "u", "dom", "sub")
 
     def __init__(self, fam: HenonFamily, x: np.ndarray, y: np.ndarray, inverse: bool):
         n = len(x)
@@ -55,9 +61,8 @@ class Orbit:
         self.r = np.zeros(n, dtype=complex)
         self.u = np.zeros(n, dtype=complex)
         self.switch = switch_bound(fam)
-        # |dominant coordinate| of explicit entries, refreshed by every step
-        # and shared by the switch test and in_wedge; stale on log entries
         self.dom = np.abs(self.x if inverse else self.y)
+        self.sub = np.abs(self.y if inverse else self.x)
         big = self.dom > self.switch
         if big.any():
             self.to_log(big, inverse)
@@ -83,7 +88,7 @@ class Orbit:
         """Move the masked explicit entries to log form."""
         lead = self.x[mask] if inverse else self.y[mask]
         sub = self.y[mask] if inverse else self.x[mask]
-        self.L[mask] = np.log(np.abs(lead))
+        self.L[mask] = np.log(self.dom[mask])
         self.r[mask] = sub / lead
         self.u[mask] = 1.0 / lead
         self.logm |= mask
@@ -91,56 +96,61 @@ class Orbit:
     def radial(self, explicit_fn, from_log_fn, idx=None) -> np.ndarray:
         """Per-point values of a function of the point's norm.
 
-        explicit_fn(x, y) evaluates explicit entries; from_log_fn(log||z||)
-        evaluates log-form entries. With `idx` only the indexed points are
-        evaluated.
+        explicit_fn(s, t) evaluates explicit entries from the moduli of
+        their coordinates, s = |dominant| and t = |subordinate|, so it must
+        treat its two arguments alike; from_log_fn(log||z||) evaluates
+        log-form entries. With `idx` only the indexed points are evaluated.
         """
         if idx is None:
             idx = slice(None)
         lg = self.logm[idx]
         out = np.empty(len(lg), dtype=float)
         if not lg.any():
-            out[:] = explicit_fn(self.x[idx], self.y[idx])
+            out[:] = explicit_fn(self.dom[idx], self.sub[idx])
             return out
         ex = ~lg
         if ex.any():
-            out[ex] = explicit_fn(self.x[idx][ex], self.y[idx][ex])
+            out[ex] = explicit_fn(self.dom[idx][ex], self.sub[idx][ex])
         out[lg] = from_log_fn(self.L[idx][lg] + 0.5 * np.log1p(np.abs(self.r[idx][lg]) ** 2))
         return out
 
     def log_norm(self, idx=None) -> np.ndarray:
         """log ||z|| per point (exact for both representations)."""
         with np.errstate(divide="ignore"):
-            return self.radial(lambda x, y: np.log(np.hypot(np.abs(x), np.abs(y))), lambda L: L, idx)
+            return self.radial(lambda s, t: np.log(np.hypot(s, t)), lambda L: L, idx)
 
     def log_plus_norm(self, idx=None) -> np.ndarray:
-        return np.maximum(self.log_norm(idx), 0.0)
+        out = self.log_norm(idx)
+        return np.maximum(out, 0.0, out=out)
 
     def in_wedge(self, R: float, inverse: bool) -> np.ndarray:
         """Closed invariant wedge: V_R^+ forward, V_R^- backward."""
-        sub = np.abs(self.y if inverse else self.x)
-        return self.logm | ((self.dom >= sub) & (self.dom > R))
+        return self.logm | ((self.dom >= self.sub) & (self.dom > R))
 
     def wedge_ratios(self, idx: np.ndarray):
         """(1/|y|, |x/y|) at the indexed points of a forward orbit in V_R^+."""
-        dom = self.dom[idx]
-        sub = np.abs(self.x[idx])
+        inv_rho = self.dom[idx]
+        ratio = self.sub[idx]
         lg = self.logm[idx]
         with np.errstate(under="ignore", invalid="ignore"):
-            inv_rho, ratio = 1.0 / dom, sub / dom
+            ratio /= inv_rho
+            np.divide(1.0, inv_rho, out=inv_rho)
             if lg.any():
                 j = idx[lg]
-                inv_rho[lg] = np.exp(-self.L[j])
                 ratio[lg] = np.abs(self.r[j])
+                t = self.L[j]
+                np.negative(t, out=t)
+                inv_rho[lg] = np.exp(t, out=t)
         return inv_rho, ratio
 
 
 def _tail_poly(coeffs, u):
-    """c_(d-1) u + c_(d-2) u^2 + ... + c_0 u^d for monic coeffs [1, c_(d-1)..c_0]."""
-    acc = coeffs[-1] * np.ones_like(u)
+    """c_(d-1) u + c_(d-2) u^2 + ... + c_0 u^d for monic coeffs [1, c_(d-1)..c_0], as a new array."""
+    acc = coeffs[-1] * u
     for c in coeffs[-2:0:-1]:
-        acc = acc * u + c
-    return acc * u
+        acc += c
+        acc *= u
+    return acc
 
 
 def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
@@ -149,14 +159,20 @@ def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
     Each coefficient row and `a` is shared or per point on its own (see
     the module docstring).
     """
-    o.dom = None  # recomputed below; dropping it first lowers the step's memory peak
-    if o.logm.any():
+    # the old |dominant| is the new |subordinate|; the old `sub` is dropped
+    # before the step, which lowers the step's memory peak
+    o.sub = o.dom
+    o.dom = None
+    mixed = o.logm.any()
+    if mixed:
         _step_mixed(o, coeffs, a, inverse)
     else:
         # all explicit: step the whole arrays, no mask gather or scatter
-        o.x, o.y = factor_step(coeffs, a, o.x, o.y, inverse)
+        o.x, o.y = factor_step(coeffs, a, o.x, o.y, inverse, scratch=True)
     o.dom = np.abs(o.x if inverse else o.y)
-    big = (o.dom > o.switch) & ~o.logm
+    big = o.dom > o.switch
+    if mixed:
+        big &= ~o.logm
     if big.any():
         o.to_log(big, inverse)
 
@@ -174,25 +190,34 @@ def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
     ex = ~logm0
     if ex.any():
         cs = [_masked(c, ex) for c in coeffs]
-        o.x[ex], o.y[ex] = factor_step(cs, _masked(a, ex), o.x[ex], o.y[ex], inverse)
+        o.x[ex], o.y[ex] = factor_step(cs, _masked(a, ex), o.x[ex], o.y[ex], inverse, scratch=True)
     cs = [_masked(c, logm0) for c in coeffs]
     av = _masked(a, logm0)
     u = o.u[logm0]
     r = o.r[logm0]
+    # forward: delta = tail(u) - a r u^(d-1), r' = u^(d-1) / (1 + delta);
+    # inverse: delta = tail(u) - r u^(d-1), r' = a u^(d-1) / (1 + delta),
+    # and L' = d L + log|1 + delta| (- log|a| inverse), u' = r' u; in place
     with np.errstate(under="ignore"):
         upow = u ** (deg - 1)
+        one = _tail_poly(cs, u)
+        if not inverse:
+            r *= av
+        r *= upow
+        one -= r
+        one += 1.0
+        del r
+        L = o.L[logm0]
+        L *= deg
+        L += np.log(np.abs(one))
         if inverse:
-            delta = _tail_poly(cs, u) - r * upow
-            one = 1.0 + delta
-            o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one)) - np.log(np.abs(av))
-            o.r[logm0] = av * upow / one
-            o.u[logm0] = av * upow * u / one
-        else:
-            delta = _tail_poly(cs, u) - av * r * upow
-            one = 1.0 + delta
-            o.L[logm0] = deg * o.L[logm0] + np.log(np.abs(one))
-            o.r[logm0] = upow / one
-            o.u[logm0] = upow * u / one
+            L -= np.log(np.abs(av))
+            upow *= av
+        o.L[logm0] = L
+        o.r[logm0] = upow / one
+        upow *= u
+        upow /= one
+        o.u[logm0] = upow
 
 
 def map_coeffs(fam: HenonFamily, lam) -> tuple:

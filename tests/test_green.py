@@ -19,6 +19,7 @@ from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import (
+    _run_green,
     avg_green,
     avg_green_field,
     classify,
@@ -33,6 +34,7 @@ from henonskew.green import (
     pluri_green,
 )
 from henonskew.grids import SliceGrid, SliceSpec
+from henonskew.orbit import SigmaSupplier, iterate
 
 TOL = 1e-6
 
@@ -425,3 +427,48 @@ def test_green_random_short_sequence_fails_only_past_its_end(box_fam, two_letter
     assert far.status == "escaped-certified" and far.depth <= 6
     with pytest.raises(ValidationError):
         green_random(box_fam, word, (0j, 0j), TOL, flt=flt)
+
+
+# ---------------------------------------------------------------------------
+# points left at n_max below the certifying depth
+
+HENON_A, HENON_C = 0.3, -1.5
+
+
+@pytest.mark.parametrize(
+    "inverse, z",
+    [(False, (0j, 0.9537134283570893 + 0j)), (True, (1.02 + 0j, 0j))],
+    ids=["forward", "backward"],
+)
+def test_bounded_value_at_short_depth_covers_the_true_value(inverse, z):
+    """At n_max = 5 the point is reported bounded with value 0; its error
+    bound must cover the value certified at n_max = 200."""
+    fam = quadratic_family(HENON_A, HENON_C)
+    base = point_base(0.0)
+    green = green_minus if inverse else green_plus
+    short = green(fam, base, 0.0, z, TOL, n_max=5)
+    full = green(fam, base, 0.0, z, TOL, n_max=200)
+    assert short.status == "bounded-certified" and short.value == 0.0
+    assert full.status == "escaped-certified" and full.value > TOL
+    assert full.value <= short.err_bound
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "backward"])
+def test_bounded_points_lie_in_the_bidisc_and_bound_their_values(inverse):
+    fam = quadratic_family(HENON_A, HENON_C)
+    base = point_base(0.0)
+    flt = compute_radius(fam, base.space)
+    t = np.linspace(-2.0, 2.0, 401).astype(complex)
+    x, y = (t, np.zeros_like(t)) if inverse else (np.zeros_like(t), t)
+    sup = SigmaSupplier(base.sigma, 0.0)
+    for n_max in (0, 1, 3, 5, 8):
+        v, s, _, e = _run_green(sup, fam, x, y, flt, TOL, n_max, inverse)
+        ref, ref_s, _, ref_e = _run_green(sup, fam, x, y, flt, TOL, 200, inverse)
+        assert np.all(ref_s != green_mod.STATUS_UNDECIDED)
+        bounded = s == green_mod.STATUS_BOUNDED
+        assert np.all(v[bounded] == 0.0)
+        assert np.all(ref[bounded] <= e[bounded] + ref_e[bounded]), n_max
+        # "bounded" means z_(n_max) is in V_R, not merely outside the wedge
+        (_, orbit), = iterate(fam, sup, x, y, [n_max], inverse)
+        in_box = np.maximum(np.abs(orbit.x), np.abs(orbit.y)) <= flt.R
+        assert np.array_equal(bounded, in_box & ~orbit.logm), n_max

@@ -10,7 +10,7 @@ from henonskew.family import HenonFactor, HenonFamily, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import EPS, STATUS_BOUNDED, STATUS_ESCAPED, _run_green, classify, green_field, green_minus, green_plus
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, iterate, step_factor, switch_bound
+from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, iterate, map_coeffs, step_factor, switch_bound
 
 TOL = 1e-6
 A = 0.3
@@ -192,3 +192,97 @@ def test_mixed_and_explicit_orbits_step_points_alike(inverse):
     step_factor(alone, coeffs, a[1:2], inverse)
     for name in ("L", "r", "u"):
         assert np.array_equal(getattr(mixed, name)[1:2], getattr(alone, name)), name
+
+
+# ---------------------------------------------------------------------------
+# the radius gate on the own-tail rule
+
+
+@pytest.mark.parametrize("fam_name", SLICE_FAMILIES)
+def test_radius_gate_is_necessary_for_the_own_tail_rule(fam_name):
+    """A wedge point that passes the own-tail inequality, even with twice the
+    epsilon, has |y| >= rho_star or is in log form."""
+    fam = SLICE_FAMILIES[fam_name]
+    flt = compute_radius(fam, SLICE_BASES["rotation"][0].space)
+    d = fam.degree
+    assert flt.rho_star > flt.R
+    rng = np.random.Generator(np.random.PCG64(11))
+    n = 20_000
+    rho = np.exp(rng.uniform(math.log(flt.R), math.log(1e300), n))
+    # half the points near the gate, where it decides
+    rho[: n // 2] = flt.rho_star * np.exp(rng.uniform(-3.0, 3.0, n // 2))
+    y = rho * np.exp(2j * np.pi * rng.uniform(size=n))
+    x = rho * rng.uniform(0.0, 1.0, n) ** 3 * np.exp(2j * np.pi * rng.uniform(size=n))
+    orbit = Orbit(fam, x, y, False)
+    assert orbit.logm.any() and not orbit.logm.all()
+    assert np.all(orbit.in_wedge(flt.R, False))
+
+    e = flt.wedge_distortion(1.0 / rho) / (d - 1.0) + 0.5 * np.log1p(np.abs(x / y) ** 2)
+    g = np.log(np.hypot(np.abs(x), np.abs(y)))
+    passes = e <= 2.0 * EPS * g
+    gate = orbit.in_wedge(flt.rho_star, False)
+    assert passes.any() and (~gate).any()
+    assert np.all(gate[passes])
+
+
+@pytest.mark.parametrize("base_name", SLICE_BASES)
+@pytest.mark.parametrize("fam_name", SLICE_FAMILIES)
+def test_radius_gate_changes_no_result(fam_name, base_name):
+    fam = SLICE_FAMILIES[fam_name]
+    base, lam = SLICE_BASES[base_name]
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 64)
+    x, y = (p.ravel() for p in grid.points())
+    gated = compute_radius(fam, base.space)
+    ungated = compute_radius(fam, base.space)
+    ungated.__dict__["rho_star"] = 0.0
+    sup = SigmaSupplier(base.sigma, lam)
+    a = _run_green(sup, fam, x, y, gated, TOL, 200, False)
+    b = _run_green(sup, fam, x, y, ungated, TOL, 200, False)
+    assert gated.rho_star > gated.R and ungated.rho_star == 0.0
+    for name, u, v in zip(("value", "status", "depth", "err"), a, b):
+        assert u.tobytes() == v.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# carried moduli
+
+
+def _assert_moduli(o, inverse):
+    ex = ~o.logm
+    dom, sub = (o.x, o.y) if inverse else (o.y, o.x)
+    assert np.array_equal(o.dom[ex], np.abs(dom[ex]))
+    assert np.array_equal(o.sub[ex], np.abs(sub[ex]))
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_carried_subordinate_modulus_is_exact(inverse):
+    """After every factor step orbit.sub is |subordinate| on explicit entries,
+    in all-explicit and mixed steps, after keep and after concat."""
+    fam = SLICE_FAMILIES["two-factor"]
+    rng = np.random.Generator(np.random.PCG64(5))
+    n = 400
+    small = 2.5 * (rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n)))
+    big = small * np.exp(rng.uniform(0.0, 60.0, n))
+    lam = rng.uniform(-0.5, 0.5, n)
+
+    def step(o, lam_pts):
+        for c, a in reversed(map_coeffs(fam, lam_pts)) if inverse else map_coeffs(fam, lam_pts):
+            step_factor(o, c, a, inverse)
+            _assert_moduli(o, inverse)
+
+    explicit = Orbit(fam, small[0], small[1], inverse)
+    mixed = Orbit(fam, big[0], big[1], inverse)
+    assert not explicit.logm.any() and mixed.logm.any() and not mixed.logm.all()
+    _assert_moduli(explicit, inverse)
+    _assert_moduli(mixed, inverse)
+    for _ in range(2):
+        step(explicit, lam)
+        step(mixed, lam)
+    keep = rng.uniform(size=n) < 0.6
+    mixed.keep(keep)
+    _assert_moduli(mixed, inverse)
+    both = Orbit.concat([explicit, mixed])
+    _assert_moduli(both, inverse)
+    assert both.logm.any() and not both.logm.all()
+    for _ in range(4):
+        step(both, np.concatenate((lam, lam[keep])))
