@@ -6,6 +6,13 @@ images. Greedy first-fit packing of a candidate cloud near the chaotic
 region gives s_n(eps); rate = log(s_n)/n lower-bounds the entropy (which
 is at least log d on the Julia set).
 
+The candidates are drawn uniformly in a window and kept when their Green
+value at depth n_max is below a threshold (`draw_candidates`). The draw
+needs only that predicate, so it iterates each batch to a decision depth
+n_dec, the smallest n >= depth_for(tol) with 2 (d^-n M + tol) < threshold
+(M = FiltrationRadius.bidisc_cap), instead of n_max. The kept set is
+bit-identical to that of runs to n_max.
+
 The packing is a block sweep over the shuffled candidates (`_greedy_pack`).
 Candidates are binned into step-0 cells at least eps wide; for each block
 of `BLOCK` candidates the pairs in adjacent cells are tested stage by stage
@@ -28,7 +35,7 @@ from .base import CIRCLE, SHIFT, BaseSystem, advance
 from .errors import EmptyCandidateSet, UnsupportedBase, ValidationError
 from .family import HenonFamily, eval_map
 from .filtration import FiltrationRadius, resolve_radius
-from .green import green_values
+from .green import STATUS_UNDECIDED, green_values
 
 #: Positions of the shuffled candidate order resolved per packing block.
 BLOCK = 256
@@ -96,7 +103,7 @@ def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndar
     return xs, ys, ls, ok_hist
 
 
-def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int, flt: FiltrationRadius | None = None) -> float:
+def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int) -> float:
     """Bowen distance between p = (lam, (x, y)) and q at depth n."""
     if n < 1:
         raise ValidationError("dn_distance needs n >= 1")
@@ -117,6 +124,36 @@ def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int, flt: Filtratio
             lam = advance(base.sigma, lam0, i)
         best = max(best, float(_bowen_step(circ, lam[:1], x[:1], y[:1], lam[1:], x[1:], y[1:])[0]))
     return best
+
+
+def _decision_depth(flt: FiltrationRadius, threshold: float, tol: float, n_max: int, inverse: bool = False) -> int:
+    """Depth at which `G < threshold` is decided for every point in V_R.
+
+    The smallest n >= flt.depth_for(tol) with 2 (d^-n M + tol) < threshold,
+    M = flt.bidisc_cap, capped at n_max (see `draw_candidates`).
+    """
+    n = flt.depth_for(tol, inverse)
+    d = float(flt.degree)
+    cap = flt.bidisc_cap(inverse)
+    while n < n_max and 2.0 * (d ** (-n) * cap + tol) >= threshold:
+        n += 1
+    return min(n, n_max)
+
+
+def _below(fam, base, lam, x, y, threshold, tol, n_max, flt, inverse=False, backward_base=False) -> np.ndarray:
+    """Mask of the points whose Green value at depth n_max is below `threshold`.
+
+    Decided at `_decision_depth`; the points left undecided there are
+    re-run to n_max.
+    """
+    n_dec = _decision_depth(flt, threshold, tol, n_max, inverse)
+    g, status, _ = green_values(fam, base, lam, x, y, tol, n_dec, flt, inverse=inverse, backward_base=backward_base)
+    if n_dec < n_max:
+        redo = np.flatnonzero(status == STATUS_UNDECIDED)
+        if redo.size:
+            g[redo], _, _ = green_values(fam, base, lam[redo], x[redo], y[redo], tol, n_max, flt, inverse=inverse,
+                                         backward_base=backward_base)
+    return g < threshold
 
 
 def draw_candidates(
@@ -145,6 +182,18 @@ def draw_candidates(
 
     window = (re x, im x, re y, im y) bounds as four (lo, hi) pairs; None
     uses the filtration bidisc.
+
+    Each batch is decided with one `green_values` call per direction at
+    the decision depth n_dec <= n_max (module docstring; K_minus backward).
+    Since n_dec >= depth_for(tol), every point that reaches the wedge by
+    n_dec is certified there at the depth and with the value that a run
+    to n_max gives it. A point in V_R at n_dec is kept: its value at n_max
+    is 0 or, if it escapes later, at most d^-n_dec M + tol plus a few ulp,
+    below the threshold with a factor 2 to spare. A point left undecided at
+    n_dec (in the opposite wedge, or with a non-finite state) is re-run to
+    n_max in a second call on those points alone. A window inside the
+    bidisc leaves none: forward, V_R maps into V_R u V_R^+, and backward
+    into V_R u V_R^-.
     """
     flt = resolve_radius(fam, flt, base.space)
     R = flt.R
@@ -158,13 +207,10 @@ def draw_candidates(
         lam = base.space.sample(rng, m)
         x = rng.uniform(window[0], window[1], m) + 1j * rng.uniform(window[2], window[3], m)
         y = rng.uniform(window[4], window[5], m) + 1j * rng.uniform(window[6], window[7], m)
-        gp, _, _ = green_values(fam, base, lam, x, y, tol, n_max, flt)
+        keep = _below(fam, base, lam, x, y, green_threshold, tol, n_max, flt)
         if use_pluri:
-            gm, _, _ = green_values(fam, base, lam, x, y, tol, n_max, flt, inverse=True,
-                                    backward_base=base.sigma.invertible)
-            keep = np.maximum(gp, gm) < green_threshold
-        else:
-            keep = gp < green_threshold
+            keep &= _below(fam, base, lam, x, y, green_threshold, tol, n_max, flt, inverse=True,
+                           backward_base=base.sigma.invertible)
         got_lam.append(lam[keep])
         got_x.append(x[keep])
         got_y.append(y[keep])

@@ -53,6 +53,16 @@ class FiltrationRadius:
         d = self.degree
         return K * d / (d - 1) * d ** (-float(n))
 
+    def bidisc_cap(self, inverse: bool = False) -> float:
+        """M = log(sqrt(2) R) + K d/(d-1): a bound on G over the bidisc V_R.
+
+        log+||z|| is at most log(sqrt(2) R) on V_R, and the increments
+        beyond it sum to at most K d/(d-1) (K_plus forward, K_minus
+        backward). A point whose orbit lies in V_R at depth n therefore has
+        G <= d^(-n) M.
+        """
+        return math.log(math.sqrt(2.0) * self.R) + self.tail_bound(0, inverse)
+
     def wedge_distortion(self, inv_rho):
         """Forward per-step log-distortion bound e(rho) on V_R^+ at |y| = rho.
 

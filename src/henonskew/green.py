@@ -136,10 +136,8 @@ def _final_values(orbit: Orbit, flt: FiltrationRadius, d: float, n_max: int, inv
 
 def _bounded_err(flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> float:
     """Error bound of the value 0 at a point whose orbit is in V_R at n_max:
-    there G <= d^-n_max (log(sqrt(2) R) + K d/(d-1)), the cap of log+||z||
-    on V_R plus the uniform tail."""
-    cap = math.log(math.sqrt(2.0) * flt.R) + flt.tail_bound(0, inverse)
-    return max(tol, float(flt.degree) ** (-n_max) * cap)
+    there G <= d^-n_max M, M = FiltrationRadius.bidisc_cap."""
+    return max(tol, float(flt.degree) ** (-n_max) * flt.bidisc_cap(inverse))
 
 
 def _run_green(

@@ -216,3 +216,46 @@ def avg_current_slice_loop(fam, space, grid, n_mc, seed, tol, n_max, flt):
         masses[i] = den.sum()
         mean_den = den if mean_den is None else mean_den + den
     return mean_vals / n_mc, mean_den / n_mc, masses
+
+
+def draw_candidates_full_depth(fam, base, window, n_candidates, seed, green_threshold=0.05, tol=1e-3, n_max=100,
+                               flt=None, max_batches=40, use_pluri=False):
+    """(lam, x, y) of entropy.draw_candidates from Green values iterated to n_max.
+
+    Each batch runs green_values to n_max on every drawn point (forward,
+    and backward with use_pluri) and keeps the points whose value is below
+    the threshold: the reference that the draw's decision depth must
+    reproduce bit for bit.
+    """
+    from henonskew import green
+    from henonskew.errors import EmptyCandidateSet
+    from henonskew.filtration import resolve_radius
+
+    flt = resolve_radius(fam, flt, base.space)
+    R = flt.R
+    if window is None:
+        window = (-R, R, -R, R, -R, R, -R, R)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    got_lam, got_x, got_y = [], [], []
+    total = 0
+    for _ in range(max_batches):
+        m = max(n_candidates, 4096)
+        lam = base.space.sample(rng, m)
+        x = rng.uniform(window[0], window[1], m) + 1j * rng.uniform(window[2], window[3], m)
+        y = rng.uniform(window[4], window[5], m) + 1j * rng.uniform(window[6], window[7], m)
+        gp, _, _ = green.green_values(fam, base, lam, x, y, tol, n_max, flt)
+        if use_pluri:
+            gm, _, _ = green.green_values(fam, base, lam, x, y, tol, n_max, flt, inverse=True,
+                                          backward_base=base.sigma.invertible)
+            keep = np.maximum(gp, gm) < green_threshold
+        else:
+            keep = gp < green_threshold
+        got_lam.append(lam[keep])
+        got_x.append(x[keep])
+        got_y.append(y[keep])
+        total += int(keep.sum())
+        if total >= n_candidates:
+            break
+    if total == 0:
+        raise EmptyCandidateSet("no points below the Green threshold in the window")
+    return tuple(np.concatenate(v)[:n_candidates] for v in (got_lam, got_x, got_y))

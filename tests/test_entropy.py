@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import draw_candidates_full_depth
+
+from henonskew import entropy as entropy_mod
 from henonskew.base import CIRCLE, BaseDynamics, BaseSpace, BaseSystem, point_base
 from henonskew.entropy import (
     BLOCK,
     CELL_RANGE,
     SeparatedSetEstimate,
     _base_dist,
+    _decision_depth,
     _greedy_pack,
     _orbit_track,
     dn_distance,
@@ -257,3 +261,124 @@ def test_estimate_survivors_bound():
     assert SeparatedSetEstimate(n=2, eps=0.1, s_n=4, rate=0.69, survivors=4).survivors == 4
     with pytest.raises(ValidationError):
         SeparatedSetEstimate(n=2, eps=0.1, s_n=5, rate=0.8, survivors=4)
+
+
+# -- candidate draw decided at the bidisc-cap depth ------------------------------------------
+
+
+def _two_factor_family():
+    return HenonFamily((
+        HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("0.1*u")), CoeffMap.constant(0.3)),
+        HenonFactor(2, (CoeffMap.parse("0.05*u"), CoeffMap.constant(-0.2)), CoeffMap.constant(0.5)),
+    ))
+
+
+_BOX = BaseSystem(BaseSpace("box", bounds=((-0.5, 0.5),)), BaseDynamics("identity"))
+_ROTATION = BaseSystem(BaseSpace("circle"), BaseDynamics("rotation", alpha=0.381966))
+_CONTRACTION = BaseSystem(BaseSpace("box", bounds=((-0.5, 0.5),)), BaseDynamics("contraction", c=0.7))
+
+
+def _inside(R):
+    """A square window inside the bidisc."""
+    return (-R / 2, R / 2) * 4
+
+
+def _outside(R):
+    """Twice the bidisc's square window in each real coordinate."""
+    return (-2 * R, 2 * R) * 4
+
+
+def _far(R):
+    """|y| up to 1e307: backward steps from there overflow for |a| < 0.1."""
+    return (-R, R, -R, R, -1e307, 1e307, -1e307, 1e307)
+
+
+# id -> (family, base, window of R (None: the default window), draw keywords)
+_DRAWS = {
+    "quadratic-point": (quadratic_family(a=0.3), point_base(0.0), None, {}),
+    "quadratic-lam-contraction": (_lam_family(), _CONTRACTION, None, {}),
+    "two-factor-box": (_two_factor_family(), _BOX, None, {}),
+    "two-factor-rotation": (_two_factor_family(), _ROTATION, None, {}),
+    "quadratic-point-outside": (quadratic_family(a=0.3), point_base(0.0), _outside, {"max_batches": 3}),
+    "two-factor-rotation-outside": (_two_factor_family(), _ROTATION, _outside, {"max_batches": 3}),
+    "conservative-point-pluri": (quadratic_family(a=1.0, c=-0.5), point_base(0.0), None,
+                                 {"use_pluri": True, "max_batches": 3}),
+    "conservative-rotation-pluri": (quadratic_family(a=-1.0, c="0.2*u"), _ROTATION, None,
+                                    {"use_pluri": True, "max_batches": 3}),
+    # values up to about 710 are below this threshold; the backward orbits
+    # that overflow are non-finite, so undecided, and are re-run
+    "far-pluri-overflow": (quadratic_family(a=0.05), point_base(0.0), _far,
+                           {"use_pluri": True, "green_threshold": 1000.0, "max_batches": 2}),
+    "short-n_max": (quadratic_family(a=0.3), point_base(0.0), None, {"n_max": 5}),
+    "tol-above-half-threshold": (_two_factor_family(), _ROTATION, None, {"tol": 0.03}),
+}
+
+
+def _recording(monkeypatch, module, calls):
+    real = module.green_values
+
+    def recorded(fam, base, lam, x, y, tol=1e-6, n_max=200, flt=None, inverse=False, backward_base=False):
+        calls.append((len(x), n_max, inverse))
+        return real(fam, base, lam, x, y, tol, n_max, flt, inverse, backward_base)
+
+    monkeypatch.setattr(module, "green_values", recorded)
+
+
+def _draw_both(monkeypatch, fam, base, window, kw, n_candidates=3000, seed=4):
+    """(draw, full-depth reference, draw's green_values calls, reference's calls)."""
+    from henonskew import green as green_mod
+
+    flt = compute_radius(fam, base.space)
+    window = None if window is None else window(flt.R)
+    calls, ref_calls = [], []
+    _recording(monkeypatch, entropy_mod, calls)
+    _recording(monkeypatch, green_mod, ref_calls)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = draw_candidates(fam, base, window, n_candidates, seed, flt=flt, **kw)
+        ref = draw_candidates_full_depth(fam, base, window, n_candidates, seed, flt=flt, **kw)
+    return got, ref, calls, ref_calls
+
+
+@pytest.mark.parametrize("case", sorted(_DRAWS))
+def test_draw_matches_full_depth_loop(case, monkeypatch):
+    fam, base, window, kw = _DRAWS[case]
+    got, ref, calls, ref_calls = _draw_both(monkeypatch, fam, base, window, kw)
+    assert ref[0].size > 0
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert np.array_equal(g, r)
+    # the reference's calls, each at the decision depth, then the re-runs to n_max
+    m = ref_calls[0][0]
+    full = [c for c in calls if c[0] == m]
+    rerun = [c for c in calls if c[0] < m]
+    assert [c[2] for c in full] == [c[2] for c in ref_calls]
+    flt = compute_radius(fam, base.space)
+    threshold, tol, n_max = kw.get("green_threshold", 0.05), kw.get("tol", 1e-3), kw.get("n_max", 100)
+    assert all(n == _decision_depth(flt, threshold, tol, n_max, inverse) for _, n, inverse in full)
+    assert all(n == n_max for _, n, _ in rerun)
+    if case in ("short-n_max", "tol-above-half-threshold"):
+        assert all(n == n_max for _, n, _ in full)
+    assert bool(rerun) == (case == "far-pluri-overflow")
+
+
+@pytest.mark.parametrize("case", ["quadratic-point", "two-factor-rotation", "conservative-point-pluri"])
+def test_draw_inside_the_bidisc_makes_one_call_per_batch(case, monkeypatch):
+    fam, base, _, kw = _DRAWS[case]
+    got, ref, calls, ref_calls = _draw_both(monkeypatch, fam, base, _inside, dict(kw, max_batches=2), n_candidates=6000)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    assert len(calls) == len(ref_calls) >= 2
+    assert all(c[0] == 6000 and c[1] < 100 for c in calls)
+
+
+def test_decision_depth():
+    fam, base = quadratic_family(a=0.3), point_base(0.0)
+    flt = compute_radius(fam, base.space)
+    d, cap = 2.0, flt.bidisc_cap()
+    n = _decision_depth(flt, 0.05, 1e-3, 100)
+    assert n >= flt.depth_for(1e-3)
+    assert 2.0 * (d ** (-n) * cap + 1e-3) < 0.05
+    if n > flt.depth_for(1e-3):
+        assert 2.0 * (d ** (-(n - 1)) * cap + 1e-3) >= 0.05
+    assert _decision_depth(flt, 0.05, 1e-3, 4) == 4
+    assert _decision_depth(flt, 0.05, 0.025, 100) == 100
+    assert _decision_depth(flt, 0.05, 1e-3, 100, inverse=True) >= flt.depth_for(1e-3, inverse=True)

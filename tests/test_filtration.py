@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from conftest import mp_wedge_green, quad_factor_data
 
-from henonskew.base import BaseSpace
+from henonskew.base import BaseSpace, point_base
 from henonskew.errors import DegenerateFamily
 from henonskew.family import eval_map, quadratic_family
 from henonskew.filtration import check_invariance, compute_radius, region_masks
+from henonskew.orbit import SigmaSupplier, iterate
 
 
 def test_radius_plain_quadratic(quad_flt):
@@ -76,3 +78,47 @@ def test_escape_dichotomy(quad_fam, single_base, quad_flt):
         cx, cy = nxt
     plus, minus, box = region_masks(cx, cy, R)
     assert np.all(escaped | minus | box)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "backward"])
+def test_bidisc_cap_bounds_green(inverse):
+    """A point whose orbit lies in V_R at depth n has G <= d^-n bidisc_cap.
+
+    The points are a cloud in V_R and its images under one to three steps
+    of the other direction that stay in V_R, so their orbits stay in V_R
+    for a few steps before they escape. G is the mpmath value. |a| = 0.05
+    makes K_minus much larger than K_plus, so the backward case needs the
+    backward cap.
+    """
+    a, c = 0.05, 0.0
+    fam, base = quadratic_family(a, c), point_base(0.0)
+    flt = compute_radius(fam, base.space)
+    R, d, cap = flt.R, float(fam.degree), flt.bidisc_cap(inverse)
+    sup = SigmaSupplier(base.sigma, 0.0)
+    rng = np.random.Generator(np.random.PCG64(1))
+    x = R * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
+    y = R * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
+
+    def in_bidisc(o):
+        return ~o.logm & (np.abs(o.x) <= R) & (np.abs(o.y) <= R)
+
+    xs, ys = [x], [y]
+    for _, o in iterate(fam, sup, x, y, [1, 2, 3], not inverse):
+        inside = in_bidisc(o)
+        xs.append(o.x[inside])
+        ys.append(o.y[inside])
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    last = np.full(x.size, -1)  # deepest n <= 15 with the orbit in V_R
+    for n, o in iterate(fam, sup, x, y, range(16), inverse):
+        last[in_bidisc(o)] = n
+    found = np.flatnonzero(last >= 0)
+    pick = np.union1d(found[np.linspace(0, found.size - 1, 80).astype(int)], np.flatnonzero(last >= 2)[:40])
+    checked = []
+    for i in pick:
+        g = mp_wedge_green(quad_factor_data(a, c), lambda k: 0.0, (x[i], y[i]), 2, inverse)
+        if g is None:
+            continue
+        assert g <= d ** (-last[i]) * cap, (i, last[i], g)
+        checked.append(last[i])
+    # escaping points, some of them after several steps in V_R
+    assert len(checked) >= 60 and sum(n >= 2 for n in checked) >= 15
