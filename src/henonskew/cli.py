@@ -156,6 +156,12 @@ def _write_field(outdir: Path, stem: str, grid: SliceGrid, files: list[Path]) ->
     files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
 
 
+def _write_text(outdir: Path, name: str, text: str, files: list[Path]) -> None:
+    p = outdir / name
+    p.write_text(text)
+    files.append(p)
+
+
 def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Path:
     """Execute the configured experiment; returns the manifest path."""
     t0 = time.time()
@@ -191,26 +197,20 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
         if kind == "filtration":
             rep = check_invariance(fam, base.space, flt.R, exp.getint("points", fallback=10000), seed)
             print(f"R = {flt.R:.6g}")
-            p = outdir / "invariance.csv"
-            p.write_text(rep.as_csv())
-            files.append(p)
+            _write_text(outdir, "invariance.csv", rep.as_csv(), files)
         elif kind == "green-raster":
             grid = parse_slice(exp, resolution)
             field = field_on(grid)
             _write_field(outdir, "green", field.grid, files)
         elif kind == "julia-raster":
             grid = parse_slice(exp, resolution)
-            jr = julia_raster(fam, base, lam, grid, tol, n_max, flt, threads=threads, field=field_on(grid))
+            jr = julia_raster(field_on(grid))
             pgm = outdir / "julia.pgm"
             write_pgm16(pgm, jr.codes.astype(float), lo=0.0, hi=2.0)
             files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
-            p = outdir / "julia.csv"
-            p.write_text(
-                "resolution,total_mass,off_band_fraction\n"
-                f"{resolution},{jr.measure.total_mass:.9g},"
-                f"{off_band_fraction(jr.measure, jr.field.status):.9g}\n"
-            )
-            files.append(p)
+            off = off_band_fraction(jr.measure, jr.field.status)
+            _write_text(outdir, "julia.csv", "resolution,total_mass,off_band_fraction\n"
+                        f"{resolution},{jr.measure.total_mass:.9g},{off:.9g}\n", files)
         elif kind == "avg-green":
             grid = parse_slice(exp, resolution)
             n_mc = exp.getint("n_mc", fallback=64)
@@ -238,9 +238,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
                 den_path = outdir / f"density_{res}.grid"
                 write_raw_grid(den_path, den_grid)
                 files.append(den_path)
-            p = outdir / "slice_mass.csv"
-            p.write_text("\n".join(rows) + "\n")
-            files.append(p)
+            _write_text(outdir, "slice_mass.csv", "\n".join(rows) + "\n", files)
         elif kind in ("converge", "theta", "rigidity"):
             grid = parse_slice(exp, resolution)
             u = PotentialSpec(exp.get("potential", fallback="fubini-study"))
@@ -248,28 +246,20 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             if kind == "converge":
                 seq = ParamSequence(base.space, seed)
                 report = pullback_convergence(fam, seq, u, grid, depth, tol, flt, space=base.space, threads=threads)
-                p = outdir / "converge.csv"
-                p.write_text(report.as_csv())
-                files.append(p)
-                p2 = outdir / "fit.json"
-                p2.write_text(report.fit_summary() + "\n")
-                files.append(p2)
+                _write_text(outdir, "converge.csv", report.as_csv(), files)
+                _write_text(outdir, "fit.json", report.fit_summary() + "\n", files)
             elif kind == "theta":
                 n_mc = exp.getint("n_mc", fallback=32)
                 report, floors = theta_average_pullback(fam, base.space, u, grid, depth, n_mc, seed, tol, flt, threads=threads)
-                p = outdir / "theta.csv"
                 rows = ["n,e_n,noise_floor"]
                 rows += [f"{n},{e:.12g},{f:.12g}" for n, e, f in zip(report.depths, report.errors, floors)]
-                p.write_text("\n".join(rows) + "\n")
-                files.append(p)
+                _write_text(outdir, "theta.csv", "\n".join(rows) + "\n", files)
             else:
                 u2 = PotentialSpec(exp.get("potential2", fallback="log-plus"))
                 seq = ParamSequence(base.space, seed)
                 dist = rigidity_probe(fam, seq, u, u2, grid, depth, tol, flt, space=base.space)
                 print(f"rigidity sup-distance = {dist:.6g}")
-                p = outdir / "rigidity.csv"
-                p.write_text(f"n_max,distance\n{depth},{dist:.12g}\n")
-                files.append(p)
+                _write_text(outdir, "rigidity.csv", f"n_max,distance\n{depth},{dist:.12g}\n", files)
         elif kind == "entropy":
             eps = exp.getfloat("eps", fallback=0.05)
             n_lo = exp.getint("n_lo", fallback=2)
@@ -278,9 +268,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             ests = entropy_lower_bound(fam, base, eps, range(n_lo, n_hi + 1), cands, seed, flt=flt)
             rows = ["n,eps,s_n,rate"]
             rows += [f"{e.n},{e.eps},{e.s_n},{e.rate:.9g}" for e in ests]
-            p = outdir / "entropy.csv"
-            p.write_text("\n".join(rows) + "\n")
-            files.append(p)
+            _write_text(outdir, "entropy.csv", "\n".join(rows) + "\n", files)
         else:  # pragma: no cover
             raise ConfigError(kind)
 
@@ -297,9 +285,8 @@ def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: in
     consts = estimate_constants(lift, base.space, n_sphere, seed, margin)
     if kind == "constants":
         print(f"l = {consts.l_emp:.6g}, L = {consts.L_emp:.6g}, r = {consts.r:.6g}, R = {consts.R:.6g}")
-        p = outdir / "constants.csv"
-        p.write_text(f"l,L,r,R\n{consts.l_emp:.9g},{consts.L_emp:.9g},{consts.r:.9g},{consts.R:.9g}\n")
-        files.append(p)
+        _write_text(outdir, "constants.csv",
+                    f"l,L,r,R\n{consts.l_emp:.9g},{consts.L_emp:.9g},{consts.r:.9g},{consts.R:.9g}\n", files)
         return
     resolution = exp.getint("resolution", fallback=256)
     win = [float(v) for v in exp.get("window", fallback="-2,2,-2,2").split(",")]

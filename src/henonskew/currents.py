@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseSystem
 from .errors import UndecidedCells, ValidationError
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_ESCAPED, GreenField, green_field, mc_green
+from .green import STATUS_ESCAPED, GreenField, mc_green
 from .grids import SliceGrid
 
 
@@ -115,28 +114,13 @@ class JuliaRaster:
     delta: float
 
 
-def julia_raster(
-    fam,
-    base: BaseSystem,
-    lam: complex,
-    grid: SliceGrid,
-    tol: float = 1e-6,
-    n_max: int = 200,
-    flt: FiltrationRadius | None = None,
-    delta: float | None = None,
-    band_width: int = 5,
-    threads: int = 1,
-    field: GreenField | None = None,
-) -> JuliaRaster:
-    """Classify slice pixels: K^+ interior, J^+ band, escaped.
+def julia_raster(field: GreenField, delta: float | None = None, band_width: int = 5) -> JuliaRaster:
+    """Classify the pixels of a Green raster: K^+ interior, J^+ band, escaped.
 
     The J band collects pixels near the bounded/escaped transition plus
     pixels whose slice density exceeds delta (default: 1e-4 of the peak).
-    A precomputed `field` (e.g. along a random sequence) bypasses the
-    fibered evaluation.
+    The field may come from any variant (fibered, along a sequence).
     """
-    if field is None:
-        field = green_field(fam, base, lam, grid, tol, n_max, flt, threads=threads)
     measure = slice_measure(field)
     if delta is None:
         # disable the density criterion when the window carries no mass

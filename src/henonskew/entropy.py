@@ -83,19 +83,20 @@ def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndar
 
     ok_hist[k] marks candidates staying in V_R through step k. Orbits are
     zeroed once they leave the bidisc (their later steps are never used),
-    which keeps the explicit arithmetic overflow-free.
+    which keeps the explicit arithmetic overflow-free. A NaN coordinate is
+    not outside, so with R = inf nothing is zeroed.
     """
     n_pts = len(x)
     xs = np.empty((n, n_pts), dtype=complex)
     ys = np.empty((n, n_pts), dtype=complex)
     ls = np.empty((n, n_pts), dtype=complex)
     ok_hist = np.empty((n, n_pts), dtype=bool)
-    ok = (np.abs(x) <= R) & (np.abs(y) <= R)
+    ok = ~((np.abs(x) > R) | (np.abs(y) > R))
     xs[0], ys[0], ls[0] = np.where(ok, x, 0), np.where(ok, y, 0), lam
     ok_hist[0] = ok
     for i in range(1, n):
         xi, yi = eval_map(fam, ls[i - 1], (xs[i - 1], ys[i - 1]))
-        ok = ok & (np.abs(xi) <= R) & (np.abs(yi) <= R)
+        ok = ok & ~((np.abs(xi) > R) | (np.abs(yi) > R))
         xs[i] = np.where(ok, xi, 0)
         ys[i] = np.where(ok, yi, 0)
         ls[i] = advance(base.sigma, lam, i)
@@ -104,26 +105,19 @@ def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndar
 
 
 def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int) -> float:
-    """Bowen distance between p = (lam, (x, y)) and q at depth n."""
+    """Bowen distance between p = (lam, (x, y)) and q at depth n.
+
+    The packer's metric on `_orbit_track`'s orbits, with R = inf so that
+    nothing is zeroed; NaN step terms (after an overflow) are skipped.
+    """
     if n < 1:
         raise ValidationError("dn_distance needs n >= 1")
     if base.sigma.kind == SHIFT:
         raise UnsupportedBase("Bowen metric needs a pointwise base dynamics")
-    lam_p, zp = p
-    lam_q, zq = q
-    lam0 = np.array([lam_p, lam_q], dtype=complex)
-    lam = lam0
-    x = np.array([zp[0], zq[0]], dtype=complex)
-    y = np.array([zp[1], zq[1]], dtype=complex)
-    best = 0.0
-    circ = base.space.kind == CIRCLE
-    # lam_i and z_i as `_orbit_track` computes them, so that both see the same metric
-    for i in range(n):
-        if i:
-            x, y = eval_map(fam, lam, (x, y))
-            lam = advance(base.sigma, lam0, i)
-        best = max(best, float(_bowen_step(circ, lam[:1], x[:1], y[:1], lam[1:], x[1:], y[1:])[0]))
-    return best
+    lam, x, y = np.array([(p[0], *p[1]), (q[0], *q[1])], dtype=complex).T
+    xs, ys, ls, _ = _orbit_track(fam, base, lam, x, y, n, np.inf)
+    steps = _bowen_step(base.space.kind == CIRCLE, ls[:, 0], xs[:, 0], ys[:, 0], ls[:, 1], xs[:, 1], ys[:, 1])
+    return float(np.fmax.reduce(steps, initial=0.0))
 
 
 def _decision_depth(flt: FiltrationRadius, threshold: float, tol: float, n_max: int, inverse: bool = False) -> int:

@@ -87,12 +87,6 @@ class Poly:
     def scale(self, c: complex) -> "Poly":
         return Poly(self.vars, {e: c * v for e, v in self.terms.items()})
 
-    def degree_in(self, names: tuple[str, ...]) -> int:
-        idx = [self.vars.index(n) for n in names]
-        if not self.terms:
-            return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
     def is_constant(self) -> bool:
         zero = (0,) * len(self.vars)
         return all(e == zero for e in self.terms)

@@ -46,12 +46,8 @@ class HenonFactor:
         or (d+1, n).
         """
         lam = np.asarray(lam, dtype=complex)
-        rows = [np.broadcast_to(np.asarray(1.0 + 0j), lam.shape).copy() if lam.ndim else 1.0 + 0j]
-        for c in self.coeffs:
-            rows.append(c(lam))
-        if lam.ndim:
-            return np.stack([np.broadcast_to(np.asarray(r, dtype=complex), lam.shape) for r in rows])
-        return np.array(rows, dtype=complex)
+        rows = [1.0 + 0j] + [c(lam) for c in self.coeffs]
+        return np.stack([np.broadcast_to(np.asarray(r, dtype=complex), lam.shape) for r in rows])
 
     @cached_property
     def constant_coeffs(self) -> tuple[np.ndarray, complex] | None:
@@ -127,21 +123,27 @@ def eval_factor(f: HenonFactor, lam, z):
     return factor_step(c, a, x, y)
 
 
+def map_coeffs(fam: HenonFamily, lam) -> tuple:
+    """Per-factor (poly_coeffs, a) at base point(s) lam, constant factors evaluated once:
+    the coefficients of eval_map, eval_inverse and the orbit engine."""
+    return tuple(f.constant_coeffs or (f.poly_coeffs(lam), f.a(lam)) for f in fam.factors)
+
+
 def eval_map(fam: HenonFamily, lam, z):
     """Compose the factors in listed order at a single base point."""
-    for f in fam.factors:
-        z = eval_factor(f, lam, z)
-    return z
+    x, y = z
+    for c, a in map_coeffs(fam, lam):
+        x, y = factor_step(c, a, x, y)
+    return x, y
 
 
 def eval_inverse(fam: HenonFamily, lam, z):
     """Exact inverse of eval_map; factor inverses applied in reverse order."""
     x, y = z
-    for f in reversed(fam.factors):
-        a = f.a(lam)
+    for c, a in reversed(map_coeffs(fam, lam)):
         if np.min(np.abs(a)) < JACOBIAN_FLOOR:
             raise ZeroJacobian(f"|a| = {np.min(np.abs(a)):.3e} below {JACOBIAN_FLOOR}")
-        x, y = factor_step(f.poly_coeffs(lam), a, x, y, inverse=True)
+        x, y = factor_step(c, a, x, y, inverse=True)
     return x, y
 
 

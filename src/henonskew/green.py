@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SHIFT, BaseSystem, ParamSequence, advance
+from .base import SHIFT, BaseDynamics, BaseSystem, ParamSequence, advance
 from .errors import SurjectivityRequired, UnsupportedBase, ValidationError
-from .family import HenonFamily, factor_step
+from .family import HenonFamily, factor_step, map_coeffs
 from .filtration import FiltrationRadius, resolve_radius
 from .grids import SliceGrid
 from .orbit import Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate, step_coeffs
@@ -108,22 +108,23 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, alive: np.ndarray, flt: F
     orbit then holds at depth n_hi.
     """
     d = float(fam.degree)
-    for n in range(n_lo + 1, n_hi + 1):
-        step_coeffs(orbit, supplier.coeffs(fam, n - 1, alive), inverse)
-        found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
-        if found is None:
-            continue
-        pos, g, e = found
-        idx = alive[pos]
-        record(idx, n, g, e)
-        keep = np.ones(len(alive), dtype=bool)
-        keep[pos] = False
-        alive = alive[keep]
-        orbit.keep(keep)
-        # free the per-step arrays before the next step, where memory peaks
-        del found, pos, g, e, idx, keep
-        if len(alive) == 0:
-            break
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(n_lo + 1, n_hi + 1):
+            step_coeffs(orbit, supplier.coeffs(fam, n - 1, alive), inverse)
+            found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
+            if found is None:
+                continue
+            pos, g, e = found
+            idx = alive[pos]
+            record(idx, n, g, e)
+            keep = np.ones(len(alive), dtype=bool)
+            keep[pos] = False
+            alive = alive[keep]
+            orbit.keep(keep)
+            # free the per-step arrays before the next step, where memory peaks
+            del found, pos, g, e, idx, keep
+            if len(alive) == 0:
+                break
     return alive
 
 
@@ -642,21 +643,16 @@ def avg_green_field(
 
 def depth_values(
     fam: HenonFamily,
-    supplier_kind: str,
-    source,
+    sigma: BaseDynamics,
     lam,
     z: tuple[complex, complex],
     depths,
     inverse: bool = False,
 ) -> np.ndarray:
-    """G_n(z) for each n in `depths` (raw finite-depth values, no freeze).
-
-    supplier_kind: 'sigma' (source = BaseDynamics) or 'seq' (source =
-    sequence / array).
-    """
-    sup = SigmaSupplier(source, lam) if supplier_kind == "sigma" else SeqSupplier(source, max(depths, default=0))
+    """G_n(z) along lam_k = sigma^k(lam) for each n in `depths` (raw
+    finite-depth values, no freeze)."""
     d = float(fam.degree)
-    steps = iterate(fam, sup, np.array([z[0]]), np.array([z[1]]), depths, inverse)
+    steps = iterate(fam, SigmaSupplier(sigma, lam), np.array([z[0]]), np.array([z[1]]), depths, inverse)
     return np.array([d ** (-n) * float(orbit.log_plus_norm()[0]) for n, orbit in steps])
 
 
@@ -705,15 +701,11 @@ def holder_estimate(
     # operator norm of DH_lam over region samples and a base grid
     L_emp = 0.0
     for lam_g in np.atleast_1d(base.space.grid(8)):
-        jac = np.zeros((n_samp, 2, 2), dtype=complex)
-        jac[:, 0, 0] = 1.0
-        jac[:, 1, 1] = 1.0
-        x_cur, y_cur = px.copy(), py.copy()
-        for f in fam.factors:
-            c = f.poly_coeffs(lam_g)
-            a = f.a(lam_g)
+        jac = np.broadcast_to(np.eye(2, dtype=complex), (n_samp, 2, 2))
+        x_cur, y_cur = px, py
+        for c, a in map_coeffs(fam, lam_g):
             dp = np.zeros_like(y_cur)
-            deg = f.degree
+            deg = len(c) - 1
             for k, coef in enumerate(c[:-1]):
                 dp = dp * y_cur + (deg - k) * coef
             step = np.zeros((n_samp, 2, 2), dtype=complex)
@@ -729,10 +721,7 @@ def holder_estimate(
 
     beta = 1.0 if L_emp <= 1.0 else min(1.0, math.log(fam.degree) / math.log(L_emp))
 
-    g = np.empty(2 * n_pairs)
-    vals, _, _ = green_values(fam, base, lam, np.concatenate((px[:n_pairs], px[n_pairs:2 * n_pairs])),
-                              np.concatenate((py[:n_pairs], py[n_pairs:2 * n_pairs])), tol, 200, flt)
-    g[:] = vals
+    g, _, _ = green_values(fam, base, lam, px[:2 * n_pairs], py[:2 * n_pairs], tol, 200, flt)
     dz = np.hypot(np.abs(px[:n_pairs] - px[n_pairs:2 * n_pairs]), np.abs(py[:n_pairs] - py[n_pairs:2 * n_pairs]))
     ok = dz > 1e-14
     ratios = np.abs(g[:n_pairs] - g[n_pairs:2 * n_pairs])[ok] / dz[ok] ** (beta / 2.0)

@@ -12,7 +12,9 @@ Orbits are iterated explicitly until the dominant coordinate (y forward,
 x backward) passes the switch bound, then in a log-scale form: L = log of
 the dominant coordinate, r = subordinate / dominant, u = 1 / dominant.
 The bound keeps every explicit factor step representable in doubles, so
-coordinate growth of order 10^(d^n) is iterated without overflow.
+coordinate growth of order 10^(d^n) is iterated without overflow. A step
+that overflows all the same leaves a non-finite state, reported undecided,
+and no floating-point warning: the engine loops run under np.errstate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .base import SHIFT, BaseDynamics, FrozenSequence, advance
 from .errors import NotInvertible, UnsupportedBase, ValidationError
-from .family import HenonFamily, factor_step
+from .family import HenonFamily, factor_step, map_coeffs
 
 # Largest switch bound; factors of degree > 15 get 10^(300/degree) so that
 # p(y) stays below 1e300 on explicit entries.
@@ -65,7 +67,8 @@ class Orbit:
         self.sub = np.abs(self.y if inverse else self.x)
         big = self.dom > self.switch
         if big.any():
-            self.to_log(big, inverse)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                self.to_log(big, inverse)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -220,11 +223,6 @@ def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
         o.u[logm0] = upow
 
 
-def map_coeffs(fam: HenonFamily, lam) -> tuple:
-    """Per-factor (poly_coeffs, a) at base point(s) lam; constant factors are evaluated once."""
-    return tuple(f.constant_coeffs or (f.poly_coeffs(lam), f.a(lam)) for f in fam.factors)
-
-
 def step_coeffs(o: Orbit, coeffs: tuple, inverse: bool) -> None:
     """One full map application (or its inverse) from per-factor (poly_coeffs, a) pairs."""
     for c, a in reversed(coeffs) if inverse else coeffs:
@@ -340,7 +338,8 @@ def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, in
     orbit = Orbit(fam, x, y, inverse)
     n_done = 0
     for n in sorted(depths):
-        while n_done < n:
-            step_coeffs(orbit, supplier.coeffs(fam, n_done, idx), inverse)
-            n_done += 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while n_done < n:
+                step_coeffs(orbit, supplier.coeffs(fam, n_done, idx), inverse)
+                n_done += 1
         yield n, orbit

@@ -259,3 +259,47 @@ def draw_candidates_full_depth(fam, base, window, n_candidates, seed, green_thre
     if total == 0:
         raise EmptyCandidateSet("no points below the Green threshold in the window")
     return tuple(np.concatenate(v)[:n_candidates] for v in (got_lam, got_x, got_y))
+
+
+def check_invariance_two_pass(fam, space, R, n_points=10_000, seed=0, lam_grid=16):
+    """filtration.check_invariance with four maps per base point: V_R^+ alone
+    and V_R^+ u V_R forward, V_R^- alone and V_R^- u V_R backward."""
+    from henonskew.family import eval_inverse, eval_map
+    from henonskew.filtration import InvarianceReport, _sample_regions, region_masks
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lam_all = np.atleast_1d(space.grid(lam_grid))
+    counts = [0, 0, 0, 0]
+    per_lam = max(1, n_points // max(1, len(lam_all)))
+    for lam in lam_all:
+        (px, py), (mx, my), (bx, by) = _sample_regions(rng, R, per_lam)
+        p2, _, _ = region_masks(*eval_map(fam, lam, (px, py)), R)
+        counts[0] += int(np.count_nonzero(~p2))
+        _, m3, _ = region_masks(*eval_map(fam, lam, (np.concatenate((px, bx)), np.concatenate((py, by)))), R)
+        counts[1] += int(np.count_nonzero(m3))
+        _, m4, _ = region_masks(*eval_inverse(fam, lam, (mx, my)), R)
+        counts[2] += int(np.count_nonzero(~m4))
+        p5, _, _ = region_masks(*eval_inverse(fam, lam, (np.concatenate((mx, bx)), np.concatenate((my, by)))), R)
+        counts[3] += int(np.count_nonzero(p5))
+    return InvarianceReport(R, per_lam * len(lam_all), len(lam_all), *counts)
+
+
+def dn_distance_loop(fam, base, p, q, n):
+    """entropy.dn_distance as a step loop of its own: the two orbits stepped
+    together, the step terms reduced by Python's max, which skips NaN terms."""
+    from henonskew.base import CIRCLE, advance
+    from henonskew.entropy import _bowen_step
+    from henonskew.family import eval_map
+
+    lam0 = np.array([p[0], q[0]], dtype=complex)
+    lam = lam0
+    x = np.array([p[1][0], q[1][0]], dtype=complex)
+    y = np.array([p[1][1], q[1][1]], dtype=complex)
+    best = 0.0
+    circ = base.space.kind == CIRCLE
+    for i in range(n):
+        if i:
+            x, y = eval_map(fam, lam, (x, y))
+            lam = advance(base.sigma, lam0, i)
+        best = max(best, float(_bowen_step(circ, lam[:1], x[:1], y[:1], lam[1:], x[1:], y[1:])[0]))
+    return best

@@ -134,7 +134,7 @@ def test_c03_cauchy_rate():
     depths = list(range(1, 27))
     diffs = np.zeros((n_orb, 25))
     for i in range(n_orb):
-        vals = depth_values(fam, "sigma", base.sigma, 0.0, (0.0, seeds[i]), depths)
+        vals = depth_values(fam, base.sigma, 0.0, (0.0, seeds[i]), depths)
         diffs[i] = np.abs(np.diff(vals))
     scaled_max = float((diffs * 2.0 ** np.arange(1, 26)).max())
     ns = np.arange(1, 26)

@@ -81,7 +81,7 @@ def test_undecided_cells_rejected(quad_fam, single_base, quad_flt):
 
 def test_julia_raster_structure(quad_fam, single_base, quad_flt):
     R = quad_flt.R
-    jr = julia_raster(quad_fam, single_base, 0.0, _grid((-(R + 1), R + 1, -(R + 1), R + 1), 256), 1e-6, 200, quad_flt)
+    jr = julia_raster(green_field(quad_fam, single_base, 0.0, _grid((-(R + 1), R + 1, -(R + 1), R + 1), 256), 1e-6, 200, quad_flt))
     # all three classes present, and the J band carries nearly all mass
     assert set(np.unique(jr.codes)) == {0, 1, 2}
     band = jr.band[1:-1, 1:-1]
@@ -91,7 +91,7 @@ def test_julia_raster_structure(quad_fam, single_base, quad_flt):
 
 def test_julia_raster_all_escaped_window(quad_fam, single_base, quad_flt):
     R = quad_flt.R
-    jr = julia_raster(quad_fam, single_base, 0.0, _grid((R + 2, R + 6, R + 2, R + 6), 32), 1e-6, 200, quad_flt)
+    jr = julia_raster(green_field(quad_fam, single_base, 0.0, _grid((R + 2, R + 6, R + 2, R + 6), 32), 1e-6, 200, quad_flt))
     assert np.all(jr.field.status == STATUS_ESCAPED)
     assert np.all(jr.codes == 2)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_candidates_full_depth
+from conftest import dn_distance_loop, draw_candidates_full_depth
 
 from henonskew import entropy as entropy_mod
 from henonskew.base import CIRCLE, BaseDynamics, BaseSpace, BaseSystem, point_base
@@ -333,9 +333,8 @@ def _draw_both(monkeypatch, fam, base, window, kw, n_candidates=3000, seed=4):
     calls, ref_calls = [], []
     _recording(monkeypatch, entropy_mod, calls)
     _recording(monkeypatch, green_mod, ref_calls)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = draw_candidates(fam, base, window, n_candidates, seed, flt=flt, **kw)
-        ref = draw_candidates_full_depth(fam, base, window, n_candidates, seed, flt=flt, **kw)
+    got = draw_candidates(fam, base, window, n_candidates, seed, flt=flt, **kw)
+    ref = draw_candidates_full_depth(fam, base, window, n_candidates, seed, flt=flt, **kw)
     return got, ref, calls, ref_calls
 
 
@@ -382,3 +381,41 @@ def test_decision_depth():
     assert _decision_depth(flt, 0.05, 1e-3, 4) == 4
     assert _decision_depth(flt, 0.05, 0.025, 100) == 100
     assert _decision_depth(flt, 0.05, 1e-3, 100, inverse=True) >= flt.depth_for(1e-3, inverse=True)
+
+
+# -- dn_distance on _orbit_track's orbits ---------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["quadratic-point", "two-factor-rotation", "two-factor-contraction"])
+def test_dn_distance_matches_step_loop(case):
+    """dn_distance equals the two-orbit step loop bit for bit: on pairs that
+    stay in the bidisc, on pairs that overflow to inf (then NaN), and from a
+    NaN start."""
+    fam, base = {
+        "quadratic-point": (quadratic_family(a=0.3, c=0.1 + 0.05j), point_base(0.0)),
+        "two-factor-rotation": (_two_factor_family(), _ROTATION),
+        "two-factor-contraction": (_two_factor_family(), _CONTRACTION),
+    }[case]
+    rng = np.random.Generator(np.random.PCG64(9))
+
+    def point(scale):
+        lam = base.space.sample(rng, 1)[0]
+        return lam, tuple(scale * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)))
+
+    def same(p, q, n):
+        assert dn_distance(fam, base, p, q, n) == dn_distance_loop(fam, base, p, q, n)
+
+    for n in (1, 3, 8):
+        for _ in range(20):
+            same(point(0.3), point(0.3), n)
+    d = dn_distance(fam, base, point(0.3), point(0.3), 8)
+    assert 0.0 < d < np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (2, 5, 12):
+            for _ in range(10):
+                same(point(1e100), point(0.3), n)
+                same(point(1e60), point(1e80), n)
+        assert dn_distance(fam, base, point(1e100), point(0.3), 12) == np.inf
+        same((0.0, (np.nan, 0.1 + 0j)), point(0.3), 6)
+        same((0.0, (np.nan, np.nan)), point(1e100), 6)
+    assert dn_distance(fam, base, (0.0, (np.nan, 0.1 + 0j)), (0.0, (0.2 + 0j, 0.1 + 0j)), 4) == 0.0

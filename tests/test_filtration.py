@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import mp_wedge_green, quad_factor_data
+from conftest import check_invariance_two_pass, mp_wedge_green, quad_factor_data
 
 from henonskew.base import BaseSpace, point_base
 from henonskew.errors import DegenerateFamily
-from henonskew.family import eval_map, quadratic_family
+from henonskew.expr import CoeffMap
+from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
 from henonskew.filtration import check_invariance, compute_radius, region_masks
 from henonskew.orbit import SigmaSupplier, iterate
 
@@ -57,6 +58,37 @@ def test_invariance_monotone_in_R(box_fam, box_base):
     for scale in (1.0, 2.0):
         rep = check_invariance(box_fam, box_base.space, scale * flt.R, n_points=4000, seed=5)
         assert rep.total_violations == 0
+
+
+_INVARIANCE_FAMILIES = {
+    "quadratic": quadratic_family(a=0.3, c=0.1 + 0.05j),
+    "cubic": HenonFamily((HenonFactor(3, (CoeffMap.constant(0.0), CoeffMap.constant(0.2), CoeffMap.parse("0.1*u")),
+                                      CoeffMap.constant(0.4)),)),
+    "two-factor": HenonFamily((
+        HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("0.1*u")), CoeffMap.parse("0.3 + 0.1*u")),
+        HenonFactor(2, (CoeffMap.parse("0.05*u"), CoeffMap.constant(-0.2)), CoeffMap.constant(0.5)),
+    )),
+}
+_INVARIANCE_SPACES = {
+    "finite": BaseSpace("finite", points=(-0.2 + 0j, 0.3 + 0.1j)),
+    "box": BaseSpace("box", bounds=((-0.5, 0.5),)),
+    "circle": BaseSpace("circle"),
+}
+
+
+@pytest.mark.parametrize("sname", sorted(_INVARIANCE_SPACES))
+@pytest.mark.parametrize("fname", sorted(_INVARIANCE_FAMILIES))
+def test_invariance_matches_two_pass_loop(fname, sname):
+    """One forward and one backward map per base point count exactly what
+    four maps (each wedge alone, then with the bidisc) count. At 0.3 R every
+    relation is violated, so the counts compare nonzero numbers."""
+    fam, space = _INVARIANCE_FAMILIES[fname], _INVARIANCE_SPACES[sname]
+    R = compute_radius(fam, space).R
+    for scale in (1.0, 0.5, 0.3):
+        rep = check_invariance(fam, space, scale * R, n_points=2400, seed=5, lam_grid=8)
+        assert rep.n_points // rep.lam_count >= 2
+        assert rep == check_invariance_two_pass(fam, space, scale * R, n_points=2400, seed=5, lam_grid=8)
+    assert all(count > 0 for _, count in rep.rows())
 
 
 def test_escape_dichotomy(quad_fam, single_base, quad_flt):

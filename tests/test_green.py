@@ -231,7 +231,7 @@ def test_cauchy_rate_bound(quad_fam, single_base, quad_flt):
     # |G_(n+1) - G_n| d^n stays below the derived constant on V_R u V_R^+
     z = (0.1 + 0.1j, 1.21 + 0.4j)
     depths = list(range(1, 22))
-    vals = depth_values(quad_fam, "sigma", single_base.sigma, 0.0, z, depths)
+    vals = depth_values(quad_fam, single_base.sigma, 0.0, z, depths)
     diffs = np.abs(np.diff(vals))
     bound = quad_flt.K_plus * 2.0 ** -np.array(depths[:-1], dtype=float)
     assert np.all(diffs <= bound + 1e-15)
@@ -472,3 +472,27 @@ def test_bounded_points_lie_in_the_bidisc_and_bound_their_values(inverse):
         (_, orbit), = iterate(fam, sup, x, y, [n_max], inverse)
         in_box = np.maximum(np.abs(orbit.x), np.abs(orbit.y)) <= flt.R
         assert np.array_equal(bounded, in_box & ~orbit.logm), n_max
+
+
+def test_overflowing_orbits_are_undecided_without_warnings():
+    """Backward steps from |y| near 1e307 with |a| = 0.05 overflow; start
+    points with an infinite coordinate enter log form as NaN. Those points
+    are undecided, and the engine loops raise no floating-point warning."""
+    import warnings
+
+    fam, base = quadratic_family(a=0.05), point_base(0.0)
+    rng = np.random.Generator(np.random.PCG64(3))
+    m = 256
+    x = rng.uniform(-3, 3, m) + 1j * rng.uniform(-3, 3, m)
+    y = rng.uniform(-1e307, 1e307, m) + 1j * rng.uniform(-1e307, 1e307, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, status, _ = green_values(fam, base, np.zeros(m), x, y, 1e-3, 100, inverse=True)
+        steps = [(n, o.logm.copy()) for n, o in iterate(fam, SigmaSupplier(base.sigma, 0.0), x, y, [1, 5], True)]
+        g_inf, s_inf, _ = green_values(fam, base, np.zeros(2), np.array([np.inf, 1.0]), np.array([np.inf, 1e300]),
+                                       1e-3, 10)
+    undecided = status == green_mod.STATUS_UNDECIDED
+    assert 0 < undecided.sum() < m
+    assert np.all(np.isfinite(g[~undecided]))
+    assert [n for n, _ in steps] == [1, 5] and steps[0][1].any()
+    assert s_inf[0] == green_mod.STATUS_UNDECIDED and s_inf[1] == green_mod.STATUS_ESCAPED and np.isfinite(g_inf[1])
