@@ -84,7 +84,9 @@ def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndar
     ok_hist[k] marks candidates staying in V_R through step k. Orbits are
     zeroed once they leave the bidisc (their later steps are never used),
     which keeps the explicit arithmetic overflow-free. A NaN coordinate is
-    not outside, so with R = inf nothing is zeroed.
+    not outside, so with R = inf nothing is zeroed; the steps of such an
+    orbit may then overflow to inf and NaN, without a floating-point
+    warning.
     """
     n_pts = len(x)
     xs = np.empty((n, n_pts), dtype=complex)
@@ -94,13 +96,14 @@ def _orbit_track(fam: HenonFamily, base: BaseSystem, lam: np.ndarray, x: np.ndar
     ok = ~((np.abs(x) > R) | (np.abs(y) > R))
     xs[0], ys[0], ls[0] = np.where(ok, x, 0), np.where(ok, y, 0), lam
     ok_hist[0] = ok
-    for i in range(1, n):
-        xi, yi = eval_map(fam, ls[i - 1], (xs[i - 1], ys[i - 1]))
-        ok = ok & ~((np.abs(xi) > R) | (np.abs(yi) > R))
-        xs[i] = np.where(ok, xi, 0)
-        ys[i] = np.where(ok, yi, 0)
-        ls[i] = advance(base.sigma, lam, i)
-        ok_hist[i] = ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            xi, yi = eval_map(fam, ls[i - 1], (xs[i - 1], ys[i - 1]))
+            ok = ok & ~((np.abs(xi) > R) | (np.abs(yi) > R))
+            xs[i] = np.where(ok, xi, 0)
+            ys[i] = np.where(ok, yi, 0)
+            ls[i] = advance(base.sigma, lam, i)
+            ok_hist[i] = ok
     return xs, ys, ls, ok_hist
 
 
@@ -116,7 +119,8 @@ def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int) -> float:
         raise UnsupportedBase("Bowen metric needs a pointwise base dynamics")
     lam, x, y = np.array([(p[0], *p[1]), (q[0], *q[1])], dtype=complex).T
     xs, ys, ls, _ = _orbit_track(fam, base, lam, x, y, n, np.inf)
-    steps = _bowen_step(base.space.kind == CIRCLE, ls[:, 0], xs[:, 0], ys[:, 0], ls[:, 1], xs[:, 1], ys[:, 1])
+    with np.errstate(invalid="ignore"):  # inf - inf where both orbits overflow
+        steps = _bowen_step(base.space.kind == CIRCLE, ls[:, 0], xs[:, 0], ys[:, 0], ls[:, 1], xs[:, 1], ys[:, 1])
     return float(np.fmax.reduce(steps, initial=0.0))
 
 

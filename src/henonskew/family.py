@@ -80,6 +80,20 @@ def quadratic_family(a: complex | str = 0.3, c: complex | str = 0.0) -> HenonFam
     return HenonFamily((HenonFactor(2, (CoeffMap.constant(0.0), cm), am),))
 
 
+def imul(acc: np.ndarray, v):
+    """acc * v, in place into acc when that rounds as any other product.
+
+    numpy 2.4 multiplies a length-1 complex array in place with a
+    loop of its own, which rounds unlike the loop of every longer array
+    and of an out-of-place product, so a point's orbit would depend on how
+    many points share it. A length-1 acc gets a new array instead.
+    """
+    if acc.shape == (1,):
+        return acc * v
+    acc *= v
+    return acc
+
+
 def _horner(coeffs: np.ndarray, y):
     """p(y) for monic coefficients [1, c_(d-1), ..., c_0].
 
@@ -89,7 +103,7 @@ def _horner(coeffs: np.ndarray, y):
     """
     acc = y + coeffs[1]
     for c in coeffs[2:]:
-        acc *= y
+        acc = imul(acc, y)
         acc += c
     return acc
 
@@ -108,8 +122,7 @@ def factor_step(c, a, x, y, inverse: bool = False, scratch: bool = False):
         return p, x
     p = _horner(c, y)
     if scratch:
-        x *= a
-        p -= x
+        p -= imul(x, a)
     else:
         p -= a * x
     return y, p

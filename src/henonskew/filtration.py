@@ -96,6 +96,49 @@ class FiltrationRadius:
             prev, rho = rho, k / math.log(math.sqrt(2.0) * rho)
         return min(rho, prev)
 
+    @cached_property
+    def trap_radius(self) -> float:
+        """Largest r <= 1 with r^(d_j) + m (S_j + a_sup r) <= r for every factor j, else 0.
+
+        Here m is the margin and S_j the coefficient sum of factor j. On
+        the bidisc D_r = {|x| <= r, |y| <= r} a factor maps (x, y) to
+        (y, p_j(y) - a x). The first coordinate y stays in the disc, and
+        |p_j(y) - a x| <= r^(d_j) + S_j + a_sup r, because |y|^i <= 1 for
+        i < d_j when r <= 1. That is at most r - (m - 1)(S_j + a_sup r). So
+        every factor maps D_r into itself, at every base point whose sums
+        the grid sups S_j and a_sup bound up to the margin, the same
+        allowance that R takes. With m > 1 the slack (m - 1)(S_j + a_sup r)
+        is far above the rounding of one double step. Since r <= 1 < R,
+        D_r lies in V_R. A forward orbit that enters D_r therefore stays
+        in V_R for good: it is bounded (green.py). No such disc exists
+        backward, where the inverse factors expand for |a| < 1.
+
+        f_j(r) = r^(d_j) + m (S_j + a_sup r) - r is convex, so f_j <= 0
+        on an interval. Its least value is at
+        r_j = ((1 - m a_sup)/d_j)^(1/(d_j - 1)), and f_j(1) > 0, so the
+        right end of the interval is found by bisection on [r_j, 1].
+        """
+        m, a = self.margin, self.a_sup
+        if m * a >= 1.0:
+            return 0.0  # f_j increases from f_j(0) = m S_j >= 0
+
+        def f(r, dj, S):
+            return r ** dj + m * (S + a * r) - r
+
+        ends = []
+        for dj, S in zip(self.factor_degrees, self.coeff_sums):
+            lo, hi = ((1.0 - m * a) / dj) ** (1.0 / (dj - 1)), 1.0
+            if f(lo, dj, S) > 0.0:
+                return 0.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if f(mid, dj, S) <= 0.0 else (lo, mid)
+            ends.append(lo)
+        r = min(ends)
+        if any(f(r, dj, S) > 0.0 for dj, S in zip(self.factor_degrees, self.coeff_sums)):
+            return 0.0
+        return r
+
     def depth_for(self, tol: float, inverse: bool = False) -> int:
         """Smallest n with tail_bound(n) < tol."""
         n = 1

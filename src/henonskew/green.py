@@ -35,8 +35,15 @@ if z_(n_max) lies in the bidisc V_R; its value is 0 with err_bound
 max(tol, d^(-n_max) M), M = log(sqrt(2) R) + K d/(d-1) (K_plus forward,
 K_minus backward), which bounds G there when n_max is below the certifying
 depth. A finite point left in the opposite wedge is undecided.
-GreenField.depth is each pixel's certification depth (n_max for bounded
-and undecided pixels). Orbits are iterated by the
+
+Forward orbits are bounded earlier where the family is dissipative enough:
+every factor maps the bidisc D_r, r = FiltrationRadius.trap_radius <= 1 < R,
+into itself, so an orbit that enters D_r stays in V_R through n_max. At a
+depth where the uniform rule applies, an explicit point in D_r is dropped
+from the orbit and recorded as the run to n_max would record it: value 0,
+bounded-certified, depth n_max and the same err_bound. Inverse orbits have
+no such disc. GreenField.depth is each pixel's certification depth (n_max
+for bounded and undecided pixels). Orbits are iterated by the
 engine in orbit.py, which switches them to a log-scale representation
 before doubles overflow; inside the invariant wedge the switch is exact to
 machine precision.
@@ -99,30 +106,42 @@ class GreenEval:
 
 
 def _certify(supplier, fam: HenonFamily, orbit: Orbit, alive: np.ndarray, flt: FiltrationRadius, tol: float,
-             n_lo: int, n_hi: int, inverse: bool, record) -> np.ndarray:
+             n_lo: int, n_hi: int, inverse: bool, record, record_bounded) -> np.ndarray:
     """Step the orbit of the points `alive` from depth n_lo to n_hi, certifying as it goes.
 
     `alive` names the orbit's points to the supplier. Each point certified
     at depth n is passed to record(ids, n, values, err_bounds) and dropped
-    from the orbit; returns the names of the points left, whose state the
-    orbit then holds at depth n_hi.
+    from the orbit. At the steps where the uniform rule applies, a forward
+    explicit point in the trapping bidisc D_r (r = flt.trap_radius) is
+    passed to record_bounded(ids) and dropped as well: it is bounded, as it
+    would be at n_max. Returns the names of the points left, whose state
+    the orbit then holds at depth n_hi.
     """
     d = float(fam.degree)
+    trap = 0.0 if inverse else flt.trap_radius
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_lo + 1, n_hi + 1):
             step_coeffs(orbit, supplier.coeffs(fam, n - 1, alive), inverse)
             found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
-            if found is None:
+            held = None
+            if trap and flt.tail_bound(n) < tol:
+                held = ~orbit.logm & (orbit.dom <= trap) & (orbit.sub <= trap)
+                if not held.any():
+                    held = None
+            if found is None and held is None:
                 continue
-            pos, g, e = found
-            idx = alive[pos]
-            record(idx, n, g, e)
-            keep = np.ones(len(alive), dtype=bool)
-            keep[pos] = False
+            keep = np.ones(len(alive), dtype=bool) if held is None else ~held
+            if found is not None:
+                pos, g, e = found
+                record(alive[pos], n, g, e)
+                keep[pos] = False
+                del pos, g, e
+            if held is not None:
+                record_bounded(alive[held])
             alive = alive[keep]
             orbit.keep(keep)
             # free the per-step arrays before the next step, where memory peaks
-            del found, pos, g, e, idx, keep
+            del found, held, keep
             if len(alive) == 0:
                 break
     return alive
@@ -170,13 +189,18 @@ def _run_green(
         depth[idx] = n
         err[idx] = e
 
+    def record_bounded(idx):
+        status[idx] = STATUS_BOUNDED
+        err[idx] = _bounded_err(flt, tol, n_max, inverse)
+
     orbit = Orbit(fam, x, y, inverse)
-    alive = _certify(supplier, fam, orbit, np.arange(n_pts), flt, tol, 0, n_max, inverse, record)
+    alive = _certify(supplier, fam, orbit, np.arange(n_pts), flt, tol, 0, n_max, inverse, record, record_bounded)
     if len(alive):
         g, bounded = _final_values(orbit, flt, float(fam.degree), n_max, inverse)
-        value[alive] = np.where(bounded, 0.0, g)
-        status[alive[bounded]] = STATUS_BOUNDED
-        err[alive] = np.where(bounded, _bounded_err(flt, tol, n_max, inverse), flt.tail_bound(n_max, inverse))
+        record_bounded(alive[bounded])
+        rest = ~bounded
+        value[alive[rest]] = g[rest]
+        err[alive[rest]] = flt.tail_bound(n_max, inverse)
     return value, status, depth, err
 
 
@@ -552,9 +576,10 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
     Each point along each sequence gets exactly the value, status and
     depth that _run_green gives it along that sequence alone. Chunks of
     sequences are stepped to n_cut = min(n_max, depth_for(tol)), where the
-    uniform rule certifies every wedge point; the bounded cores left are
-    pooled into one orbit, in pieces of at most MC_CHUNK points, for the
-    steps after n_cut. Threads split the points, never a point's sequences.
+    uniform rule certifies every wedge point and drops every trapped one;
+    the bounded cores left, outside the trapping bidisc, are pooled into one
+    orbit, in pieces of at most MC_CHUNK points, for the steps after n_cut.
+    Threads split the points, never a point's sequences.
     """
     n_pts = len(x)
     sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
@@ -579,9 +604,14 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
             out.depth[p] = np.maximum(out.depth[p], n)
             undecided(ids[~np.isfinite(g)])
 
+        def record_bounded(ids):
+            flat[ids] = 0.0
+            out.depth[ids % n_pts] = n_max
+
         def run_pool(pool):
             orbit = Orbit.concat([o for o, _ in pool])
-            ids = _certify(sup, fam, orbit, np.concatenate([i for _, i in pool]), flt, tol, n_cut, n_max, False, record)
+            ids = _certify(sup, fam, orbit, np.concatenate([i for _, i in pool]), flt, tol, n_cut, n_max, False,
+                           record, record_bounded)
             if len(ids):
                 g, bounded = _final_values(orbit, flt, d, n_max, False)
                 flat[ids] = np.where(bounded, 0.0, g)
@@ -591,7 +621,7 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
         pool = []
         for ids, rows in mc_chunks(n_mc, n_pts, lo, hi):
             orbit = Orbit(fam, np.tile(x[lo:hi], rows), np.tile(y[lo:hi], rows), False)
-            ids = _certify(sup, fam, orbit, ids, flt, tol, 0, n_cut, False, record)
+            ids = _certify(sup, fam, orbit, ids, flt, tol, 0, n_cut, False, record, record_bounded)
             if pool and sum(len(i) for _, i in pool) + len(ids) > MC_CHUNK:
                 run_pool(pool)
                 pool = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import SHIFT, BaseDynamics, FrozenSequence, advance
 from .errors import NotInvertible, UnsupportedBase, ValidationError
-from .family import HenonFamily, factor_step, map_coeffs
+from .family import HenonFamily, factor_step, imul, map_coeffs
 
 # Largest switch bound; factors of degree > 15 get 10^(300/degree) so that
 # p(y) stays below 1e300 on explicit entries.
@@ -152,7 +152,7 @@ def _tail_poly(coeffs, u):
     acc = coeffs[-1] * u
     for c in coeffs[-2:0:-1]:
         acc += c
-        acc *= u
+        acc = imul(acc, u)
     return acc
 
 
@@ -205,8 +205,8 @@ def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
         upow = u ** (deg - 1)
         one = _tail_poly(cs, u)
         if not inverse:
-            r *= av
-        r *= upow
+            r = imul(r, av)
+        r = imul(r, upow)
         one -= r
         one += 1.0
         del r
@@ -215,10 +215,10 @@ def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
         L += np.log(np.abs(one))
         if inverse:
             L -= np.log(np.abs(av))
-            upow *= av
+            upow = imul(upow, av)
         o.L[logm0] = L
         o.r[logm0] = upow / one
-        upow *= u
+        upow = imul(upow, u)
         upow /= one
         o.u[logm0] = upow
 

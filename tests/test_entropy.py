@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,23 @@ def test_decision_depth():
 # -- dn_distance on _orbit_track's orbits ---------------------------------------------------
 
 
+def test_dn_distance_raises_no_warning_on_overflow():
+    """dn_distance on pairs whose orbits overflow (one or both, from huge or
+    NaN starts) lets no floating-point warning reach the caller."""
+    fam, base = quadratic_family(a=0.3, c=0.1), point_base(0.0)
+    pairs = [
+        ((0.0, (1e100, 1e100)), (0.0, (0.1, 0.2))),
+        ((0.0, (1e60, 1e80)), (0.0, (1e100, 1e100))),
+        ((0.0, (0.1, 1e200)), (0.0, (1e200, 0.1))),
+        ((0.0, (np.nan, np.nan)), (0.0, (1e100, 1e100))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [dn_distance(fam, base, p, q, 12) for p, q in pairs]
+    assert got[0] == np.inf
+    assert all(g > 0.0 for g in got[:3])
+
+
 @pytest.mark.parametrize("case", ["quadratic-point", "two-factor-rotation", "two-factor-contraction"])
 def test_dn_distance_matches_step_loop(case):
     """dn_distance equals the two-orbit step loop bit for bit: on pairs that
@@ -403,19 +421,20 @@ def test_dn_distance_matches_step_loop(case):
         return lam, tuple(scale * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)))
 
     def same(p, q, n):
-        assert dn_distance(fam, base, p, q, n) == dn_distance_loop(fam, base, p, q, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = dn_distance_loop(fam, base, p, q, n)
+        assert dn_distance(fam, base, p, q, n) == ref
 
     for n in (1, 3, 8):
         for _ in range(20):
             same(point(0.3), point(0.3), n)
     d = dn_distance(fam, base, point(0.3), point(0.3), 8)
     assert 0.0 < d < np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in (2, 5, 12):
-            for _ in range(10):
-                same(point(1e100), point(0.3), n)
-                same(point(1e60), point(1e80), n)
-        assert dn_distance(fam, base, point(1e100), point(0.3), 12) == np.inf
-        same((0.0, (np.nan, 0.1 + 0j)), point(0.3), 6)
-        same((0.0, (np.nan, np.nan)), point(1e100), 6)
+    for n in (2, 5, 12):
+        for _ in range(10):
+            same(point(1e100), point(0.3), n)
+            same(point(1e60), point(1e80), n)
+    assert dn_distance(fam, base, point(1e100), point(0.3), 12) == np.inf
+    same((0.0, (np.nan, 0.1 + 0j)), point(0.3), 6)
+    same((0.0, (np.nan, np.nan)), point(1e100), 6)
     assert dn_distance(fam, base, (0.0, (np.nan, 0.1 + 0j)), (0.0, (0.2 + 0j, 0.1 + 0j)), 4) == 0.0

@@ -286,3 +286,30 @@ def test_carried_subordinate_modulus_is_exact(inverse):
     assert both.logm.any() and not both.logm.all()
     for _ in range(4):
         step(both, np.concatenate((lam, lam[keep])))
+
+
+# ---------------------------------------------------------------------------
+# a point's orbit does not depend on the points stepped with it
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("fam_name", SLICE_FAMILIES)
+def test_one_point_orbits_round_as_in_a_batch(fam_name, inverse):
+    """Each point's value, status and depth evaluated alone equal those in
+    one batch, with explicit and log-form steps (numpy's in-place complex
+    product on a length-1 array rounds unlike longer arrays)."""
+    fam = SLICE_FAMILIES[fam_name]
+    base, lam = SLICE_BASES["rotation"]
+    flt = compute_radius(fam, base.space)
+    rng = np.random.Generator(np.random.PCG64(8))
+    n = 60
+    scale = np.repeat([3.0, 1e5], n // 2)
+    x = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    y = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    sup = SigmaSupplier(base.sigma, lam)
+    batch = _run_green(sup, fam, x, y, flt, TOL, 200, inverse)
+    assert np.any(batch[1] == STATUS_ESCAPED)
+    for i in range(n):
+        alone = _run_green(sup, fam, x[i:i + 1], y[i:i + 1], flt, TOL, 200, inverse)
+        for name, u, v in zip(("value", "status", "depth", "err"), alone, batch):
+            assert u[0] == v[i], (name, i)
