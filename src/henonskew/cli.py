@@ -147,13 +147,17 @@ def parse_slice(cfg: configparser.SectionProxy, resolution: int) -> SliceGrid:
 # experiments
 
 
+def _write_pgm(outdir: Path, stem: str, values: np.ndarray, files: list[Path], lo=None, hi=None) -> None:
+    pgm = outdir / f"{stem}.pgm"
+    write_pgm16(pgm, values, lo, hi)
+    files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
+
+
 def _write_field(outdir: Path, stem: str, grid: SliceGrid, files: list[Path]) -> None:
     raw = outdir / f"{stem}.grid"
     write_raw_grid(raw, grid)
     files.append(raw)
-    pgm = outdir / f"{stem}.pgm"
-    write_pgm16(pgm, grid.data)
-    files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
+    _write_pgm(outdir, stem, grid.data, files)
 
 
 def _write_text(outdir: Path, name: str, text: str, files: list[Path]) -> None:
@@ -179,7 +183,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     resolution = exp.getint("resolution", fallback=256)
 
     if kind in ("basin-raster", "constants"):
-        _run_projective(config, kind, exp, outdir, files, seed, threads)
+        _run_projective(config, kind, exp, outdir, files, seed)
     else:
         fam = parse_family(config["family"])
         base = parse_base(config["base"])
@@ -205,9 +209,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
         elif kind == "julia-raster":
             grid = parse_slice(exp, resolution)
             jr = julia_raster(field_on(grid))
-            pgm = outdir / "julia.pgm"
-            write_pgm16(pgm, jr.codes.astype(float), lo=0.0, hi=2.0)
-            files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
+            _write_pgm(outdir, "julia", jr.codes.astype(float), files, 0.0, 2.0)
             off = off_band_fraction(jr.measure, jr.field.status)
             _write_text(outdir, "julia.csv", "resolution,total_mass,off_band_fraction\n"
                         f"{resolution},{jr.measure.total_mass:.9g},{off:.9g}\n", files)
@@ -277,7 +279,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     return manifest
 
 
-def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: int, threads: int) -> None:
+def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: int) -> None:
     lift = parse_lift(config["lift"])
     base = parse_base(config["base"])
     n_sphere = exp.getint("n_sphere", fallback=20000)
@@ -307,10 +309,7 @@ def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: in
     labels = basin_classify_batch(lift, base, _parse_complex(exp.get("lam", fallback="0")), pts[ok], exp.getint("depth", fallback=100), consts)
     lab_code = {"attracted-to-0": 0, "indeterminate": 1, "escapes-to-infinity": 2}
     codes[ok] = np.array([lab_code[v] for v in labels], dtype=np.uint8)
-    img = codes.reshape(resolution, resolution)
-    pgm = outdir / "basin.pgm"
-    write_pgm16(pgm, img.astype(float), lo=0.0, hi=2.0)
-    files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
+    _write_pgm(outdir, "basin", codes.reshape(resolution, resolution).astype(float), files, 0.0, 2.0)
 
 
 def _write_manifest(config, outdir: Path, files: list[Path], wall: float) -> Path:

@@ -18,7 +18,7 @@ from .base import CONTRACTION, IDENTITY, BaseSystem
 from .errors import UnsupportedBase, ValidationError
 from .family import HenonFamily
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_UNDECIDED, avg_green_field, green_field, green_field_seq, mc_chunks, mc_supplier
+from .green import STATUS_UNDECIDED, avg_green_field, green_field, green_field_seq, mc_chunks, mc_mean_stderr, mc_supplier
 from .currents import laplacian_density
 from .grids import SliceGrid
 from .orbit import Orbit, SeqSupplier, SigmaSupplier, iterate
@@ -196,9 +196,7 @@ def theta_average_pullback(
     errors = []
     floors = []
     for n in range(1, n_max + 1):
-        mean = acc[n] / n_mc
-        var = np.maximum(acc2[n] / n_mc - mean ** 2, 0.0)
-        se = np.sqrt(var / (n_mc - 1))
+        mean, se = mc_mean_stderr(acc[n], acc2[n], n_mc)
         errors.append(float(np.abs(mean - ref.values)[mask].max()))
         floors.append(float((se + ref_stderr)[mask].max()))
     report = ConvergenceReport(list(range(1, n_max + 1)), errors, fam.degree, masked_fraction)

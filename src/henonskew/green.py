@@ -48,6 +48,12 @@ engine in orbit.py, which switches them to a log-scale representation
 before doubles overflow; inside the invariant wedge the switch is exact to
 machine precision.
 
+Every value above comes from one certifying loop, _certify, which hands
+each point to one record callback as it leaves the orbit: certified in the
+wedge, trapped, or left at n_max. The point evaluations and rasters
+(_run_green) and the Monte-Carlo averages (mc_green) differ only in their
+callbacks.
+
 Variants differ only in the map direction and in how base points are
 drawn per step:
 
@@ -72,7 +78,7 @@ from .errors import SurjectivityRequired, UnsupportedBase, ValidationError
 from .family import HenonFamily, factor_step, map_coeffs
 from .filtration import FiltrationRadius, resolve_radius
 from .grids import SliceGrid
-from .orbit import Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate, step_coeffs
+from .orbit import Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate
 
 STATUS_UNDECIDED = 0
 STATUS_ESCAPED = 1
@@ -105,59 +111,56 @@ class GreenEval:
 # certifying engine
 
 
-def _certify(supplier, fam: HenonFamily, orbit: Orbit, alive: np.ndarray, flt: FiltrationRadius, tol: float,
-             n_lo: int, n_hi: int, inverse: bool, record, record_bounded) -> np.ndarray:
-    """Step the orbit of the points `alive` from depth n_lo to n_hi, certifying as it goes.
+def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, tol: float,
+             n_lo: int, n_hi: int, n_max: int, record) -> None:
+    """Step the orbit from depth n_lo to n_hi, certifying as it goes.
 
-    `alive` names the orbit's points to the supplier. Each point certified
-    at depth n is passed to record(ids, n, values, err_bounds) and dropped
-    from the orbit. At the steps where the uniform rule applies, a forward
-    explicit point in the trapping bidisc D_r (r = flt.trap_radius) is
-    passed to record_bounded(ids) and dropped as well: it is bounded, as it
-    would be at n_max. Returns the names of the points left, whose state
-    the orbit then holds at depth n_hi.
+    Every point leaves the orbit through record(ids, n, values,
+    err_bounds, status), with ids from orbit.ids and the other arguments
+    scalars or arrays aligned with ids. A point leaves when the wedge
+    rules certify it (undecided if its value is not finite), when it is
+    trapped in D_r (forward only, at depths where the uniform rule
+    applies; recorded as at n_max), and, if n_hi == n_max, at n_max:
+    bounded in the bidisc V_R, else undecided. A run to n_max thus
+    records each point once and empties the orbit.
     """
     d = float(fam.degree)
-    trap = 0.0 if inverse else flt.trap_radius
+    # value 0 at a point whose orbit is in V_R at n_max: there G <= d^-n_max M,
+    # M = FiltrationRadius.bidisc_cap
+    bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap(orbit.inverse))
+    trap = 0.0 if orbit.inverse else flt.trap_radius
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_lo + 1, n_hi + 1):
-            step_coeffs(orbit, supplier.coeffs(fam, n - 1, alive), inverse)
-            found = _wedge_certificates(orbit, flt, d, n, tol, inverse)
+            if not len(orbit):
+                return
+            orbit.step(supplier, fam, n - 1)
+            found = _wedge_certificates(orbit, flt, d, n, tol)
             held = None
             if trap and flt.tail_bound(n) < tol:
-                held = ~orbit.logm & (orbit.dom <= trap) & (orbit.sub <= trap)
+                held = orbit.in_bidisc(trap)
                 if not held.any():
                     held = None
             if found is None and held is None:
                 continue
-            keep = np.ones(len(alive), dtype=bool) if held is None else ~held
+            keep = np.ones(len(orbit), dtype=bool) if held is None else ~held
             if found is not None:
                 pos, g, e = found
-                record(alive[pos], n, g, e)
+                record(orbit.ids[pos], n, g, e, np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED))
                 keep[pos] = False
                 del pos, g, e
             if held is not None:
-                record_bounded(alive[held])
-            alive = alive[keep]
+                record(orbit.ids[held], n_max, 0.0, bounded_err, STATUS_BOUNDED)
             orbit.keep(keep)
             # free the per-step arrays before the next step, where memory peaks
             del found, held, keep
-            if len(alive) == 0:
-                break
-    return alive
-
-
-def _final_values(orbit: Orbit, flt: FiltrationRadius, d: float, n_max: int, inverse: bool):
-    """(G_n_max, bounded) of the points left at n_max: bounded points lie in
-    the bidisc V_R (so their state is finite), and their value is 0."""
-    g = d ** (-n_max) * orbit.log_plus_norm()
-    return g, ~orbit.logm & (orbit.dom <= flt.R) & (orbit.sub <= flt.R)
-
-
-def _bounded_err(flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> float:
-    """Error bound of the value 0 at a point whose orbit is in V_R at n_max:
-    there G <= d^-n_max M, M = FiltrationRadius.bidisc_cap."""
-    return max(tol, float(flt.degree) ** (-n_max) * flt.bidisc_cap(inverse))
+        if n_hi < n_max or not len(orbit):
+            return
+        g = d ** (-n_max) * orbit.log_plus_norm()
+        bounded = orbit.in_bidisc(flt.R)
+        record(orbit.ids[bounded], n_max, 0.0, bounded_err, STATUS_BOUNDED)
+        rest = ~bounded
+        record(orbit.ids[rest], n_max, g[rest], flt.tail_bound(n_max, orbit.inverse), STATUS_UNDECIDED)
+        orbit.keep(slice(0, 0))
 
 
 def _run_green(
@@ -169,13 +172,15 @@ def _run_green(
     tol: float,
     n_max: int,
     inverse: bool,
+    threads: int = 1,
 ):
     """Certified Green values for a batch of points sharing a lam-supply.
 
     Returns (value, status, depth, err) arrays aligned with the input
     points; err is the certified bound on |value - G| for escaped points
     (the truncation error; the double itself carries its own rounding).
-    A point whose orbit state is not finite stays undecided.
+    A point whose orbit state is not finite stays undecided. Threads step
+    contiguous ranges of the points, each as one orbit named by its range.
     """
     n_pts = len(x)
     value = np.zeros(n_pts, dtype=float)
@@ -183,28 +188,21 @@ def _run_green(
     depth = np.full(n_pts, n_max, dtype=np.int32)
     err = np.empty(n_pts, dtype=float)
 
-    def record(idx, n, g, e):
-        value[idx] = g
-        status[idx] = np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED)
-        depth[idx] = n
-        err[idx] = e
+    def record(ids, n, g, e, s):
+        value[ids] = g
+        status[ids] = s
+        depth[ids] = n
+        err[ids] = e
 
-    def record_bounded(idx):
-        status[idx] = STATUS_BOUNDED
-        err[idx] = _bounded_err(flt, tol, n_max, inverse)
+    def work(_, lo, hi):
+        orbit = Orbit(fam, x[lo:hi], y[lo:hi], inverse, np.arange(lo, hi))
+        _certify(supplier, fam, orbit, flt, tol, 0, n_max, n_max, record)
 
-    orbit = Orbit(fam, x, y, inverse)
-    alive = _certify(supplier, fam, orbit, np.arange(n_pts), flt, tol, 0, n_max, inverse, record, record_bounded)
-    if len(alive):
-        g, bounded = _final_values(orbit, flt, float(fam.degree), n_max, inverse)
-        record_bounded(alive[bounded])
-        rest = ~bounded
-        value[alive[rest]] = g[rest]
-        err[alive[rest]] = flt.tail_bound(n_max, inverse)
+    _in_threads(work, n_pts, threads)
     return value, status, depth, err
 
 
-def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, tol: float, inverse: bool):
+def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, tol: float):
     """(positions, values, error bounds) of the points certified at depth n, or None.
 
     Once the uniform tail K d/(d-1) d^-n is below tol every wedge point is
@@ -212,11 +210,11 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, t
     err_n = d^-n (e(rho_n)/(d-1) + 1/2 log1p(|x_n/y_n|^2)) is at most
     min(tol, eps * value).
     """
-    tail = flt.tail_bound(n, inverse)
-    if tail >= tol and inverse:
+    tail = flt.tail_bound(n, orbit.inverse)
+    if tail >= tol and orbit.inverse:
         return None
     # under the own-tail rule alone, explicit points below rho_star cannot pass
-    pos = np.flatnonzero(orbit.in_wedge(flt.R if tail < tol else max(flt.R, flt.rho_star), inverse))
+    pos = np.flatnonzero(orbit.in_wedge(flt.R if tail < tol else max(flt.R, flt.rho_star)))
     if pos.size == 0:
         return None
     g = orbit.log_plus_norm(pos)
@@ -450,18 +448,6 @@ class GreenField:
         return int(np.count_nonzero(self.status == STATUS_UNDECIDED))
 
 
-def _field_from_flat(grid, v, s, n, tol, n_max, variant):
-    shape = (grid.ny, grid.nx)
-    return GreenField(
-        grid=grid.with_data(v.reshape(shape)),
-        status=s.reshape(shape),
-        depth=n.reshape(shape),
-        tol=tol,
-        n_max=n_max,
-        variant=variant,
-    )
-
-
 def _in_threads(work, n: int, threads: int) -> None:
     """work(i, lo, hi) over `threads` contiguous ranges of range(n), one thread each."""
     bounds = np.linspace(0, n, max(threads, 1) + 1, dtype=int)
@@ -474,20 +460,13 @@ def _in_threads(work, n: int, threads: int) -> None:
         list(pool.map(lambda i: work(i, bounds[i], bounds[i + 1]), range(threads)))
 
 
-def _run_field(run_chunk, grid: SliceGrid, threads: int = 1):
+def _field(supplier, fam: HenonFamily, grid: SliceGrid, flt: FiltrationRadius, tol: float, n_max: int,
+           inverse: bool, threads: int, variant: str) -> GreenField:
+    """The certified Green raster of a slice grid along one lam-supply."""
     x, y = grid.points()
-    xf, yf = x.ravel(), y.ravel()
-    if threads <= 1:
-        return run_chunk(xf, yf)
-    parts_v = np.empty(len(xf))
-    parts_s = np.empty(len(xf), dtype=np.uint8)
-    parts_n = np.empty(len(xf), dtype=np.int32)
-
-    def work(i, lo, hi):
-        parts_v[lo:hi], parts_s[lo:hi], parts_n[lo:hi] = run_chunk(xf[lo:hi], yf[lo:hi])
-
-    _in_threads(work, len(xf), threads)
-    return parts_v, parts_s, parts_n
+    v, s, n, _ = _run_green(supplier, fam, x.ravel(), y.ravel(), flt, tol, n_max, inverse, threads)
+    shape = (grid.ny, grid.nx)
+    return GreenField(grid.with_data(v.reshape(shape)), s.reshape(shape), n.reshape(shape), tol, n_max, variant)
 
 
 def green_field(
@@ -503,13 +482,8 @@ def green_field(
 ) -> GreenField:
     """Rasterize a fibered Green function over a slice grid."""
     flt = resolve_radius(fam, flt, base.space)
-
-    def chunk(xs, ys):
-        sup = SigmaSupplier(base.sigma, lam)
-        return _run_green(sup, fam, xs, ys, flt, tol, n_max, inverse)[:3]
-
-    v, s, n = _run_field(chunk, grid, threads)
-    return _field_from_flat(grid, v, s, n, tol, n_max, "minus" if inverse else "plus")
+    sup = SigmaSupplier(base.sigma, lam)
+    return _field(sup, fam, grid, flt, tol, n_max, inverse, threads, "minus" if inverse else "plus")
 
 
 def green_field_seq(
@@ -524,13 +498,7 @@ def green_field_seq(
 ) -> GreenField:
     """Rasterize the random Green function along one sequence."""
     flt = resolve_radius(fam, flt, space, seq)
-    sup = SeqSupplier(seq, n_max)
-
-    def chunk(xs, ys):
-        return _run_green(sup, fam, xs, ys, flt, tol, n_max, inverse=False)[:3]
-
-    v, s, n = _run_field(chunk, grid, threads)
-    return _field_from_flat(grid, v, s, n, tol, n_max, "random")
+    return _field(SeqSupplier(seq, n_max), fam, grid, flt, tol, n_max, False, threads, "random")
 
 
 # Points per orbit in mc_green: sequences are stepped a chunk
@@ -561,6 +529,14 @@ def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
         yield (r[:, None] * n_pts + np.arange(lo, hi)).ravel(), len(r)
 
 
+def mc_mean_stderr(acc: np.ndarray, acc2: np.ndarray, n_mc: int):
+    """(mean, standard error of the mean) of n_mc >= 2 samples from their sum
+    acc and their sum of squares acc2."""
+    mean = acc / n_mc
+    var = np.maximum(acc2 / n_mc - mean ** 2, 0.0)
+    return mean, np.sqrt(var / (n_mc - 1))
+
+
 @dataclass
 class MCGreen:
     values: np.ndarray  # (n_mc, n_pts) certified value along each sequence
@@ -574,16 +550,16 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
     """Certified forward Green values of the points (x, y) along n_mc spawned sequences.
 
     Each point along each sequence gets exactly the value, status and
-    depth that _run_green gives it along that sequence alone. Chunks of
-    sequences are stepped to n_cut = min(n_max, depth_for(tol)), where the
-    uniform rule certifies every wedge point and drops every trapped one;
-    the bounded cores left, outside the trapping bidisc, are pooled into one
-    orbit, in pieces of at most MC_CHUNK points, for the steps after n_cut.
-    Threads split the points, never a point's sequences.
+    depth that _run_green gives it along that sequence alone (both record
+    through _certify). Chunks of sequences are stepped to n_cut =
+    min(n_max, depth_for(tol)), where the uniform rule certifies every
+    wedge point and drops every trapped one; the bounded cores left are
+    pooled into orbits of at most MC_CHUNK points for the steps after
+    n_cut (none when n_cut == n_max). Threads split the points, never a
+    point's sequences.
     """
     n_pts = len(x)
     sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
-    d = float(fam.degree)
     n_cut = min(n_max, flt.depth_for(tol))
     out = MCGreen(np.empty((n_mc, n_pts)), np.zeros(n_pts, dtype=bool), np.zeros(n_pts, dtype=np.int32),
                    np.zeros(n_mc, dtype=np.int64))
@@ -594,41 +570,25 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
         if hi == lo:
             return
 
-        def undecided(ids):
-            out.undecided[ids % n_pts] = True
-            counts[t] += np.bincount(ids // n_pts, minlength=n_mc)
-
-        def record(ids, n, g, e):
+        def record(ids, n, g, e, status):
             flat[ids] = g
             p = ids % n_pts
             out.depth[p] = np.maximum(out.depth[p], n)
-            undecided(ids[~np.isfinite(g)])
-
-        def record_bounded(ids):
-            flat[ids] = 0.0
-            out.depth[ids % n_pts] = n_max
-
-        def run_pool(pool):
-            orbit = Orbit.concat([o for o, _ in pool])
-            ids = _certify(sup, fam, orbit, np.concatenate([i for _, i in pool]), flt, tol, n_cut, n_max, False,
-                           record, record_bounded)
-            if len(ids):
-                g, bounded = _final_values(orbit, flt, d, n_max, False)
-                flat[ids] = np.where(bounded, 0.0, g)
-                out.depth[ids % n_pts] = n_max
-                undecided(ids[~bounded])
+            ids = ids[np.broadcast_to(status == STATUS_UNDECIDED, ids.shape)]
+            out.undecided[ids % n_pts] = True
+            counts[t] += np.bincount(ids // n_pts, minlength=n_mc)
 
         pool = []
         for ids, rows in mc_chunks(n_mc, n_pts, lo, hi):
-            orbit = Orbit(fam, np.tile(x[lo:hi], rows), np.tile(y[lo:hi], rows), False)
-            ids = _certify(sup, fam, orbit, ids, flt, tol, 0, n_cut, False, record, record_bounded)
-            if pool and sum(len(i) for _, i in pool) + len(ids) > MC_CHUNK:
-                run_pool(pool)
+            orbit = Orbit(fam, np.tile(x[lo:hi], rows), np.tile(y[lo:hi], rows), False, ids)
+            _certify(sup, fam, orbit, flt, tol, 0, n_cut, n_max, record)
+            if pool and sum(map(len, pool)) + len(orbit) > MC_CHUNK:
+                _certify(sup, fam, Orbit.concat(pool), flt, tol, n_cut, n_max, n_max, record)
                 pool = []
-            if len(ids):
-                pool.append((orbit, ids))
+            if len(orbit):
+                pool.append(orbit)
         if pool:
-            run_pool(pool)
+            _certify(sup, fam, Orbit.concat(pool), flt, tol, n_cut, n_max, n_max, record)
 
     _in_threads(work, n_pts, threads)
     out.seq_undecided[:] = counts.sum(axis=0)
@@ -663,9 +623,7 @@ def avg_green_field(
         v = row.reshape(shape)
         acc += v
         acc2 += v ** 2
-    mean = acc / n_mc
-    var = np.maximum(acc2 / n_mc - mean ** 2, 0.0)
-    stderr = np.sqrt(var / (n_mc - 1))
+    mean, stderr = mc_mean_stderr(acc, acc2, n_mc)
     status = np.where(mc.undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8).reshape(shape)
     field = GreenField(grid.with_data(mean), status, mc.depth.reshape(shape), tol, n_max, "avg")
     return field, stderr

@@ -82,10 +82,6 @@ class SliceGrid:
         """(x, y) arrays of shape (ny, nx) on the slice."""
         return self.spec.to_points(self.centers())
 
-    @property
-    def cell_area(self) -> float:
-        return self.dx * self.dy
-
     def with_data(self, data: np.ndarray) -> "SliceGrid":
         if data.shape != (self.ny, self.nx):
             raise ValidationError(f"data shape {data.shape} != ({self.ny}, {self.nx})")

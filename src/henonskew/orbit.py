@@ -3,7 +3,7 @@ suppliers and the step-to-depth loop.
 
 A supplier gives each step's factor coefficients: supplier.coeffs(fam, k,
 idx) is the tuple of (coeffs, a) pairs, one per factor in the family's
-order, for step k at the points idx (None: every point). `coeffs` lists
+order, for step k at the points named idx (an orbit's ids, ascending). `coeffs` lists
 the monic coefficients [1, c_(d-1), ..., c_0] (a (d+1,) or (d+1, n) array,
 or a sequence of rows); each row and `a` is either shared by every point
 (a scalar) or given per point (an array of length n).
@@ -49,13 +49,18 @@ class Orbit:
     coordinate into the subordinate slot (x' = y forward, y' = x
     backward), so the step carries the old `dom` over as the new `sub`
     instead of taking another absolute value.
+
+    The orbit carries its direction (`inverse`) and its points' names for
+    the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`.
     """
 
-    __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "sub", "switch")
-    _STATE = ("x", "y", "logm", "L", "r", "u", "dom", "sub")
+    __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "sub", "ids", "switch", "inverse")
+    _STATE = ("x", "y", "logm", "L", "r", "u", "dom", "sub", "ids")
 
-    def __init__(self, fam: HenonFamily, x: np.ndarray, y: np.ndarray, inverse: bool):
+    def __init__(self, fam: HenonFamily, x: np.ndarray, y: np.ndarray, inverse: bool, ids=None):
         n = len(x)
+        self.inverse = inverse
+        self.ids = np.arange(n) if ids is None else ids
         self.x = np.array(x, dtype=complex)
         self.y = np.array(y, dtype=complex)
         self.logm = np.zeros(n, dtype=bool)
@@ -68,7 +73,7 @@ class Orbit:
         big = self.dom > self.switch
         if big.any():
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                self.to_log(big, inverse)
+                self.to_log(big)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -85,12 +90,17 @@ class Orbit:
         for name in cls._STATE:
             setattr(o, name, np.concatenate([getattr(p, name) for p in parts]))
         o.switch = parts[0].switch
+        o.inverse = parts[0].inverse
         return o
 
-    def to_log(self, mask: np.ndarray, inverse: bool) -> None:
+    def step(self, supplier, fam: HenonFamily, k: int) -> None:
+        """Step k: one map application at the supplier's base points for the orbit's points."""
+        step_coeffs(self, supplier.coeffs(fam, k, self.ids))
+
+    def to_log(self, mask: np.ndarray) -> None:
         """Move the masked explicit entries to log form."""
-        lead = self.x[mask] if inverse else self.y[mask]
-        sub = self.y[mask] if inverse else self.x[mask]
+        lead = self.x[mask] if self.inverse else self.y[mask]
+        sub = self.y[mask] if self.inverse else self.x[mask]
         self.L[mask] = np.log(self.dom[mask])
         self.r[mask] = sub / lead
         self.u[mask] = 1.0 / lead
@@ -126,9 +136,13 @@ class Orbit:
         out = self.log_norm(idx)
         return np.maximum(out, 0.0, out=out)
 
-    def in_wedge(self, R: float, inverse: bool) -> np.ndarray:
+    def in_wedge(self, R: float) -> np.ndarray:
         """Closed invariant wedge: V_R^+ forward, V_R^- backward."""
         return self.logm | ((self.dom >= self.sub) & (self.dom > R))
+
+    def in_bidisc(self, r: float) -> np.ndarray:
+        """Explicit points with |x| <= r and |y| <= r (a non-finite state is outside)."""
+        return ~self.logm & (self.dom <= r) & (self.sub <= r)
 
     def wedge_ratios(self, idx: np.ndarray):
         """(1/|y|, |x/y|) at the indexed points of a forward orbit in V_R^+."""
@@ -156,8 +170,8 @@ def _tail_poly(coeffs, u):
     return acc
 
 
-def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
-    """Apply one (inverse) factor in place, switching reps as needed.
+def step_factor(o: Orbit, coeffs, a) -> None:
+    """Apply one factor (its inverse on an inverse orbit) in place, switching reps as needed.
 
     Each coefficient row and `a` is shared or per point on its own (see
     the module docstring).
@@ -168,16 +182,16 @@ def step_factor(o: Orbit, coeffs, a, inverse: bool) -> None:
     o.dom = None
     mixed = o.logm.any()
     if mixed:
-        _step_mixed(o, coeffs, a, inverse)
+        _step_mixed(o, coeffs, a)
     else:
         # all explicit: step the whole arrays, no mask gather or scatter
-        o.x, o.y = factor_step(coeffs, a, o.x, o.y, inverse, scratch=True)
-    o.dom = np.abs(o.x if inverse else o.y)
+        o.x, o.y = factor_step(coeffs, a, o.x, o.y, o.inverse, scratch=True)
+    o.dom = np.abs(o.x if o.inverse else o.y)
     big = o.dom > o.switch
     if mixed:
         big &= ~o.logm
     if big.any():
-        o.to_log(big, inverse)
+        o.to_log(big)
 
 
 def _masked(v, mask):
@@ -185,10 +199,11 @@ def _masked(v, mask):
     return v[mask] if np.ndim(v) else v
 
 
-def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
+def _step_mixed(o: Orbit, coeffs, a) -> None:
     """Factor step with some entries in log form: explicit and log entries
     are stepped separately through masks."""
     deg = len(coeffs) - 1
+    inverse = o.inverse
     logm0 = o.logm
     ex = ~logm0
     if ex.any():
@@ -223,15 +238,15 @@ def _step_mixed(o: Orbit, coeffs, a, inverse: bool) -> None:
         o.u[logm0] = upow
 
 
-def step_coeffs(o: Orbit, coeffs: tuple, inverse: bool) -> None:
-    """One full map application (or its inverse) from per-factor (poly_coeffs, a) pairs."""
-    for c, a in reversed(coeffs) if inverse else coeffs:
-        step_factor(o, c, a, inverse)
+def step_coeffs(o: Orbit, coeffs: tuple) -> None:
+    """One full map application (its inverse on an inverse orbit) from per-factor (poly_coeffs, a) pairs."""
+    for c, a in reversed(coeffs) if o.inverse else coeffs:
+        step_factor(o, c, a)
 
 
-def step_map(o: Orbit, fam: HenonFamily, lam, inverse: bool) -> None:
-    """One full map application H_lam (or its inverse) at base point(s) lam."""
-    step_coeffs(o, map_coeffs(fam, lam), inverse)
+def step_map(o: Orbit, fam: HenonFamily, lam) -> None:
+    """One full map application H_lam (its inverse on an inverse orbit) at base point(s) lam."""
+    step_coeffs(o, map_coeffs(fam, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +268,8 @@ class SigmaSupplier:
         self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
         self.back = back
 
-    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray | None = None) -> tuple:
-        lam = self.lam if idx is None or np.ndim(self.lam) == 0 else self.lam[idx]
+    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
+        lam = self.lam if np.ndim(self.lam) == 0 else self.lam[idx]
         return map_coeffs(fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
 
 
@@ -290,14 +305,12 @@ class TableSupplier:
             self._bound = bound  # one assignment, so concurrent first uses agree
         return bound[1]
 
-    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray | None = None) -> tuple:
+    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
         if k >= self.index.shape[1]:
             raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
         col = self.index[:, k]
         j, counts = col[0], None
-        if len(col) > 1 and idx is None:
-            j, counts = col, self.width
-        elif len(col) > 1:
+        if len(col) > 1 and len(idx):
             # idx ascends, so its points form one run per row from its first row to its last
             first, last = idx[0] // self.width, idx[-1] // self.width
             j = col[first]
@@ -333,13 +346,13 @@ def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, in
 
     One orbit of the points (x, y) is stepped incrementally and updated in
     place, so each yielded orbit is valid until the next one is requested.
-    `idx` names the points to the supplier (None: all of them).
+    `idx` names the points to the supplier (None: 0 .. n-1).
     """
-    orbit = Orbit(fam, x, y, inverse)
+    orbit = Orbit(fam, x, y, inverse, idx)
     n_done = 0
     for n in sorted(depths):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while n_done < n:
-                step_coeffs(orbit, supplier.coeffs(fam, n_done, idx), inverse)
+                orbit.step(supplier, fam, n_done)
                 n_done += 1
         yield n, orbit

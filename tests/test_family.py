@@ -69,7 +69,7 @@ def test_engine_step_equals_family_maps(n_factors, per_point, inverse):
     y = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
     lam = rng.uniform(-0.5, 0.5, n) + 0j if per_point else 0.25 + 0j
     orbit = Orbit(fam, x, y, inverse)
-    step_map(orbit, fam, lam, inverse)
+    step_map(orbit, fam, lam)
     ex, ey = (eval_inverse if inverse else eval_map)(fam, lam, (x, y))
     assert np.array_equal(orbit.x, ex) and np.array_equal(orbit.y, ey)
 

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import mp_orbit_green, mp_truncation, mp_wedge_green
-from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, advance
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, quadratic_family
 from henonskew.filtration import compute_radius
-from henonskew.green import EPS, STATUS_BOUNDED, STATUS_ESCAPED, _run_green, classify, green_field, green_minus, green_plus
+from henonskew.green import (
+    EPS,
+    STATUS_BOUNDED,
+    STATUS_ESCAPED,
+    _run_green,
+    classify,
+    green_field,
+    green_field_seq,
+    green_minus,
+    green_plus,
+)
 from henonskew.grids import SliceGrid, SliceSpec
 from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, iterate, map_coeffs, step_factor, switch_bound
 
@@ -118,7 +128,7 @@ def test_wedge_certificates_are_earlier_not_looser(fam_name, base_name):
     assert np.all(((err <= np.minimum(TOL, EPS * value)) | (depth >= N))[esc])
 
     (_, orbit), = iterate(fam, SigmaSupplier(base.sigma, lam), x, y, [N])
-    wedge = orbit.in_wedge(flt.R, False)
+    wedge = orbit.in_wedge(flt.R)
     assert np.all(depth[esc & wedge] <= N)
     assert np.all(wedge[esc & (depth <= N)])  # V_R^+ is forward invariant
     # the depth-N reference carries its own log-form rounding (3L is inexact
@@ -169,6 +179,17 @@ def test_field_threads_match_single_thread(fam_name):
     two = green_field(fam, base, lam, grid, TOL, 200, flt, threads=2)
     for attr in ("values", "status", "depth"):
         assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
+    seq = ParamSequence(base.space, 3)
+    one = green_field_seq(fam, seq, grid, TOL, 200, flt, threads=1)
+    two = green_field_seq(fam, seq, grid, TOL, 200, flt, threads=2)
+    for attr in ("values", "status", "depth"):
+        assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
+    x, y = (p.ravel() for p in grid.points())
+    sup = SigmaSupplier(base.sigma, lam)
+    one = _run_green(sup, fam, x, y, flt, TOL, 200, False, threads=1)
+    two = _run_green(sup, fam, x, y, flt, TOL, 200, False, threads=2)
+    for name, u, v in zip(("value", "status", "depth", "err"), one, two):
+        assert u.tobytes() == v.tobytes(), name
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
@@ -183,13 +204,13 @@ def test_mixed_and_explicit_orbits_step_points_alike(inverse):
     a = np.array([0.3, 0.25, 0.2 + 0.1j, 0.35])
     mixed = Orbit(fam, x, y, inverse)
     assert mixed.logm.tolist() == [False, True, False, False]
-    step_factor(mixed, coeffs, a, inverse)
+    step_factor(mixed, coeffs, a)
     ex = ~mixed.logm
     explicit = Orbit(fam, x[ex], y[ex], inverse)
-    step_factor(explicit, coeffs, a[ex], inverse)
+    step_factor(explicit, coeffs, a[ex])
     assert np.array_equal(mixed.x[ex], explicit.x) and np.array_equal(mixed.y[ex], explicit.y)
     alone = Orbit(fam, x[1:2], y[1:2], inverse)
-    step_factor(alone, coeffs, a[1:2], inverse)
+    step_factor(alone, coeffs, a[1:2])
     for name in ("L", "r", "u"):
         assert np.array_equal(getattr(mixed, name)[1:2], getattr(alone, name)), name
 
@@ -215,12 +236,12 @@ def test_radius_gate_is_necessary_for_the_own_tail_rule(fam_name):
     x = rho * rng.uniform(0.0, 1.0, n) ** 3 * np.exp(2j * np.pi * rng.uniform(size=n))
     orbit = Orbit(fam, x, y, False)
     assert orbit.logm.any() and not orbit.logm.all()
-    assert np.all(orbit.in_wedge(flt.R, False))
+    assert np.all(orbit.in_wedge(flt.R))
 
     e = flt.wedge_distortion(1.0 / rho) / (d - 1.0) + 0.5 * np.log1p(np.abs(x / y) ** 2)
     g = np.log(np.hypot(np.abs(x), np.abs(y)))
     passes = e <= 2.0 * EPS * g
-    gate = orbit.in_wedge(flt.rho_star, False)
+    gate = orbit.in_wedge(flt.rho_star)
     assert passes.any() and (~gate).any()
     assert np.all(gate[passes])
 
@@ -267,7 +288,7 @@ def test_carried_subordinate_modulus_is_exact(inverse):
 
     def step(o, lam_pts):
         for c, a in reversed(map_coeffs(fam, lam_pts)) if inverse else map_coeffs(fam, lam_pts):
-            step_factor(o, c, a, inverse)
+            step_factor(o, c, a)
             _assert_moduli(o, inverse)
 
     explicit = Orbit(fam, small[0], small[1], inverse)

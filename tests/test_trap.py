@@ -18,7 +18,7 @@ from henonskew.family import HenonFactor, HenonFamily, eval_inverse, eval_map, f
 from henonskew.filtration import compute_radius
 from henonskew.green import STATUS_BOUNDED, _run_green, classify, green_field, green_field_seq, mc_green
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import SeqSupplier, SigmaSupplier, iterate
+from henonskew.orbit import Orbit, SeqSupplier, SigmaSupplier, iterate
 
 TOL = 1e-6
 _K, _P = CoeffMap.constant, CoeffMap.parse
@@ -97,13 +97,13 @@ def _start_points(fam, lams, r, seed=1):
 def _record_steps(monkeypatch):
     """Patch the engine's map step to record the orbit length of each call."""
     lengths = []
-    step = green_mod.step_coeffs
+    step = Orbit.step
 
-    def recording(orbit, coeffs, inverse):
+    def recording(orbit, supplier, fam, k):
         lengths.append(len(orbit))
-        step(orbit, coeffs, inverse)
+        step(orbit, supplier, fam, k)
 
-    monkeypatch.setattr(green_mod, "step_coeffs", recording)
+    monkeypatch.setattr(Orbit, "step", recording)
     return lengths
 
 
