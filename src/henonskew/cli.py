@@ -65,6 +65,18 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
 
 
+def _entries(cfg: configparser.SectionProxy, key: str, n: int, default: str, parse=_parse_complex) -> list:
+    """The n comma-separated numbers of option `key`; ConfigError for any other count."""
+    text = cfg.get(key, fallback=default)
+    try:
+        vals = [parse(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{key} = {text!r} is not a list of numbers") from None
+    if len(vals) != n:
+        raise ConfigError(f"{key} needs {n} numbers, got {len(vals)}")
+    return vals
+
+
 def parse_family(cfg: configparser.SectionProxy) -> HenonFamily:
     factors = []
     for j in range(1, 100):
@@ -137,9 +149,7 @@ def parse_slice(cfg: configparser.SectionProxy, resolution: int) -> SliceGrid:
         spec = SliceSpec(axis.strip(), _parse_complex(val))
     else:
         raise ConfigError(f"unsupported slice spec {text!r} (use x=<c> or y=<c>)")
-    win = [float(v) for v in cfg.get("window", fallback="-3,3,-3,3").split(",")]
-    if len(win) != 4:
-        raise ConfigError("window needs 4 numbers: re0,re1,im0,im1")
+    win = _entries(cfg, "window", 4, "-3,3,-3,3", float)
     return SliceGrid.from_window(spec, tuple(win), resolution)
 
 
@@ -291,14 +301,9 @@ def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: in
                     f"l,L,r,R\n{consts.l_emp:.9g},{consts.L_emp:.9g},{consts.r:.9g},{consts.R:.9g}\n", files)
         return
     resolution = exp.getint("resolution", fallback=256)
-    win = [float(v) for v in exp.get("window", fallback="-2,2,-2,2").split(",")]
-    base_pt = [_parse_complex(v) for v in exp.get("plane_base", fallback=",".join(["0"] * (lift.k + 1))).split(",")]
-    dir_pt = exp.get("plane_dir", fallback=None)
-    if dir_pt is None:
-        direction = np.zeros(lift.k + 1, dtype=complex)
-        direction[0] = 1.0
-    else:
-        direction = np.array([_parse_complex(v) for v in dir_pt.split(",")])
+    win = _entries(exp, "window", 4, "-2,2,-2,2", float)
+    base_pt = _entries(exp, "plane_base", lift.k + 1, ",".join(["0"] * (lift.k + 1)))
+    direction = np.array(_entries(exp, "plane_dir", lift.k + 1, ",".join(["1"] + ["0"] * lift.k)))
     re = np.linspace(win[0], win[1], resolution)
     im = np.linspace(win[2], win[3], resolution)
     w = re[None, :] + 1j * im[:, None]

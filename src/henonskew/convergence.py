@@ -18,7 +18,7 @@ from .base import CONTRACTION, IDENTITY, BaseSystem
 from .errors import UnsupportedBase, ValidationError
 from .family import HenonFamily
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_UNDECIDED, avg_green_field, green_field, green_field_seq, mc_chunks, mc_mean_stderr, mc_supplier
+from .green import STATUS_UNDECIDED, MCMoments, avg_green_field, green_field, green_field_seq, mc_chunks, mc_supplier
 from .currents import laplacian_density
 from .grids import SliceGrid
 from .orbit import Orbit, SeqSupplier, SigmaSupplier, iterate
@@ -174,7 +174,8 @@ def theta_average_pullback(
 
     Returns (report, noise_floor): e_n should fall to the Monte-Carlo
     floor estimated from both averaging errors. The pullbacks along the
-    n_mc sequences are stepped a chunk of sequences at a time.
+    n_mc sequences are stepped a chunk of sequences at a time and reduced
+    per depth by MCMoments, one sequence at a time in sequence order.
     """
     flt = resolve_radius(fam, flt, space)
     ref, ref_stderr = avg_green_field(fam, space, grid, tol, n_mc, seed + 1, flt=flt, threads=threads)
@@ -184,21 +185,18 @@ def theta_average_pullback(
     x, y = grid.points()
     n_pts = x.size
     sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
-    acc = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
-    acc2 = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
+    moments = {n: MCMoments() for n in range(1, n_max + 1)}
     for ids, rows in mc_chunks(n_mc, n_pts):
         stack = _pullback_stack(fam, sup, np.tile(x.ravel(), rows), np.tile(y.ravel(), rows), (u,),
                                 range(1, n_max + 1), ids)
         for n, (vals,) in stack.items():
             for v in vals.reshape(rows, grid.ny, grid.nx):
-                acc[n] += v
-                acc2[n] += v ** 2
+                moments[n].add(v)
     errors = []
     floors = []
-    for n in range(1, n_max + 1):
-        mean, se = mc_mean_stderr(acc[n], acc2[n], n_mc)
-        errors.append(float(np.abs(mean - ref.values)[mask].max()))
-        floors.append(float((se + ref_stderr)[mask].max()))
+    for m in moments.values():
+        errors.append(float(np.abs(m.mean() - ref.values)[mask].max()))
+        floors.append(float((m.stderr() + ref_stderr)[mask].max()))
     report = ConvergenceReport(list(range(1, n_max + 1)), errors, fam.degree, masked_fraction)
     return report, floors
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UndecidedCells, ValidationError
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_ESCAPED, GreenField, mc_green
+from .green import STATUS_ESCAPED, GreenField, MCMoments, mc_green
 from .grids import SliceGrid
 
 
@@ -161,7 +161,9 @@ def avg_current_slice(
 
     Laplacian of the Monte-Carlo mean potential versus the mean of the
     per-sequence Laplacians: identical up to roundoff by linearity, both
-    reported so the commutation is exercised end to end.
+    reported so the commutation is exercised end to end. The mean
+    potential, the mean density and the standard error of the slice mass
+    come from MCMoments.
     """
     flt = resolve_radius(fam, flt, space)
     x, y = grid.points()
@@ -169,22 +171,17 @@ def avg_current_slice(
     bad = np.flatnonzero(mc.seq_undecided)
     if bad.size:
         raise UndecidedCells(f"sequence {bad[0]}: {mc.seq_undecided[bad[0]]} undecided pixels")
-    mean_vals = np.zeros((grid.ny, grid.nx))
-    mean_den = None
-    masses = np.empty(n_mc)
-    for i, row in enumerate(mc.values):
+    pot, den, mass = MCMoments(), MCMoments(), MCMoments()
+    for row in mc.values:
         vals = row.reshape(grid.ny, grid.nx)
-        mean_vals += vals
-        den = laplacian_density(vals, grid.dx, grid.dy)
-        masses[i] = den.sum()
-        mean_den = den if mean_den is None else mean_den + den
-    mean_vals /= n_mc
-    mean_den /= n_mc
-    mom_density = laplacian_density(mean_vals, grid.dx, grid.dy)
-    mom = SliceMeasure(grid.with_data(mean_vals), mom_density, float(mom_density.sum()))
+        density = laplacian_density(vals, grid.dx, grid.dy)
+        pot.add(vals)
+        den.add(density)
+        mass.add(density.sum())
+    mom = slice_measure(grid.with_data(pot.mean()), normalized)
+    mean_den = den.mean()
     msr = SliceMeasure(grid, mean_den, float(mean_den.sum()))
     if normalized:
-        mom, msr = mom.normalize(), msr.normalize()
+        msr = msr.normalize()
     l1 = float(np.abs(mom.density - msr.density).sum())
-    stderr = float(masses.std(ddof=1) / np.sqrt(n_mc))
-    return AvgSliceResult(mom, msr, l1, stderr)
+    return AvgSliceResult(mom, msr, l1, float(mass.stderr()))

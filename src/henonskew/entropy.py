@@ -357,6 +357,9 @@ def entropy_lower_bound(
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
+    n_range = list(n_range)
+    if not n_range or min(n_range) < 1:
+        raise ValidationError(f"entropy depths must be a non-empty range of n >= 1, got {n_range}")
     if base.sigma.kind == SHIFT:
         raise UnsupportedBase("entropy packing needs a pointwise base dynamics")
     flt = resolve_radius(fam, flt, base.space)

@@ -52,7 +52,10 @@ Every value above comes from one certifying loop, _certify, which hands
 each point to one record callback as it leaves the orbit: certified in the
 wedge, trapped, or left at n_max. The point evaluations and rasters
 (_run_green) and the Monte-Carlo averages (mc_green) differ only in their
-callbacks.
+callbacks. The averages then reduce mc_green's per-sequence values through
+one accumulator, MCMoments: means are sums in sequence order, and standard
+errors come from the shifted-data variance, so a point average and the
+raster's pixel at that point agree bit for bit.
 
 Variants differ only in the map direction and in how base points are
 drawn per step:
@@ -353,12 +356,12 @@ def avg_green(
     n_max: int = 200,
     flt: FiltrationRadius | None = None,
 ) -> tuple[float, float]:
-    """Monte-Carlo average Green function EG^+ with its standard error."""
+    """Monte-Carlo average Green function EG^+ with its standard error (MCMoments)."""
     flt = resolve_radius(fam, flt, space)
     mc = mc_green(fam, space, seed, n_mc, np.array([z[0]], dtype=complex), np.array([z[1]], dtype=complex),
                    flt, tol, n_max)
-    vals = mc.values[:, 0]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_mc))
+    m = MCMoments.of(mc.values)
+    return float(m.mean()[0]), float(m.stderr()[0])
 
 
 def pluri_green(
@@ -529,12 +532,49 @@ def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
         yield (r[:, None] * n_pts + np.arange(lo, hi)).ravel(), len(r)
 
 
-def mc_mean_stderr(acc: np.ndarray, acc2: np.ndarray, n_mc: int):
-    """(mean, standard error of the mean) of n_mc >= 2 samples from their sum
-    acc and their sum of squares acc2."""
-    mean = acc / n_mc
-    var = np.maximum(acc2 / n_mc - mean ** 2, 0.0)
-    return mean, np.sqrt(var / (n_mc - 1))
+class MCMoments:
+    """Streaming mean and standard error of the mean over Monte-Carlo sequences.
+
+    add(v) takes one sequence's samples (arrays of one shape) at a time, in
+    sequence order; the mean is their sum in that order over n. The
+    variance is (S2 - S1^2/n)/(n - 1), S1 and S2 the sums of the offsets
+    from the first sequence's samples and of their squares (shifted data;
+    Chan, Golub & LeVeque, Amer. Statist. 1983). Offsets between samples
+    within a factor 2 are exact, so samples that agree to many digits keep
+    the variance that a plain sum of squares loses to cancellation.
+    """
+
+    def __init__(self):
+        self.n = 0
+
+    def add(self, v: np.ndarray) -> None:
+        if self.n == 0:
+            self.total = np.zeros(np.shape(v))
+            self.first = np.array(v, dtype=float)
+            self.s1 = np.zeros_like(self.total)
+            self.s2 = np.zeros_like(self.total)
+        self.total += v
+        dv = v - self.first
+        self.s1 += dv
+        dv *= dv
+        self.s2 += dv
+        self.n += 1
+
+    @classmethod
+    def of(cls, rows) -> "MCMoments":
+        """The moments of the sequences' samples rows[0], rows[1], ..."""
+        m = cls()
+        for v in rows:
+            m.add(v)
+        return m
+
+    def mean(self) -> np.ndarray:
+        return self.total / self.n
+
+    def stderr(self) -> np.ndarray:
+        """Standard error of the mean, n >= 2."""
+        var = np.maximum(self.s2 - self.s1 ** 2 / self.n, 0.0) / (self.n - 1)
+        return np.sqrt(var / self.n)
 
 
 @dataclass
@@ -556,7 +596,8 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
     wedge point and drops every trapped one; the bounded cores left are
     pooled into orbits of at most MC_CHUNK points for the steps after
     n_cut (none when n_cut == n_max). Threads split the points, never a
-    point's sequences.
+    point's sequences. The values are kept in sequence order, which is the
+    order MCMoments takes them in.
     """
     n_pts = len(x)
     sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
@@ -608,25 +649,20 @@ def avg_green_field(
 ):
     """Monte-Carlo EG^+ raster over n_mc >= 2 spawned sequences.
 
-    Returns (mean field, per-pixel standard error). The per-sequence
-    values are not retained. A pixel's status is undecided if it is
-    undecided along some sequence, else converged; its depth is the
-    largest over the sequences.
+    Returns (mean field, per-pixel standard error of the mean), both from
+    MCMoments over the sequences in order; a pixel's entries equal
+    avg_green at its point bit for bit. The per-sequence values are not
+    retained. A pixel's status is undecided if it is undecided along some
+    sequence, else converged; its depth is the largest over the sequences.
     """
     flt = resolve_radius(fam, flt, space)
     x, y = grid.points()
     mc = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
     shape = (grid.ny, grid.nx)
-    acc = np.zeros(shape)
-    acc2 = np.zeros_like(acc)
-    for row in mc.values:
-        v = row.reshape(shape)
-        acc += v
-        acc2 += v ** 2
-    mean, stderr = mc_mean_stderr(acc, acc2, n_mc)
+    m = MCMoments.of(mc.values.reshape(n_mc, *shape))
     status = np.where(mc.undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8).reshape(shape)
-    field = GreenField(grid.with_data(mean), status, mc.depth.reshape(shape), tol, n_max, "avg")
-    return field, stderr
+    field = GreenField(grid.with_data(m.mean()), status, mc.depth.reshape(shape), tol, n_max, "avg")
+    return field, m.stderr()
 
 
 def depth_values(

@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -140,40 +138,35 @@ def quad_factor_data(a=0.3, c=0.0):
 def avg_green_field_loop(fam, space, grid, tol, n_mc, seed, n_max, flt):
     """(mean, stderr, status, depth) of EG^+ from one green_field_seq raster per sequence."""
     from henonskew.base import ParamSequence
-    from henonskew.green import STATUS_CONVERGED, STATUS_UNDECIDED, green_field_seq
+    from henonskew.green import STATUS_CONVERGED, STATUS_UNDECIDED, MCMoments, green_field_seq
 
     root = ParamSequence(space, seed)
-    acc = np.zeros((grid.ny, grid.nx))
-    acc2 = np.zeros_like(acc)
+    moments = MCMoments()
     any_undecided = np.zeros((grid.ny, grid.nx), dtype=bool)
     depth = np.zeros((grid.ny, grid.nx), dtype=np.int32)
     for i in range(n_mc):
         f = green_field_seq(fam, root.spawn(i), grid, tol, n_max, flt)
-        acc += f.values
-        acc2 += f.values ** 2
+        moments.add(f.values)
         any_undecided |= f.status == STATUS_UNDECIDED
         depth = np.maximum(depth, f.depth)
-    mean = acc / n_mc
-    var = np.maximum(acc2 / n_mc - mean ** 2, 0.0)
-    stderr = np.sqrt(var / (n_mc - 1))
     status = np.where(any_undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8)
-    return mean, stderr, status, depth
+    return moments.mean(), moments.stderr(), status, depth
 
 
 def avg_green_loop(fam, space, z, tol, n_mc, seed, n_max, flt):
     """(mean, standard error) of EG^+(z) from one green_random call per sequence."""
     from henonskew.base import ParamSequence
-    from henonskew.green import green_random
+    from henonskew.green import MCMoments, green_random
 
     root = ParamSequence(space, seed)
-    vals = np.array([green_random(fam, root.spawn(i), z, tol, n_max, flt).value for i in range(n_mc)])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_mc))
+    moments = MCMoments.of(green_random(fam, root.spawn(i), z, tol, n_max, flt).value for i in range(n_mc))
+    return float(moments.mean()), float(moments.stderr())
 
 
 def theta_loop(fam, space, u, grid, n_max, n_mc, seed, tol, flt):
     """(errors, floors) of theta_average_pullback from one pullback orbit per sequence."""
     from henonskew.base import ParamSequence
-    from henonskew.green import STATUS_UNDECIDED
+    from henonskew.green import STATUS_UNDECIDED, MCMoments
     from henonskew.orbit import SeqSupplier, iterate
 
     ref, ref_stderr, status, _ = avg_green_field_loop(fam, space, grid, tol, n_mc, seed + 1, 200, flt)
@@ -181,41 +174,35 @@ def theta_loop(fam, space, u, grid, n_max, n_mc, seed, tol, flt):
     root = ParamSequence(space, seed)
     x, y = grid.points()
     d = float(fam.degree)
-    acc = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
-    acc2 = {n: np.zeros((grid.ny, grid.nx)) for n in range(1, n_max + 1)}
+    moments = {n: MCMoments() for n in range(1, n_max + 1)}
     for i in range(n_mc):
         sup = SeqSupplier(root.spawn(i), n_max)
         for n, orbit in iterate(fam, sup, x.ravel(), y.ravel(), range(1, n_max + 1)):
-            v = (d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
-            acc[n] += v
-            acc2[n] += v ** 2
+            moments[n].add((d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx))
     errors, floors = [], []
-    for n in range(1, n_max + 1):
-        mean = acc[n] / n_mc
-        se = np.sqrt(np.maximum(acc2[n] / n_mc - mean ** 2, 0.0) / (n_mc - 1))
-        errors.append(float(np.abs(mean - ref)[mask].max()))
-        floors.append(float((se + ref_stderr)[mask].max()))
+    for m in moments.values():
+        errors.append(float(np.abs(m.mean() - ref)[mask].max()))
+        floors.append(float((m.stderr() + ref_stderr)[mask].max()))
     return errors, floors
 
 
 def avg_current_slice_loop(fam, space, grid, n_mc, seed, tol, n_max, flt):
-    """(mean-of-measures density, masses) of avg_current_slice from one raster per sequence."""
+    """(mean potential, mean-of-measures density, mass standard error) of
+    avg_current_slice from one raster per sequence."""
     from henonskew.base import ParamSequence
     from henonskew.currents import laplacian_density
-    from henonskew.green import green_field_seq
+    from henonskew.green import MCMoments, green_field_seq
 
     root = ParamSequence(space, seed)
-    mean_vals = np.zeros((grid.ny, grid.nx))
-    mean_den = None
-    masses = np.empty(n_mc)
+    pot, den, mass = MCMoments(), MCMoments(), MCMoments()
     for i in range(n_mc):
         f = green_field_seq(fam, root.spawn(i), grid, tol, n_max, flt)
         assert not f.undecided
-        mean_vals += f.values
-        den = laplacian_density(f.values, grid.dx, grid.dy)
-        masses[i] = den.sum()
-        mean_den = den if mean_den is None else mean_den + den
-    return mean_vals / n_mc, mean_den / n_mc, masses
+        density = laplacian_density(f.values, grid.dx, grid.dy)
+        pot.add(f.values)
+        den.add(density)
+        mass.add(density.sum())
+    return pot.mean(), den.mean(), float(mass.stderr())
 
 
 def draw_candidates_full_depth(fam, base, window, n_candidates, seed, green_threshold=0.05, tol=1e-3, n_max=100,

@@ -2,6 +2,7 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from henonskew.cli import main
 from henonskew.gridio import read_pgm16, read_raw_grid, write_pgm16, write_raw_grid
@@ -167,3 +168,30 @@ def test_monte_carlo_kinds_reject_fewer_than_two_sequences(tmp_path):
     for kind, n_mc in (("avg-green", 1), ("avg-green", 0), ("theta", 1)):
         cfg = _write(tmp_path, TWO_LETTER + f"n_mc = {n_mc}\nn_max = 4\n", f"{kind}{n_mc}.cfg")
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / f"{kind}{n_mc}")]) == 2
+
+
+def test_entropy_rejects_depths_below_one(tmp_path):
+    ident = TWO_LETTER.replace("sigma = shift", "sigma = identity") + "\neps = 0.1\nn_lo = 0\nn_hi = 3\ncandidates = 200\n"
+    assert main(["entropy", "--config", str(_write(tmp_path, ident)), "--out", str(tmp_path / "ent")]) == 2
+
+
+def _basin_cfg(**plane):
+    opts = {"window": "-2,2,-2,2", "plane_base": "0,0.3,0.2", "plane_dir": "1,0,0", **plane}
+    return LIFT + "\nresolution = 8\n" + "".join(f"{k} = {v}\n" for k, v in opts.items())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window", "-2,2,-2"), ("window", "-2,2,-2,2,0"), ("window", "-2,2,x,2"),
+    ("plane_base", "0,0.3"), ("plane_base", "0.3"), ("plane_base", "0,0.3,0.2,0"),
+    ("plane_dir", "1,0"), ("plane_dir", "1,0,0,0"), ("plane_dir", "1,0,?"),
+])
+def test_basin_raster_rejects_malformed_plane(key, value, tmp_path):
+    # P^2 (k = 2): 4 window numbers, 3 entries for the plane's base point and direction
+    cfg = _write(tmp_path, _basin_cfg(**{key: value}))
+    assert main(["basin-raster", "--config", str(cfg), "--out", str(tmp_path / "bs")]) == 2
+    assert not (tmp_path / "bs" / "basin.pgm").exists()
+
+
+def test_slice_window_needs_four_numbers(tmp_path):
+    cfg = _write(tmp_path, TWO_LETTER.replace("window = -3.3, 3.3, -3.3, 3.3", "window = -3.3, 3.3, -3.3"))
+    assert main(["avg-green", "--config", str(cfg), "--out", str(tmp_path / "avg")]) == 2

@@ -127,6 +127,14 @@ def test_rejects_bad_inputs(quad_fam, single_base):
         entropy_lower_bound(quad_fam, shift_base, eps=0.1, n_range=[2])
 
 
+@pytest.mark.parametrize("n_range", [range(0, 3), range(5, 2), [-1, 2], []], ids=["from-0", "empty-range", "negative", "empty"])
+def test_rejects_bad_depth_ranges(n_range, quad_fam, single_base, monkeypatch):
+    # rejected before any candidate is drawn
+    monkeypatch.setattr(entropy_mod, "draw_candidates", None)
+    with pytest.raises(ValidationError, match="n >= 1"):
+        entropy_lower_bound(quad_fam, single_base, eps=0.1, n_range=n_range, n_candidates=50)
+
+
 def test_empty_candidates(quad_fam, single_base, quad_flt):
     # a window far out in the escape region has no low-Green points
     win = (50.0, 60.0, 50.0, 60.0, 50.0, 60.0, 50.0, 60.0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import (
+    MCMoments,
     _run_green,
     avg_green,
     avg_green_field,
@@ -29,6 +31,7 @@ from henonskew.green import (
     green_minus_tilde,
     green_plus,
     green_random,
+    green_field_seq,
     green_values,
     holder_estimate,
     pluri_green,
@@ -418,6 +421,73 @@ def test_monte_carlo_needs_two_sequences(n_mc, box_fam, two_letter_base):
         avg_green_field(box_fam, two_letter_base.space, grid, TOL, n_mc=n_mc, flt=flt)
     with pytest.raises(ValidationError):
         avg_green(box_fam, two_letter_base.space, (0j, 1.7 + 0j), TOL, n_mc=n_mc, flt=flt)
+
+
+# the benchmark's family shape: c = 0.005 + u over a box base
+ORACLE_FAMILY = HenonFamily(
+    (HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("0.005 + u")), CoeffMap.constant(0.2)),)
+)
+ORACLE_WINDOWS = {
+    "julia": (-3.3, 3.3, -3.3, 3.3),
+    "re-y-100-200": (100.0, 200.0, -50.0, 50.0),
+    "re-y-1e4-2e4": (1e4, 2e4, -5e3, 5e3),
+    "re-y-1e6": (1e6, 1.1e6, -1e5, 1e5),
+}
+
+
+def _exact_mean_stderr(samples):
+    """Mean and standard error of the mean of float samples in exact rational arithmetic."""
+    f = [Fraction(float(v)) for v in samples]
+    n = len(f)
+    mean = sum(f) / n
+    return float(mean), math.sqrt(sum((v - mean) ** 2 for v in f) / (n - 1) / n)
+
+
+@pytest.mark.parametrize("window", ORACLE_WINDOWS)
+def test_avg_green_field_stderr_matches_exact_two_pass(window):
+    # far from K^+ the 24 samples agree to 11-15 digits; a one-pass
+    # sum-of-squares variance loses them all there (reads 0 or is off by 3 %)
+    space = BaseSpace("box", bounds=((-0.1, 0.1),))
+    flt = compute_radius(ORACLE_FAMILY, space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), ORACLE_WINDOWS[window], 16)
+    field, stderr = avg_green_field(ORACLE_FAMILY, space, grid, TOL, n_mc=24, seed=7, flt=flt)
+    root = ParamSequence(space, 7)
+    rows = np.array([green_field_seq(ORACLE_FAMILY, root.spawn(i), grid, TOL, 200, flt).values.ravel()
+                     for i in range(24)])
+    mean, se = np.array([_exact_mean_stderr(col) for col in rows.T]).T.reshape(2, grid.ny, grid.nx)
+    assert np.all(np.abs(field.values - mean) <= 1e-14 * mean)
+    assert np.array_equal(stderr == 0, se == 0)
+    nz = se > 0
+    assert np.all(np.abs(stderr - se)[nz] <= 1e-13 * se[nz])
+    if window != "julia":
+        assert nz.all() and se.max() < 1e-6
+
+
+def test_avg_green_equals_its_raster_pixel():
+    # one reduction: the point average and the raster agree bit for bit, here at |y| ~ 1e6
+    space = BaseSpace("box", bounds=((-0.1, 0.1),))
+    flt = compute_radius(ORACLE_FAMILY, space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), ORACLE_WINDOWS["re-y-1e6"], 16)
+    field, stderr = avg_green_field(ORACLE_FAMILY, space, grid, TOL, n_mc=24, seed=7, flt=flt)
+    _, y = grid.points()
+    for p in [(0, 0), (7, 9), (15, 15)]:
+        assert abs(y[p]) > 1e6
+        point = avg_green(ORACLE_FAMILY, space, (0j, complex(y[p])), TOL, n_mc=24, seed=7, flt=flt)
+        assert point == (field.values[p], stderr[p])
+
+
+def test_mc_moments_mean_is_the_sequence_order_sum():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(5.0, 1e-9, (24, 3, 4))
+    rows[:, 0, 0] = 2.5  # equal samples: no spread at all
+    m = MCMoments.of(rows)
+    total = np.zeros((3, 4))
+    for r in rows:
+        total += r
+    assert np.array_equal(m.mean(), total / 24)
+    assert m.stderr()[0, 0] == 0.0 and np.all(m.stderr().ravel()[1:] > 0)
+    scalar = MCMoments.of(float(v) for v in rows[:, 1, 2])
+    assert float(scalar.mean()) == m.mean()[1, 2] and float(scalar.stderr()) == m.stderr()[1, 2]
 
 
 def test_green_random_short_sequence_fails_only_past_its_end(box_fam, two_letter_base):
