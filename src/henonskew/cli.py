@@ -65,15 +65,47 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
 
 
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+_REQUIRED = object()
+
+
+def _get(cfg: configparser.SectionProxy, key: str, parse, fallback=_REQUIRED):
+    """Option `key` of section `cfg` read by `parse`, or `fallback` when it is absent.
+
+    A value that `parse` rejects with ValueError, or an absent option
+    without a fallback, is a ConfigError naming the section and option.
+    """
+    if key not in cfg:
+        if fallback is _REQUIRED:
+            raise ConfigError(f"[{cfg.name}] {key} is missing")
+        return fallback
+    text = cfg[key]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{cfg.name}] {key} = {text!r} is malformed ({exc})") from None
+
+
+def _numbers(cfg: configparser.SectionProxy, key: str, default: str, parse=_parse_complex) -> list:
+    """The comma-separated numbers of option `key` (`default` when absent), each read by `parse`."""
+
+    def numbers(text):
+        return [parse(v) for v in text.split(",")]
+
+    return _get(cfg, key, numbers, numbers(default))
+
+
 def _entries(cfg: configparser.SectionProxy, key: str, n: int, default: str, parse=_parse_complex) -> list:
     """The n comma-separated numbers of option `key`; ConfigError for any other count."""
-    text = cfg.get(key, fallback=default)
-    try:
-        vals = [parse(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{key} = {text!r} is not a list of numbers") from None
+    vals = _numbers(cfg, key, default, parse)
     if len(vals) != n:
-        raise ConfigError(f"{key} needs {n} numbers, got {len(vals)}")
+        raise ConfigError(f"[{cfg.name}] {key} needs {n} numbers, got {len(vals)}")
     return vals
 
 
@@ -83,7 +115,7 @@ def parse_family(cfg: configparser.SectionProxy) -> HenonFamily:
         key = f"factor{j}.degree"
         if key not in cfg:
             break
-        deg = cfg.getint(key)
+        deg = _get(cfg, key, int)
         coeff_text = cfg.get(f"factor{j}.coeffs", fallback="")
         parts = [p.strip() for p in coeff_text.split(",")] if coeff_text.strip() else []
         if len(parts) != deg:
@@ -101,7 +133,7 @@ def parse_family(cfg: configparser.SectionProxy) -> HenonFamily:
 def parse_base(cfg: configparser.SectionProxy) -> BaseSystem:
     kind = cfg.get("kind", fallback="finite")
     if kind == "box":
-        nums = [float(v) for v in cfg.get("bounds", fallback="0,0").split(",")]
+        nums = _numbers(cfg, "bounds", "0,0", float)
         if len(nums) not in (2, 4):
             raise ConfigError("box bounds need 2 or 4 numbers: lo1,hi1[,lo2,hi2]")
         bounds = tuple((nums[i], nums[i + 1]) for i in range(0, len(nums), 2))
@@ -109,30 +141,29 @@ def parse_base(cfg: configparser.SectionProxy) -> BaseSystem:
     elif kind == "circle":
         space = BaseSpace("circle")
     elif kind == "finite":
-        pts = tuple(_parse_complex(p) for p in cfg.get("points", fallback="0").split(","))
+        pts = tuple(_numbers(cfg, "points", "0"))
         space = BaseSpace("finite", points=pts)
     else:
         raise ConfigError(f"unknown base kind {kind!r}")
 
-    sig = cfg.get("sigma", fallback="identity")
+    return BaseSystem(space, _get(cfg, "sigma", _parse_sigma, BaseDynamics("identity")))
+
+
+def _parse_sigma(sig: str) -> BaseDynamics:
     if sig == "identity":
-        dyn = BaseDynamics("identity")
-    elif sig.startswith("contraction"):
-        c = _parse_complex(sig.split(":", 1)[1]) if ":" in sig else 0.5
-        dyn = BaseDynamics("contraction", c=c)
-    elif sig.startswith("rotation"):
-        alpha = float(sig.split(":", 1)[1]) if ":" in sig else 0.0
-        dyn = BaseDynamics("rotation", alpha=alpha)
-    elif sig == "shift":
-        dyn = BaseDynamics("shift")
-    else:
-        raise ConfigError(f"unknown sigma {sig!r}")
-    return BaseSystem(space, dyn)
+        return BaseDynamics("identity")
+    if sig.startswith("contraction"):
+        return BaseDynamics("contraction", c=_parse_complex(sig.split(":", 1)[1]) if ":" in sig else 0.5)
+    if sig.startswith("rotation"):
+        return BaseDynamics("rotation", alpha=float(sig.split(":", 1)[1]) if ":" in sig else 0.0)
+    if sig == "shift":
+        return BaseDynamics("shift")
+    raise ConfigError(f"unknown sigma {sig!r}")
 
 
 def parse_lift(cfg: configparser.SectionProxy) -> HomogeneousLift:
-    k = cfg.getint("k")
-    d = cfg.getint("d")
+    k = _get(cfg, "k", int)
+    d = _get(cfg, "d", int)
     comps = []
     for i in range(k + 1):
         text = cfg.get(f"component{i}", fallback=None)
@@ -142,13 +173,15 @@ def parse_lift(cfg: configparser.SectionProxy) -> HomogeneousLift:
     return HomogeneousLift.parse(k, d, comps)
 
 
-def parse_slice(cfg: configparser.SectionProxy, resolution: int) -> SliceGrid:
-    text = cfg.get("slice", fallback="x=0")
+def _parse_slice_spec(text: str) -> SliceSpec:
     if "=" in text and text.split("=", 1)[0].strip() in ("x", "y"):
         axis, val = text.split("=", 1)
-        spec = SliceSpec(axis.strip(), _parse_complex(val))
-    else:
-        raise ConfigError(f"unsupported slice spec {text!r} (use x=<c> or y=<c>)")
+        return SliceSpec(axis.strip(), _parse_complex(val))
+    raise ConfigError(f"unsupported slice spec {text!r} (use x=<c> or y=<c>)")
+
+
+def parse_slice(cfg: configparser.SectionProxy, resolution: int) -> SliceGrid:
+    spec = _get(cfg, "slice", _parse_slice_spec, SliceSpec("x", 0j))
     win = _entries(cfg, "window", 4, "-3,3,-3,3", float)
     return SliceGrid.from_window(spec, tuple(win), resolution)
 
@@ -186,11 +219,11 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
 
-    tol = exp.getfloat("tol", fallback=1e-6)
-    base_seed = config["base"].getint("seed", fallback=0) if "base" in config else 0
-    seed = exp.getint("seed", fallback=base_seed)
-    n_max = exp.getint("depth", fallback=200)
-    resolution = exp.getint("resolution", fallback=256)
+    tol = _get(exp, "tol", float, 1e-6)
+    base_seed = _get(config["base"], "seed", int, 0) if "base" in config else 0
+    seed = _get(exp, "seed", int, base_seed)
+    n_max = _get(exp, "depth", int, 200)
+    resolution = _get(exp, "resolution", int, 256)
 
     if kind in ("basin-raster", "constants"):
         _run_projective(config, kind, exp, outdir, files, seed)
@@ -199,7 +232,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
         base = parse_base(config["base"])
         validate_family(fam, base.space.grid(16))
         flt = compute_radius(fam, base.space)
-        lam = _parse_complex(exp.get("lam", fallback="0"))
+        lam = _get(exp, "lam", _parse_complex, 0j)
         is_shift = base.sigma.kind == "shift"
 
         def field_on(grid):
@@ -209,7 +242,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             return green_field(fam, base, lam, grid, tol, n_max, flt, threads=threads)
 
         if kind == "filtration":
-            rep = check_invariance(fam, base.space, flt.R, exp.getint("points", fallback=10000), seed)
+            rep = check_invariance(fam, base.space, flt.R, _get(exp, "points", int, 10000), seed)
             print(f"R = {flt.R:.6g}")
             _write_text(outdir, "invariance.csv", rep.as_csv(), files)
         elif kind == "green-raster":
@@ -225,17 +258,17 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
                         f"{resolution},{jr.measure.total_mass:.9g},{off:.9g}\n", files)
         elif kind == "avg-green":
             grid = parse_slice(exp, resolution)
-            n_mc = exp.getint("n_mc", fallback=64)
+            n_mc = _get(exp, "n_mc", int, 64)
             field, stderr = avg_green_field(fam, base.space, grid, tol, n_mc, seed, n_max, flt, threads=threads)
             _write_field(outdir, "avg_green", field.grid, files)
             _write_field(outdir, "avg_green_stderr", grid.with_data(stderr), files)
         elif kind == "slice-mass":
-            resolutions = [int(v) for v in exp.get("resolutions", fallback=str(resolution)).split(",")]
+            resolutions = _numbers(exp, "resolutions", str(resolution), int)
             rows = ["resolution,total_mass,off_band_fraction"]
             for res in resolutions:
                 grid = parse_slice(exp, res)
                 field = field_on(grid)
-                msr = slice_measure(field, normalized=exp.getboolean("normalize", fallback=False))
+                msr = slice_measure(field, normalized=_get(exp, "normalize", _boolean, False))
                 rows.append(f"{res},{msr.total_mass:.9g},{off_band_fraction(msr, field.status):.9g}")
                 den_grid = SliceGrid(
                     nx=grid.nx - 2,
@@ -254,14 +287,14 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
         elif kind in ("converge", "theta", "rigidity"):
             grid = parse_slice(exp, resolution)
             u = PotentialSpec(exp.get("potential", fallback="fubini-study"))
-            depth = exp.getint("n_max", fallback=12)
+            depth = _get(exp, "n_max", int, 12)
             if kind == "converge":
                 seq = ParamSequence(base.space, seed)
                 report = pullback_convergence(fam, seq, u, grid, depth, tol, flt, space=base.space, threads=threads)
                 _write_text(outdir, "converge.csv", report.as_csv(), files)
                 _write_text(outdir, "fit.json", report.fit_summary() + "\n", files)
             elif kind == "theta":
-                n_mc = exp.getint("n_mc", fallback=32)
+                n_mc = _get(exp, "n_mc", int, 32)
                 report, floors = theta_average_pullback(fam, base.space, u, grid, depth, n_mc, seed, tol, flt, threads=threads)
                 rows = ["n,e_n,noise_floor"]
                 rows += [f"{n},{e:.12g},{f:.12g}" for n, e, f in zip(report.depths, report.errors, floors)]
@@ -273,10 +306,10 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
                 print(f"rigidity sup-distance = {dist:.6g}")
                 _write_text(outdir, "rigidity.csv", f"n_max,distance\n{depth},{dist:.12g}\n", files)
         elif kind == "entropy":
-            eps = exp.getfloat("eps", fallback=0.05)
-            n_lo = exp.getint("n_lo", fallback=2)
-            n_hi = exp.getint("n_hi", fallback=10)
-            cands = exp.getint("candidates", fallback=20000)
+            eps = _get(exp, "eps", float, 0.05)
+            n_lo = _get(exp, "n_lo", int, 2)
+            n_hi = _get(exp, "n_hi", int, 10)
+            cands = _get(exp, "candidates", int, 20000)
             ests = entropy_lower_bound(fam, base, eps, range(n_lo, n_hi + 1), cands, seed, flt=flt)
             rows = ["n,eps,s_n,rate"]
             rows += [f"{e.n},{e.eps},{e.s_n},{e.rate:.9g}" for e in ests]
@@ -292,15 +325,15 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
 def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: int) -> None:
     lift = parse_lift(config["lift"])
     base = parse_base(config["base"])
-    n_sphere = exp.getint("n_sphere", fallback=20000)
-    margin = exp.getfloat("margin", fallback=0.05)
+    n_sphere = _get(exp, "n_sphere", int, 20000)
+    margin = _get(exp, "margin", float, 0.05)
     consts = estimate_constants(lift, base.space, n_sphere, seed, margin)
     if kind == "constants":
         print(f"l = {consts.l_emp:.6g}, L = {consts.L_emp:.6g}, r = {consts.r:.6g}, R = {consts.R:.6g}")
         _write_text(outdir, "constants.csv",
                     f"l,L,r,R\n{consts.l_emp:.9g},{consts.L_emp:.9g},{consts.r:.9g},{consts.R:.9g}\n", files)
         return
-    resolution = exp.getint("resolution", fallback=256)
+    resolution = _get(exp, "resolution", int, 256)
     win = _entries(exp, "window", 4, "-2,2,-2,2", float)
     base_pt = _entries(exp, "plane_base", lift.k + 1, ",".join(["0"] * (lift.k + 1)))
     direction = np.array(_entries(exp, "plane_dir", lift.k + 1, ",".join(["1"] + ["0"] * lift.k)))
@@ -311,7 +344,8 @@ def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: in
     norms = np.linalg.norm(pts, axis=1)
     codes = np.zeros(len(pts), dtype=np.uint8)
     ok = norms > 1e-8
-    labels = basin_classify_batch(lift, base, _parse_complex(exp.get("lam", fallback="0")), pts[ok], exp.getint("depth", fallback=100), consts)
+    lam = _get(exp, "lam", _parse_complex, 0j)
+    labels = basin_classify_batch(lift, base, lam, pts[ok], _get(exp, "depth", int, 100), consts)
     lab_code = {"attracted-to-0": 0, "indeterminate": 1, "escapes-to-infinity": 2}
     codes[ok] = np.array([lab_code[v] for v in labels], dtype=np.uint8)
     _write_pgm(outdir, "basin", codes.reshape(resolution, resolution).astype(float), files, 0.0, 2.0)

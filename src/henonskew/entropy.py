@@ -14,13 +14,18 @@ n_dec, the smallest n >= depth_for(tol) with 2 (d^-n M + tol) < threshold
 bit-identical to that of runs to n_max.
 
 The packing is a block sweep over the shuffled candidates (`_greedy_pack`).
-Candidates are binned into step-0 cells at least eps wide; for each block
-of `BLOCK` candidates the pairs in adjacent cells are tested stage by stage
-against the Bowen increment in a few vectorised passes, first-fit resolves
-the block, and the block's kept candidates kill their conflicts further
-on. The count is exactly that of candidate-by-candidate first-fit. Pairs
-are expanded at most `PAIR_BUDGET` at a time, so memory stays bounded for
-any eps.
+The candidates' step-0 cells, at least eps wide, and a CSR list of the
+occupied cells adjacent to each occupied cell form one index per cloud
+and eps (`_cell_index`), built once and shared by every depth. At each
+depth the positions of the shuffled order are listed cell by cell, and a
+per-cell cursor marks where the current block starts in each cell, so
+the sweep finds each cell's entries without searching for them. For each
+block of `BLOCK` candidates the pairs in adjacent cells are tested stage
+by stage against the Bowen increment in a few vectorised passes,
+first-fit resolves the block, and the block's kept candidates kill their
+conflicts further on. The count is exactly that of candidate-by-candidate
+first-fit, for any grid at least eps wide. Pairs are expanded at most
+`PAIR_BUDGET` at a time, so memory stays bounded for any eps.
 """
 
 from __future__ import annotations
@@ -193,6 +198,8 @@ def draw_candidates(
     bidisc leaves none: forward, V_R maps into V_R u V_R^+, and backward
     into V_R u V_R^-.
     """
+    if n_candidates < 1:
+        raise ValidationError(f"n_candidates must be at least 1, got {n_candidates}")
     flt = resolve_radius(fam, flt, base.space)
     R = flt.R
     if window is None:
@@ -223,21 +230,110 @@ def draw_candidates(
     return lam, x, y
 
 
-def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray) -> int:
+@dataclass(frozen=True)
+class _CellIndex:
+    """Step-0 cells of a candidate cloud, shared by every depth it is packed at.
+
+    `cell_of[k]` is candidate k's cell. The occupied cells adjacent to cell
+    c, c itself included, are `near[near_start[c]:near_start[c + 1]]` (a
+    CSR list, int32 like `cell_of`).
+    """
+
+    cell_of: np.ndarray
+    near_start: np.ndarray
+    near: np.ndarray
+
+    def around(self, cell: np.ndarray):
+        """(row, c) for every occupied cell c adjacent to cell[row]; rows ascending."""
+        first = self.near_start[cell]
+        count = self.near_start[cell + 1] - first
+        row = np.repeat(np.arange(cell.size), count)
+        return row, self.near[np.arange(row.size) - np.repeat(np.cumsum(count) - count - first, count)]
+
+
+def _cell_codes(x0: np.ndarray, y0: np.ndarray, eps: float):
+    """One int64 cell code per step-0 point (x0, y0), and the code offsets of the 3^4 hood.
+
+    Cells are max(eps, extent / CELL_RANGE) wide in each real coordinate,
+    so the four integer cell keys fit one int64 code at any eps. Keys are
+    taken from the cloud's lower corner, a subtraction that rounds at the
+    scale of the extent rather than of eps, so the cells are widened by a
+    relative 2^-20: two points exactly eps apart can then never land two
+    cells apart. The per-point coordinate arrays are freed on return,
+    before `_cell_index` searches the neighbours.
+    """
+    coords = np.stack([x0.real, x0.imag, y0.real, y0.imag])
+    lo = coords.min(axis=1, keepdims=True)
+    width = max(eps, float((coords.max(axis=1) - lo[:, 0]).max()) / CELL_RANGE) * (1 + 2.0**-20)
+    coords -= lo
+    coords /= width
+    # keys in [1, CELL_RANGE], so a neighbour key stays in [0, radix - 1]
+    keys = np.floor(coords, out=coords).astype(np.int64)
+    keys += 1
+    radix = int(keys.max()) + 2
+    weights = radix ** np.arange(4, dtype=np.int64)
+    return weights @ keys, _NEIGHBOURS @ weights
+
+
+def _cell_index(x0: np.ndarray, y0: np.ndarray, eps: float) -> _CellIndex:
+    """The cells of the step-0 points (x0, y0), at least eps wide (`_cell_codes`).
+
+    Adjacent pairs of occupied cells are found by searching the sorted
+    codes `cells + h` for the 40 hood offsets h > 0, one offset at a time,
+    and each pair is listed from both of its ends. The offsets are searched
+    twice, once to count each cell's neighbours and once to place them, so
+    no temporary larger than a few per-cell arrays exists beside the list.
+    """
+    code, hood = _cell_codes(x0, y0, eps)
+    cells, cell_of = np.unique(code, return_inverse=True)
+    hood = hood[hood > 0]
+
+    def adjacent(h):
+        # (i, j) with cells[j] == cells[i] + h; both are distinct within one h
+        want = cells + h
+        j = np.searchsorted(cells, want)
+        i = np.flatnonzero(cells[np.minimum(j, cells.size - 1)] == want)
+        return i, j[i]
+
+    fill = np.ones(cells.size, dtype=np.int32)  # each cell is adjacent to itself
+    for i, j in map(adjacent, hood):
+        fill[i] += 1
+        fill[j] += 1
+    near_start = np.zeros(cells.size + 1, dtype=np.int32)
+    np.cumsum(fill, out=near_start[1:])
+    near = np.empty(int(near_start[-1]), dtype=np.int32)
+    fill = near_start[:-1].copy()
+    near[fill] = np.arange(cells.size)
+    fill += 1
+    for i, j in map(adjacent, hood):
+        near[fill[i]] = j
+        fill[i] += 1
+        near[fill[j]] = i
+        fill[j] += 1
+    return _CellIndex(cell_of.astype(np.int32), near_start, near)
+
+
+def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray, index: _CellIndex) -> int:
     """First-fit maximal (n, eps)-separated subset; returns its size.
 
     Candidates are taken in `order`; one is kept iff no earlier kept
-    candidate lies within d_n <= eps of it. The sweep resolves `BLOCK`
+    candidate lies within d_n <= eps of it. `index` holds the step-0 cells
+    of a superset of `order` (`_cell_index`, built once per cloud and eps
+    and shared by every depth). The positions of `order` are listed cell by
+    cell, in position order, and a per-cell cursor marks each cell's first
+    entry at or after the current block. The sweep resolves `BLOCK`
     positions of `order` at a time:
 
-    1. the block's candidates not yet killed are paired with the later
-       candidates of the block that sit in adjacent step-0 cells, and the
-       pairs are filtered by the Bowen increment one step at a time (step
-       0 first, where most pairs drop out);
+    1. the block's candidates not yet killed are paired with the block's
+       entries in adjacent cells (those before each cell's cursor once it
+       has passed the block), later and alive ones only, and the pairs are
+       filtered by the Bowen increment one step at a time (step 0 first,
+       where most pairs drop out);
     2. first-fit runs over the block, each kept candidate killing the
        block's later candidates it conflicts with;
-    3. the block's kept candidates are paired with the surviving
-       candidates after the block, and the conflicting ones are killed.
+    3. the block's kept candidates are paired with the alive entries from
+       the cursor to the end of each adjacent cell, and the conflicting
+       ones are killed.
 
     So every kill comes from a kept candidate, and in `order`: the count
     equals that of candidate-by-candidate first-fit. The conflict test is
@@ -245,50 +341,31 @@ def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray) -> int:
     to the bit since |a - b| = |b - a| in IEEE arithmetic), and at most
     `PAIR_BUDGET` pairs are expanded at once.
 
-    The prefilter is complete for any cell width w >= eps, because d_n is
-    at least the step-0 distance in each real coordinate; so the result
-    does not depend on w. Cells are max(eps, extent / CELL_RANGE) wide, so
-    the four integer cell keys fit one int64 code at any eps. Keys are
-    taken from the cloud's lower corner, a subtraction that rounds at the
-    scale of the extent rather than of eps, so the cells are widened by a
-    relative 2^-20: two candidates exactly eps apart can then never land
-    two cells apart.
+    The cells are complete for any width w >= eps, because d_n is at least
+    the step-0 distance in each real coordinate; so the result does not
+    depend on the width, nor on which superset of `order` built the index.
     """
     n, size = xs.shape[0], order.size
     if size == 0:
         return 0
-    coords = np.stack([xs[0].real[order], xs[0].imag[order], ys[0].real[order], ys[0].imag[order]])
-    lo = coords.min(axis=1, keepdims=True)
-    width = max(eps, float((coords.max(axis=1) - lo[:, 0]).max()) / CELL_RANGE) * (1 + 2.0**-20)
-    # keys in [1, CELL_RANGE], so a neighbour key stays in [0, radix - 1]
-    keys = np.floor((coords - lo) / width).astype(np.int64) + 1
-    radix = int(keys.max()) + 2
-    weights = radix ** np.arange(4, dtype=np.int64)
-    code = weights @ keys
-    hood = _NEIGHBOURS @ weights
-    cells, cell_of = np.unique(code, return_inverse=True)
-    # (cell, position) entries in one sorted int64 key: a cell's candidates
-    # are a contiguous run, in `order`, so a position range is two searches
-    entry = np.sort(cell_of.ravel() * size + np.arange(size))
-    entry_pos = entry % size
-    stale = 0  # entries no longer alive, dropped once they are half of `entry`
+    cell = index.cell_of[order]
     alive = np.ones(size, dtype=bool)
+    listed = alive.copy()  # the positions in `entry`
 
-    def near_cells(q):
-        # (row into q, cell id) for every occupied cell adjacent to q's
-        want = code[q][:, None] + hood
-        cid = np.minimum(np.searchsorted(cells, want), cells.size - 1)
-        row, col = np.nonzero(cells[cid] == want)
-        return row, cid[row, col]
+    def cell_runs(entry):
+        # each cell's first entry in `entry` (its cursor) and the end of its run
+        count = np.bincount(cell[entry], minlength=index.near_start.size - 1)
+        end = np.cumsum(count)
+        return end - count, end
 
-    def conflicts(q, row, cid, first, stop):
-        # pairs (q[row], p) with p alive in cell cid, first <= p < stop, and
-        # d_n(p, q[row]) <= eps; yielded in chunks, sorted by q position
-        base = cid * size
-        start = np.searchsorted(entry, base + first)
-        count = np.searchsorted(entry, base + stop) - start
+    entry = np.argsort(cell, kind="stable")
+    cursor, end = cell_runs(entry)
+
+    def conflicts(earlier, start, count):
+        # pairs (earlier[r], p) with p = entry[start[r] + k], 0 <= k < count[r],
+        # p > earlier[r] alive and d_n(p, earlier[r]) <= eps; in chunks, in row order
         busy = count > 0
-        earlier, start, count = q[row[busy]], start[busy], count[busy]
+        earlier, start, count = earlier[busy], start[busy], count[busy]
         if count.size == 0:
             return
         ends = np.cumsum(count)
@@ -296,8 +373,8 @@ def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray) -> int:
             t = np.arange(t0, min(t0 + PAIR_BUDGET, int(ends[-1])))
             r = np.searchsorted(ends, t, side="right")
             a = earlier[r]
-            b = entry_pos[start[r] + t - (ends[r] - count[r])]
-            live = alive[b]
+            b = entry[start[r] + t - (ends[r] - count[r])]
+            live = alive[b] & (b > a)
             a, b = a[live], b[live]
             for i in range(n):
                 if b.size == 0:
@@ -312,10 +389,13 @@ def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray) -> int:
     for s in range(0, size, BLOCK):
         e = min(s + BLOCK, size)
         q = s + np.flatnonzero(alive[s:e])
+        row, nc = index.around(cell[q])
+        first = cursor[nc]
+        np.add.at(cursor, cell[s:e][listed[s:e]], 1)
         if q.size == 0:
             continue
-        row, cid = near_cells(q)
-        found = list(conflicts(q, row, cid, q[row] + 1, e))
+        last = cursor[nc]
+        found = list(conflicts(q[row], first, last - first))
         if found:
             a = np.concatenate([f[0] for f in found])
             b = np.concatenate([f[1] for f in found])
@@ -327,14 +407,16 @@ def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray) -> int:
         kept_total += int(kept.sum())
         if e < size:
             take = kept[row]
-            for _, b in conflicts(q, row[take], cid[take], e, size):
+            for _, b in conflicts(q[row[take]], last[take], end[nc[take]] - last[take]):
                 alive[b] = False
-                stale += b.size
         alive[s:e] = False
-        stale += q.size
-        if 2 * stale > entry.size:
-            live = alive[entry_pos]
-            entry, entry_pos, stale = entry[live], entry_pos[live], 0
+        if 2 * np.count_nonzero(alive) < entry.size:
+            # drop the dead entries once they are half of them
+            listed = alive.copy()
+            entry = entry[alive[entry]]
+            if entry.size == 0:
+                break
+            cursor, end = cell_runs(entry)
     return kept_total
 
 
@@ -353,10 +435,13 @@ def entropy_lower_bound(
     """Greedy (n, eps)-separated estimates over the requested depths.
 
     `candidates` may carry a precomputed (lam, x, y) triple to reuse one
-    cloud across eps/n sweeps.
+    cloud across eps/n sweeps. One cell index of the cloud's step-0 points
+    (`_cell_index`) serves the packing at every depth.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
+    if n_candidates < 1:
+        raise ValidationError(f"n_candidates must be at least 1, got {n_candidates}")
     n_range = list(n_range)
     if not n_range or min(n_range) < 1:
         raise ValidationError(f"entropy depths must be a non-empty range of n >= 1, got {n_range}")
@@ -370,13 +455,14 @@ def entropy_lower_bound(
     xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, n_top, flt.R)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     circ = base.space.kind == CIRCLE
+    index = _cell_index(xs[0], ys[0], eps)
     out = []
     for n in sorted(n_range):
         keep = np.flatnonzero(ok_hist[n - 1])
         if keep.size == 0:
             raise EmptyCandidateSet(f"no candidate orbit stays in the bidisc for {n} steps")
         order = keep[rng.permutation(keep.size)]
-        s_n = _greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order)
+        s_n = _greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order, index)
         rate = math.log(s_n) / n if s_n > 1 else 0.0
         out.append(SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, rate=rate, survivors=keep.size))
     return out

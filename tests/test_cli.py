@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -195,3 +197,40 @@ def test_basin_raster_rejects_malformed_plane(key, value, tmp_path):
 def test_slice_window_needs_four_numbers(tmp_path):
     cfg = _write(tmp_path, TWO_LETTER.replace("window = -3.3, 3.3, -3.3, 3.3", "window = -3.3, 3.3, -3.3"))
     assert main(["avg-green", "--config", str(cfg), "--out", str(tmp_path / "avg")]) == 2
+
+
+@pytest.mark.parametrize("candidates", [-5, 0])
+def test_entropy_rejects_fewer_than_one_candidate(candidates, tmp_path):
+    ident = TWO_LETTER.replace("sigma = shift", "sigma = identity") + f"\neps = 0.1\nn_lo = 2\nn_hi = 3\ncandidates = {candidates}\n"
+    assert main(["entropy", "--config", str(_write(tmp_path, ident)), "--out", str(tmp_path / "ent")]) == 2
+    assert not (tmp_path / "ent" / "entropy.csv").exists()
+
+
+def _with_options(text, section, **opts):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    for key, value in opts.items():
+        cfg[section][key] = value
+    buf = io.StringIO()
+    cfg.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind, section, opts", [
+    ("avg-green", "experiment", {"resolution": "3x2"}),
+    ("avg-green", "experiment", {"n_mc": "4.5"}),
+    ("avg-green", "experiment", {"depth": "ten"}),
+    ("converge", "experiment", {"n_max": "6;"}),
+    ("entropy", "experiment", {"eps": "0.1.2"}),
+    ("entropy", "experiment", {"candidates": "2e3"}),
+    ("slice-mass", "experiment", {"resolutions": "16, 2x"}),
+    ("avg-green", "base", {"kind": "box", "bounds": "-0.1, zz"}),
+    ("avg-green", "base", {"points": "-0.1, zz"}),
+], ids=lambda v: "-".join(v.keys()) if isinstance(v, dict) else v)
+def test_malformed_numbers_are_config_errors(kind, section, opts, tmp_path, capsys):
+    # exit code 2, with the section and option named, instead of a ValueError traceback
+    text = TWO_LETTER if kind != "entropy" else TWO_LETTER.replace("sigma = shift", "sigma = identity")
+    cfg = _write(tmp_path, _with_options(text, section, **opts))
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    key, value = list(opts.items())[-1]
+    assert f"[{section}] {key} = {value!r}" in capsys.readouterr().err

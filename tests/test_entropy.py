@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from henonskew.entropy import (
     SeparatedSetEstimate,
     _base_dist,
     _decision_depth,
+    _cell_index,
     _greedy_pack,
     _orbit_track,
     dn_distance,
@@ -135,6 +137,14 @@ def test_rejects_bad_depth_ranges(n_range, quad_fam, single_base, monkeypatch):
         entropy_lower_bound(quad_fam, single_base, eps=0.1, n_range=n_range, n_candidates=50)
 
 
+@pytest.mark.parametrize("n_candidates", [-5, 0])
+def test_rejects_fewer_than_one_candidate(n_candidates, quad_fam, single_base, quad_flt):
+    with pytest.raises(ValidationError, match="n_candidates"):
+        draw_candidates(quad_fam, single_base, None, n_candidates, seed=1, flt=quad_flt)
+    with pytest.raises(ValidationError, match="n_candidates"):
+        entropy_lower_bound(quad_fam, single_base, eps=0.1, n_range=[2], n_candidates=n_candidates, seed=1, flt=quad_flt)
+
+
 def test_empty_candidates(quad_fam, single_base, quad_flt):
     # a window far out in the escape region has no low-Green points
     win = (50.0, 60.0, 50.0, 60.0, 50.0, 60.0, 50.0, 60.0)
@@ -226,12 +236,12 @@ def test_greedy_pack_lattice_ties_conflict(eps):
     xs, ys, ls = np.stack([x, x]), np.stack([y, y]), np.zeros((2, x.size), dtype=complex)
     rng = np.random.Generator(np.random.PCG64(4))
     for order in (np.arange(x.size), rng.permutation(x.size)):
-        s = _greedy_pack(xs, ys, ls, eps, False, order)
+        s = _greedy_pack(xs, ys, ls, eps, False, order, _cell_index(xs[0], ys[0], eps))
         assert s == _first_fit(xs, ys, ls, eps, False, order)
         assert s < x.size
     if eps == 0.25:
         # exact ties: first-fit in lattice order keeps one parity class
-        assert _greedy_pack(xs, ys, ls, eps, False, np.arange(x.size)) == (x.size + 1) // 2
+        assert _greedy_pack(xs, ys, ls, eps, False, np.arange(x.size), _cell_index(xs[0], ys[0], eps)) == (x.size + 1) // 2
 
 
 def test_greedy_pack_tie_across_rounded_cell_keys():
@@ -244,7 +254,98 @@ def test_greedy_pack_tie_across_rounded_cell_keys():
     ys = np.full((1, 3), lo * (1 + 1j))
     ls = np.zeros((1, 3), dtype=complex)
     order = np.array([1, 2, 0])
-    assert _greedy_pack(xs, ys, ls, eps, False, order) == _first_fit(xs, ys, ls, eps, False, order) == 2
+    assert _greedy_pack(xs, ys, ls, eps, False, order, _cell_index(xs[0], ys[0], eps)) == _first_fit(xs, ys, ls, eps, False, order) == 2
+
+
+_CLOUDS = ("uniform", "duplicates", "lattice", "circle")
+
+
+def _synthetic_cloud(rng, kind):
+    """(xs, ys, ls, circ, eps) for a 4-step synthetic cloud of 600 to 1300 points.
+
+    The packer sees only coordinates, so the steps are random rather than
+    orbits. "duplicates" has exact copies and copies 4e-8 away; "lattice"
+    is part of a 7^4 lattice of spacing eps, the same at every step, so
+    neighbours tie at d_n == eps; "circle" has base points on both sides
+    of 0 = 1, whose base distance wraps.
+    """
+    steps, size = 4, int(rng.integers(600, 1301))
+
+    def fibre(m, r=1.0):
+        return r * (rng.uniform(-1, 1, (steps, m)) + 1j * rng.uniform(-1, 1, (steps, m)))
+
+    ls, circ = np.zeros((steps, size), dtype=complex), False
+    if kind == "uniform":
+        xs, ys, eps = fibre(size), fibre(size), float(rng.choice([0.05, 0.15, 0.4, 1.0]))
+    elif kind == "duplicates":
+        m = size // 2
+        xs, ys = fibre(m), fibre(m)
+        pick = rng.integers(0, m, size - m)
+        shift = np.where(rng.random(size - m) < 0.5, 0.0, 4e-8)
+        xs = np.concatenate([xs, xs[:, pick] + shift], axis=1)
+        ys = np.concatenate([ys, ys[:, pick]], axis=1)
+        eps = float(rng.choice([1e-7, 0.05, 0.4]))
+    elif kind == "lattice":
+        eps = float(rng.choice([0.25, 0.1, 0.05]))
+        g = np.arange(7) * eps
+        a, b, c, d = (v.ravel() for v in np.meshgrid(g, g, g, g, indexing="ij"))
+        pick = rng.choice(a.size, size, replace=False)
+        xs = np.broadcast_to(a[pick] + 1j * b[pick], (steps, size))
+        ys = np.broadcast_to(c[pick] + 1j * d[pick], (steps, size))
+    else:
+        circ = True
+        xs, ys, eps = fibre(size, 0.3), fibre(size, 0.3), float(rng.choice([0.05, 0.15]))
+        lam = rng.uniform(-0.1, 0.1, size) % 1.0
+        ls = ((lam + 0.381966 * np.arange(steps)[:, None]) % 1.0).astype(complex)
+    return xs, ys, ls, circ, eps
+
+
+@pytest.mark.parametrize("case", range(48), ids=lambda c: f"{_CLOUDS[c % 4]}-{c // 4}")
+def test_shared_index_pack_equals_first_fit(case):
+    # one index from the whole cloud's step 0, packed at depths 1, 2 and 4 over shrinking survivors
+    rng = np.random.Generator(np.random.PCG64(100 + case))
+    xs, ys, ls, circ, eps = _synthetic_cloud(rng, _CLOUDS[case % 4])
+    index = _cell_index(xs[0], ys[0], eps)
+    survive = np.ones(xs.shape[1], dtype=bool)
+    for n in (1, 2, 4):
+        keep = np.flatnonzero(survive)
+        order = keep[rng.permutation(keep.size)]
+        got = _greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order, index)
+        assert got == _first_fit(xs[:n], ys[:n], ls[:n], eps, circ, order), (n, eps)
+        survive &= rng.random(survive.size) < 0.8
+
+
+def test_entropy_lower_bound_builds_one_index(monkeypatch):
+    built = []
+
+    def spy(x0, y0, eps):
+        built.append(x0.size)
+        return _cell_index(x0, y0, eps)
+
+    fam, base = _BASES["identity"]
+    flt = compute_radius(fam, base.space, margin=1.0)
+    cands = draw_candidates(fam, base, None, 600, seed=3, flt=flt)
+    monkeypatch.setattr(entropy_mod, "_cell_index", spy)
+    ests = entropy_lower_bound(fam, base, 0.1, [1, 2, 4, 6], seed=3, flt=flt, candidates=cands)
+    assert len(ests) == 4 and ests[0].survivors > ests[-1].survivors
+    assert built == [600]
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 1.0])
+def test_packing_memory_stays_bounded(eps):
+    # index and sweep on 20 000 uniform points in [0, 1]^4, traced with the cloud already in place
+    rng = np.random.Generator(np.random.PCG64(8))
+    u = rng.uniform(0, 1, (4, 20_000))
+    xs, ys, ls = (u[0] + 1j * u[1])[None], (u[2] + 1j * u[3])[None], np.zeros((1, 20_000), dtype=complex)
+    order = rng.permutation(20_000)
+    tracemalloc.start()
+    try:
+        s = _greedy_pack(xs, ys, ls, eps, False, order, _cell_index(xs[0], ys[0], eps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 <= s <= 20_000
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("bname", sorted(_BASES))
@@ -262,7 +363,7 @@ def test_dn_distance_matches_packer_predicate(bname):
         d = dn_distance(fam, base, (lam[p], (x[p], y[p])), (lam[q], (x[q], y[q])), n)
         # at eps = d_n the pair conflicts (one kept), one ulp below it does not
         for eps in (d, np.nextafter(d, 0.0)):
-            kept = _greedy_pack(xs, ys, ls, eps, circ, np.array([p, q]))
+            kept = _greedy_pack(xs, ys, ls, eps, circ, np.array([p, q]), _cell_index(xs[0], ys[0], eps))
             assert (kept == 1) == (d <= eps)
 
 
