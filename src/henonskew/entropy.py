@@ -451,6 +451,8 @@ def entropy_lower_bound(
     if candidates is None:
         candidates = draw_candidates(fam, base, window, n_candidates, seed, green_threshold, flt=flt)
     lam, x, y = candidates
+    if not all(np.isfinite(v).all() for v in (lam, x, y)):
+        raise ValidationError("candidate base points and coordinates must be finite")
     n_top = max(n_range)
     xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, n_top, flt.R)
     rng = np.random.Generator(np.random.PCG64(seed + 1))

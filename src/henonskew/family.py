@@ -40,23 +40,17 @@ class HenonFactor:
             )
 
     def poly_coeffs(self, lam) -> np.ndarray:
-        """Monic coefficient vector [1, c_(d-1), ..., c_0] at lam.
-
-        Accepts a scalar or an array of base points; returns shape (d+1,)
-        or (d+1, n).
-        """
-        lam = np.asarray(lam, dtype=complex)
-        rows = [1.0 + 0j] + [c(lam) for c in self.coeffs]
-        return np.stack([np.broadcast_to(np.asarray(r, dtype=complex), lam.shape) for r in rows])
+        """Monic coefficient vector [1, c_(d-1), ..., c_0] at lam, the rows of
+        map_coeffs stacked: shape (d+1,) at a scalar, (d+1, n) at n base points."""
+        rows, _ = map_coeffs(HenonFamily((self,)), lam)[0]
+        return np.stack([np.broadcast_to(r, np.shape(lam)) for r in rows])
 
     @cached_property
-    def constant_coeffs(self) -> tuple[np.ndarray, complex] | None:
-        """(poly_coeffs, a), evaluated once, when every coefficient map is constant; else None."""
-        if not (self.a.is_constant() and all(c.is_constant() for c in self.coeffs)):
-            return None
-        c = self.poly_coeffs(0j)
-        c.flags.writeable = False
-        return c, self.a(0j)
+    def constant_coeffs(self) -> tuple:
+        """(rows, a) of map_coeffs with each constant map's value, a numpy
+        scalar evaluated once, and None for each map that varies with lam."""
+        *rows, a = (np.complex128(m(0j)) if m.is_constant() else None for m in (*self.coeffs, self.a))
+        return (np.complex128(1.0), *rows), a
 
 
 @dataclass(frozen=True)
@@ -97,9 +91,8 @@ def imul(acc: np.ndarray, v):
 def _horner(coeffs: np.ndarray, y):
     """p(y) for monic coefficients [1, c_(d-1), ..., c_0].
 
-    The leading 1 is not read: every coefficient source (poly_coeffs, the
-    orbit engine's suppliers) is monic, so the sum starts at y + c_(d-1)
-    and is updated in place.
+    The leading 1 is not read: every coefficient row (map_coeffs) is monic,
+    so the sum starts at y + c_(d-1) and is updated in place.
     """
     acc = y + coeffs[1]
     for c in coeffs[2:]:
@@ -113,7 +106,8 @@ def factor_step(c, a, x, y, inverse: bool = False, scratch: bool = False):
 
     Forward (x, y) -> (y, p(y) - a x); inverse (x, y) -> ((p(x) - y) / a, x).
     With scratch=True a forward step may overwrite the array x, which the
-    caller then no longer reads, instead of allocating a x.
+    caller then no longer reads, instead of allocating the product. Both
+    compute x * a: numpy's complex multiply rounds by operand order.
     """
     if inverse:
         p = _horner(c, x)
@@ -124,22 +118,35 @@ def factor_step(c, a, x, y, inverse: bool = False, scratch: bool = False):
     if scratch:
         p -= imul(x, a)
     else:
-        p -= a * x
+        p -= x * a
     return y, p
 
 
 def eval_factor(f: HenonFactor, lam, z):
     """Apply one factor at base point(s) lam to z = (x, y)."""
-    x, y = z
-    c = f.poly_coeffs(lam)
-    a = f.a(lam)
-    return factor_step(c, a, x, y)
+    return eval_map(HenonFamily((f,)), lam, z)
 
 
 def map_coeffs(fam: HenonFamily, lam) -> tuple:
-    """Per-factor (poly_coeffs, a) at base point(s) lam, constant factors evaluated once:
-    the coefficients of eval_map, eval_inverse and the orbit engine."""
-    return tuple(f.constant_coeffs or (f.poly_coeffs(lam), f.a(lam)) for f in fam.factors)
+    """Per-factor (rows, a) at base point(s) lam, rows = (1, c_(d-1), ..., c_0).
+
+    The one coefficient builder (eval_map, eval_inverse, the orbit
+    engine's suppliers, holder_estimate, poly_coeffs): a constant map gives
+    its shared numpy scalar (HenonFactor.constant_coeffs), any other map
+    one value per base point (a numpy scalar at a single point).
+    """
+    lam = np.asarray(lam, dtype=complex)
+
+    def at(v, m):
+        if v is not None:
+            return v
+        return np.complex128(m(lam)) if lam.ndim == 0 else m(lam)
+
+    out = []
+    for f in fam.factors:
+        rows, a = f.constant_coeffs
+        out.append((rows[:1] + tuple(map(at, rows[1:], f.coeffs)), at(a, f.a)))
+    return tuple(out)
 
 
 def eval_map(fam: HenonFamily, lam, z):

@@ -48,14 +48,16 @@ engine in orbit.py, which switches them to a log-scale representation
 before doubles overflow; inside the invariant wedge the switch is exact to
 machine precision.
 
-Every value above comes from one certifying loop, _certify, which hands
-each point to one record callback as it leaves the orbit: certified in the
-wedge, trapped, or left at n_max. The point evaluations and rasters
-(_run_green) and the Monte-Carlo averages (mc_green) differ only in their
-callbacks. The averages then reduce mc_green's per-sequence values through
-one accumulator, MCMoments: means are sums in sequence order, and standard
-errors come from the shifted-data variance, so a point average and the
-raster's pixel at that point agree bit for bit.
+Every value above comes from one driver, _drive, which alone steps
+orbits: it runs the certifying loop _certify, which hands each point to a
+record callback as it leaves the orbit (certified in the wedge, trapped,
+or left at n_max), over `rows` copies of the points, row i along base
+sequence i. Point evaluations and rasters (_run_green) are its rows = 1
+case and the Monte-Carlo values (mc_green) its rows = n_mc case; they
+differ only in their callbacks. The averages then reduce mc_green's
+per-sequence values through one accumulator, MCMoments: means are sums in
+sequence order, and standard errors come from the shifted-data variance,
+so a point average and the raster's pixel at that point agree bit for bit.
 
 Variants differ only in the map direction and in how base points are
 drawn per step:
@@ -166,45 +168,6 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
         orbit.keep(slice(0, 0))
 
 
-def _run_green(
-    supplier,
-    fam: HenonFamily,
-    x: np.ndarray,
-    y: np.ndarray,
-    flt: FiltrationRadius,
-    tol: float,
-    n_max: int,
-    inverse: bool,
-    threads: int = 1,
-):
-    """Certified Green values for a batch of points sharing a lam-supply.
-
-    Returns (value, status, depth, err) arrays aligned with the input
-    points; err is the certified bound on |value - G| for escaped points
-    (the truncation error; the double itself carries its own rounding).
-    A point whose orbit state is not finite stays undecided. Threads step
-    contiguous ranges of the points, each as one orbit named by its range.
-    """
-    n_pts = len(x)
-    value = np.zeros(n_pts, dtype=float)
-    status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
-    depth = np.full(n_pts, n_max, dtype=np.int32)
-    err = np.empty(n_pts, dtype=float)
-
-    def record(ids, n, g, e, s):
-        value[ids] = g
-        status[ids] = s
-        depth[ids] = n
-        err[ids] = e
-
-    def work(_, lo, hi):
-        orbit = Orbit(fam, x[lo:hi], y[lo:hi], inverse, np.arange(lo, hi))
-        _certify(supplier, fam, orbit, flt, tol, 0, n_max, n_max, record)
-
-    _in_threads(work, n_pts, threads)
-    return value, status, depth, err
-
-
 def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, tol: float):
     """(positions, values, error bounds) of the points certified at depth n, or None.
 
@@ -234,6 +197,102 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, t
     if not done.any():
         return None
     return pos[done], g[done], e[done]
+
+
+# Points per orbit in _drive's chunks and pool pieces when it steps several
+# rows (sequences) of the points: a chunk holds at least one row.
+MC_CHUNK = 2 ** 14
+
+
+def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
+    """Yield (names, rows) per chunk of sequences over the points lo:hi.
+
+    The point p along sequence i is named i * n_pts + p; a chunk holds
+    `rows` whole sequences, MC_CHUNK points or one sequence at most.
+    """
+    hi = n_pts if hi is None else hi
+    step = max(1, MC_CHUNK // (hi - lo))
+    for r0 in range(0, n_mc, step):
+        r = np.arange(r0, min(n_mc, r0 + step))
+        if len(r) == 1:  # one range, without a temporary as large as a raster's names
+            yield np.arange(r0 * n_pts + lo, r0 * n_pts + hi), 1
+        else:
+            yield (r[:, None] * n_pts + np.arange(lo, hi)).ravel(), len(r)
+
+
+def _in_threads(work, n: int, threads: int) -> None:
+    """work(lo, hi) over `threads` contiguous ranges of range(n), one thread each."""
+    if threads <= 1:
+        return work(0, n)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = np.linspace(0, n, threads + 1, dtype=int)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(lambda i: work(bounds[i], bounds[i + 1]), range(threads)))
+
+
+def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, flt: FiltrationRadius,
+           tol: float, n_max: int, inverse: bool, threads: int, record) -> None:
+    """The one stepping loop: certify `rows` copies of the points (x, y)
+    along the supplier, each copy once through record (see _certify).
+
+    The copy of point p in row i is named i * len(x) + p. Threads split
+    the points into contiguous ranges, never a point's rows. In a range,
+    chunks of whole rows (mc_chunks) step to n_cut = min(n_max,
+    depth_for(tol)), where the uniform rule certifies every wedge point
+    and drops every trapped one; the cores left are pooled into orbits of
+    at most MC_CHUNK points (a lone orbit as it is) that step to n_max.
+    With rows = 1 a range is one chunk, and its core one orbit.
+    """
+    n_pts = len(x)
+    n_cut = min(n_max, flt.depth_for(tol, inverse))
+
+    def finish(pool):
+        if pool:
+            orbit = pool[0] if len(pool) == 1 else Orbit.concat(pool)
+            _certify(supplier, fam, orbit, flt, tol, n_cut, n_max, n_max, record)
+
+    def work(lo, hi):
+        if hi == lo:
+            return
+        pool = []
+        for ids, r in mc_chunks(rows, n_pts, lo, hi):
+            xs, ys = (np.broadcast_to(v[lo:hi], (r, hi - lo)).ravel() for v in (x, y))
+            orbit = Orbit(fam, xs, ys, inverse, ids)
+            _certify(supplier, fam, orbit, flt, tol, 0, n_cut, n_max, record)
+            if sum(map(len, pool)) + len(orbit) > MC_CHUNK:
+                finish(pool)
+                pool = []
+            if len(orbit):
+                pool.append(orbit)
+        finish(pool)
+
+    _in_threads(work, n_pts, threads)
+
+
+def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float,
+               n_max: int, inverse: bool, threads: int = 1):
+    """Certified (value, status, depth, err) arrays of points sharing a lam-supply.
+
+    The rows = 1 case of _drive: threads step contiguous ranges of the
+    points, each as one orbit named by its range. err bounds |value - G|
+    for escaped points (the truncation error; the double carries its own
+    rounding). A point whose orbit state is not finite stays undecided.
+    """
+    n_pts = len(x)
+    value = np.zeros(n_pts, dtype=float)
+    status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
+    depth = np.full(n_pts, n_max, dtype=np.int32)
+    err = np.empty(n_pts, dtype=float)
+
+    def record(ids, n, g, e, s):
+        value[ids] = g
+        status[ids] = s
+        depth[ids] = n
+        err[ids] = e
+
+    _drive(supplier, fam, x, y, 1, flt, tol, n_max, inverse, threads, record)
+    return value, status, depth, err
 
 
 def _green_at(supplier, fam: HenonFamily, z, flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> GreenEval:
@@ -438,9 +497,6 @@ class GreenField:
     grid: SliceGrid
     status: np.ndarray
     depth: np.ndarray
-    tol: float
-    n_max: int
-    variant: str
 
     @property
     def values(self) -> np.ndarray:
@@ -451,25 +507,13 @@ class GreenField:
         return int(np.count_nonzero(self.status == STATUS_UNDECIDED))
 
 
-def _in_threads(work, n: int, threads: int) -> None:
-    """work(i, lo, hi) over `threads` contiguous ranges of range(n), one thread each."""
-    bounds = np.linspace(0, n, max(threads, 1) + 1, dtype=int)
-    if threads <= 1:
-        work(0, 0, n)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda i: work(i, bounds[i], bounds[i + 1]), range(threads)))
-
-
 def _field(supplier, fam: HenonFamily, grid: SliceGrid, flt: FiltrationRadius, tol: float, n_max: int,
-           inverse: bool, threads: int, variant: str) -> GreenField:
+           inverse: bool, threads: int) -> GreenField:
     """The certified Green raster of a slice grid along one lam-supply."""
     x, y = grid.points()
     v, s, n, _ = _run_green(supplier, fam, x.ravel(), y.ravel(), flt, tol, n_max, inverse, threads)
     shape = (grid.ny, grid.nx)
-    return GreenField(grid.with_data(v.reshape(shape)), s.reshape(shape), n.reshape(shape), tol, n_max, variant)
+    return GreenField(grid.with_data(v.reshape(shape)), s.reshape(shape), n.reshape(shape))
 
 
 def green_field(
@@ -486,7 +530,7 @@ def green_field(
     """Rasterize a fibered Green function over a slice grid."""
     flt = resolve_radius(fam, flt, base.space)
     sup = SigmaSupplier(base.sigma, lam)
-    return _field(sup, fam, grid, flt, tol, n_max, inverse, threads, "minus" if inverse else "plus")
+    return _field(sup, fam, grid, flt, tol, n_max, inverse, threads)
 
 
 def green_field_seq(
@@ -501,13 +545,7 @@ def green_field_seq(
 ) -> GreenField:
     """Rasterize the random Green function along one sequence."""
     flt = resolve_radius(fam, flt, space, seq)
-    return _field(SeqSupplier(seq, n_max), fam, grid, flt, tol, n_max, False, threads, "random")
-
-
-# Points per orbit in mc_green: sequences are stepped a chunk
-# of rows at a time, and the bounded cores left by the chunks are pooled
-# into pieces of at most this many points (a chunk holds at least one row).
-MC_CHUNK = 2 ** 14
+    return _field(SeqSupplier(seq, n_max), fam, grid, flt, tol, n_max, False, threads)
 
 
 def mc_supplier(space, seed: int, n_mc: int, n_steps: int, width: int) -> TableSupplier:
@@ -517,19 +555,6 @@ def mc_supplier(space, seed: int, n_mc: int, n_steps: int, width: int) -> TableS
         raise ValidationError(f"Monte-Carlo averages need n_mc >= 2, got {n_mc}")
     root = ParamSequence(space, seed)
     return TableSupplier(np.array([root.spawn(i).prefix(n_steps) for i in range(n_mc)]), width)
-
-
-def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
-    """Yield (names, rows) per chunk of sequences over the points lo:hi.
-
-    The point p along sequence i is named i * n_pts + p; a chunk holds
-    `rows` whole sequences, MC_CHUNK points or one sequence at most.
-    """
-    hi = n_pts if hi is None else hi
-    step = max(1, MC_CHUNK // (hi - lo))
-    for r0 in range(0, n_mc, step):
-        r = np.arange(r0, min(n_mc, r0 + step))
-        yield (r[:, None] * n_pts + np.arange(lo, hi)).ravel(), len(r)
 
 
 class MCMoments:
@@ -589,51 +614,26 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
               flt: FiltrationRadius, tol: float, n_max: int, threads: int = 1) -> MCGreen:
     """Certified forward Green values of the points (x, y) along n_mc spawned sequences.
 
-    Each point along each sequence gets exactly the value, status and
-    depth that _run_green gives it along that sequence alone (both record
-    through _certify). Chunks of sequences are stepped to n_cut =
-    min(n_max, depth_for(tol)), where the uniform rule certifies every
-    wedge point and drops every trapped one; the bounded cores left are
-    pooled into orbits of at most MC_CHUNK points for the steps after
-    n_cut (none when n_cut == n_max). Threads split the points, never a
-    point's sequences. The values are kept in sequence order, which is the
-    order MCMoments takes them in.
+    The rows = n_mc case of _drive, row i driven by sequence i: each point
+    along each sequence gets exactly the value, status and depth that
+    _run_green gives it along that sequence alone. The values are kept in
+    sequence order, which is the order MCMoments takes them in.
     """
     n_pts = len(x)
     sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
-    n_cut = min(n_max, flt.depth_for(tol))
-    out = MCGreen(np.empty((n_mc, n_pts)), np.zeros(n_pts, dtype=bool), np.zeros(n_pts, dtype=np.int32),
-                   np.zeros(n_mc, dtype=np.int64))
-    flat = out.values.reshape(-1)
-    counts = np.zeros((max(threads, 1), n_mc), dtype=np.int64)
+    values = np.empty((n_mc, n_pts))
+    undecided = np.zeros((n_mc, n_pts), dtype=bool)
+    depth = np.zeros(n_pts, dtype=np.int32)
+    flat, flat_undecided = values.reshape(-1), undecided.reshape(-1)
 
-    def work(t, lo, hi):
-        if hi == lo:
-            return
+    def record(ids, n, g, e, status):
+        flat[ids] = g
+        flat_undecided[ids] = status == STATUS_UNDECIDED
+        p = ids % n_pts
+        depth[p] = np.maximum(depth[p], n)
 
-        def record(ids, n, g, e, status):
-            flat[ids] = g
-            p = ids % n_pts
-            out.depth[p] = np.maximum(out.depth[p], n)
-            ids = ids[np.broadcast_to(status == STATUS_UNDECIDED, ids.shape)]
-            out.undecided[ids % n_pts] = True
-            counts[t] += np.bincount(ids // n_pts, minlength=n_mc)
-
-        pool = []
-        for ids, rows in mc_chunks(n_mc, n_pts, lo, hi):
-            orbit = Orbit(fam, np.tile(x[lo:hi], rows), np.tile(y[lo:hi], rows), False, ids)
-            _certify(sup, fam, orbit, flt, tol, 0, n_cut, n_max, record)
-            if pool and sum(map(len, pool)) + len(orbit) > MC_CHUNK:
-                _certify(sup, fam, Orbit.concat(pool), flt, tol, n_cut, n_max, n_max, record)
-                pool = []
-            if len(orbit):
-                pool.append(orbit)
-        if pool:
-            _certify(sup, fam, Orbit.concat(pool), flt, tol, n_cut, n_max, n_max, record)
-
-    _in_threads(work, n_pts, threads)
-    out.seq_undecided[:] = counts.sum(axis=0)
-    return out
+    _drive(sup, fam, x, y, n_mc, flt, tol, n_max, False, threads, record)
+    return MCGreen(values, undecided.any(axis=0), depth, np.count_nonzero(undecided, axis=1))
 
 
 def avg_green_field(
@@ -661,7 +661,7 @@ def avg_green_field(
     shape = (grid.ny, grid.nx)
     m = MCMoments.of(mc.values.reshape(n_mc, *shape))
     status = np.where(mc.undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8).reshape(shape)
-    field = GreenField(grid.with_data(m.mean()), status, mc.depth.reshape(shape), tol, n_max, "avg")
+    field = GreenField(grid.with_data(m.mean()), status, mc.depth.reshape(shape))
     return field, m.stderr()
 
 

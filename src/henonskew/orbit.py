@@ -2,11 +2,12 @@
 suppliers and the step-to-depth loop.
 
 A supplier gives each step's factor coefficients: supplier.coeffs(fam, k,
-idx) is the tuple of (coeffs, a) pairs, one per factor in the family's
-order, for step k at the points named idx (an orbit's ids, ascending). `coeffs` lists
-the monic coefficients [1, c_(d-1), ..., c_0] (a (d+1,) or (d+1, n) array,
-or a sequence of rows); each row and `a` is either shared by every point
-(a scalar) or given per point (an array of length n).
+idx) is the tuple of (rows, a) pairs, one per factor in the family's
+order, for step k at the points named idx (an orbit's ids, ascending).
+The rows are the monic coefficients (1, c_(d-1), ..., c_0). Both
+suppliers take them from family.map_coeffs, the one coefficient builder:
+each row and `a` is either shared by every point (a numpy scalar, for a
+constant map) or given per point (an array of length n).
 
 Orbits are iterated explicitly until the dominant coordinate (y forward,
 x backward) passes the switch bound, then in a log-scale form: L = log of
@@ -239,7 +240,7 @@ def _step_mixed(o: Orbit, coeffs, a) -> None:
 
 
 def step_coeffs(o: Orbit, coeffs: tuple) -> None:
-    """One full map application (its inverse on an inverse orbit) from per-factor (poly_coeffs, a) pairs."""
+    """One full map application (its inverse on an inverse orbit) from per-factor (rows, a) pairs (map_coeffs)."""
     for c, a in reversed(coeffs) if o.inverse else coeffs:
         step_factor(o, c, a)
 
@@ -277,11 +278,11 @@ class TableSupplier:
     """lam_k from an (n_rows, n_steps) table of base points.
 
     Row r drives the points r * width ... (r + 1) * width - 1; a one-row
-    table drives every point. Each factor's coefficients are evaluated once
-    per family, on the table's distinct base points (for a finite base, its
-    letters). A coefficient whose map is constant stays shared; the others
-    are shared when a step's points all lie in one row, and spread over the
-    points row by row otherwise.
+    table drives every point. The coefficients are map_coeffs on the
+    table's distinct base points (for a finite base, its letters),
+    evaluated once per family. A coefficient whose map is constant stays
+    shared; the others are shared when a step's points all lie in one row,
+    and spread over the points row by row otherwise.
     """
 
     def __init__(self, table, width: int = 1):
@@ -291,23 +292,12 @@ class TableSupplier:
         self.width = width
         self._bound = None  # (fam, per-factor (rows, a)), set on first use
 
-    def _tables(self, fam: HenonFamily) -> tuple:
-        bound = self._bound
-        if bound is None or bound[0] is not fam:
-            def at(m):
-                return m(0j) if m.is_constant() else m(self.points)
-
-            bound = (fam, tuple(
-                (tuple(f.constant_coeffs[0]), f.constant_coeffs[1]) if f.constant_coeffs
-                else ((1.0 + 0j,) + tuple(at(c) for c in f.coeffs), at(f.a))
-                for f in fam.factors
-            ))
-            self._bound = bound  # one assignment, so concurrent first uses agree
-        return bound[1]
-
     def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
         if k >= self.index.shape[1]:
             raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
+        bound = self._bound
+        if bound is None or bound[0] is not fam:
+            bound = self._bound = (fam, map_coeffs(fam, self.points))
         col = self.index[:, k]
         j, counts = col[0], None
         if len(col) > 1 and len(idx):
@@ -323,7 +313,7 @@ class TableSupplier:
                 return v
             return v[j] if counts is None else np.repeat(v[j], counts)
 
-        return tuple((tuple(map(spread, rows)), spread(a)) for rows, a in self._tables(fam))
+        return tuple((tuple(map(spread, rows)), spread(a)) for rows, a in bound[1])
 
 
 class SeqSupplier(TableSupplier):

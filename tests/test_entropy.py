@@ -145,6 +145,20 @@ def test_rejects_fewer_than_one_candidate(n_candidates, quad_fam, single_base, q
         entropy_lower_bound(quad_fam, single_base, eps=0.1, n_range=[2], n_candidates=n_candidates, seed=1, flt=quad_flt)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("coord", ["lam", "x", "y"])
+def test_rejects_non_finite_candidates(coord, bad):
+    """A non-finite candidate coordinate is a ValidationError, raised
+    before the cell index casts the coordinates to integer keys."""
+    fam = quadratic_family(a=0.3)
+    cloud = {"lam": np.zeros(3, dtype=complex), "x": np.array([0.1, 0.2, 0.3], dtype=complex),
+             "y": np.array([0.1, 0.1, 0.3], dtype=complex)}
+    cloud[coord][1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        entropy_lower_bound(fam, point_base(0), eps=0.1, n_range=[1, 2],
+                            candidates=(cloud["lam"], cloud["x"], cloud["y"]))
+
+
 def test_empty_candidates(quad_fam, single_base, quad_flt):
     # a window far out in the escape region has no low-Green points
     win = (50.0, 60.0, 50.0, 60.0, 50.0, 60.0, 50.0, 60.0)

@@ -53,16 +53,9 @@ def test_single_factor_equals_eval_factor(quad_fam):
     assert eval_map(quad_fam, 0.0, z) == eval_factor(quad_fam.factors[0], 0.0, z)
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-@pytest.mark.parametrize("per_point", [False, True], ids=["shared-lam", "per-point-lam"])
-@pytest.mark.parametrize("n_factors", [1, 2])
-def test_engine_step_equals_family_maps(n_factors, per_point, inverse):
+def _assert_engine_step_equals_family_maps(factors, per_point, inverse):
     # the orbit engine and eval_map / eval_inverse share one explicit factor kernel
-    factors = (
-        HenonFactor(2, (CoeffMap.parse("0.1*u"), CoeffMap.parse("u - 0.2")), CoeffMap.parse("0.3 + 0.1*u")),
-        HenonFactor(3, (CoeffMap.constant(0.0), CoeffMap.parse("u"), CoeffMap.constant(0.5j)), CoeffMap.constant(-0.7)),
-    )
-    fam = HenonFamily(factors[:n_factors])
+    fam = HenonFamily(factors)
     rng = np.random.Generator(np.random.PCG64(5))
     n = 256
     x = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
@@ -72,6 +65,30 @@ def test_engine_step_equals_family_maps(n_factors, per_point, inverse):
     step_map(orbit, fam, lam)
     ex, ey = (eval_inverse if inverse else eval_map)(fam, lam, (x, y))
     assert np.array_equal(orbit.x, ex) and np.array_equal(orbit.y, ey)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("per_point", [False, True], ids=["shared-lam", "per-point-lam"])
+@pytest.mark.parametrize("n_factors", [1, 2])
+def test_engine_step_equals_family_maps(n_factors, per_point, inverse):
+    factors = (
+        HenonFactor(2, (CoeffMap.parse("0.1*u"), CoeffMap.parse("u - 0.2")), CoeffMap.parse("0.3 + 0.1*u")),
+        HenonFactor(3, (CoeffMap.constant(0.0), CoeffMap.parse("u"), CoeffMap.constant(0.5j)), CoeffMap.constant(-0.7)),
+    )
+    _assert_engine_step_equals_family_maps(factors[:n_factors], per_point, inverse)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("per_point", [False, True], ids=["shared-lam", "per-point-lam"])
+@pytest.mark.parametrize("n_factors", [1, 2])
+def test_engine_step_equals_family_maps_complex_a(n_factors, per_point, inverse):
+    """A complex Jacobian, constant and u-dependent: a * x rounds unlike
+    x * a, so the engine's in-place step and eval_map share one order."""
+    factors = (
+        HenonFactor(2, (CoeffMap.parse("0.1*u"), CoeffMap.parse("u - 0.2")), CoeffMap.constant(0.3 + 0.2j)),
+        HenonFactor(2, (CoeffMap.constant(0.1j), CoeffMap.parse("u")), CoeffMap.parse("0.3 + 0.2i + 0.1*u - 0.3i*u")),
+    )
+    _assert_engine_step_equals_family_maps(factors[:n_factors], per_point, inverse)
 
 
 def test_inverse_examples(quad_fam):

@@ -20,7 +20,16 @@ from henonskew.green import (
     green_plus,
 )
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, iterate, map_coeffs, step_factor, switch_bound
+from henonskew.orbit import (
+    OVERFLOW_SWITCH,
+    Orbit,
+    SigmaSupplier,
+    TableSupplier,
+    iterate,
+    map_coeffs,
+    step_factor,
+    switch_bound,
+)
 
 TOL = 1e-6
 A = 0.3
@@ -334,3 +343,53 @@ def test_one_point_orbits_round_as_in_a_batch(fam_name, inverse):
         alone = _run_green(sup, fam, x[i:i + 1], y[i:i + 1], flt, TOL, 200, inverse)
         for name, u, v in zip(("value", "status", "depth", "err"), alone, batch):
             assert u[0] == v[i], (name, i)
+
+
+# ---------------------------------------------------------------------------
+# one coefficient builder
+
+
+def _mixed_family():
+    """A factor with constant and u-dependent maps, and one with u-dependent maps only."""
+    return HenonFamily((
+        HenonFactor(3, (CoeffMap.constant(0.0), CoeffMap.parse("u"), CoeffMap.constant(0.5j)), CoeffMap.constant(-0.7)),
+        HenonFactor(2, (CoeffMap.parse("0.1*u"), CoeffMap.parse("u - 0.2i")), CoeffMap.parse("0.3 + 0.1*v")),
+    ))
+
+
+def test_map_coeffs_shares_each_constant_map():
+    """Each constant map is one numpy scalar, evaluated once and shared by
+    every call; the others give one value per base point (a numpy scalar
+    at a single point). poly_coeffs stacks the same rows."""
+    fam = _mixed_family()
+    lam = np.linspace(-0.5, 0.5, 7) + 0.25j
+    (rows_f, a_f), (rows_g, a_g) = map_coeffs(fam, lam)
+    (again, a_again), _ = map_coeffs(fam, 0.1)
+    for v, w in zip((rows_f[0], rows_f[1], rows_f[3], a_f, rows_g[0]), (again[0], again[1], again[3], a_again, 1.0)):
+        assert type(v) is np.complex128 and v == w
+    assert rows_f[1] is again[1] and a_f is a_again
+    assert np.array_equal(rows_f[2], lam.real) and np.array_equal(a_g, 0.3 + 0.1 * lam.imag)
+    assert np.array_equal(rows_g[2], lam.real - 0.2j)
+    for f, (rows, _) in zip(fam.factors, map_coeffs(fam, lam)):
+        assert np.array_equal(f.poly_coeffs(lam), np.stack([np.broadcast_to(r, lam.shape) for r in rows]))
+    for rows, a in map_coeffs(fam, 0.1 - 0.2j):
+        assert all(type(v) is np.complex128 for v in rows + (a,))
+
+
+def test_table_rows_are_map_coeffs_at_the_step_base_points():
+    """TableSupplier's rows at step k == map_coeffs at the base points of
+    the named points' rows, shared where the map is constant."""
+    fam = _mixed_family()
+    rng = np.random.Generator(np.random.PCG64(12))
+    letters = np.array([0.1, -0.2 + 0.1j, 0.3j])
+    table = letters[rng.integers(0, 3, (3, 6))]
+    width = 4
+    sup = TableSupplier(table, width)
+    for k in range(table.shape[1]):
+        for idx in (np.arange(12), np.arange(4, 8), np.array([1, 2, 9, 11]), np.array([6])):
+            want = map_coeffs(fam, table[idx // width, k])
+            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(fam, k, idx), want):
+                for v, w in zip(rows + (a,), want_rows + (want_a,)):
+                    if np.ndim(w) == 0:
+                        assert v is w  # a constant map stays the one shared scalar
+                    assert np.array_equal(np.broadcast_to(v, idx.shape), np.broadcast_to(w, idx.shape))

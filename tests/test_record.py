@@ -1,15 +1,16 @@
 """Every point leaves the certifying engine through its record callback
 exactly once: wedge certificates, trapped points and the finish at n_max,
-in one-call runs and in mc_green's split at n_cut with its pool."""
+in one-call runs and in the shared driver's split at n_cut with its pool,
+for rasters and for mc_green."""
 
 import numpy as np
 import pytest
 
 from henonskew import green as green_mod
-from henonskew.base import BaseDynamics, BaseSpace
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem
 from henonskew.family import quadratic_family
 from henonskew.filtration import compute_radius
-from henonskew.green import STATUS_BOUNDED, STATUS_ESCAPED, STATUS_UNDECIDED, _certify, mc_green
+from henonskew.green import STATUS_BOUNDED, STATUS_ESCAPED, STATUS_UNDECIDED, _certify, green_field, green_values, mc_green
 from henonskew.grids import SliceGrid, SliceSpec
 from henonskew.orbit import Orbit, SigmaSupplier
 from test_trap import _record_steps
@@ -103,3 +104,46 @@ def test_mc_split_records_every_point_once(fam_name, n_max, monkeypatch):
         assert pooled == 0
     else:
         assert pooled >= 2  # the pool is run in more than one piece
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_raster_pools_its_leftover(threads, monkeypatch):
+    """A raster of the family with no trap, n_max above n_cut: each thread
+    range is one orbit, whatever MC_CHUNK, stepped to n_cut and then, as it
+    is, to n_max; every pixel is recorded once, and the values equal those
+    of the points taken one at a time."""
+    fam, base = FAMILIES["no-trap"], BaseSystem(SPACE, BaseDynamics("identity"))
+    flt = compute_radius(fam, SPACE)
+    n_max = 40
+    n_cut = flt.depth_for(TOL)
+    assert n_cut < n_max
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.0, 2.0, -2.0, 2.0), 20)
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 100)  # below a thread range's pixels, which stay one orbit
+    seen, runs = [], []
+    certify = green_mod._certify
+
+    def spying(supplier, fam, orbit, flt, tol, n_lo, n_hi, n_max, record):
+        runs.append((n_lo, orbit, len(orbit)))
+
+        def spy(ids, *rest):
+            seen.append(ids.copy())
+            record(ids, *rest)
+
+        certify(supplier, fam, orbit, flt, tol, n_lo, n_hi, n_max, spy)
+
+    monkeypatch.setattr(green_mod, "_certify", spying)
+    field = green_field(fam, base, 0.1, grid, TOL, n_max, flt, threads=threads)
+    monkeypatch.setattr(green_mod, "_certify", certify)
+
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(grid.nx * grid.ny))
+    chunks = [o for n, o, _ in runs if n == 0]
+    pooled = [(o, size) for n, o, size in runs if n == n_cut]
+    assert len(chunks) == len(pooled) == threads and len(runs) == 2 * threads
+    # the leftover of each range is its own orbit, not a copy, and holds bounded pixels
+    assert all(any(o is c for c in chunks) and size > 0 for o, size in pooled)
+    assert np.count_nonzero(field.depth == n_max) and np.count_nonzero(field.depth < n_cut)
+
+    x, y = (p.ravel() for p in grid.points())
+    alone = [green_values(fam, base, 0.1, x[i:i + 1], y[i:i + 1], TOL, n_max, flt) for i in range(len(x))]
+    for name, got, want in zip(("value", "status", "depth"), (field.values, field.status, field.depth), zip(*alone)):
+        assert np.array_equal(got.ravel(), np.concatenate(want)), name
