@@ -11,6 +11,7 @@ reproduce identical output checksums.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import hashlib
 import sys
@@ -61,8 +62,21 @@ def _log(msg: str) -> None:
 # config parsing
 
 
+def _finite(x):
+    if not cmath.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+    return _finite(complex(text.replace("i", "j").replace(" ", "")))
+
+
+def _positive(text: str) -> float:
+    x = float(text)
+    if not x > 0:
+        raise ValueError("must be positive")
+    return x
 
 
 def _boolean(text: str) -> bool:
@@ -150,14 +164,14 @@ def parse_base(cfg: configparser.SectionProxy) -> BaseSystem:
 
 
 def _parse_sigma(sig: str) -> BaseDynamics:
-    if sig == "identity":
-        return BaseDynamics("identity")
-    if sig.startswith("contraction"):
-        return BaseDynamics("contraction", c=_parse_complex(sig.split(":", 1)[1]) if ":" in sig else 0.5)
-    if sig.startswith("rotation"):
-        return BaseDynamics("rotation", alpha=float(sig.split(":", 1)[1]) if ":" in sig else 0.0)
-    if sig == "shift":
-        return BaseDynamics("shift")
+    """identity, shift, contraction[:<c>] (c = 0.5 by default) or rotation[:<alpha>] (alpha = 0 by default)."""
+    kind, colon, value = sig.partition(":")
+    if kind in ("identity", "shift") and not colon:
+        return BaseDynamics(kind)
+    if kind == "contraction":
+        return BaseDynamics(kind, c=_parse_complex(value) if colon else 0.5)
+    if kind == "rotation":
+        return BaseDynamics(kind, alpha=_finite(float(value)) if colon else 0.0)
     raise ConfigError(f"unknown sigma {sig!r}")
 
 
@@ -219,7 +233,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
 
-    tol = _get(exp, "tol", float, 1e-6)
+    tol = _get(exp, "tol", _positive, 1e-6)
     base_seed = _get(config["base"], "seed", int, 0) if "base" in config else 0
     seed = _get(exp, "seed", int, base_seed)
     n_max = _get(exp, "depth", int, 200)

@@ -314,9 +314,3 @@ def cutoff_limit_probe(
         res.append(r)
     return CutoffProbeReport(depths, cs, res)
 
-
-def pullback_identity_check(fam, seq, grid: SliceGrid, u: PotentialSpec, n: int, space=None) -> float:
-    """Max gap between incremental and from-scratch depth-n pullbacks."""
-    inc, = _grid_stack(fam, seq, grid, (u,), range(1, n + 1))[n]
-    direct, = _grid_stack(fam, seq, grid, (u,), [n])[n]
-    return float(np.abs(inc - direct).max())

@@ -438,8 +438,8 @@ def entropy_lower_bound(
     cloud across eps/n sweeps. One cell index of the cloud's step-0 points
     (`_cell_index`) serves the packing at every depth.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not eps > 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
     if n_candidates < 1:
         raise ValidationError(f"n_candidates must be at least 1, got {n_candidates}")
     n_range = list(n_range)

@@ -3,12 +3,20 @@
 Expressions are polynomials with complex coefficients in a fixed set of
 variables: `u`, `v` (real and imaginary components of the base point),
 `lam` (shorthand for u + i*v) and, for homogeneous lifts, `x0` ... `x9`.
-Supported syntax: `+ - * ^` (or `**`), parentheses, and numeric literals
-with an optional trailing `i`/`j` imaginary suffix.
+An expression is built from numbers (`0.3`, `05`, `1e-3`, and imaginary
+ones with a trailing `i`/`j` such as `2i`), the imaginary unit `i`/`j`,
+the variables, `+ - *`, unary `+ -`, `^` (or `**`) with a nonnegative
+integer literal exponent, and parentheses. Python's grammar parses it,
+with Python's precedence: `^` binds tightest, then unary signs, then `*`,
+then `+ -`, all left to right except `^`. So `-u^2` is -(u^2) and
+`2*-u^2` is -2u^2. Anything else (`/`, `u^v`, `2^3^2`, calls) is a
+ConfigError.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 
@@ -125,82 +133,49 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], variables: tuple[str, ...]):
-        self.toks = tokens
-        self.pos = 0
-        self.vars = variables
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ConfigError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Poly:
-        p = self.expr()
-        if self.peek() is not None:
-            raise ConfigError(f"trailing tokens in expression: {self.toks[self.pos:]}")
-        return p
-
-    def expr(self) -> Poly:
-        p = self.term()
-        while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                p = p + self.term()
-            else:
-                p = p - self.term()
-        return p
-
-    def term(self) -> Poly:
-        p = self.power()
-        while self.peek() == "*":
-            self.take()
-            p = p * self.power()
-        return p
-
-    def power(self) -> Poly:
-        p = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ConfigError("exponent must be a nonnegative integer")
-            p = p ** int(tok)
-        return p
-
-    def atom(self) -> Poly:
-        tok = self.take()
-        if tok == "(":
-            p = self.expr()
-            if self.take() != ")":
-                raise ConfigError("unbalanced parentheses")
-            return p
-        if tok == "-":
-            return -self.atom()
-        if tok == "+":
-            return self.atom()
-        if tok[0].isdigit() or tok[0] == ".":
+def _build(node: ast.expr, variables: tuple[str, ...]) -> Poly:
+    match node:
+        case ast.BinOp(left, ast.Pow(), ast.Constant(str(e))) if e.isdigit():
+            return _build(left, variables) ** int(e)
+        case ast.BinOp(_, ast.Pow(), _):
+            raise ConfigError("exponent must be a nonnegative integer")
+        case ast.BinOp(left, op, right) if type(op) in _ARITH:
+            return _ARITH[type(op)](_build(left, variables), _build(right, variables))
+        case ast.UnaryOp(ast.USub(), operand):
+            return -_build(operand, variables)
+        case ast.UnaryOp(ast.UAdd(), operand):
+            return _build(operand, variables)
+        case ast.Constant(str(tok)):  # a number token, quoted by parse_poly
             if tok[-1] in "ij":
-                return Poly.const(self.vars, complex(0.0, float(tok[:-1])))
-            return Poly.const(self.vars, float(tok))
-        if tok in ("i", "j"):
-            return Poly.const(self.vars, 1j)
-        if tok == "lam":
-            if "u" not in self.vars or "v" not in self.vars:
+                return Poly.const(variables, complex(0.0, float(tok[:-1])))
+            return Poly.const(variables, float(tok))
+        case ast.Name("i" | "j"):
+            return Poly.const(variables, 1j)
+        case ast.Name("lam"):
+            if "u" not in variables or "v" not in variables:
                 raise ConfigError("'lam' needs base-point variables u, v")
-            return Poly.var(self.vars, "u") + Poly.var(self.vars, "v").scale(1j)
-        if tok in self.vars:
-            return Poly.var(self.vars, tok)
-        raise ConfigError(f"unknown variable {tok!r} (allowed: {self.vars} and 'lam')")
+            return Poly.var(variables, "u") + Poly.var(variables, "v").scale(1j)
+        case ast.Name(name) if name in variables:
+            return Poly.var(variables, name)
+        case ast.Name(name):
+            raise ConfigError(f"unknown variable {name!r} (allowed: {variables} and 'lam')")
+    # numbers are the only string literals, so unquoting gives back the text
+    raise ConfigError(f"unsupported expression {ast.unparse(node).replace(chr(39), '')!r}")
 
 
 def parse_poly(text: str, variables: tuple[str, ...]) -> Poly:
-    return _Parser(_tokenize(text), variables).parse()
+    """The polynomial in `variables` that `text` spells (grammar in the module docstring)."""
+    # `^` is Python's `**`. A number token becomes a string literal, which
+    # _build converts, so `05` and `2i` stay legal; it is parenthesised so
+    # that two adjacent numbers make a call, rejected, and not one string.
+    source = " ".join("**" if t == "^" else f"({t!r})" if t[0].isdigit() else t for t in _tokenize(text))
+    try:
+        return _build(ast.parse(source, mode="eval").body, variables)
+    except (SyntaxError, RecursionError, ValueError):  # ValueError: an int() past 4300 digits
+        raise ConfigError(f"cannot parse expression {text[:40]!r}") from None
 
 
 BASE_VARS = ("u", "v")

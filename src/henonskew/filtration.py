@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .base import BaseSpace
-from .errors import DegenerateFamily, UnsupportedBase
+from .errors import DegenerateFamily, UnsupportedBase, ValidationError
 from .family import JACOBIAN_FLOOR, HenonFamily, eval_inverse, eval_map
 
 DEFAULT_MARGIN = 1.1
@@ -140,7 +140,14 @@ class FiltrationRadius:
         return r
 
     def depth_for(self, tol: float, inverse: bool = False) -> int:
-        """Smallest n with tail_bound(n) < tol."""
+        """Smallest n with tail_bound(n) < tol.
+
+        tol must be positive (inf is allowed): tail_bound underflows to 0
+        near n = 1075, so a tol <= 0 would loop forever, and a NaN tol
+        would certify nothing.
+        """
+        if not tol > 0:
+            raise ValidationError(f"tol must be positive, got {tol}")
         n = 1
         while self.tail_bound(n, inverse) >= tol:
             n += 1

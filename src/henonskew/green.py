@@ -357,7 +357,6 @@ def green_minus_tilde(
     z: tuple[complex, complex],
     tol: float = 1e-6,
     n_max: int = 120,
-    flt: FiltrationRadius | None = None,
 ) -> GreenEval:
     """Normalized log+ norm of the inverse of the forward n-composition.
 
@@ -367,7 +366,6 @@ def green_minus_tilde(
     with n; the reported bound is the last Cauchy increment, not a
     certified tail.
     """
-    flt = resolve_radius(fam, flt, base.space)
     if base.sigma.kind == SHIFT:
         raise UnsupportedBase("tilde variant needs a pointwise base dynamics")
     d = float(fam.degree)

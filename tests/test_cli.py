@@ -1,12 +1,17 @@
 import configparser
 import hashlib
 import io
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from henonskew.cli import main
+import henonskew
+from henonskew.cli import _parse_sigma, main
 from henonskew.gridio import read_pgm16, read_raw_grid, write_pgm16, write_raw_grid
 from henonskew.grids import SliceGrid, SliceSpec
 
@@ -234,3 +239,73 @@ def test_malformed_numbers_are_config_errors(kind, section, opts, tmp_path, caps
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     key, value = list(opts.items())[-1]
     assert f"[{section}] {key} = {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+def test_nonpositive_tol_exits_2(tol, tmp_path):
+    # in a subprocess with a timeout: a tol <= 0 once looped forever in FiltrationRadius.depth_for
+    text = TWO_LETTER.replace("sigma = shift", "sigma = identity").replace("resolution = 32", "resolution = 16")
+    cfg = _write(tmp_path, text + f"tol = {tol}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(henonskew.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "henonskew.cli", "green-raster", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "[experiment] tol" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("base", "sigma", "contraction0.3"), ("base", "sigma", "rotationfoo"), ("base", "sigma", "identity:1"),
+    ("base", "sigma", "shift:2"), ("base", "sigma", "contraction:nan"), ("base", "sigma", "rotation:inf"),
+    ("base", "sigma", "rotation:"), ("experiment", "lam", "nan"), ("experiment", "lam", "inf+1j"),
+    ("base", "points", "0, nan"), ("experiment", "slice", "x=nan"),
+])
+def test_typos_and_nonfinite_values_exit_2(section, key, value, tmp_path, capsys):
+    text = _with_options(TWO_LETTER.replace("sigma = shift", "sigma = identity"), section, **{key: value})
+    assert main(["green-raster", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert f"{value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma, kind, param", [
+    ("identity", "identity", None), ("shift", "shift", None),
+    ("contraction", "contraction", 0.5), ("contraction:0.3", "contraction", 0.3),
+    ("rotation", "rotation", 0.0), ("rotation:0.25", "rotation", 0.25),
+])
+def test_sigma_kinds(sigma, kind, param):
+    dyn = _parse_sigma(sigma)
+    assert dyn.kind == kind
+    if param is not None:
+        assert (dyn.c if kind == "contraction" else dyn.alpha) == param
+
+
+@pytest.mark.parametrize("coeffs", ["0, u^v", "0, u/2", "0, (u)(v)", "0, u and v", "0, None", "0, 2^3^2",
+                                    "0, " + "-" * 3000 + "u", "0, " + "(" * 3000 + "u" + ")" * 3000])
+def test_bad_coefficient_expressions_exit_2(coeffs, tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL.replace("factor1.coeffs = 0, 0", f"factor1.coeffs = {coeffs}"))
+    assert main(["filtration", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config/validation error" in capsys.readouterr().err
+
+
+def test_negated_power_is_negative(tmp_path):
+    # c = -u^2 is -(u^2): over the base point lam = 2 the constant term is -4, as written out
+    runs = {}
+    for coeffs in ("0, -u^2", "0, -4"):
+        cfg = _write(tmp_path, MINIMAL.replace("factor1.coeffs = 0, 0", f"factor1.coeffs = {coeffs}").replace(
+            "points = 0", "points = 2") + "lam = 2\nresolution = 8\n")
+        out = tmp_path / coeffs[3:]
+        assert main(["green-raster", "--config", str(cfg), "--out", str(out)]) == 0
+        runs[coeffs] = (out / "green.grid").read_bytes()
+    assert runs["0, -u^2"] == runs["0, -4"]
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    cfg["experiment"]["resolution"] = "16"
+    buf = io.StringIO()
+    cfg.write(buf)
+    out = tmp_path / "out"
+    assert main(["green-raster", "--config", str(_write(tmp_path, buf.getvalue())), "--out", str(out)]) == 0
+    assert (out / "manifest.txt").exists()

@@ -10,7 +10,6 @@ from henonskew.convergence import (
     PotentialSpec,
     cutoff_limit_probe,
     pullback_convergence,
-    pullback_identity_check,
     rigidity_probe,
     theta_average_pullback,
 )
@@ -63,12 +62,6 @@ def test_pullback_depth_zero_gap_finite(quad_fam, single_base, quad_flt):
     seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
     rep = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=1, tol=1e-6, flt=quad_flt, space=single_base.space)
     assert np.isfinite(rep.errors[0])
-
-
-def test_pullback_identity_exact(quad_fam, single_base, quad_flt):
-    seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
-    gap = pullback_identity_check(quad_fam, seq, _grid(32), U_FS, 8)
-    assert gap < 1e-12
 
 
 def test_fit_residual_pure_signal():

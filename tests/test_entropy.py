@@ -124,6 +124,8 @@ def test_greedy_matches_bruteforce_small(quad_fam, single_base, quad_flt):
 def test_rejects_bad_inputs(quad_fam, single_base):
     with pytest.raises(ValidationError):
         entropy_lower_bound(quad_fam, single_base, eps=0.0, n_range=[2])
+    with pytest.raises(ValidationError, match="eps must be positive"):
+        entropy_lower_bound(quad_fam, single_base, eps=float("nan"), n_range=[2])
     shift_base = BaseSystem(BaseSpace("finite", points=(0j,)), BaseDynamics("shift"))
     with pytest.raises(UnsupportedBase):
         entropy_lower_bound(quad_fam, shift_base, eps=0.1, n_range=[2])

@@ -1,12 +1,15 @@
+import signal
+
 import numpy as np
 import pytest
 from conftest import check_invariance_two_pass, mp_wedge_green, quad_factor_data
 
 from henonskew.base import BaseSpace, point_base
-from henonskew.errors import DegenerateFamily
+from henonskew.errors import DegenerateFamily, ValidationError
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
 from henonskew.filtration import check_invariance, compute_radius, region_masks
+from henonskew.green import green_plus
 from henonskew.orbit import SigmaSupplier, iterate
 
 
@@ -154,3 +157,28 @@ def test_bidisc_cap_bounds_green(inverse):
         checked.append(last[i])
     # escaping points, some of them after several steps in V_R
     assert len(checked) >= 60 and sum(n >= 2 for n in checked) >= 15
+
+
+@pytest.fixture
+def deadline():
+    """Fail a call that does not return within 10 s, instead of hanging."""
+
+    def expire(*_):
+        raise TimeoutError("no return within 10 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+def test_depth_for_needs_positive_tol(tol, quad_fam, single_base, deadline):
+    # tail_bound underflows to 0 near n = 1075: a tol <= 0 would never be met
+    flt = compute_radius(quad_fam, single_base.space)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        flt.depth_for(tol)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        green_plus(quad_fam, single_base, 0.0, (0.5 + 0j, 0.5 + 0j), tol=tol, flt=flt)
+    assert flt.depth_for(float("inf")) == 1

@@ -254,15 +254,14 @@ def test_green_minus_tilde_identity_matches_minus(quad_fam, single_base, quad_fl
     # with identity sigma all orderings coincide
     z = (2.7 + 0.1j, 0.3 - 0.2j)
     a = green_minus(quad_fam, single_base, 0.0, z, 1e-8, flt=quad_flt)
-    b = green_minus_tilde(quad_fam, single_base, 0.0, z, 1e-8, flt=quad_flt)
+    b = green_minus_tilde(quad_fam, single_base, 0.0, z, 1e-8)
     assert b.value == pytest.approx(a.value, abs=1e-6)
 
 
 def test_green_minus_tilde_contraction_converges():
     fam = quadratic_family(a=0.3, c="0.1*u")
     base = BaseSystem(BaseSpace("box", bounds=((-1.0, 1.0),)), BaseDynamics("contraction", c=0.5))
-    flt = compute_radius(fam, base.space)
-    g = green_minus_tilde(fam, base, 0.8, (3.0 + 0j, 0.1 + 0j), 1e-7, flt=flt)
+    g = green_minus_tilde(fam, base, 0.8, (3.0 + 0j, 0.1 + 0j), 1e-7)
     assert g.status == "converged"
     assert g.value > 0
 
