@@ -49,6 +49,15 @@ class BaseSpace:
         else:
             raise ValidationError(f"unknown base kind {self.kind!r}")
 
+    def contains(self, lam: complex) -> bool:
+        """Whether the base point lam lies in M (see the module docstring)."""
+        if self.kind == FINITE:
+            return lam in self.points
+        if self.kind == CIRCLE:
+            return lam.imag == 0 and 0 <= lam.real < 1
+        coords = zip((lam.real, lam.imag), self.bounds)
+        return (len(self.bounds) == 2 or lam.imag == 0) and all(lo <= t <= hi for t, (lo, hi) in coords)
+
     def grid(self, per_dim: int = 64) -> np.ndarray:
         """Deterministic sampling grid used for sups over M."""
         if self.kind == FINITE:

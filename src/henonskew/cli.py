@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence
+from .base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance
 from .convergence import (
     PotentialSpec,
     pullback_convergence,
@@ -204,23 +204,27 @@ def parse_slice(cfg: configparser.SectionProxy, resolution: int) -> SliceGrid:
 # experiments
 
 
+def _output(outdir: Path, name: str, files: list[Path]) -> Path:
+    """outdir / name, listed in files; outdir is made at the first write, so a config error leaves none."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    p = outdir / name
+    files.append(p)
+    return p
+
+
 def _write_pgm(outdir: Path, stem: str, values: np.ndarray, files: list[Path], lo=None, hi=None) -> None:
-    pgm = outdir / f"{stem}.pgm"
+    pgm = _output(outdir, f"{stem}.pgm", files)
     write_pgm16(pgm, values, lo, hi)
-    files.extend([pgm, pgm.with_suffix(pgm.suffix + ".map.txt")])
+    files.append(pgm.with_suffix(pgm.suffix + ".map.txt"))
 
 
 def _write_field(outdir: Path, stem: str, grid: SliceGrid, files: list[Path]) -> None:
-    raw = outdir / f"{stem}.grid"
-    write_raw_grid(raw, grid)
-    files.append(raw)
+    write_raw_grid(_output(outdir, f"{stem}.grid", files), grid)
     _write_pgm(outdir, stem, grid.data, files)
 
 
 def _write_text(outdir: Path, name: str, text: str, files: list[Path]) -> None:
-    p = outdir / name
-    p.write_text(text)
-    files.append(p)
+    _output(outdir, name, files).write_text(text)
 
 
 def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Path:
@@ -230,7 +234,6 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     kind = exp.get("kind")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment kind must be one of {EXPERIMENTS}, got {kind!r}")
-    outdir.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
 
     tol = _get(exp, "tol", _positive, 1e-6)
@@ -253,6 +256,9 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             if is_shift:
                 seq = ParamSequence(base.space, seed)
                 return green_field_seq(fam, seq, grid, tol, n_max, flt, space=base.space, threads=threads)
+            # called once the kind's other options are read; R covers the fibres over the base only
+            if not base.space.contains(advance(base.sigma, lam, 0)):
+                raise ConfigError(f"[experiment] lam = {lam} is not a point of the {base.space.kind} base")
             return green_field(fam, base, lam, grid, tol, n_max, flt, threads=threads)
 
         if kind == "filtration":
@@ -278,11 +284,12 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             _write_field(outdir, "avg_green_stderr", grid.with_data(stderr), files)
         elif kind == "slice-mass":
             resolutions = _numbers(exp, "resolutions", str(resolution), int)
+            grids = [parse_slice(exp, res) for res in resolutions]
+            normalized = _get(exp, "normalize", _boolean, False)
             rows = ["resolution,total_mass,off_band_fraction"]
-            for res in resolutions:
-                grid = parse_slice(exp, res)
+            for res, grid in zip(resolutions, grids):
                 field = field_on(grid)
-                msr = slice_measure(field, normalized=_get(exp, "normalize", _boolean, False))
+                msr = slice_measure(field, normalized=normalized)
                 rows.append(f"{res},{msr.total_mass:.9g},{off_band_fraction(msr, field.status):.9g}")
                 den_grid = SliceGrid(
                     nx=grid.nx - 2,
@@ -294,9 +301,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
                     spec=grid.spec,
                     data=msr.density,
                 )
-                den_path = outdir / f"density_{res}.grid"
-                write_raw_grid(den_path, den_grid)
-                files.append(den_path)
+                write_raw_grid(_output(outdir, f"density_{res}.grid", files), den_grid)
             _write_text(outdir, "slice_mass.csv", "\n".join(rows) + "\n", files)
         elif kind in ("converge", "theta", "rigidity"):
             grid = parse_slice(exp, resolution)

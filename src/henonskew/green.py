@@ -165,7 +165,7 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
         record(orbit.ids[bounded], n_max, 0.0, bounded_err, STATUS_BOUNDED)
         rest = ~bounded
         record(orbit.ids[rest], n_max, g[rest], flt.tail_bound(n_max, orbit.inverse), STATUS_UNDECIDED)
-        orbit.keep(slice(0, 0))
+        orbit.keep(np.zeros(len(orbit), dtype=bool))
 
 
 def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, tol: float):
@@ -180,14 +180,20 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, t
     if tail >= tol and orbit.inverse:
         return None
     # under the own-tail rule alone, explicit points below rho_star cannot pass
-    pos = np.flatnonzero(orbit.in_wedge(flt.R if tail < tol else max(flt.R, flt.rho_star)))
-    if pos.size == 0:
+    ex = np.flatnonzero(orbit.in_explicit_wedge(flt.R if tail < tol else max(flt.R, flt.rho_star)))
+    if ex.size == 0 and orbit.lpos.size == 0:
         return None
-    g = orbit.log_plus_norm(pos)
+    pos = np.concatenate((ex, orbit.lpos))
+    dom, sub = orbit.dom[ex], orbit.sub[ex]
+    g = np.concatenate((np.log(np.hypot(dom, sub)), orbit.log_form_norm()))
+    np.maximum(g, 0.0, out=g)
     g *= d ** (-n)
     if tail < tol:
         return pos, g, tail
-    inv_rho, ratio = orbit.wedge_ratios(pos)
+    # 1/rho_n and |x_n/y_n| per point, explicit points first
+    with np.errstate(under="ignore"):
+        inv_rho = np.concatenate((1.0 / dom, np.exp(-orbit.L)))
+        ratio = np.concatenate((sub / dom, np.abs(orbit.r)))
     e = flt.wedge_distortion(inv_rho)
     e /= d - 1.0
     ratio *= ratio

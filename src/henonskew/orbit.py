@@ -13,9 +13,10 @@ Orbits are iterated explicitly until the dominant coordinate (y forward,
 x backward) passes the switch bound, then in a log-scale form: L = log of
 the dominant coordinate, r = subordinate / dominant, u = 1 / dominant.
 The bound keeps every explicit factor step representable in doubles, so
-coordinate growth of order 10^(d^n) is iterated without overflow. A step
-that overflows all the same leaves a non-finite state, reported undecided,
-and no floating-point warning: the engine loops run under np.errstate.
+coordinate growth of order 10^(d^n) is iterated without overflow; a point
+that switches keeps its position (see Orbit). A step that overflows all
+the same leaves a non-finite state, reported undecided, and no
+floating-point warning: the engine loops run under np.errstate.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def switch_bound(fam: HenonFamily) -> float:
 
 
 class Orbit:
-    """Vectorized orbit state: explicit points plus log-scale entries.
+    """Vectorized orbit state: explicit entries per point, log-scale entries per log-form point.
 
     For forward orbits the log form tracks the dominant y coordinate
     (L = log|y|, r = x/y, u = 1/y); for inverse orbits the roles of x and
@@ -45,18 +46,23 @@ class Orbit:
     switch bound enter log form at step 0; from the first step on, log
     entries lie in the invariant wedge.
 
-    `dom` and `sub` hold |dominant| and |subordinate| of the explicit
-    entries (stale on log entries). A factor step moves the dominant
-    coordinate into the subordinate slot (x' = y forward, y' = x
-    backward), so the step carries the old `dom` over as the new `sub`
-    instead of taking another absolute value.
+    `x`, `y`, `dom` = |dominant|, `sub` = |subordinate| and `ids` have one
+    entry per point. A log-form point has NaN there, which explicit steps
+    keep and explicit tests reject, and its `L`, `r` and `u` sit at the
+    index of its position in `lpos`. Log-form points are found through
+    `lpos` alone, never through NaN: a NaN start point or an overflowed
+    explicit point is not in log form. A factor step moves the dominant
+    coordinate into the subordinate slot (x' = y forward, y' = x backward),
+    so the step carries the old `dom` over as the new `sub` instead of
+    taking another absolute value.
 
     The orbit carries its direction (`inverse`) and its points' names for
     the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`.
     """
 
-    __slots__ = ("x", "y", "logm", "L", "r", "u", "dom", "sub", "ids", "switch", "inverse")
-    _STATE = ("x", "y", "logm", "L", "r", "u", "dom", "sub", "ids")
+    __slots__ = ("x", "y", "dom", "sub", "ids", "lpos", "L", "r", "u", "switch", "inverse")
+    _STATE = ("x", "y", "dom", "sub", "ids")
+    _LOG = ("L", "r", "u")
 
     def __init__(self, fam: HenonFamily, x: np.ndarray, y: np.ndarray, inverse: bool, ids=None):
         n = len(x)
@@ -64,10 +70,8 @@ class Orbit:
         self.ids = np.arange(n) if ids is None else ids
         self.x = np.array(x, dtype=complex)
         self.y = np.array(y, dtype=complex)
-        self.logm = np.zeros(n, dtype=bool)
-        self.L = np.zeros(n, dtype=float)
-        self.r = np.zeros(n, dtype=complex)
-        self.u = np.zeros(n, dtype=complex)
+        self.lpos, self.L = np.empty(0, dtype=np.intp), np.empty(0, dtype=float)
+        self.r, self.u = np.empty((2, 0), dtype=complex)
         self.switch = switch_bound(fam)
         self.dom = np.abs(self.x if inverse else self.y)
         self.sub = np.abs(self.y if inverse else self.x)
@@ -79,17 +83,24 @@ class Orbit:
     def __len__(self) -> int:
         return len(self.x)
 
-    def keep(self, idx: np.ndarray) -> None:
-        """Keep only the points idx selects, replacing one array at a time."""
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the points the boolean mask selects, replacing one array at a
+        time; a kept log-form point keeps its log entries, at its new position."""
+        held = mask[self.lpos]
+        self.lpos = (np.cumsum(mask) - 1)[self.lpos[held]]
+        for name in self._LOG:
+            setattr(self, name, getattr(self, name)[held])
         for name in self._STATE:
-            setattr(self, name, getattr(self, name)[idx])
+            setattr(self, name, getattr(self, name)[mask])
 
     @classmethod
     def concat(cls, parts: list["Orbit"]) -> "Orbit":
         """One orbit holding the points of `parts` in order (same family and direction)."""
         o = cls.__new__(cls)
-        for name in cls._STATE:
+        for name in cls._STATE + cls._LOG:
             setattr(o, name, np.concatenate([getattr(p, name) for p in parts]))
+        offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        o.lpos = np.concatenate([p.lpos + off for p, off in zip(parts, offsets)])
         o.switch = parts[0].switch
         o.inverse = parts[0].inverse
         return o
@@ -99,67 +110,55 @@ class Orbit:
         step_coeffs(self, supplier.coeffs(fam, k, self.ids))
 
     def to_log(self, mask: np.ndarray) -> None:
-        """Move the masked explicit entries to log form."""
-        lead = self.x[mask] if self.inverse else self.y[mask]
-        sub = self.y[mask] if self.inverse else self.x[mask]
-        self.L[mask] = np.log(self.dom[mask])
-        self.r[mask] = sub / lead
-        self.u[mask] = 1.0 / lead
-        self.logm |= mask
+        """Move the masked explicit points to log form, leaving NaN in their explicit entries."""
+        pos = np.flatnonzero(mask)
+        lead = (self.x if self.inverse else self.y)[pos]
+        sub = (self.y if self.inverse else self.x)[pos]
+        self.lpos = np.concatenate((self.lpos, pos))
+        self.L = np.concatenate((self.L, np.log(self.dom[pos])))
+        self.r = np.concatenate((self.r, sub / lead))
+        self.u = np.concatenate((self.u, 1.0 / lead))
+        for v in (self.x, self.y, self.dom, self.sub):
+            v[pos] = np.nan
 
-    def radial(self, explicit_fn, from_log_fn, idx=None) -> np.ndarray:
+    def log_form_norm(self) -> np.ndarray:
+        """log ||z|| of the log-form points, in the order of `lpos`."""
+        return self.L + 0.5 * np.log1p(np.abs(self.r) ** 2)
+
+    def radial(self, explicit_fn, from_log_fn) -> np.ndarray:
         """Per-point values of a function of the point's norm.
 
         explicit_fn(s, t) evaluates explicit entries from the moduli of
         their coordinates, s = |dominant| and t = |subordinate|, so it must
-        treat its two arguments alike; from_log_fn(log||z||) evaluates
-        log-form entries. With `idx` only the indexed points are evaluated.
+        treat its two arguments alike, and return a new float array;
+        from_log_fn(log||z||) evaluates log-form points.
         """
-        if idx is None:
-            idx = slice(None)
-        lg = self.logm[idx]
-        out = np.empty(len(lg), dtype=float)
-        if not lg.any():
-            out[:] = explicit_fn(self.dom[idx], self.sub[idx])
-            return out
-        ex = ~lg
-        if ex.any():
-            out[ex] = explicit_fn(self.dom[idx][ex], self.sub[idx][ex])
-        out[lg] = from_log_fn(self.L[idx][lg] + 0.5 * np.log1p(np.abs(self.r[idx][lg]) ** 2))
+        out = explicit_fn(self.dom, self.sub)
+        out[self.lpos] = from_log_fn(self.log_form_norm())
         return out
 
-    def log_norm(self, idx=None) -> np.ndarray:
+    def log_norm(self) -> np.ndarray:
         """log ||z|| per point (exact for both representations)."""
         with np.errstate(divide="ignore"):
-            return self.radial(lambda s, t: np.log(np.hypot(s, t)), lambda L: L, idx)
+            return self.radial(lambda s, t: np.log(np.hypot(s, t)), lambda L: L)
 
-    def log_plus_norm(self, idx=None) -> np.ndarray:
-        out = self.log_norm(idx)
+    def log_plus_norm(self) -> np.ndarray:
+        out = self.log_norm()
         return np.maximum(out, 0.0, out=out)
+
+    def in_explicit_wedge(self, R: float) -> np.ndarray:
+        """Explicit points of the closed invariant wedge (NaN entries are outside)."""
+        return (self.dom >= self.sub) & (self.dom > R)
 
     def in_wedge(self, R: float) -> np.ndarray:
         """Closed invariant wedge: V_R^+ forward, V_R^- backward."""
-        return self.logm | ((self.dom >= self.sub) & (self.dom > R))
+        out = self.in_explicit_wedge(R)
+        out[self.lpos] = True
+        return out
 
     def in_bidisc(self, r: float) -> np.ndarray:
         """Explicit points with |x| <= r and |y| <= r (a non-finite state is outside)."""
-        return ~self.logm & (self.dom <= r) & (self.sub <= r)
-
-    def wedge_ratios(self, idx: np.ndarray):
-        """(1/|y|, |x/y|) at the indexed points of a forward orbit in V_R^+."""
-        inv_rho = self.dom[idx]
-        ratio = self.sub[idx]
-        lg = self.logm[idx]
-        with np.errstate(under="ignore", invalid="ignore"):
-            ratio /= inv_rho
-            np.divide(1.0, inv_rho, out=inv_rho)
-            if lg.any():
-                j = idx[lg]
-                ratio[lg] = np.abs(self.r[j])
-                t = self.L[j]
-                np.negative(t, out=t)
-                inv_rho[lg] = np.exp(t, out=t)
-        return inv_rho, ratio
+        return (self.dom <= r) & (self.sub <= r)
 
 
 def _tail_poly(coeffs, u):
@@ -175,68 +174,46 @@ def step_factor(o: Orbit, coeffs, a) -> None:
     """Apply one factor (its inverse on an inverse orbit) in place, switching reps as needed.
 
     Each coefficient row and `a` is shared or per point on its own (see
-    the module docstring).
+    the module docstring). The explicit step runs on the whole arrays, the
+    log-scale step on the compact ones.
     """
+    if len(o.lpos):
+        _step_log(o, [c[o.lpos] if np.ndim(c) else c for c in coeffs], a[o.lpos] if np.ndim(a) else a)
     # the old |dominant| is the new |subordinate|; the old `sub` is dropped
     # before the step, which lowers the step's memory peak
     o.sub = o.dom
     o.dom = None
-    mixed = o.logm.any()
-    if mixed:
-        _step_mixed(o, coeffs, a)
-    else:
-        # all explicit: step the whole arrays, no mask gather or scatter
-        o.x, o.y = factor_step(coeffs, a, o.x, o.y, o.inverse, scratch=True)
+    o.x, o.y = factor_step(coeffs, a, o.x, o.y, o.inverse, scratch=True)
     o.dom = np.abs(o.x if o.inverse else o.y)
     big = o.dom > o.switch
-    if mixed:
-        big &= ~o.logm
     if big.any():
         o.to_log(big)
 
 
-def _masked(v, mask):
-    """A per-point array restricted to the mask; a shared scalar as it is."""
-    return v[mask] if np.ndim(v) else v
-
-
-def _step_mixed(o: Orbit, coeffs, a) -> None:
-    """Factor step with some entries in log form: explicit and log entries
-    are stepped separately through masks."""
+def _step_log(o: Orbit, coeffs, a) -> None:
+    """Log-scale factor step of the log-form points, coefficients given at `lpos`."""
     deg = len(coeffs) - 1
-    inverse = o.inverse
-    logm0 = o.logm
-    ex = ~logm0
-    if ex.any():
-        cs = [_masked(c, ex) for c in coeffs]
-        o.x[ex], o.y[ex] = factor_step(cs, _masked(a, ex), o.x[ex], o.y[ex], inverse, scratch=True)
-    cs = [_masked(c, logm0) for c in coeffs]
-    av = _masked(a, logm0)
-    u = o.u[logm0]
-    r = o.r[logm0]
+    u = o.u
     # forward: delta = tail(u) - a r u^(d-1), r' = u^(d-1) / (1 + delta);
     # inverse: delta = tail(u) - r u^(d-1), r' = a u^(d-1) / (1 + delta),
     # and L' = d L + log|1 + delta| (- log|a| inverse), u' = r' u; in place
     with np.errstate(under="ignore"):
         upow = u ** (deg - 1)
-        one = _tail_poly(cs, u)
-        if not inverse:
-            r = imul(r, av)
+        one = _tail_poly(coeffs, u)
+        r = o.r if o.inverse else imul(o.r, a)
         r = imul(r, upow)
         one -= r
         one += 1.0
         del r
-        L = o.L[logm0]
-        L *= deg
-        L += np.log(np.abs(one))
-        if inverse:
-            L -= np.log(np.abs(av))
-            upow = imul(upow, av)
-        o.L[logm0] = L
-        o.r[logm0] = upow / one
+        o.L *= deg
+        o.L += np.log(np.abs(one))
+        if o.inverse:
+            o.L -= np.log(np.abs(a))
+            upow = imul(upow, a)
+        o.r = upow / one
         upow = imul(upow, u)
         upow /= one
-        o.u[logm0] = upow
+        o.u = upow
 
 
 def step_coeffs(o: Orbit, coeffs: tuple) -> None:

@@ -43,6 +43,13 @@ def two_letter_base():
     return BaseSystem(BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j)), BaseDynamics("shift"))
 
 
+def log_mask(orbit):
+    """Boolean mask of an orbit's log-form points, read from orbit.lpos."""
+    mask = np.zeros(len(orbit), dtype=bool)
+    mask[orbit.lpos] = True
+    return mask
+
+
 def _mp_map(factor_data, lam, x, y, inverse):
     """One application of the family (or its inverse) in mpmath."""
     facs = factor_data(lam)

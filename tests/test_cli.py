@@ -103,7 +103,7 @@ def test_degenerate_family_rejected(tmp_path, capsys):
 
 
 def test_slice_mass_experiment(tmp_path):
-    cfg = _write(tmp_path, TWO_LETTER.replace("sigma = shift", "sigma = identity"))
+    cfg = _write(tmp_path, TWO_LETTER.replace("sigma = shift", "sigma = identity") + "lam = 0.1\n")
     code = main(["slice-mass", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 0
     rows = (tmp_path / "out" / "slice_mass.csv").read_text().splitlines()
@@ -257,13 +257,40 @@ def test_nonpositive_tol_exits_2(tol, tmp_path):
     ("base", "sigma", "contraction0.3"), ("base", "sigma", "rotationfoo"), ("base", "sigma", "identity:1"),
     ("base", "sigma", "shift:2"), ("base", "sigma", "contraction:nan"), ("base", "sigma", "rotation:inf"),
     ("base", "sigma", "rotation:"), ("experiment", "lam", "nan"), ("experiment", "lam", "inf+1j"),
-    ("base", "points", "0, nan"), ("experiment", "slice", "x=nan"),
+    ("base", "points", "0, nan"), ("experiment", "slice", "x=nan"), ("experiment", "tol", "0"),
 ])
 def test_typos_and_nonfinite_values_exit_2(section, key, value, tmp_path, capsys):
     text = _with_options(TWO_LETTER.replace("sigma = shift", "sigma = identity"), section, **{key: value})
     assert main(["green-raster", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert not (tmp_path / "o").exists()
     assert f"{value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["green-raster", "julia-raster", "slice-mass"])
+@pytest.mark.parametrize("base, lam", [
+    ("kind = finite\npoints = 0", "5"),
+    ("kind = box\nbounds = -0.1, 0.1", "0.2"),
+    ("kind = box\nbounds = -0.1, 0.1", "0.05+0.01i"),
+    ("kind = circle", "1.5"),
+], ids=["finite", "box", "box-imaginary", "circle"])
+def test_lam_outside_the_base_exits_2(kind, base, lam, tmp_path, capsys):
+    # the raster's fibre is over lam, while the radius R covers the base only
+    text = MINIMAL.replace("kind = finite\npoints = 0", base) + f"lam = {lam}\nresolution = 8\nresolutions = 8\n"
+    assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    assert "[experiment] lam" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("base, lam", [
+    ("kind = finite\npoints = 0, 5", "5"),
+    ("kind = box\nbounds = -0.1, 0.1", "0.1"),
+    ("kind = box\nbounds = -0.1, 0.1, 0, 1", "-0.1+1i"),
+    ("kind = circle\nsigma = rotation:0.3", "1.0"),
+    ("kind = box\nbounds = -0.1, 0.1\nsigma = contraction:0.5", "-0.05"),
+], ids=["finite", "box", "box-2d", "circle-wraps", "contraction"])
+def test_lam_in_the_base_runs(base, lam, tmp_path):
+    text = MINIMAL.replace("kind = finite\npoints = 0", base) + f"lam = {lam}\nresolution = 8\n"
+    assert main(["green-raster", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("sigma, kind, param", [

@@ -2,7 +2,7 @@ import signal
 
 import numpy as np
 import pytest
-from conftest import check_invariance_two_pass, mp_wedge_green, quad_factor_data
+from conftest import check_invariance_two_pass, log_mask, mp_wedge_green, quad_factor_data
 
 from henonskew.base import BaseSpace, point_base
 from henonskew.errors import DegenerateFamily, ValidationError
@@ -135,7 +135,7 @@ def test_bidisc_cap_bounds_green(inverse):
     y = R * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
 
     def in_bidisc(o):
-        return ~o.logm & (np.abs(o.x) <= R) & (np.abs(o.y) <= R)
+        return ~log_mask(o) & (np.abs(o.x) <= R) & (np.abs(o.y) <= R)
 
     xs, ys = [x], [y]
     for _, o in iterate(fam, sup, x, y, [1, 2, 3], not inverse):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import henonskew.green as green_mod
-from conftest import avg_green_field_loop, avg_green_loop, mp_orbit_green, quad_factor_data
+from conftest import avg_green_field_loop, avg_green_loop, log_mask, mp_orbit_green, quad_factor_data
 from henonskew.base import (
     BaseDynamics,
     BaseSpace,
@@ -540,7 +540,7 @@ def test_bounded_points_lie_in_the_bidisc_and_bound_their_values(inverse):
         # "bounded" means z_(n_max) is in V_R, not merely outside the wedge
         (_, orbit), = iterate(fam, sup, x, y, [n_max], inverse)
         in_box = np.maximum(np.abs(orbit.x), np.abs(orbit.y)) <= flt.R
-        assert np.array_equal(bounded, in_box & ~orbit.logm), n_max
+        assert np.array_equal(bounded, in_box & ~log_mask(orbit)), n_max
 
 
 def test_overflowing_orbits_are_undecided_without_warnings():
@@ -557,7 +557,7 @@ def test_overflowing_orbits_are_undecided_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g, status, _ = green_values(fam, base, np.zeros(m), x, y, 1e-3, 100, inverse=True)
-        steps = [(n, o.logm.copy()) for n, o in iterate(fam, SigmaSupplier(base.sigma, 0.0), x, y, [1, 5], True)]
+        steps = [(n, log_mask(o)) for n, o in iterate(fam, SigmaSupplier(base.sigma, 0.0), x, y, [1, 5], True)]
         g_inf, s_inf, _ = green_values(fam, base, np.zeros(2), np.array([np.inf, 1.0]), np.array([np.inf, 1e300]),
                                        1e-3, 10)
     undecided = status == green_mod.STATUS_UNDECIDED

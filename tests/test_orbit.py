@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mp_orbit_green, mp_truncation, mp_wedge_green
+from conftest import log_mask, mp_orbit_green, mp_truncation, mp_wedge_green
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, quadratic_family
@@ -212,16 +212,17 @@ def test_mixed_and_explicit_orbits_step_points_alike(inverse):
     y = np.array([0.2 + 0j, 0j, 0.4j, 1.1 + 0j]) if inverse else np.array([0.2 + 0j, big, 0.4j, 1.1 + 0j])
     a = np.array([0.3, 0.25, 0.2 + 0.1j, 0.35])
     mixed = Orbit(fam, x, y, inverse)
-    assert mixed.logm.tolist() == [False, True, False, False]
+    assert log_mask(mixed).tolist() == [False, True, False, False]
     step_factor(mixed, coeffs, a)
-    ex = ~mixed.logm
+    ex = ~log_mask(mixed)
     explicit = Orbit(fam, x[ex], y[ex], inverse)
     step_factor(explicit, coeffs, a[ex])
     assert np.array_equal(mixed.x[ex], explicit.x) and np.array_equal(mixed.y[ex], explicit.y)
     alone = Orbit(fam, x[1:2], y[1:2], inverse)
     step_factor(alone, coeffs, a[1:2])
+    assert mixed.lpos.tolist() == [1] and alone.lpos.tolist() == [0]
     for name in ("L", "r", "u"):
-        assert np.array_equal(getattr(mixed, name)[1:2], getattr(alone, name)), name
+        assert np.array_equal(getattr(mixed, name), getattr(alone, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,8 @@ def test_radius_gate_is_necessary_for_the_own_tail_rule(fam_name):
     y = rho * np.exp(2j * np.pi * rng.uniform(size=n))
     x = rho * rng.uniform(0.0, 1.0, n) ** 3 * np.exp(2j * np.pi * rng.uniform(size=n))
     orbit = Orbit(fam, x, y, False)
-    assert orbit.logm.any() and not orbit.logm.all()
+    lg = log_mask(orbit)
+    assert lg.any() and not lg.all()
     assert np.all(orbit.in_wedge(flt.R))
 
     e = flt.wedge_distortion(1.0 / rho) / (d - 1.0) + 0.5 * np.log1p(np.abs(x / y) ** 2)
@@ -278,7 +280,7 @@ def test_radius_gate_changes_no_result(fam_name, base_name):
 
 
 def _assert_moduli(o, inverse):
-    ex = ~o.logm
+    ex = ~log_mask(o)
     dom, sub = (o.x, o.y) if inverse else (o.y, o.x)
     assert np.array_equal(o.dom[ex], np.abs(dom[ex]))
     assert np.array_equal(o.sub[ex], np.abs(sub[ex]))
@@ -302,7 +304,7 @@ def test_carried_subordinate_modulus_is_exact(inverse):
 
     explicit = Orbit(fam, small[0], small[1], inverse)
     mixed = Orbit(fam, big[0], big[1], inverse)
-    assert not explicit.logm.any() and mixed.logm.any() and not mixed.logm.all()
+    assert not log_mask(explicit).any() and log_mask(mixed).any() and not log_mask(mixed).all()
     _assert_moduli(explicit, inverse)
     _assert_moduli(mixed, inverse)
     for _ in range(2):
@@ -313,9 +315,90 @@ def test_carried_subordinate_modulus_is_exact(inverse):
     _assert_moduli(mixed, inverse)
     both = Orbit.concat([explicit, mixed])
     _assert_moduli(both, inverse)
-    assert both.logm.any() and not both.logm.all()
+    assert log_mask(both).any() and not log_mask(both).all()
     for _ in range(4):
         step(both, np.concatenate((lam, lam[keep])))
+
+
+# ---------------------------------------------------------------------------
+# log-form points keep their positions: NaN explicit entries, compact log
+# entries at lpos, remapped by keep and offset by concat
+
+
+def _assert_steps_as_alone(orbit, alone):
+    """Each point of `orbit` holds the state of its orbit stepped alone, alone[id]."""
+    lg = log_mask(orbit)
+    norm = orbit.log_norm()
+    compact = {p: j for j, p in enumerate(orbit.lpos.tolist())}
+    for p, i in enumerate(orbit.ids.tolist()):
+        one = alone[i]
+        assert norm[p] == one.log_norm()[0], (p, i)
+        if lg[p]:
+            assert one.lpos.tolist() == [0], (p, i)
+            for name in ("L", "r", "u"):
+                assert getattr(orbit, name)[compact[p]] == getattr(one, name)[0], (name, p, i)
+            for name in ("x", "y", "dom", "sub"):
+                assert np.isnan(getattr(orbit, name)[p]), (name, p, i)
+        else:
+            assert one.lpos.size == 0, (p, i)
+            for name in ("x", "y", "dom", "sub"):
+                assert getattr(orbit, name)[p] == getattr(one, name)[0], (name, p, i)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_keep_and_concat_carry_log_form_points(inverse):
+    """Random keep masks and concat of orbits holding log-form points leave
+    each point's log_norm and its L, r and u equal to those of the point
+    stepped alone; points switch to log form between the keeps."""
+    fam = SLICE_FAMILIES["two-factor"]
+    base, _ = SLICE_BASES["rotation"]
+    rng = np.random.Generator(np.random.PCG64(21))
+    n = 90
+    scale = np.where(rng.uniform(size=n) < 0.5, 2.5, 1e25)
+    x = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    y = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    sup = SigmaSupplier(base.sigma, rng.uniform(0.0, 1.0, n))
+    alone = [Orbit(fam, x[i:i + 1], y[i:i + 1], inverse, np.array([i])) for i in range(n)]
+    parts = [Orbit(fam, x[lo:lo + 30], y[lo:lo + 30], inverse, np.arange(lo, lo + 30)) for lo in (0, 30, 60)]
+    assert all(log_mask(o).any() and not log_mask(o).all() for o in parts)
+    started = {i for o in parts for i in o.ids[o.lpos].tolist()}
+    for k in range(10):
+        if k == 2:
+            both = Orbit.concat(parts)
+            _assert_steps_as_alone(both, alone)
+            assert log_mask(both).any() and not log_mask(both).all()
+            parts = [both]
+        for o in parts + alone:
+            o.step(sup, fam, k)
+        for o in parts:
+            o.keep(rng.uniform(size=len(o)) < 0.85)
+            _assert_steps_as_alone(o, alone)
+    assert set(both.ids[log_mask(both)].tolist()) - started
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_log_form_points_are_nan_explicitly_and_in_the_wedge(inverse):
+    """Log-form positions hold NaN in x, y, dom and sub, and lie in the
+    wedge and outside every bidisc. A NaN start point stays explicit and is
+    in neither, as is a start point with an infinite subordinate coordinate
+    (whose first step leaves an infinite dominant one, in log form); a
+    small start point is in the bidisc only."""
+    fam = SLICE_FAMILIES["two-factor"]
+    base, lam = SLICE_BASES["rotation"]
+    lead = np.array([0.2, 1e25 - 3e24j, NAN, 1.5])
+    sub = np.array([0.1, 2e24, 0.0, INF])
+    x, y = (lead, sub) if inverse else (sub, lead)
+    for n, orbit in iterate(fam, SigmaSupplier(base.sigma, lam), x.astype(complex), y.astype(complex), range(4),
+                            inverse):
+        assert orbit.lpos[0] == 1 and 2 not in orbit.lpos
+        for name in ("x", "y", "dom", "sub"):
+            assert np.isnan(getattr(orbit, name)[1]), name
+        assert np.isnan(orbit.dom[2])
+        wedge, bidisc = orbit.in_wedge(1.0), orbit.in_bidisc(1e300)
+        assert wedge[1] and not bidisc[1] and not wedge[2] and not bidisc[2]
+        if n == 0:
+            assert orbit.lpos.tolist() == [1]
+            assert wedge.tolist() == [False, True, False, False] and bidisc.tolist() == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import _mp_map
+from conftest import _mp_map, log_mask
 from henonskew import green as green_mod
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance, point_base
 from henonskew.expr import CoeffMap
@@ -185,7 +185,7 @@ def test_trapped_points_stay_in_the_bidisc_in_mpmath(fam_name):
     x, y = _disc(rng, 400, 2.0), _disc(rng, 400, 2.0)
     sup = SigmaSupplier(base.sigma, lam)
     (_, orbit), = iterate(fam, sup, x, y, [N])
-    trapped = np.flatnonzero(~orbit.logm & (np.maximum(orbit.dom, orbit.sub) <= r))
+    trapped = np.flatnonzero(~log_mask(orbit) & (np.maximum(orbit.dom, orbit.sub) <= r))
     assert trapped.size >= 10
     _, status, depth, _ = _run_green(sup, fam, x, y, flt, TOL, 200, False)
     assert np.all(status[trapped] == STATUS_BOUNDED) and np.all(depth[trapped] == 200)
