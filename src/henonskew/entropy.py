@@ -129,15 +129,15 @@ def dn_distance(fam: HenonFamily, base: BaseSystem, p, q, n: int) -> float:
     return float(np.fmax.reduce(steps, initial=0.0))
 
 
-def _decision_depth(flt: FiltrationRadius, threshold: float, tol: float, n_max: int, inverse: bool = False) -> int:
+def _decision_depth(flt: FiltrationRadius, threshold: float, tol: float, n_max: int) -> int:
     """Depth at which `G < threshold` is decided for every point in V_R.
 
     The smallest n >= flt.depth_for(tol) with 2 (d^-n M + tol) < threshold,
     M = flt.bidisc_cap, capped at n_max (see `draw_candidates`).
     """
-    n = flt.depth_for(tol, inverse)
+    n = flt.depth_for(tol)
     d = float(flt.degree)
-    cap = flt.bidisc_cap(inverse)
+    cap = flt.bidisc_cap()
     while n < n_max and 2.0 * (d ** (-n) * cap + tol) >= threshold:
         n += 1
     return min(n, n_max)
@@ -149,7 +149,8 @@ def _below(fam, base, lam, x, y, threshold, tol, n_max, flt, inverse=False, back
     Decided at `_decision_depth`; the points left undecided there are
     re-run to n_max.
     """
-    n_dec = _decision_depth(flt, threshold, tol, n_max, inverse)
+    flt = flt.toward(inverse)
+    n_dec = _decision_depth(flt, threshold, tol, n_max)
     g, status, _ = green_values(fam, base, lam, x, y, tol, n_dec, flt, inverse=inverse, backward_base=backward_base)
     if n_dec < n_max:
         redo = np.flatnonzero(status == STATUS_UNDECIDED)
@@ -187,7 +188,7 @@ def draw_candidates(
     uses the filtration bidisc.
 
     Each batch is decided with one `green_values` call per direction at
-    the decision depth n_dec <= n_max (module docstring; K_minus backward).
+    the decision depth n_dec <= n_max (module docstring; the direction's K).
     Since n_dec >= depth_for(tol), every point that reaches the wedge by
     n_dec is certified there at the depth and with the value that a run
     to n_max gives it. A point in V_R at n_dec is kept: its value at n_max

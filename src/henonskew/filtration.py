@@ -5,17 +5,17 @@ V_R^- (|y| < |x|, |x| > R). A radius R with |p_j(y)| >= (2+a)|y| on
 |y| >= R for every factor and every sampled base point makes V_R^+
 forward invariant and V_R^- backward invariant, uniformly over the base.
 
-This module also derives the one-step potential-increment bound K with
-|G_(n+1) - G_n| <= K d^(-n) on V_R u V_R^+ (and the analogue for the
-inverse direction), which is what certifies Green-function tails, and the
-per-step distortion bound e(rho) on V_R^+ at a point's own radius, which
-certifies a forward point's tail before the uniform one is small enough.
+FiltrationRadius is the record of one map direction: its one-step
+potential-increment bound K, with |G_(n+1) - G_n| <= K d^(-n) on V_R u V_R^+
+(V_R u V_R^- backward), which certifies Green-function tails, and, forward
+only, the per-step distortion bound e(rho) on V_R^+ at a point's own radius,
+which certifies a point's tail before the uniform one is small enough.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,11 +30,12 @@ DEFAULT_GRID = 64
 
 @dataclass(frozen=True)
 class FiltrationRadius:
-    """Uniform filtration radius with the derived family constants.
+    """Uniform filtration radius with the family constants of one map direction.
 
-    K_plus / K_minus bound the one-step increment of the normalized
-    log-potential in the forward / backward direction; tails of depth n
-    are then bounded by K * d/(d-1) * d^(-n).
+    compute_radius gives the forward record and toward(inverse) either one.
+    Tails of depth n are bounded by K * d/(d-1) * d^(-n). The own-tail rule
+    and the trapping bidisc exist only forward, so the backward record has
+    rho_star = inf and trap_radius = 0.
     """
 
     R: float
@@ -45,31 +46,63 @@ class FiltrationRadius:
     a_inf: float
     coeff_sums: tuple[float, ...]
     factor_degrees: tuple[int, ...]
-    K_plus: float
-    K_minus: float
+    inverse: bool = False
 
-    def tail_bound(self, n: int, inverse: bool = False) -> float:
-        K = self.K_minus if inverse else self.K_plus
+    def toward(self, inverse: bool) -> FiltrationRadius:
+        """The record of the backward (inverse) or forward direction."""
+        return self if inverse == self.inverse else self._reverse
+
+    @cached_property
+    def _reverse(self) -> FiltrationRadius:
+        """The other direction's record, built once and linked back to this one."""
+        rev = replace(self, inverse=not self.inverse)
+        rev.__dict__["_reverse"] = self
+        return rev
+
+    @cached_property
+    def K(self) -> float:
+        """One-step increment bound: |G_(n+1) - G_n| <= K d^(-n) on V_R and the wedge.
+
+        Per-factor log-distortion on the invariant wedge:
+          forward, on V_R^+:  |y'| / |y|^dj  in  [(R - S - a)/R, 1 + (S + a)/R]
+          backward, on V_R^-: |x'| / |x|^dj  in  [(R - S - 1)/(R a_sup), (1 + (S+1)/R)/a_inf]
+        Composition multiplies each factor's error by at most d/dj, and the
+        bidisc case adds the log(sqrt(2) R) cap of the potential there.
+        """
+        R, d, a_sup, a_inf = self.R, self.degree, self.a_sup, self.a_inf
+        e = e_box = 0.0
+        for dj, S in zip(self.factor_degrees, self.coeff_sums):
+            if self.inverse:
+                lo, hi = (R - S - 1.0) / (R * a_sup), (1.0 + (S + 1.0) / R) / a_inf
+                box = math.log((2.0 + S) / a_inf)
+            else:
+                lo, hi = (R - S - a_sup) / R, 1.0 + (S + a_sup) / R
+                box = math.log(1.0 + S + a_sup)
+            e += max(abs(math.log(lo)), abs(math.log(hi))) * d / dj
+            e_box += box * d / dj
+        return max(e / d + math.log(2.0), math.log(math.sqrt(2.0) * R) + e_box / d)
+
+    def tail_bound(self, n: int) -> float:
         d = self.degree
-        return K * d / (d - 1) * d ** (-float(n))
+        return self.K * d / (d - 1) * d ** (-float(n))
 
-    def bidisc_cap(self, inverse: bool = False) -> float:
+    def bidisc_cap(self) -> float:
         """M = log(sqrt(2) R) + K d/(d-1): a bound on G over the bidisc V_R.
 
         log+||z|| is at most log(sqrt(2) R) on V_R, and the increments
-        beyond it sum to at most K d/(d-1) (K_plus forward, K_minus
-        backward). A point whose orbit lies in V_R at depth n therefore has
-        G <= d^(-n) M.
+        beyond it sum to at most K d/(d-1). A point whose orbit lies in V_R
+        at depth n therefore has G <= d^(-n) M.
         """
-        return math.log(math.sqrt(2.0) * self.R) + self.tail_bound(0, inverse)
+        return math.log(math.sqrt(2.0) * self.R) + self.tail_bound(0)
 
     def wedge_distortion(self, inv_rho):
         """Forward per-step log-distortion bound e(rho) on V_R^+ at |y| = rho.
 
         e(rho) = sum_j (d/d_j) * -log(1 - (S_j + a_sup)/rho) bounds
         |log|y'| - d log|y|| over one map step from a point with |y| = rho.
-        It falls with rho, and at rho = R it is the wedge term of K_plus.
-        Takes 1/rho so that log-form radii beyond the double range give 0.
+        It falls with rho, and at rho = R it is the wedge term of the
+        forward K. Takes 1/rho so that log-form radii beyond the double
+        range give 0.
         """
         return sum(
             self.degree / dj * -np.log1p(-(S + self.a_sup) * inv_rho)
@@ -78,7 +111,7 @@ class FiltrationRadius:
 
     @cached_property
     def rho_star(self) -> float:
-        """Radius below which an explicit point of V_R^+ cannot pass the own-tail rule.
+        """Radius below which a point of V_R^+ cannot pass the own-tail rule; inf backward.
 
         The rule needs e(rho)/(d-1) <= eps * log||z|| (green.py). Since
         -log1p(-t) >= t, e(rho)/(d-1) >= C/rho with
@@ -88,6 +121,8 @@ class FiltrationRadius:
         evaluated bound. Fixed-point steps rho <- C/(2 eps log(sqrt(2) rho))
         alternate around the root, so the smaller of the last two is below it.
         """
+        if self.inverse:
+            return math.inf
         d = self.degree
         c = sum(d / dj * (S + self.a_sup) for dj, S in zip(self.factor_degrees, self.coeff_sums)) / (d - 1)
         k = c / (2.0 * np.finfo(float).eps)
@@ -111,7 +146,8 @@ class FiltrationRadius:
         is far above the rounding of one double step. Since r <= 1 < R,
         D_r lies in V_R. A forward orbit that enters D_r therefore stays
         in V_R for good: it is bounded (green.py). No such disc exists
-        backward, where the inverse factors expand for |a| < 1.
+        backward, where the inverse factors expand for |a| < 1, so the
+        backward record has 0.
 
         f_j(r) = r^(d_j) + m (S_j + a_sup r) - r is convex, so f_j <= 0
         on an interval. Its least value is at
@@ -119,8 +155,8 @@ class FiltrationRadius:
         right end of the interval is found by bisection on [r_j, 1].
         """
         m, a = self.margin, self.a_sup
-        if m * a >= 1.0:
-            return 0.0  # f_j increases from f_j(0) = m S_j >= 0
+        if self.inverse or m * a >= 1.0:
+            return 0.0  # no disc backward; forward, f_j increases from f_j(0) = m S_j >= 0
 
         def f(r, dj, S):
             return r ** dj + m * (S + a * r) - r
@@ -139,7 +175,7 @@ class FiltrationRadius:
             return 0.0
         return r
 
-    def depth_for(self, tol: float, inverse: bool = False) -> int:
+    def depth_for(self, tol: float) -> int:
         """Smallest n with tail_bound(n) < tol.
 
         tol must be positive (inf is allowed): tail_bound underflows to 0
@@ -149,7 +185,7 @@ class FiltrationRadius:
         if not tol > 0:
             raise ValidationError(f"tol must be positive, got {tol}")
         n = 1
-        while self.tail_bound(n, inverse) >= tol:
+        while self.tail_bound(n) >= tol:
             n += 1
         return n
 
@@ -184,42 +220,15 @@ def compute_radius(
         coeff_sums.append(float(s.max()))
 
     R = margin * max(s + 2.0 + a_sup for s in coeff_sums)
-    d = fam.degree
-
-    # Per-factor log-distortion on the invariant wedges:
-    #   forward, on V_R^+:  |y'| / |y|^dj  in  [(R - S - a)/R, 1 + (S + a)/R]
-    #   backward, on V_R^-: |x'| / |x|^dj  in  [(R - S - 1)/(R a_sup), (1 + (S+1)/R)/a_inf]
-    # Composition multiplies each factor's error by at most d/dj, and the
-    # bidisc case adds the log(sqrt(2) R) cap of the potential there.
-    e_plus = e_minus = 0.0
-    e_plus_box = e_minus_box = 0.0
-    for f, S in zip(fam.factors, coeff_sums):
-        lo = (R - S - a_sup) / R
-        hi = 1.0 + (S + a_sup) / R
-        kp = max(abs(math.log(lo)), abs(math.log(hi)))
-        lo_m = (R - S - 1.0) / (R * a_sup)
-        hi_m = (1.0 + (S + 1.0) / R) / a_inf
-        km = max(abs(math.log(lo_m)), abs(math.log(hi_m)))
-        e_plus += kp * d / f.degree
-        e_minus += km * d / f.degree
-        e_plus_box += math.log(1.0 + S + a_sup) * d / f.degree
-        e_minus_box += math.log((2.0 + S) / a_inf) * d / f.degree
-
-    box_cap = math.log(math.sqrt(2.0) * R)
-    K_plus = max(e_plus / d + math.log(2.0), box_cap + e_plus_box / d)
-    K_minus = max(e_minus / d + math.log(2.0), box_cap + e_minus_box / d)
-
     return FiltrationRadius(
         R=float(R),
         margin=margin,
         samples=grid,
-        degree=d,
+        degree=fam.degree,
         a_sup=a_sup,
         a_inf=a_inf,
         coeff_sums=tuple(coeff_sums),
         factor_degrees=tuple(f.degree for f in fam.factors),
-        K_plus=K_plus,
-        K_minus=K_minus,
     )
 
 

@@ -2,11 +2,13 @@
 
 The forward Green function along base orbit (lam_k) is
 G_n(z) = d^(-n) log+ ||H_(lam_(n-1)) o ... o H_(lam_0)(z)|| and satisfies
-|G_(n+1) - G_n| <= K d^(-n) once the orbit sits in V_R u V_R^+. A point
-whose orbit is in the wedge at depth n is certified by the first of two
-rules that holds:
+|G_(n+1) - G_n| <= K d^(-n) once the orbit sits in V_R u V_R^+. Each
+direction's constants form one record, FiltrationRadius.toward(inverse),
+and the rules below read only the record. A point whose orbit is in the
+wedge at depth n is certified by the first of two rules that holds:
 
-  uniform   K d/(d-1) d^(-n) < tol, the same depth for every point;
+  uniform   K d/(d-1) d^(-n) < tol, i.e. n >= depth_for(tol), the same
+            depth for every point;
   own tail  (forward only) err_n <= min(tol, eps * G_n), eps the double
             epsilon, with
               err_n = d^(-n) (e(rho_n)/(d-1) + 1/2 log1p(|x_n/y_n|^2)),
@@ -19,21 +21,21 @@ rules that holds:
             no longer change the double.
 
 Before the uniform rule applies, only the own-tail rule is tried, and only
-on log-form points and on explicit points with |y_n| >= rho_star
-(FiltrationRadius.rho_star). Below that radius err_n <= eps * G_n cannot
-hold: err_n >= d^(-n) C/rho_n and G_n <= d^(-n) log(sqrt(2) rho_n) on
-V_R^+, and rho_star solves C/rho = 2 eps log(sqrt(2) rho), so the gate
-skips only points the rule would reject, with a factor 2 to spare for
-rounding.
+on points with |y_n| > rho_star (FiltrationRadius.rho_star), explicit and
+log-form points alike. Below that radius err_n <= eps * G_n cannot hold:
+err_n >= d^(-n) C/rho_n and G_n <= d^(-n) log(sqrt(2) rho_n) on V_R^+ (for
+both forms, since |x_n| <= |y_n| there), and rho_star solves
+C/rho = 2 eps log(sqrt(2) rho), so the gate skips only points the rule
+would reject, with a factor 2 to spare for rounding.
 
 The reported err_bound is err_n or the uniform tail, whichever certified
 the point. It bounds the truncation only; the value carries a few ulp of
-rounding besides. Inverse orbits keep the uniform rule alone: backward,
-log|x_(k+1)| - d log|x_k| tends to -log|a| rather than 0, so a point's own
-increments do not vanish. A point left at n_max is bounded-certified only
-if z_(n_max) lies in the bidisc V_R; its value is 0 with err_bound
-max(tol, d^(-n_max) M), M = log(sqrt(2) R) + K d/(d-1) (K_plus forward,
-K_minus backward), which bounds G there when n_max is below the certifying
+rounding besides. Inverse orbits keep the uniform rule alone (rho_star =
+inf): backward, log|x_(k+1)| - d log|x_k| tends to -log|a| rather than 0,
+so a point's own increments do not vanish. A point left at n_max is
+bounded-certified only if z_(n_max) lies in the bidisc V_R; its value is 0
+with err_bound max(tol, d^(-n_max) M), M = log(sqrt(2) R) + K d/(d-1)
+(bidisc_cap), which bounds G there when n_max is below the certifying
 depth. A finite point left in the opposite wedge is undecided.
 
 Forward orbits are bounded earlier where the family is dissipative enough:
@@ -120,29 +122,30 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
              n_lo: int, n_hi: int, n_max: int, record) -> None:
     """Step the orbit from depth n_lo to n_hi, certifying as it goes.
 
+    flt is the record of the orbit's direction (FiltrationRadius.toward).
     Every point leaves the orbit through record(ids, n, values,
     err_bounds, status), with ids from orbit.ids and the other arguments
     scalars or arrays aligned with ids. A point leaves when the wedge
     rules certify it (undecided if its value is not finite), when it is
-    trapped in D_r (forward only, at depths where the uniform rule
-    applies; recorded as at n_max), and, if n_hi == n_max, at n_max:
-    bounded in the bidisc V_R, else undecided. A run to n_max thus
-    records each point once and empties the orbit.
+    trapped in D_r (at depths where the uniform rule applies; recorded as
+    at n_max), and, if n_hi == n_max, at n_max: bounded in the bidisc
+    V_R, else undecided. A run to n_max thus records each point once and
+    empties the orbit.
     """
     d = float(fam.degree)
     # value 0 at a point whose orbit is in V_R at n_max: there G <= d^-n_max M,
     # M = FiltrationRadius.bidisc_cap
-    bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap(orbit.inverse))
-    trap = 0.0 if orbit.inverse else flt.trap_radius
+    bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap())
+    n_tail = flt.depth_for(tol)  # the uniform rule's first depth; tail_bound falls with n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_lo + 1, n_hi + 1):
             if not len(orbit):
                 return
             orbit.step(supplier, fam, n - 1)
-            found = _wedge_certificates(orbit, flt, d, n, tol)
+            found = _wedge_certificates(orbit, flt, d, n, n >= n_tail, tol)
             held = None
-            if trap and flt.tail_bound(n) < tol:
-                held = orbit.in_bidisc(trap)
+            if flt.trap_radius and n >= n_tail:
+                held = orbit.in_bidisc(flt.trap_radius)
                 if not held.any():
                     held = None
             if found is None and held is None:
@@ -164,36 +167,39 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
         bounded = orbit.in_bidisc(flt.R)
         record(orbit.ids[bounded], n_max, 0.0, bounded_err, STATUS_BOUNDED)
         rest = ~bounded
-        record(orbit.ids[rest], n_max, g[rest], flt.tail_bound(n_max, orbit.inverse), STATUS_UNDECIDED)
+        record(orbit.ids[rest], n_max, g[rest], flt.tail_bound(n_max), STATUS_UNDECIDED)
         orbit.keep(np.zeros(len(orbit), dtype=bool))
 
 
-def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, tol: float):
+def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, uniform: bool, tol: float):
     """(positions, values, error bounds) of the points certified at depth n, or None.
 
-    Once the uniform tail K d/(d-1) d^-n is below tol every wedge point is
-    certified. Before that a forward point is certified when its own tail
+    Once the uniform tail K d/(d-1) d^-n is below tol (`uniform`) every
+    wedge point is certified. Before that a point with |y_n| > rho_star is
+    certified when its own tail
     err_n = d^-n (e(rho_n)/(d-1) + 1/2 log1p(|x_n/y_n|^2)) is at most
-    min(tol, eps * value).
+    min(tol, eps * value); with rho_star = inf no point is.
     """
-    tail = flt.tail_bound(n, orbit.inverse)
-    if tail >= tol and orbit.inverse:
+    # under the own-tail rule alone, points below rho_star cannot pass
+    rho = flt.R if uniform else max(flt.R, flt.rho_star)
+    if rho == math.inf:
         return None
-    # under the own-tail rule alone, explicit points below rho_star cannot pass
-    ex = np.flatnonzero(orbit.in_explicit_wedge(flt.R if tail < tol else max(flt.R, flt.rho_star)))
-    if ex.size == 0 and orbit.lpos.size == 0:
+    ex = np.flatnonzero(orbit.in_explicit_wedge(rho))
+    # a log-form point with a NaN L passes, to be recorded undecided
+    lg = np.flatnonzero(~(orbit.L <= math.log(rho)))
+    if ex.size == 0 and lg.size == 0:
         return None
-    pos = np.concatenate((ex, orbit.lpos))
+    pos = np.concatenate((ex, orbit.lpos[lg]))
     dom, sub = orbit.dom[ex], orbit.sub[ex]
-    g = np.concatenate((np.log(np.hypot(dom, sub)), orbit.log_form_norm()))
+    g = np.concatenate((np.log(np.hypot(dom, sub)), orbit.log_form_norm()[lg]))
     np.maximum(g, 0.0, out=g)
     g *= d ** (-n)
-    if tail < tol:
-        return pos, g, tail
+    if uniform:
+        return pos, g, flt.tail_bound(n)
     # 1/rho_n and |x_n/y_n| per point, explicit points first
     with np.errstate(under="ignore"):
-        inv_rho = np.concatenate((1.0 / dom, np.exp(-orbit.L)))
-        ratio = np.concatenate((sub / dom, np.abs(orbit.r)))
+        inv_rho = np.concatenate((1.0 / dom, np.exp(-orbit.L[lg])))
+        ratio = np.concatenate((sub / dom, np.abs(orbit.r[lg])))
     e = flt.wedge_distortion(inv_rho)
     e /= d - 1.0
     ratio *= ratio
@@ -251,7 +257,8 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
     With rows = 1 a range is one chunk, and its core one orbit.
     """
     n_pts = len(x)
-    n_cut = min(n_max, flt.depth_for(tol, inverse))
+    flt = flt.toward(inverse)
+    n_cut = min(n_max, flt.depth_for(tol))
 
     def finish(pool):
         if pool:

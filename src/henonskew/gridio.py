@@ -2,11 +2,13 @@
 
 Raw grid layout (little-endian, 64-byte header):
   offset  0  magic "HSKW" (4 bytes)
-  offset  4  version u8, slice-kind u8 (0 x-fixed, 1 y-fixed, 2 line), reserved u16
+  offset  4  version u8, slice-kind u8 (0 x-fixed, 1 y-fixed), reserved u16
   offset  8  nx u32, ny u32
   offset 16  x0, y0, dx, dy as f64  (x0, y0 = center of pixel (0, 0))
   offset 48  slice constant re, im as f64
-followed by ny*nx float64 values, row-major.
+followed by ny*nx float64 values, row-major. The header holds a slice
+constant but no base point or direction, so line slices are not written.
+Readers raise ValidationError on any file that does not follow the layout.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .grids import SLICE_LINE, SLICE_X, SLICE_Y, SliceGrid, SliceSpec
+from .grids import SLICE_X, SLICE_Y, SliceGrid, SliceSpec
 
 MAGIC = b"HSKW"
 VERSION = 1
 
-_KIND_CODE = {SLICE_X: 0, SLICE_Y: 1, SLICE_LINE: 2}
+_KIND_CODE = {SLICE_X: 0, SLICE_Y: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _HEADER = struct.Struct("<4sBBHII4d2d")
@@ -32,6 +34,8 @@ assert _HEADER.size == 64
 def write_raw_grid(path: str | Path, grid: SliceGrid) -> None:
     if grid.data is None:
         raise ValidationError("grid has no data to write")
+    if grid.spec.kind not in _KIND_CODE:
+        raise ValidationError(f"no {grid.spec.kind} slice in a raw grid: the header has no base point or direction")
     const = complex(grid.spec.const)
     header = _HEADER.pack(
         MAGIC,
@@ -55,12 +59,19 @@ def write_raw_grid(path: str | Path, grid: SliceGrid) -> None:
 def read_raw_grid(path: str | Path) -> SliceGrid:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-        magic, version, kind, _, nx, ny, x0, y0, dx, dy, cre, cim = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValidationError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise ValidationError(f"unsupported raw-grid version {version}")
-        data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(ny, nx).copy()
+        payload = fh.read()
+    if len(head) != _HEADER.size:
+        raise ValidationError(f"raw-grid header is {len(head)} bytes, not {_HEADER.size}")
+    magic, version, kind, _, nx, ny, x0, y0, dx, dy, cre, cim = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise ValidationError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise ValidationError(f"unsupported raw-grid version {version}")
+    if kind not in _CODE_KIND:
+        raise ValidationError(f"unknown raw-grid slice-kind code {kind}")
+    if len(payload) != 8 * nx * ny:
+        raise ValidationError(f"raw-grid payload is {len(payload)} bytes, not 8 * {nx} * {ny}")
+    data = np.frombuffer(payload, dtype="<f8").reshape(ny, nx).copy()
     spec = SliceSpec(_CODE_KIND[kind], complex(cre, cim))
     return SliceGrid(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy, spec=spec, data=data)
 
@@ -92,10 +103,14 @@ def read_pgm16(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"P5":
             raise ValidationError("not a binary PGM")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
+        try:
+            w, h = map(int, fh.readline().split())
+            maxval = int(fh.readline())
+        except ValueError:
+            raise ValidationError("PGM header needs a width, a height and a maxval") from None
         if maxval != 65535:
             raise ValidationError("expected 16-bit PGM")
-        raw = np.frombuffer(fh.read(2 * w * h), dtype=">u2")
-    return raw.reshape(h, w).astype(np.uint16)
+        payload = fh.read()
+    if min(w, h) < 1 or len(payload) != 2 * w * h:
+        raise ValidationError(f"PGM of {w} x {h} pixels has {len(payload)} payload bytes")
+    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.uint16)

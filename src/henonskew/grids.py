@@ -55,8 +55,8 @@ class SliceGrid:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValidationError("raster needs nx, ny >= 3")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValidationError("raster spacing must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
+            raise ValidationError("raster spacing must be positive and finite")
 
     @classmethod
     def from_window(

@@ -141,12 +141,12 @@ def test_c03_cauchy_rate():
     win = (ns >= 3) & (ns <= 25)
     slope = float(np.polyfit(ns[win], np.log(diffs.mean(axis=0)[win]), 1)[0])
     rel = abs(slope + math.log(2)) / math.log(2)
-    ok = scaled_max <= flt.K_plus and rel < 0.05
+    ok = scaled_max <= flt.K and rel < 0.05
     _report(
         3,
         "Cauchy rate",
         ok,
-        f"sup |dG| d^n = {scaled_max:.3f} <= K = {flt.K_plus:.3f}; slope {slope:.4f} vs -log2, rel {rel:.3%} (< 5%)",
+        f"sup |dG| d^n = {scaled_max:.3f} <= K = {flt.K:.3f}; slope {slope:.4f} vs -log2, rel {rel:.3%} (< 5%)",
     )
 
 

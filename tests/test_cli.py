@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import henonskew
 from henonskew.cli import _parse_sigma, main
+from henonskew.errors import ValidationError
 from henonskew.gridio import read_pgm16, read_raw_grid, write_pgm16, write_raw_grid
 from henonskew.grids import SliceGrid, SliceSpec
 
@@ -164,6 +166,63 @@ def test_pgm16_roundtrip(tmp_path):
     assert img[0, 0] == 0 and img[-1, -1] == 65535
     assert "lo = 0.0" in (path.parent / "t.pgm.map.txt").read_text()
 
+
+
+def _damaged_raw_grid(tmp_path, damage):
+    """A written 8 x 6 raw grid, then cut or altered as `damage` says."""
+    grid = SliceGrid.from_window(SliceSpec("x", 1 + 2j), (-1, 1, -2, 2), 8, 6).with_data(np.zeros((6, 8)))
+    path = tmp_path / "t.grid"
+    write_raw_grid(path, grid)
+    raw = bytearray(path.read_bytes())
+    if damage == "10-byte-header":
+        raw = raw[:10]
+    elif damage == "payload-8-bytes-short":
+        raw = raw[:-8]
+    elif damage == "payload-8-bytes-long":
+        raw += bytes(8)
+    elif damage == "slice-kind-7":
+        raw[5] = 7
+    elif damage == "slice-kind-2":  # the code line slices had
+        raw[5] = 2
+    elif damage == "nan-spacing":
+        raw[32:40] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("damage", ["10-byte-header", "payload-8-bytes-short", "payload-8-bytes-long", "slice-kind-7",
+                                    "slice-kind-2", "nan-spacing"])
+def test_malformed_raw_grid_is_a_validation_error(damage, tmp_path):
+    with pytest.raises(ValidationError):
+        read_raw_grid(_damaged_raw_grid(tmp_path, damage))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "one-number-size", "word-size", "no-maxval", "zero-size"])
+def test_malformed_pgm_is_a_validation_error(damage, tmp_path):
+    path = tmp_path / "t.pgm"
+    write_pgm16(path, np.linspace(0.0, 1.0, 12).reshape(3, 4))
+    raw = path.read_bytes()
+    raw = {
+        "truncated": raw[:-3],
+        "one-number-size": raw.replace(b"\n4 3\n", b"\n4\n"),
+        "word-size": raw.replace(b"\n4 3\n", b"\nfour 3\n"),
+        "no-maxval": raw[:len(b"P5\n4 3\n")],
+        "zero-size": raw.replace(b"\n4 3\n", b"\n0 3\n"),
+    }[damage]
+    path.write_bytes(raw)
+    with pytest.raises(ValidationError):
+        read_pgm16(path)
+
+
+def test_line_slice_grid_is_not_written(tmp_path):
+    """The raw-grid header keeps only a slice constant, so a line slice would
+    read back with another base point and direction."""
+    spec = SliceSpec("line", p0=(1 + 0j, 2 + 0j), direction=(1 + 0j, 1j))
+    grid = SliceGrid.from_window(spec, (-1, 1, -1, 1), 4).with_data(np.zeros((4, 4)))
+    path = tmp_path / "line.grid"
+    with pytest.raises(ValidationError, match="line"):
+        write_raw_grid(path, grid)
+    assert not path.exists()
 
 def test_unknown_experiment(tmp_path):
     cfg = _write(tmp_path, MINIMAL.replace("kind = filtration", "kind = frobnicate"))

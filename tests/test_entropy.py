@@ -479,7 +479,7 @@ def test_draw_matches_full_depth_loop(case, monkeypatch):
     assert [c[2] for c in full] == [c[2] for c in ref_calls]
     flt = compute_radius(fam, base.space)
     threshold, tol, n_max = kw.get("green_threshold", 0.05), kw.get("tol", 1e-3), kw.get("n_max", 100)
-    assert all(n == _decision_depth(flt, threshold, tol, n_max, inverse) for _, n, inverse in full)
+    assert all(n == _decision_depth(flt.toward(inverse), threshold, tol, n_max) for _, n, inverse in full)
     assert all(n == n_max for _, n, _ in rerun)
     if case in ("short-n_max", "tol-above-half-threshold"):
         assert all(n == n_max for _, n, _ in full)
@@ -506,7 +506,8 @@ def test_decision_depth():
         assert 2.0 * (d ** (-(n - 1)) * cap + 1e-3) >= 0.05
     assert _decision_depth(flt, 0.05, 1e-3, 4) == 4
     assert _decision_depth(flt, 0.05, 0.025, 100) == 100
-    assert _decision_depth(flt, 0.05, 1e-3, 100, inverse=True) >= flt.depth_for(1e-3, inverse=True)
+    back = flt.toward(True)
+    assert _decision_depth(back, 0.05, 1e-3, 100) >= back.depth_for(1e-3)
 
 
 # -- dn_distance on _orbit_track's orbits ---------------------------------------------------

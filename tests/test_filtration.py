@@ -1,8 +1,10 @@
+import math
 import signal
 
 import numpy as np
 import pytest
 from conftest import check_invariance_two_pass, log_mask, mp_wedge_green, quad_factor_data
+from test_trap import BOX, TRAP_FAMILIES
 
 from henonskew.base import BaseSpace, point_base
 from henonskew.errors import DegenerateFamily, ValidationError
@@ -94,6 +96,66 @@ def test_invariance_matches_two_pass_loop(fname, sname):
     assert all(count > 0 for _, count in rep.rows())
 
 
+_PINNED_FAMILIES = {
+    "quadratic": (quadratic_family(a=0.3), point_base(0.0).space),
+    "cubic": (TRAP_FAMILIES["cubic"], BOX),
+    "two-factor": (TRAP_FAMILIES["two-factor"], BOX),
+    "box": (HenonFamily((HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("u")), CoeffMap.constant(0.2)),)),
+            BaseSpace("box", bounds=((-0.1, 0.1),))),
+}
+# compute_radius's constants as the code with per-direction K fields gave them,
+# in float.hex: (K), (bidisc_cap), (depth_for at _PINNED_TOLS), each (forward,
+# backward), then the forward (rho_star, trap_radius)
+_PINNED_TOLS = (1e-3, 1e-6, 1e-9)
+_PINNED = {
+    "quadratic": (
+        ('0x1.67edfab0747d8p+0', '0x1.1c96d3cd43954p+1'),
+        ('0x1.058d324666813p+2', '0x1.6e2d08bb6fd7bp+2'),
+        ((12, 22, 32), (13, 23, 33)),
+        ('0x1.3c865eba062bbp+44', '0x1.570a3d70a3d70p-1'),
+    ),
+    "cubic": (
+        ('0x1.6041331d5c420p+0', '0x1.eb4cd41d719e4p+0'),
+        ('0x1.ac79054a87bf4p+1', '0x1.0a60df054be23p+2'),
+        ((7, 14, 20), (8, 14, 20)),
+        ('0x1.586097fd160c2p+43', '0x1.9a6aaca9698a8p-1'),
+    ),
+    "two-factor": (
+        ('0x1.8ea9ed85363eep+0', '0x1.b4a1a89844f42p+1'),
+        ('0x1.ae0ebd4d51624p+1', '0x1.753a7fdfc4945p+2'),
+        ((6, 11, 16), (7, 12, 17)),
+        ('0x1.b68801aff3dc0p+44', '0x1.454fd760a3845p-1'),
+    ),
+    "box": (
+        ('0x1.67edfab0747dap+0', '0x1.39a95881e186ap+1'),
+        ('0x1.058d324666815p+2', '0x1.8b3f8d700dc92p+2'),
+        ((12, 22, 32), (13, 23, 33)),
+        ('0x1.3c865eba062bcp+44', '0x1.30bbce4f4b59fp-1'),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_direction_records_keep_their_constants(name):
+    """Both direction records give, with ==, the constants pinned above, and
+    tail_bound(n) = K d/(d-1) d^-n for n = 0..30."""
+    fam, space = _PINNED_FAMILIES[name]
+    K, cap, depths, (rho_star, trap) = _PINNED[name]
+    fwd = compute_radius(fam, space)
+    bwd = fwd.toward(True)
+    assert fwd.toward(False) is fwd and bwd.toward(True) is bwd
+    assert bwd.toward(False) == fwd and not fwd.inverse and bwd.inverse
+    d = fwd.degree
+    for flt, k, m, ns in zip((fwd, bwd), K, cap, depths):
+        k = float.fromhex(k)
+        assert flt.K == k
+        assert [flt.tail_bound(n) for n in range(31)] == [k * d / (d - 1) * d ** (-float(n)) for n in range(31)]
+        assert tuple(flt.depth_for(t) for t in _PINNED_TOLS) == ns
+        assert flt.bidisc_cap() == float.fromhex(m)
+    assert fwd.rho_star == float.fromhex(rho_star) and fwd.trap_radius == float.fromhex(trap)
+    assert bwd.rho_star == math.inf and bwd.trap_radius == 0.0
+
+
 def test_escape_dichotomy(quad_fam, single_base, quad_flt):
     # every sampled point either reaches V_R^+ or stays in V_R u V_R^-
     rng = np.random.Generator(np.random.PCG64(8))
@@ -122,13 +184,13 @@ def test_bidisc_cap_bounds_green(inverse):
     The points are a cloud in V_R and its images under one to three steps
     of the other direction that stay in V_R, so their orbits stay in V_R
     for a few steps before they escape. G is the mpmath value. |a| = 0.05
-    makes K_minus much larger than K_plus, so the backward case needs the
-    backward cap.
+    makes the backward K much larger than the forward one, so the backward
+    case needs the backward record's cap.
     """
     a, c = 0.05, 0.0
     fam, base = quadratic_family(a, c), point_base(0.0)
     flt = compute_radius(fam, base.space)
-    R, d, cap = flt.R, float(fam.degree), flt.bidisc_cap(inverse)
+    R, d, cap = flt.R, float(fam.degree), flt.toward(inverse).bidisc_cap()
     sup = SigmaSupplier(base.sigma, 0.0)
     rng = np.random.Generator(np.random.PCG64(1))
     x = R * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))

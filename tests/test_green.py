@@ -186,7 +186,7 @@ def test_avg_green_within_log_bound(box_fam, two_letter_base):
     for _ in range(5):
         z = (rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2), rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2))
         val, _ = avg_green(box_fam, two_letter_base.space, z, 1e-4, n_mc=8, seed=2, flt=flt)
-        bound = max(0.0, math.log(math.hypot(abs(z[0]), abs(z[1])))) + flt.K_plus * 2
+        bound = max(0.0, math.log(math.hypot(abs(z[0]), abs(z[1])))) + flt.K * 2
         assert 0.0 <= val <= bound
 
 
@@ -236,7 +236,7 @@ def test_cauchy_rate_bound(quad_fam, single_base, quad_flt):
     depths = list(range(1, 22))
     vals = depth_values(quad_fam, single_base.sigma, 0.0, z, depths)
     diffs = np.abs(np.diff(vals))
-    bound = quad_flt.K_plus * 2.0 ** -np.array(depths[:-1], dtype=float)
+    bound = quad_flt.K * 2.0 ** -np.array(depths[:-1], dtype=float)
     assert np.all(diffs <= bound + 1e-15)
 
 

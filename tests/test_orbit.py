@@ -232,7 +232,7 @@ def test_mixed_and_explicit_orbits_step_points_alike(inverse):
 @pytest.mark.parametrize("fam_name", SLICE_FAMILIES)
 def test_radius_gate_is_necessary_for_the_own_tail_rule(fam_name):
     """A wedge point that passes the own-tail inequality, even with twice the
-    epsilon, has |y| >= rho_star or is in log form."""
+    epsilon, has |y| > rho_star, in explicit and in log form."""
     fam = SLICE_FAMILIES[fam_name]
     flt = compute_radius(fam, SLICE_BASES["rotation"][0].space)
     d = fam.degree
@@ -252,7 +252,8 @@ def test_radius_gate_is_necessary_for_the_own_tail_rule(fam_name):
     e = flt.wedge_distortion(1.0 / rho) / (d - 1.0) + 0.5 * np.log1p(np.abs(x / y) ** 2)
     g = np.log(np.hypot(np.abs(x), np.abs(y)))
     passes = e <= 2.0 * EPS * g
-    gate = orbit.in_wedge(flt.rho_star)
+    gate = orbit.in_explicit_wedge(flt.rho_star)
+    gate[orbit.lpos] = orbit.L > math.log(flt.rho_star)
     assert passes.any() and (~gate).any()
     assert np.all(gate[passes])
 

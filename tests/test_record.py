@@ -48,6 +48,7 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
 
     steps = _record_steps(monkeypatch)
     orbit = Orbit(fam, x, y, inverse)
+    flt = flt.toward(inverse)
     _certify(SigmaSupplier(BaseDynamics("identity"), 0.1), fam, orbit, flt, TOL, 0, n_max, n_max, record)
     assert len(orbit) == 0
     ids = np.concatenate([i for i, _ in calls])
@@ -58,7 +59,7 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
     # bounded points and, below the certifying depth, undecided points at n_max
     status = np.concatenate([s for _, s in calls])
     assert np.all(status[ids >= len(x) - 2] == STATUS_UNDECIDED)
-    if not inverse or n_max >= flt.depth_for(TOL, inverse):
+    if not inverse or n_max >= flt.depth_for(TOL):
         assert STATUS_ESCAPED in status
     if not inverse:
         assert STATUS_BOUNDED in status
@@ -66,7 +67,7 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
         # bounded ones are stepped to n_max
         uniform = flt.depth_for(TOL)
         assert len(steps) == (min(n_max, uniform) if fam_name == "trap" else n_max)
-    if n_max < flt.depth_for(TOL, inverse):
+    if n_max < flt.depth_for(TOL):
         assert np.count_nonzero(status == STATUS_UNDECIDED) > 2
 
 
