@@ -80,7 +80,6 @@ from .grids import SliceGrid, SliceSpec
 from .projective import (
     HomogeneousLift,
     LiftConstants,
-    ProbeSpec,
     basin_classify,
     diag_power_lift,
     estimate_constants,

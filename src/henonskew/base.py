@@ -38,14 +38,16 @@ class BaseSpace:
             if not 1 <= len(self.bounds) <= 2:
                 raise ValidationError("box base needs 1 or 2 coordinate ranges")
             for lo, hi in self.bounds:
-                if not lo <= hi:
-                    raise ValidationError(f"empty box range ({lo}, {hi})")
+                if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                    raise ValidationError(f"box range ({lo}, {hi}) must be finite and non-empty")
         elif self.kind == CIRCLE:
             if self.bounds or self.points:
                 raise ValidationError("circle base takes no bounds/points")
         elif self.kind == FINITE:
             if not self.points:
                 raise ValidationError("finite base needs at least one point")
+            if not np.isfinite(np.asarray(self.points, dtype=complex)).all():
+                raise ValidationError("finite base points must be finite")
         else:
             raise ValidationError(f"unknown base kind {self.kind!r}")
 

@@ -255,7 +255,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
         def field_on(grid):
             if is_shift:
                 seq = ParamSequence(base.space, seed)
-                return green_field_seq(fam, seq, grid, tol, n_max, flt, space=base.space, threads=threads)
+                return green_field_seq(fam, seq, grid, tol, n_max, flt, threads=threads)
             # called once the kind's other options are read; R covers the fibres over the base only
             if not base.space.contains(advance(base.sigma, lam, 0)):
                 raise ConfigError(f"[experiment] lam = {lam} is not a point of the {base.space.kind} base")
@@ -309,7 +309,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             depth = _get(exp, "n_max", int, 12)
             if kind == "converge":
                 seq = ParamSequence(base.space, seed)
-                report = pullback_convergence(fam, seq, u, grid, depth, tol, flt, space=base.space, threads=threads)
+                report = pullback_convergence(fam, seq, u, grid, depth, tol, flt, threads=threads)
                 _write_text(outdir, "converge.csv", report.as_csv(), files)
                 _write_text(outdir, "fit.json", report.fit_summary() + "\n", files)
             elif kind == "theta":
@@ -321,7 +321,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             else:
                 u2 = PotentialSpec(exp.get("potential2", fallback="log-plus"))
                 seq = ParamSequence(base.space, seed)
-                dist = rigidity_probe(fam, seq, u, u2, grid, depth, tol, flt, space=base.space)
+                dist = rigidity_probe(fam, seq, u, u2, grid, depth, tol, flt)
                 print(f"rigidity sup-distance = {dist:.6g}")
                 _write_text(outdir, "rigidity.csv", f"n_max,distance\n{depth},{dist:.12g}\n", files)
         elif kind == "entropy":

@@ -140,16 +140,16 @@ def pullback_convergence(
     n_max: int = 12,
     tol: float = 1e-6,
     flt: FiltrationRadius | None = None,
-    space=None,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Sup-norm gap between pulled-back potentials and the Green limit.
 
     e_n = sup over certified cells of |d^(-n) u(H_(n,Lambda)(z)) - G_Lambda^+(z)|.
+    Without `flt` the constants come from `seq.space`.
     """
     if not u.bounded_near_iminus:
         raise ValidationError("potential must be bounded near the backward indeterminacy point")
-    flt = resolve_radius(fam, flt, space, seq)
+    flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     ref = green_field_seq(fam, seq, grid, tol, max(200, n_max + flt.depth_for(tol)), flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
     masked_fraction = 1.0 - float(mask.mean())
@@ -210,17 +210,17 @@ def rigidity_probe(
     n_max: int = 12,
     tol: float = 1e-6,
     flt: FiltrationRadius | None = None,
-    space=None,
 ) -> float:
     """Sup distance of two admissible potentials after n_max pullbacks.
 
     Both converge to the same Green potential; the gap certifies the
-    uniqueness (rigidity) statement numerically.
+    uniqueness (rigidity) statement numerically. Without `flt` the
+    constants come from `seq.space`.
     """
     for u in (u1, u2):
         if not u.bounded_near_iminus:
             raise ValidationError("potentials must be admissible")
-    flt = resolve_radius(fam, flt, space, seq)
+    flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     ref = green_field_seq(fam, seq, grid, tol, 200, flt)
     mask = ref.status != STATUS_UNDECIDED
     s1, s2 = _grid_stack(fam, seq, grid, (u1, u2), [n_max])[n_max]
@@ -256,10 +256,10 @@ class CutoffProbeReport:
     residuals: list[float]
 
 
-def _smooth(arr: np.ndarray, rounds: int = 4) -> np.ndarray:
-    """Separable binomial blur: weak-* testing against smooth forms."""
+def _smooth(arr: np.ndarray) -> np.ndarray:
+    """Four rounds of a separable binomial blur: weak-* testing against smooth forms."""
     out = arr.astype(float)
-    for _ in range(rounds):
+    for _ in range(4):
         pad = np.pad(out, 1, mode="edge")
         out = 0.25 * (2 * pad[1:-1, :] + pad[:-2, :] + pad[2:, :])
         pad = np.pad(out, 1, mode="edge")

@@ -80,7 +80,11 @@ def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:
     return out
 
 
-def transition_band(status: np.ndarray, width: int = 5) -> np.ndarray:
+# Chebyshev half-width, in pixels, of the J band around the bounded/escaped transition
+BAND_WIDTH = 5
+
+
+def transition_band(status: np.ndarray, width: int = BAND_WIDTH) -> np.ndarray:
     """Pixels within `width` of a bounded/escaped status boundary."""
     esc = status == STATUS_ESCAPED
     edge = np.zeros_like(esc)
@@ -91,7 +95,7 @@ def transition_band(status: np.ndarray, width: int = 5) -> np.ndarray:
     return _dilate(edge, width - 1) if width > 1 else edge
 
 
-def off_band_fraction(measure: SliceMeasure, status: np.ndarray, width: int = 5) -> float:
+def off_band_fraction(measure: SliceMeasure, status: np.ndarray, width: int = BAND_WIDTH) -> float:
     """Fraction of total |density| farther than `width` px from the J band."""
     band = transition_band(status, width)[1:-1, 1:-1]
     tot = np.abs(measure.density).sum()
@@ -114,20 +118,20 @@ class JuliaRaster:
     delta: float
 
 
-def julia_raster(field: GreenField, delta: float | None = None, band_width: int = 5) -> JuliaRaster:
+def julia_raster(field: GreenField) -> JuliaRaster:
     """Classify the pixels of a Green raster: K^+ interior, J^+ band, escaped.
 
-    The J band collects pixels near the bounded/escaped transition plus
-    pixels whose slice density exceeds delta (default: 1e-4 of the peak).
-    The field may come from any variant (fibered, along a sequence).
+    The J band collects the pixels within BAND_WIDTH of the bounded/escaped
+    transition plus the pixels whose slice density exceeds delta, 1e-4 of
+    the peak density. The field may come from any variant (fibered, along
+    a sequence).
     """
     measure = slice_measure(field)
-    if delta is None:
-        # disable the density criterion when the window carries no mass
-        # (discretization noise would otherwise masquerade as a J band)
-        peak = float(np.abs(measure.density).max()) if measure.density.size else 0.0
-        delta = 1e-4 * peak if abs(measure.total_mass) > 1e-3 else np.inf
-    band = transition_band(field.status, band_width)
+    # disable the density criterion when the window carries no mass
+    # (discretization noise would otherwise masquerade as a J band)
+    peak = float(np.abs(measure.density).max()) if measure.density.size else 0.0
+    delta = 1e-4 * peak if abs(measure.total_mass) > 1e-3 else np.inf
+    band = transition_band(field.status)
     dense = np.zeros_like(band)
     dense[1:-1, 1:-1] = np.abs(measure.density) > delta
     jband = band | dense
@@ -154,7 +158,6 @@ def avg_current_slice(
     tol: float = 1e-6,
     n_max: int = 200,
     flt: FiltrationRadius | None = None,
-    normalized: bool = False,
     threads: int = 1,
 ) -> AvgSliceResult:
     """Slice of the averaged Green current, two ways.
@@ -163,7 +166,8 @@ def avg_current_slice(
     per-sequence Laplacians: identical up to roundoff by linearity, both
     reported so the commutation is exercised end to end. The mean
     potential, the mean density and the standard error of the slice mass
-    come from MCMoments.
+    come from MCMoments. Both measures carry the 2*pi normalization;
+    call .normalize() on them for mass 1.
     """
     flt = resolve_radius(fam, flt, space)
     x, y = grid.points()
@@ -178,10 +182,8 @@ def avg_current_slice(
         pot.add(vals)
         den.add(density)
         mass.add(density.sum())
-    mom = slice_measure(grid.with_data(pot.mean()), normalized)
+    mom = slice_measure(grid.with_data(pot.mean()))
     mean_den = den.mean()
     msr = SliceMeasure(grid, mean_den, float(mean_den.sum()))
-    if normalized:
-        msr = msr.normalize()
     l1 = float(np.abs(mom.density - msr.density).sum())
     return AvgSliceResult(mom, msr, l1, float(mass.stderr()))

@@ -428,16 +428,16 @@ def entropy_lower_bound(
     n_range,
     n_candidates: int = 100_000,
     seed: int = 0,
-    window=None,
-    green_threshold: float = 0.05,
     flt: FiltrationRadius | None = None,
     candidates=None,
 ) -> list[SeparatedSetEstimate]:
     """Greedy (n, eps)-separated estimates over the requested depths.
 
-    `candidates` may carry a precomputed (lam, x, y) triple to reuse one
-    cloud across eps/n sweeps. One cell index of the cloud's step-0 points
-    (`_cell_index`) serves the packing at every depth.
+    `candidates` may carry a precomputed (lam, x, y) triple, from
+    draw_candidates with any window or threshold, to reuse one cloud
+    across eps/n sweeps; None draws n_candidates from the filtration
+    bidisc with the default threshold. One cell index of the cloud's
+    step-0 points (`_cell_index`) serves the packing at every depth.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -450,7 +450,7 @@ def entropy_lower_bound(
         raise UnsupportedBase("entropy packing needs a pointwise base dynamics")
     flt = resolve_radius(fam, flt, base.space)
     if candidates is None:
-        candidates = draw_candidates(fam, base, window, n_candidates, seed, green_threshold, flt=flt)
+        candidates = draw_candidates(fam, base, None, n_candidates, seed, flt=flt)
     lam, x, y = candidates
     if not all(np.isfinite(v).all() for v in (lam, x, y)):
         raise ValidationError("candidate base points and coordinates must be finite")

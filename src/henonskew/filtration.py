@@ -194,36 +194,37 @@ def compute_radius(
     fam: HenonFamily,
     space: BaseSpace,
     margin: float = DEFAULT_MARGIN,
-    grid: int = DEFAULT_GRID,
 ) -> FiltrationRadius:
     """R = margin * max_j sup_lam (sum_i |c_{j,i}(lam)| + 2 + a).
 
-    The sup runs over a finite base grid; `margin` >= 1 absorbs the gap
-    between grid and true sup. Guarantees |p(y)| >= |y|^(d-1)(|y| - sum|c|)
-    >= (2+a)|y| for |y| >= R.
+    The sup runs over the base grid of DEFAULT_GRID points per axis;
+    `margin` >= 1 absorbs the gap between grid and true sup. Guarantees
+    |p(y)| >= |y|^(d-1)(|y| - sum|c|) >= (2+a)|y| for |y| >= R.
     """
-    lam = space.grid(grid)
+    lam = space.grid(DEFAULT_GRID)
     a_vals = []
-    for j, f in enumerate(fam.factors):
-        av = np.abs(np.atleast_1d(np.asarray(f.a(lam), dtype=complex)))
-        if av.min() < JACOBIAN_FLOOR:
-            raise DegenerateFamily(f"factor {j}: |a| reaches {av.min():.3e} on the grid")
-        a_vals.append(av)
-    a_sup = max(float(av.max()) for av in a_vals)
-    a_inf = min(float(av.min()) for av in a_vals)
-
     coeff_sums = []
-    for f in fam.factors:
-        s = np.zeros(np.shape(np.atleast_1d(lam)), dtype=float)
-        for c in f.coeffs:
-            s = s + np.abs(np.atleast_1d(np.asarray(c(lam), dtype=complex)))
-        coeff_sums.append(float(s.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        for j, f in enumerate(fam.factors):
+            av = np.abs(np.atleast_1d(np.asarray(f.a(lam), dtype=complex)))
+            if av.min() < JACOBIAN_FLOOR:
+                raise DegenerateFamily(f"factor {j}: |a| reaches {av.min():.3e} on the grid")
+            a_vals.append(av)
+            s = np.zeros(np.shape(np.atleast_1d(lam)), dtype=float)
+            for c in f.coeffs:
+                s = s + np.abs(np.atleast_1d(np.asarray(c(lam), dtype=complex)))
+            coeff_sums.append(float(s.max()))
+    a_all = np.concatenate(a_vals)
+    a_sup, a_inf = float(a_all.max()), float(a_all.min())
 
     R = margin * max(s + 2.0 + a_sup for s in coeff_sums)
+    if not np.isfinite([R, a_sup, a_inf, *coeff_sums]).all():  # finite base bounds can still overflow
+        raise ValidationError(f"filtration constants are not finite: R = {R}, a in [{a_inf}, {a_sup}], "
+                              f"coefficient sums {coeff_sums}")
     return FiltrationRadius(
         R=float(R),
         margin=margin,
-        samples=grid,
+        samples=DEFAULT_GRID,
         degree=fam.degree,
         a_sup=a_sup,
         a_inf=a_inf,
@@ -232,14 +233,13 @@ def compute_radius(
     )
 
 
-def resolve_radius(fam: HenonFamily, flt: FiltrationRadius | None, space: BaseSpace | None = None, seq=None) -> FiltrationRadius:
-    """`flt` if given, else compute_radius over `space` or, failing that, `seq.space`."""
+def resolve_radius(fam: HenonFamily, flt: FiltrationRadius | None, space: BaseSpace | None) -> FiltrationRadius:
+    """`flt` if given, else compute_radius over `space`."""
     if flt is not None:
         return flt
-    sp = space if space is not None else getattr(seq, "space", None)
-    if sp is None:
+    if space is None:
         raise UnsupportedBase("need flt or a base space to derive the filtration constants")
-    return compute_radius(fam, sp)
+    return compute_radius(fam, space)
 
 
 def region_masks(x: np.ndarray, y: np.ndarray, R: float):

@@ -76,6 +76,7 @@ drawn per step:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +234,11 @@ def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
 
 
 def _in_threads(work, n: int, threads: int) -> None:
-    """work(lo, hi) over `threads` contiguous ranges of range(n), one thread each."""
+    """work(lo, hi) over contiguous ranges of range(n), one thread each.
+
+    At most `threads` ranges, and no more than there are points or CPUs.
+    """
+    threads = min(threads, n, os.cpu_count() or 1)
     if threads <= 1:
         return work(0, n)
     from concurrent.futures import ThreadPoolExecutor
@@ -256,6 +261,8 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
     at most MC_CHUNK points (a lone orbit as it is) that step to n_max.
     With rows = 1 a range is one chunk, and its core one orbit.
     """
+    if n_max < 0:
+        raise ValidationError(f"depth n_max must be at least 0, got {n_max}")
     n_pts = len(x)
     flt = flt.toward(inverse)
     n_cut = min(n_max, flt.depth_for(tol))
@@ -403,16 +410,15 @@ def green_random(
     tol: float = 1e-6,
     n_max: int = 200,
     flt: FiltrationRadius | None = None,
-    space=None,
     inverse: bool = False,
 ) -> GreenEval:
     """Green function along an explicit parameter sequence.
 
     `seq` is a ParamSequence, FrozenSequence or plain array of base
-    points; `space` is only needed when `flt` is not supplied and `seq`
-    carries no space of its own.
+    points; a plain array needs `flt`, since it carries no space to derive
+    the filtration constants from.
     """
-    flt = resolve_radius(fam, flt, space, seq)
+    flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     return _green_at(SeqSupplier(seq, n_max), fam, z, flt, tol, n_max, inverse)
 
 
@@ -551,11 +557,10 @@ def green_field_seq(
     tol: float = 1e-6,
     n_max: int = 200,
     flt: FiltrationRadius | None = None,
-    space=None,
     threads: int = 1,
 ) -> GreenField:
-    """Rasterize the random Green function along one sequence."""
-    flt = resolve_radius(fam, flt, space, seq)
+    """Rasterize the random Green function along one sequence (`flt` from `seq.space` if None)."""
+    flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     return _field(SeqSupplier(seq, n_max), fam, grid, flt, tol, n_max, False, threads)
 
 

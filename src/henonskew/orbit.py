@@ -309,15 +309,18 @@ class SeqSupplier(TableSupplier):
 
 
 def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = False, idx=None):
-    """Yield (n, orbit) for each n in `depths`, ascending.
+    """Yield (n, orbit) for each n in `depths`, ascending; a negative depth is a ValidationError.
 
     One orbit of the points (x, y) is stepped incrementally and updated in
     place, so each yielded orbit is valid until the next one is requested.
     `idx` names the points to the supplier (None: 0 .. n-1).
     """
+    depths = sorted(depths)
+    if depths and depths[0] < 0:
+        raise ValidationError(f"depths must be at least 0, got {depths[0]}")
     orbit = Orbit(fam, x, y, inverse, idx)
     n_done = 0
-    for n in sorted(depths):
+    for n in depths:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while n_done < n:
                 orbit.step(supplier, fam, n_done)

@@ -120,8 +120,8 @@ def _sphere_points(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _structured_probes(rng: np.random.Generator, k: int, per_plane: int = 256) -> np.ndarray:
-    """Basis vectors and coordinate-hyperplane samples.
+def _structured_probes(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Basis vectors and 256 samples of each coordinate hyperplane.
 
     Degenerate lifts vanish on conical varieties that random sphere
     draws almost never touch; axes and the hyperplanes {x_i = 0} catch
@@ -129,7 +129,7 @@ def _structured_probes(rng: np.random.Generator, k: int, per_plane: int = 256) -
     """
     probes = [np.eye(k + 1, dtype=complex)]
     for i in range(k + 1):
-        plane = rng.normal(size=(per_plane, k + 1)) + 1j * rng.normal(size=(per_plane, k + 1))
+        plane = rng.normal(size=(256, k + 1)) + 1j * rng.normal(size=(256, k + 1))
         plane[:, i] = 0.0
         probes.append(plane / np.linalg.norm(plane, axis=1, keepdims=True))
     return np.concatenate(probes)
@@ -141,16 +141,15 @@ def estimate_constants(
     n_sphere: int = 4096,
     seed: int = 0,
     margin: float = 0.05,
-    lam_grid: int = 16,
 ) -> LiftConstants:
-    """Margined min/max of ||F_lam|| over unit-sphere x base-grid samples."""
+    """Margined min/max of ||F_lam|| over unit-sphere samples x a 16-per-axis base grid."""
     if n_sphere < 1000:
         raise ValidationError("n_sphere must be at least 1000")
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = _sphere_points(rng, n_sphere, F.k)
     probes = _structured_probes(rng, F.k)
     lo, hi = np.inf, 0.0
-    for lam in np.atleast_1d(space.grid(lam_grid)):
+    for lam in np.atleast_1d(space.grid(16)):
         norms = np.linalg.norm(F.eval(lam, pts), axis=1)
         lo = min(lo, float(norms.min()))
         hi = max(hi, float(norms.max()))
@@ -280,13 +279,11 @@ def basin_classify_batch(
     return list(out)
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Grid probes on random complex lines for pluriharmonicity tests."""
-
-    n_lines: int = 3
-    half_width: float = 5e-3
-    grid_n: int = 9
+# fatou_detect's probes: PROBE_LINES random complex lines through the point,
+# each sampled on a PROBE_GRID x PROBE_GRID grid of half-width PROBE_HALF_WIDTH
+PROBE_LINES = 3
+PROBE_HALF_WIDTH = 5e-3
+PROBE_GRID = 9
 
 
 def fatou_detect(
@@ -294,14 +291,13 @@ def fatou_detect(
     base: BaseSystem,
     lam,
     z,
-    probe: ProbeSpec = ProbeSpec(),
     tol: float = 1e-3,
     seed: int = 0,
     constants: LiftConstants | None = None,
 ) -> str:
     """'fatou' iff G is numerically pluriharmonic near a lift of z.
 
-    Three independent complex-line probes must all carry (discrete
+    PROBE_LINES independent complex-line probes must all carry (discrete
     Laplacian) mass below tol per unit probe area; one-sided: the
     alternative is only 'julia-suspect'.
     """
@@ -313,12 +309,12 @@ def fatou_detect(
         constants = estimate_constants(F, base.space)
     lift = z / nz
     rng = np.random.Generator(np.random.PCG64(seed))
-    m, h = probe.grid_n, probe.half_width
+    m, h = PROBE_GRID, PROBE_HALF_WIDTH
     ts = np.linspace(-h, h, m)
     w = ts[None, :] + 1j * ts[:, None]
     dxy = ts[1] - ts[0]
     area = (2 * h) ** 2
-    for _ in range(probe.n_lines):
+    for _ in range(PROBE_LINES):
         v = rng.normal(size=F.k + 1) + 1j * rng.normal(size=F.k + 1)
         v /= np.linalg.norm(v)
         pts = lift[None, None, :] + w[..., None] * v[None, None, :]

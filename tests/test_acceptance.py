@@ -222,7 +222,7 @@ def test_c07_pullback_rate():
     flt = compute_radius(fam, space)
     seq = ParamSequence(space, 99)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 128)
-    rep = pullback_convergence(fam, seq, PotentialSpec("fubini-study"), grid, n_max=12, tol=1e-6, flt=flt, space=space)
+    rep = pullback_convergence(fam, seq, PotentialSpec("fubini-study"), grid, n_max=12, tol=1e-6, flt=flt)
     window = ConvergenceReport(rep.depths[3:], rep.errors[3:], fam.degree, rep.masked_fraction)
     ok = window.residual_rel < 0.20 and rep.errors[-1] < 1e-2
     _report(
@@ -240,7 +240,7 @@ def test_c08_rigidity():
     seq = ParamSequence(space, 99)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 128)
     dist = rigidity_probe(
-        fam, seq, PotentialSpec("log-plus"), PotentialSpec("fubini-study"), grid, n_max=12, tol=1e-6, flt=flt, space=space
+        fam, seq, PotentialSpec("log-plus"), PotentialSpec("fubini-study"), grid, n_max=12, tol=1e-6, flt=flt
     )
     ok = dist < 1e-2
     _report(8, "rigidity probe", ok, f"sup distance after 12 pullbacks = {dist:.2e} (< 1e-2)")

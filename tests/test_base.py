@@ -122,3 +122,16 @@ def test_space_validation():
         BaseSpace("torus")
     with pytest.raises(ValidationError):
         BaseDynamics("contraction", c=2.0)
+
+
+@pytest.mark.parametrize("kind, bounds, points", [
+    ("box", ((-np.inf, np.inf),), ()),
+    ("box", ((0.0, np.inf),), ()),
+    ("box", ((0.0, 1.0), (np.nan, 1.0)), ()),
+    ("finite", (), (0j, complex(np.inf, 0))),
+    ("finite", (), (complex(0, np.nan),)),
+], ids=["box-inf", "box-half-inf", "box-2d-nan", "finite-inf", "finite-nan"])
+def test_space_rejects_non_finite_bounds_and_points(kind, bounds, points):
+    # sups over the base would be inf or nan, and with them the filtration radius
+    with pytest.raises(ValidationError, match="finite"):
+        BaseSpace(kind, bounds=bounds, points=points)

@@ -395,3 +395,35 @@ def test_readme_config_example_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["green-raster", "--config", str(_write(tmp_path, buf.getvalue())), "--out", str(out)]) == 0
     assert (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("kind", ["filtration", "green-raster"])
+@pytest.mark.parametrize("base, coeffs", [
+    ("kind = box\nbounds = -inf, inf", "0, 0.1*u"),
+    ("kind = box\nbounds = -1e200, 1e200", "0, u^2"),
+], ids=["infinite-bounds", "overflowing-sums"])
+def test_non_finite_filtration_constants_exit_2(kind, base, coeffs, tmp_path, capsys):
+    # the parent ran green-raster on a radius of nan or inf, and filtration died with an OverflowError
+    text = MINIMAL.replace("kind = finite\npoints = 0", base).replace("factor1.coeffs = 0, 0", f"factor1.coeffs = {coeffs}")
+    assert main([kind, "--config", str(_write(tmp_path, text + "resolution = 8\n")), "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, opts", [
+    ("green-raster", {"depth": "-3"}),
+    ("julia-raster", {"depth": "-1"}),
+    ("avg-green", {"depth": "-3", "n_mc": "3"}),
+    ("rigidity", {"n_max": "-3"}),
+])
+def test_negative_depths_exit_2(kind, opts, tmp_path, capsys):
+    # at the parent green-raster wrote d^3 log+||z|| into its undecided pixels
+    text = _with_options(TWO_LETTER.replace("resolution = 32", "resolution = 8"), "experiment", **opts)
+    assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    assert "at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_depth_zero_runs(tmp_path):
+    text = MINIMAL + "depth = 0\nresolution = 8\n"
+    assert main(["green-raster", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0

@@ -39,10 +39,10 @@ def test_potential_values():
         PotentialSpec("weird")
 
 
-def test_pullback_matches_cauchy_tail(quad_fam, single_base, quad_flt):
+def test_pullback_matches_cauchy_tail(quad_fam, quad_flt):
     # u = log+ and a constant sequence: e_n is exactly the Green truncation gap
     seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
-    rep = pullback_convergence(quad_fam, seq, U_LOG, _grid(64), n_max=10, tol=1e-8, flt=quad_flt, space=single_base.space)
+    rep = pullback_convergence(quad_fam, seq, U_LOG, _grid(64), n_max=10, tol=1e-8, flt=quad_flt)
     bounds = [quad_flt.tail_bound(n) for n in rep.depths]
     assert all(e <= b for e, b in zip(rep.errors, bounds))
 
@@ -50,17 +50,17 @@ def test_pullback_matches_cauchy_tail(quad_fam, single_base, quad_flt):
 def test_pullback_rate_fs(box_fam, two_letter_base):
     flt = compute_radius(box_fam, two_letter_base.space)
     seq = ParamSequence(two_letter_base.space, 99)
-    rep = pullback_convergence(box_fam, seq, U_FS, _grid(), n_max=10, tol=1e-6, flt=flt, space=two_letter_base.space)
+    rep = pullback_convergence(box_fam, seq, U_FS, _grid(), n_max=10, tol=1e-6, flt=flt)
     assert rep.masked_fraction < 0.05
     for i in range(2, len(rep.errors) - 1):  # e_n / e_(n+1) >= d/2 from n = 3
         assert rep.errors[i] / rep.errors[i + 1] >= 1.0
     assert rep.monotone_from() is not None
 
 
-def test_pullback_depth_zero_gap_finite(quad_fam, single_base, quad_flt):
+def test_pullback_depth_zero_gap_finite(quad_fam, quad_flt):
     # sup |u - G| is finite on the window (both have unit log growth)
     seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
-    rep = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=1, tol=1e-6, flt=quad_flt, space=single_base.space)
+    rep = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=1, tol=1e-6, flt=quad_flt)
     assert np.isfinite(rep.errors[0])
 
 
@@ -72,11 +72,11 @@ def test_fit_residual_pure_signal():
     assert rep.residual_rel < 1e-12
 
 
-def test_theta_constant_family_matches_pullback(quad_fam, single_base, quad_flt):
+def test_theta_constant_family_matches_pullback(quad_fam, quad_flt):
     space = BaseSpace("box", bounds=((-1.0, 1.0),))
     rep, floors = theta_average_pullback(quad_fam, space, U_FS, _grid(48), n_max=6, n_mc=4, seed=2, tol=1e-6, flt=quad_flt)
     seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
-    direct = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=6, tol=1e-6, flt=quad_flt, space=single_base.space)
+    direct = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=6, tol=1e-6, flt=quad_flt)
     np.testing.assert_allclose(rep.errors, direct.errors, rtol=1e-9, atol=1e-12)
 
 
@@ -90,16 +90,16 @@ def test_theta_two_letter_floor(box_fam, two_letter_base):
     assert rep.errors[-1] < 5 * max(floors[-1], 1e-12)
 
 
-def test_rigidity_same_potential_zero(quad_fam, single_base, quad_flt):
+def test_rigidity_same_potential_zero(quad_fam, quad_flt):
     seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
-    d = rigidity_probe(quad_fam, seq, U_FS, U_FS, _grid(48), 8, flt=quad_flt, space=single_base.space)
+    d = rigidity_probe(quad_fam, seq, U_FS, U_FS, _grid(48), 8, flt=quad_flt)
     assert d == 0.0
 
 
 def test_rigidity_two_potentials_small(box_fam, two_letter_base):
     flt = compute_radius(box_fam, two_letter_base.space)
     seq = ParamSequence(two_letter_base.space, 4)
-    d = rigidity_probe(box_fam, seq, U_LOG, U_FS, _grid(), 12, flt=flt, space=two_letter_base.space)
+    d = rigidity_probe(box_fam, seq, U_LOG, U_FS, _grid(), 12, flt=flt)
     assert d < 1e-2
 
 
@@ -108,12 +108,12 @@ def test_rigidity_distinguishes_sequences(box_fam, two_letter_base):
     grid = _grid(64)
     a = np.full(20, 0.1, dtype=complex)
     b = np.full(20, -0.1, dtype=complex)
-    fa = pullback_convergence(box_fam, FrozenSequence(a, cycle=True), U_FS, grid, 10, 1e-6, flt, space=two_letter_base.space)
+    fa = pullback_convergence(box_fam, FrozenSequence(a, cycle=True), U_FS, grid, 10, 1e-6, flt)
     # limits along different fibers differ: compare the two depth-10 fields
     from henonskew.green import green_field_seq
 
-    ga = green_field_seq(box_fam, FrozenSequence(a, cycle=True), grid, 1e-6, 200, flt, space=two_letter_base.space)
-    gb = green_field_seq(box_fam, FrozenSequence(b, cycle=True), grid, 1e-6, 200, flt, space=two_letter_base.space)
+    ga = green_field_seq(box_fam, FrozenSequence(a, cycle=True), grid, 1e-6, 200, flt)
+    gb = green_field_seq(box_fam, FrozenSequence(b, cycle=True), grid, 1e-6, 200, flt)
     gap = np.abs(ga.values - gb.values).max()
     assert gap > 1e-2  # far above the pullback tolerance at depth 10
     assert fa.errors[-1] < gap / 10
@@ -151,7 +151,7 @@ def test_rate_dominance(box_fam, two_letter_base):
     # e_n <= 1.5 * fitted_A * n * d^-n across the fitted window
     flt = compute_radius(box_fam, two_letter_base.space)
     seq = ParamSequence(two_letter_base.space, 99)
-    rep = pullback_convergence(box_fam, seq, U_FS, _grid(128), n_max=12, tol=1e-6, flt=flt, space=two_letter_base.space)
+    rep = pullback_convergence(box_fam, seq, U_FS, _grid(128), n_max=12, tol=1e-6, flt=flt)
     window = ConvergenceReport(rep.depths[3:], rep.errors[3:], 2, rep.masked_fraction)
     for n, e in zip(window.depths, window.errors):
         assert e <= 1.5 * window.fit_a * n * 2.0 ** -n

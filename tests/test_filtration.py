@@ -6,7 +6,7 @@ import pytest
 from conftest import check_invariance_two_pass, log_mask, mp_wedge_green, quad_factor_data
 from test_trap import BOX, TRAP_FAMILIES
 
-from henonskew.base import BaseSpace, point_base
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, point_base
 from henonskew.errors import DegenerateFamily, ValidationError
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
@@ -42,6 +42,19 @@ def test_degenerate_family_rejected():
     fam = quadratic_family(a=0.0)
     with pytest.raises(DegenerateFamily):
         compute_radius(fam, BaseSpace("finite", points=(0j,)))
+
+
+def test_overflowing_constants_are_rejected():
+    # finite box bounds whose coefficient sums overflow: the parent certified
+    # green_plus at (0, 10) as bounded with value 0, where over (-1, 1) it escapes
+    fam = quadratic_family(a=0.3, c="u^2")
+    base = BaseSystem(BaseSpace("box", bounds=((-1e200, 1e200),)), BaseDynamics("identity"))
+    with pytest.raises(ValidationError, match="not finite"):
+        compute_radius(fam, base.space)
+    with pytest.raises(ValidationError, match="not finite"):
+        green_plus(fam, base, 0.0, (0, 10), n_max=3)
+    unit = BaseSystem(BaseSpace("box", bounds=((-1.0, 1.0),)), BaseDynamics("identity"))
+    assert green_plus(fam, unit, 0.0, (0, 10)).status == "escaped-certified"
 
 
 def test_invariance_no_violations(box_fam, box_base):

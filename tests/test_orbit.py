@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import log_mask, mp_orbit_green, mp_truncation, mp_wedge_green
-from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance, point_base
+from henonskew.errors import ValidationError
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, quadratic_family
 from henonskew.filtration import compute_radius
@@ -199,6 +200,60 @@ def test_field_threads_match_single_thread(fam_name):
     two = _run_green(sup, fam, x, y, flt, TOL, 200, False, threads=2)
     for name, u, v in zip(("value", "status", "depth", "err"), one, two):
         assert u.tobytes() == v.tobytes(), name
+
+
+def test_threads_are_capped_by_points_and_cpus(monkeypatch):
+    # a --threads of 10**6 once asked for 10**6 OS threads
+    import concurrent.futures
+    import os
+
+    workers = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records max_workers and runs the work serially."""
+
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    fam = quadratic_family(a=A)
+    base = point_base(0.0)
+    flt = compute_radius(fam, base.space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 3)
+    one = green_field(fam, base, 0.0, grid, TOL, 200, flt, threads=1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    many = green_field(fam, base, 0.0, grid, TOL, 200, flt, threads=10 ** 6)
+    assert all(w <= min(9, os.cpu_count() or 1) for w in workers), workers
+    for attr in ("values", "status", "depth"):
+        assert np.array_equal(getattr(one, attr), getattr(many, attr)), attr
+
+
+@pytest.mark.parametrize("depths", [[-3], [2, -1]])
+def test_iterate_rejects_negative_depths(depths):
+    # at the parent a negative depth yielded the unstepped orbit
+    fam = quadratic_family(a=A)
+    sup = SigmaSupplier(point_base(0.0).sigma, 0j)
+    with pytest.raises(ValidationError, match="at least 0"):
+        list(iterate(fam, sup, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), depths))
+    (n, orbit), = iterate(fam, sup, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), [0])
+    assert n == 0 and len(orbit) == 2
+
+
+@pytest.mark.parametrize("green", [green_plus, green_minus], ids=["forward", "backward"])
+def test_negative_n_max_is_rejected(green):
+    # at the parent green_plus(..., n_max=-3) reported bounded-certified at depth -3
+    fam = quadratic_family(a=A)
+    with pytest.raises(ValidationError, match="at least 0"):
+        green(fam, point_base(0.0), 0.0, (0.5, 0.5), n_max=-3)
+    assert green(fam, point_base(0.0), 0.0, (0.5, 0.5), n_max=0).depth == 0
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
