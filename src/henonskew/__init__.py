@@ -10,7 +10,6 @@ from .base import (
     ParamSequence,
     advance,
     point_base,
-    sample_sequence,
     word_sequences,
 )
 from .errors import (
@@ -31,10 +30,8 @@ from .expr import CoeffMap
 from .family import (
     HenonFactor,
     HenonFamily,
-    eval_factor,
     eval_inverse,
     eval_map,
-    jacobian_det,
     quadratic_family,
     validate_family,
 )

@@ -4,7 +4,8 @@ Base points are complex scalars: for a 1-d box the imaginary part is 0,
 for a 2-d box the two box coordinates are the real/imaginary parts, for a
 circle the real part is the angle in [0, 1), and finite sets list their
 points explicitly. The PRNG is pinned to numpy's PCG64 for bit-stable,
-platform-independent sampling.
+platform-independent sampling. Sequences are read through prefix(n), and
+a negative length n is a ValidationError.
 """
 
 from __future__ import annotations
@@ -103,18 +104,16 @@ class BaseDynamics:
     kind: str
     c: complex = 0.5
     alpha: float = 0.0
-    surjective: bool = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.kind not in (IDENTITY, CONTRACTION, ROTATION, SHIFT):
             raise ValidationError(f"unknown dynamics kind {self.kind!r}")
         if self.kind == CONTRACTION and abs(self.c) > 1:
             raise ValidationError("contraction needs |c| <= 1")
-        if self.surjective is None:
-            surj = self.kind in (IDENTITY, ROTATION, SHIFT) or (
-                self.kind == CONTRACTION and abs(self.c) == 1
-            )
-            object.__setattr__(self, "surjective", surj)
+
+    @property
+    def surjective(self) -> bool:
+        return self.kind != CONTRACTION or abs(self.c) == 1
 
     @property
     def invertible(self) -> bool:
@@ -180,13 +179,11 @@ class ParamSequence:
         self._cache = self.space.sample(rng, grow)
 
     def prefix(self, n: int) -> np.ndarray:
+        """(lam_1, ..., lam_n); a negative n is a ValidationError."""
+        if n < 0:
+            raise ValidationError(f"prefix length must be at least 0, got {n}")
         self._extend(n)
         return self._cache[:n]
-
-    def entry(self, k: int) -> complex:
-        """lam_(k+1) in 1-based sequence indexing."""
-        self._extend(k + 1)
-        return complex(self._cache[k])
 
     def prepend(self, lam: complex) -> "FrozenSequence":
         return FrozenSequence(np.asarray([complex(lam)]), self)
@@ -205,6 +202,8 @@ class FrozenSequence:
     cycle: bool = False
 
     def prefix(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValidationError(f"prefix length must be at least 0, got {n}")
         head = np.asarray(self.head, dtype=complex)
         if n <= len(head):
             return head[:n]
@@ -215,18 +214,6 @@ class FrozenSequence:
             raise ValidationError(f"sequence prefix of length {n} unavailable")
         tail = self.parent.prefix(n - len(head))
         return np.concatenate((head, tail))
-
-    def entry(self, k: int) -> complex:
-        return complex(self.prefix(k + 1)[k])
-
-
-def sample_sequence(space: BaseSpace, seed: int, n: int) -> np.ndarray:
-    """Length-n prefix of the seeded i.i.d. sequence (marginals uniform)."""
-    if n < 0:
-        raise ValidationError("prefix length must be >= 0")
-    if n == 0:
-        return np.empty(0, dtype=complex)
-    return ParamSequence(space, seed).prefix(n)
 
 
 def word_sequences(space: BaseSpace, depth: int) -> np.ndarray:

@@ -284,24 +284,18 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             _write_field(outdir, "avg_green_stderr", grid.with_data(stderr), files)
         elif kind == "slice-mass":
             resolutions = _numbers(exp, "resolutions", str(resolution), int)
+            if min(resolutions) < 5:  # the interior density grid needs 3 cells a side
+                raise ConfigError(f"[experiment] slice-mass needs resolutions of at least 5, got {min(resolutions)}")
             grids = [parse_slice(exp, res) for res in resolutions]
             normalized = _get(exp, "normalize", _boolean, False)
             rows = ["resolution,total_mass,off_band_fraction"]
             for res, grid in zip(resolutions, grids):
                 field = field_on(grid)
-                msr = slice_measure(field, normalized=normalized)
+                msr = slice_measure(field)
+                if normalized:
+                    msr = msr.normalize()
                 rows.append(f"{res},{msr.total_mass:.9g},{off_band_fraction(msr, field.status):.9g}")
-                den_grid = SliceGrid(
-                    nx=grid.nx - 2,
-                    ny=grid.ny - 2,
-                    x0=grid.x0 + grid.dx,
-                    y0=grid.y0 + grid.dy,
-                    dx=grid.dx,
-                    dy=grid.dy,
-                    spec=grid.spec,
-                    data=msr.density,
-                )
-                write_raw_grid(_output(outdir, f"density_{res}.grid", files), den_grid)
+                write_raw_grid(_output(outdir, f"density_{res}.grid", files), grid.interior().with_data(msr.density))
             _write_text(outdir, "slice_mass.csv", "\n".join(rows) + "\n", files)
         elif kind in ("converge", "theta", "rigidity"):
             grid = parse_slice(exp, resolution)

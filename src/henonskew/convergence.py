@@ -38,7 +38,6 @@ class PotentialSpec:
 
     kind: str
     c: float = 1.0
-    bounded_near_iminus: bool = True
 
     def __post_init__(self):
         if self.kind not in (LOG_PLUS, FUBINI_STUDY, SMOOTHED_LOG):
@@ -144,11 +143,12 @@ def pullback_convergence(
 ) -> ConvergenceReport:
     """Sup-norm gap between pulled-back potentials and the Green limit.
 
-    e_n = sup over certified cells of |d^(-n) u(H_(n,Lambda)(z)) - G_Lambda^+(z)|.
-    Without `flt` the constants come from `seq.space`.
+    e_n = sup over certified cells of |d^(-n) u(H_(n,Lambda)(z)) - G_Lambda^+(z)|
+    for n = 1 .. n_max, n_max >= 1. Without `flt` the constants come from
+    `seq.space`.
     """
-    if not u.bounded_near_iminus:
-        raise ValidationError("potential must be bounded near the backward indeterminacy point")
+    if n_max < 1:
+        raise ValidationError(f"n_max must be at least 1, got {n_max}")
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     ref = green_field_seq(fam, seq, grid, tol, max(200, n_max + flt.depth_for(tol)), flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
@@ -170,13 +170,15 @@ def theta_average_pullback(
     flt: FiltrationRadius | None = None,
     threads: int = 1,
 ):
-    """Averaged pullback against the averaged Green potential, n_mc >= 2.
+    """Averaged pullback against the averaged Green potential, n_max >= 1, n_mc >= 2.
 
     Returns (report, noise_floor): e_n should fall to the Monte-Carlo
     floor estimated from both averaging errors. The pullbacks along the
     n_mc sequences are stepped a chunk of sequences at a time and reduced
     per depth by MCMoments, one sequence at a time in sequence order.
     """
+    if n_max < 1:
+        raise ValidationError(f"n_max must be at least 1, got {n_max}")
     flt = resolve_radius(fam, flt, space)
     ref, ref_stderr = avg_green_field(fam, space, grid, tol, n_mc, seed + 1, flt=flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
@@ -217,9 +219,6 @@ def rigidity_probe(
     uniqueness (rigidity) statement numerically. Without `flt` the
     constants come from `seq.space`.
     """
-    for u in (u1, u2):
-        if not u.bounded_near_iminus:
-            raise ValidationError("potentials must be admissible")
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     ref = green_field_seq(fam, seq, grid, tol, 200, flt)
     mask = ref.status != STATUS_UNDECIDED

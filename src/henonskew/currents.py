@@ -44,8 +44,9 @@ def laplacian_density(values: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return lap * (dx * dy)
 
 
-def slice_measure(field: GreenField | SliceGrid, normalized: bool = False) -> SliceMeasure:
-    """Discrete slice measure of a potential raster.
+def slice_measure(field: GreenField | SliceGrid) -> SliceMeasure:
+    """Discrete slice measure of a potential raster, with the 2*pi
+    normalization; call .normalize() on it for mass 1.
 
     Raises UndecidedCells when a GreenField still has undecided pixels;
     plain SliceGrid data is trusted as fully evaluated.
@@ -59,8 +60,7 @@ def slice_measure(field: GreenField | SliceGrid, normalized: bool = False) -> Sl
     if grid.data is None:
         raise ValidationError("slice grid carries no data")
     density = laplacian_density(grid.data, grid.dx, grid.dy)
-    m = SliceMeasure(grid, density, float(density.sum()))
-    return m.normalize() if normalized else m
+    return SliceMeasure(grid, density, float(density.sum()))
 
 
 def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:

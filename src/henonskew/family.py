@@ -122,11 +122,6 @@ def factor_step(c, a, x, y, inverse: bool = False, scratch: bool = False):
     return y, p
 
 
-def eval_factor(f: HenonFactor, lam, z):
-    """Apply one factor at base point(s) lam to z = (x, y)."""
-    return eval_map(HenonFamily((f,)), lam, z)
-
-
 def map_coeffs(fam: HenonFamily, lam) -> tuple:
     """Per-factor (rows, a) at base point(s) lam, rows = (1, c_(d-1), ..., c_0).
 
@@ -165,14 +160,6 @@ def eval_inverse(fam: HenonFamily, lam, z):
             raise ZeroJacobian(f"|a| = {np.min(np.abs(a)):.3e} below {JACOBIAN_FLOOR}")
         x, y = factor_step(c, a, x, y, inverse=True)
     return x, y
-
-
-def jacobian_det(fam: HenonFamily, lam):
-    """det D(eval_map) = prod a_j(lambda), constant in z."""
-    det = 1.0 + 0j
-    for f in fam.factors:
-        det = det * f.a(lam)
-    return det
 
 
 def validate_family(fam: HenonFamily, lam_grid: np.ndarray) -> None:

@@ -40,7 +40,6 @@ class FiltrationRadius:
 
     R: float
     margin: float
-    samples: int
     degree: int
     a_sup: float
     a_inf: float
@@ -224,7 +223,6 @@ def compute_radius(
     return FiltrationRadius(
         R=float(R),
         margin=margin,
-        samples=DEFAULT_GRID,
         degree=fam.degree,
         a_sup=a_sup,
         a_inf=a_inf,

@@ -384,8 +384,10 @@ def green_minus_tilde(
     to exist when sigma contracts to a point. Values at successive depths
     are recomputed from scratch because the composition order reverses
     with n; the reported bound is the last Cauchy increment, not a
-    certified tail.
+    certified tail. A negative n_max is a ValidationError.
     """
+    if n_max < 0:
+        raise ValidationError(f"n_max must be at least 0, got {n_max}")
     if base.sigma.kind == SHIFT:
         raise UnsupportedBase("tilde variant needs a pointwise base dynamics")
     d = float(fam.degree)

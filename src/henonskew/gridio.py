@@ -6,9 +6,8 @@ Raw grid layout (little-endian, 64-byte header):
   offset  8  nx u32, ny u32
   offset 16  x0, y0, dx, dy as f64  (x0, y0 = center of pixel (0, 0))
   offset 48  slice constant re, im as f64
-followed by ny*nx float64 values, row-major. The header holds a slice
-constant but no base point or direction, so line slices are not written.
-Readers raise ValidationError on any file that does not follow the layout.
+followed by ny*nx float64 values, row-major. Readers raise ValidationError
+on any file that does not follow the layout, an unknown slice-kind code included.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ assert _HEADER.size == 64
 def write_raw_grid(path: str | Path, grid: SliceGrid) -> None:
     if grid.data is None:
         raise ValidationError("grid has no data to write")
-    if grid.spec.kind not in _KIND_CODE:
-        raise ValidationError(f"no {grid.spec.kind} slice in a raw grid: the header has no base point or direction")
     const = complex(grid.spec.const)
     header = _HEADER.pack(
         MAGIC,

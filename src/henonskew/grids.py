@@ -1,4 +1,4 @@
-"""Slice geometry: complex-line slices of C^2 and uniform rasters on them."""
+"""Slice geometry: the complex lines {x = c} and {y = c} of C^2 and uniform rasters on them."""
 
 from __future__ import annotations
 
@@ -10,29 +10,24 @@ from .errors import ValidationError
 
 SLICE_X = "x"  # {x = const}, raster in the y coordinate
 SLICE_Y = "y"  # {y = const}, raster in the x coordinate
-SLICE_LINE = "line"  # z(w) = p0 + w * dir
 
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """A complex line in C^2 carrying a raster."""
+    """The complex line {x = const} or {y = const} in C^2, carrying a raster."""
 
     kind: str
     const: complex = 0j
-    p0: tuple[complex, complex] = (0j, 0j)
-    direction: tuple[complex, complex] = (0j, 1 + 0j)
 
     def __post_init__(self):
-        if self.kind not in (SLICE_X, SLICE_Y, SLICE_LINE):
+        if self.kind not in (SLICE_X, SLICE_Y):
             raise ValidationError(f"unknown slice kind {self.kind!r}")
 
     def to_points(self, w: np.ndarray):
         """Map raster coordinates w to (x, y) in C^2."""
         if self.kind == SLICE_X:
             return np.full_like(w, self.const), w.astype(complex)
-        if self.kind == SLICE_Y:
-            return w.astype(complex), np.full_like(w, self.const)
-        return self.p0[0] + w * self.direction[0], self.p0[1] + w * self.direction[1]
+        return w.astype(complex), np.full_like(w, self.const)
 
 
 @dataclass
@@ -81,6 +76,10 @@ class SliceGrid:
     def points(self):
         """(x, y) arrays of shape (ny, nx) on the slice."""
         return self.spec.to_points(self.centers())
+
+    def interior(self) -> "SliceGrid":
+        """The grid of the cells one cell in from the edge, where a 5-point Laplacian lives."""
+        return SliceGrid(self.nx - 2, self.ny - 2, self.x0 + self.dx, self.y0 + self.dy, self.dx, self.dy, self.spec)
 
     def with_data(self, data: np.ndarray) -> "SliceGrid":
         if data.shape != (self.ny, self.nx):

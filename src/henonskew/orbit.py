@@ -222,11 +222,6 @@ def step_coeffs(o: Orbit, coeffs: tuple) -> None:
         step_factor(o, c, a)
 
 
-def step_map(o: Orbit, fam: HenonFamily, lam) -> None:
-    """One full map application H_lam (its inverse on an inverse orbit) at base point(s) lam."""
-    step_coeffs(o, map_coeffs(fam, lam))
-
-
 # ---------------------------------------------------------------------------
 # base-point suppliers (see the module docstring)
 

@@ -187,8 +187,11 @@ def green_proj_batch(
     """Vectorized G_lam over points of shape (n, k+1).
 
     Normalized iteration: s <- d*s + log ||F(x_hat)||, x_hat <- F/||F||,
-    so the orbit norm never overflows; G_n = s_n / d^n.
+    so the orbit norm never overflows; G_n = s_n / d^n. A negative n_max
+    is a ValidationError.
     """
+    if n_max < 0:
+        raise ValidationError(f"n_max must be at least 0, got {n_max}")
     pts = np.asarray(pts, dtype=complex)
     norms = np.linalg.norm(pts, axis=-1)
     if np.any(norms < ORIGIN_EXCLUSION):
@@ -257,7 +260,10 @@ def basin_classify_batch(
     re-tested every step), so no rescaling is needed; this also keeps
     critical orbits like the unit torus of the squaring map exactly on
     their invariant set instead of amplifying roundoff exponentially.
+    A negative n_max is a ValidationError.
     """
+    if n_max < 0:
+        raise ValidationError(f"n_max must be at least 0, got {n_max}")
     pts = np.asarray(pts, dtype=complex)
     norms = np.linalg.norm(pts, axis=-1)
     if np.any(norms < ORIGIN_EXCLUSION):

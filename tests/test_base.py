@@ -7,7 +7,6 @@ from henonskew.base import (
     FrozenSequence,
     ParamSequence,
     advance,
-    sample_sequence,
     word_sequences,
 )
 from henonskew.errors import NotInvertible, UnsupportedBase, ValidationError
@@ -57,10 +56,10 @@ def test_shift_advance_unsupported():
 
 def test_sequence_reproducible():
     space = BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j))
-    a = sample_sequence(space, seed=42, n=5)
-    b = sample_sequence(space, seed=42, n=5)
+    a = ParamSequence(space, 42).prefix(5)
+    b = ParamSequence(space, 42).prefix(5)
     np.testing.assert_array_equal(a, b)
-    c = sample_sequence(space, seed=43, n=5)
+    c = ParamSequence(space, 43).prefix(5)
     assert not np.array_equal(a, c)
 
 
@@ -74,14 +73,25 @@ def test_sequence_prefix_stability():
 
 def test_sequence_empty_prefix():
     space = BaseSpace("circle")
-    assert sample_sequence(space, 1, 0).size == 0
+    assert ParamSequence(space, 1).prefix(0).size == 0
     with pytest.raises(ValidationError):
-        sample_sequence(space, 1, -1)
+        ParamSequence(space, 1).prefix(-1)
+
+
+@pytest.mark.parametrize("n", [-1, -20])
+def test_negative_prefix_length_is_rejected(n):
+    # without the check a ParamSequence whose cache holds 16 entries and a three-entry
+    # FrozenSequence return cache[:n] and head[:n], 16 + n and 3 + n entries
+    seq = ParamSequence(BaseSpace("circle"), 1)
+    seq.prefix(3)
+    for s in (seq, FrozenSequence(np.array([1, 2, 3], dtype=complex))):
+        with pytest.raises(ValidationError, match="at least 0"):
+            s.prefix(n)
 
 
 def test_box_mean_within_3_sigma():
     space = BaseSpace("box", bounds=((-0.1, 0.1),))
-    vals = sample_sequence(space, seed=11, n=10_000).real
+    vals = ParamSequence(space, 11).prefix(10_000).real
     sigma = 0.2 / np.sqrt(12.0) / np.sqrt(len(vals))
     assert abs(vals.mean()) < 3 * sigma
 
@@ -99,7 +109,7 @@ def test_prepend_and_frozen():
     space = BaseSpace("finite", points=(1 + 0j, 2 + 0j))
     seq = ParamSequence(space, 3)
     pre = seq.prepend(9 + 0j)
-    assert pre.entry(0) == 9 + 0j
+    assert pre.prefix(1)[0] == 9 + 0j
     np.testing.assert_array_equal(pre.prefix(6)[1:], seq.prefix(5))
     frozen = FrozenSequence(np.array([1 + 0j, 2 + 0j]))
     with pytest.raises(ValidationError):

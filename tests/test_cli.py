@@ -182,7 +182,7 @@ def _damaged_raw_grid(tmp_path, damage):
         raw += bytes(8)
     elif damage == "slice-kind-7":
         raw[5] = 7
-    elif damage == "slice-kind-2":  # the code line slices had
+    elif damage == "slice-kind-2":  # the first code past y-fixed
         raw[5] = 2
     elif damage == "nan-spacing":
         raw[32:40] = struct.pack("<d", float("nan"))
@@ -214,15 +214,10 @@ def test_malformed_pgm_is_a_validation_error(damage, tmp_path):
         read_pgm16(path)
 
 
-def test_line_slice_grid_is_not_written(tmp_path):
-    """The raw-grid header keeps only a slice constant, so a line slice would
-    read back with another base point and direction."""
-    spec = SliceSpec("line", p0=(1 + 0j, 2 + 0j), direction=(1 + 0j, 1j))
-    grid = SliceGrid.from_window(spec, (-1, 1, -1, 1), 4).with_data(np.zeros((4, 4)))
-    path = tmp_path / "line.grid"
-    with pytest.raises(ValidationError, match="line"):
-        write_raw_grid(path, grid)
-    assert not path.exists()
+def test_line_slice_kind_is_rejected():
+    # slices are {x = c} and {y = c}; a raw grid could not hold a line's base point and direction
+    with pytest.raises(ValidationError, match="unknown slice kind"):
+        SliceSpec("line")
 
 def test_unknown_experiment(tmp_path):
     cfg = _write(tmp_path, MINIMAL.replace("kind = filtration", "kind = frobnicate"))
@@ -422,6 +417,36 @@ def test_negative_depths_exit_2(kind, opts, tmp_path, capsys):
     assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
     assert "at least 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["converge", "theta"])
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_pullback_depths_below_one_exit_2(kind, n_max, tmp_path, capsys):
+    # without the check converge died with a ValueError from max() and theta wrote a header-only theta.csv
+    text = _with_options(TWO_LETTER.replace("resolution = 32", "resolution = 8"), "experiment", n_max=n_max, n_mc="3")
+    assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    assert "n_max must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_basin_raster_negative_depth_exits_2(tmp_path, capsys):
+    # without the check every pixel came out indeterminate
+    cfg = _write(tmp_path, _basin_cfg(depth="-3"))
+    assert main(["basin-raster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_slice_mass_resolutions_below_5_exit_2(tmp_path, capsys):
+    # the interior density grid of a resolution r has r - 2 cells a side, and a raster needs 3;
+    # without the check density_16.grid was written before the 4 failed
+    cfg = _write(tmp_path, _with_options(TWO_LETTER, "experiment", resolutions="16, 4"))
+    assert main(["slice-mass", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "at least 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    cfg = _write(tmp_path, _with_options(TWO_LETTER, "experiment", resolutions="16, 5"))
+    assert main(["slice-mass", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert read_raw_grid(tmp_path / "o" / "density_5.grid").data.shape == (3, 3)
 
 
 def test_depth_zero_runs(tmp_path):

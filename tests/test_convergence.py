@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import henonskew.convergence as conv_mod
 import henonskew.green as green_mod
 from conftest import theta_loop
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, FrozenSequence, ParamSequence
@@ -175,6 +176,23 @@ def test_theta_matches_per_sequence_loop(fam_name, space, box_fam, monkeypatch):
     rep, floors = theta_average_pullback(fam, space, U_FS, grid, n_max=6, n_mc=7, seed=5, tol=1e-6, flt=flt)
     errors, ref_floors = theta_loop(fam, space, U_FS, grid, 6, 7, 5, 1e-6, flt)
     assert rep.errors == errors and floors == ref_floors
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_pullback_depths_below_one_are_rejected(n_max, box_fam, two_letter_base, monkeypatch):
+    # rejected before the reference field is computed; without the check pullback_convergence died
+    # in max() and theta_average_pullback returned empty lists
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference field computed")
+
+    monkeypatch.setattr(conv_mod, "green_field_seq", no_reference)
+    monkeypatch.setattr(conv_mod, "avg_green_field", no_reference)
+    flt = compute_radius(box_fam, two_letter_base.space)
+    seq = ParamSequence(two_letter_base.space, 1)
+    with pytest.raises(ValidationError, match="n_max must be at least 1"):
+        pullback_convergence(box_fam, seq, U_FS, _grid(8), n_max=n_max, flt=flt)
+    with pytest.raises(ValidationError, match="n_max must be at least 1"):
+        theta_average_pullback(box_fam, two_letter_base.space, U_FS, _grid(8), n_max=n_max, n_mc=3, flt=flt)
 
 
 @pytest.mark.parametrize("n_mc", [0, 1])

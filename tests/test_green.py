@@ -266,6 +266,13 @@ def test_green_minus_tilde_contraction_converges():
     assert g.value > 0
 
 
+def test_green_minus_tilde_rejects_negative_depth(quad_fam, single_base):
+    # without the check n_max = -3 gave GreenEval(0.0, depth=-3, status='undecided')
+    with pytest.raises(ValidationError, match="at least 0"):
+        green_minus_tilde(quad_fam, single_base, 0.0, (2.7 + 0.1j, 0.3 - 0.2j), n_max=-3)
+    assert green_minus_tilde(quad_fam, single_base, 0.0, (2.7 + 0.1j, 0.3 - 0.2j), n_max=0).depth == 0
+
+
 def test_shift_base_routed_to_sequences(quad_fam):
     base = BaseSystem(BaseSpace("finite", points=(0j,)), BaseDynamics("shift"))
     with pytest.raises(UnsupportedBase):

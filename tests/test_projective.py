@@ -113,6 +113,17 @@ def test_zero_vector_rejected(squaring):
         basin_classify(squaring, BASE, 0.0, np.zeros(3))
 
 
+def test_negative_depths_are_rejected(squaring, squaring_consts):
+    # without the check depth -3 labelled (0.1, 0, 0) indeterminate and gave G its depth-0 value
+    x = np.array([0.1, 0, 0])
+    with pytest.raises(ValidationError, match="at least 0"):
+        basin_classify(squaring, BASE, 0.0, x, n_max=-3, constants=squaring_consts)
+    with pytest.raises(ValidationError, match="at least 0"):
+        green_proj(squaring, BASE, 0.0, x, n_max=-3, constants=squaring_consts)
+    assert basin_classify(squaring, BASE, 0.0, x, n_max=0, constants=squaring_consts) == ATTRACTED
+    assert green_proj(squaring, BASE, 0.0, x, n_max=0, constants=squaring_consts) == math.log(0.1)
+
+
 def test_basin_radii_certificates(squaring, squaring_consts):
     rng = np.random.Generator(np.random.PCG64(4))
     sph = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))

@@ -15,7 +15,7 @@ from henonskew import green as green_mod
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance, point_base
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_inverse, eval_map, factor_step, map_coeffs, quadratic_family
-from henonskew.filtration import compute_radius
+from henonskew.filtration import DEFAULT_GRID, compute_radius
 from henonskew.green import STATUS_BOUNDED, _run_green, classify, green_field, green_field_seq, mc_green
 from henonskew.grids import SliceGrid, SliceSpec
 from henonskew.orbit import Orbit, SeqSupplier, SigmaSupplier, iterate
@@ -156,7 +156,7 @@ def test_each_factor_maps_the_trap_bidisc_into_itself(fam_name):
     inner = inner * np.exp(2j * np.pi * rng.uniform(size=n))
     sides = rng.uniform(size=n) < 0.5
     bx, by = np.where(sides, rim, inner), np.where(sides, inner, rim)
-    grid = BOX.grid(flt.samples)
+    grid = BOX.grid(DEFAULT_GRID)
     for lam in grid:
         for c, a in map_coeffs(fam, lam):
             wx, wy = _worst_points(c, a, rs, 720)
