@@ -195,11 +195,18 @@ class ParamSequence:
 
 @dataclass
 class FrozenSequence:
-    """Sequence with an explicit head, continued by a parent or by cycling."""
+    """Sequence with an explicit head, continued by a parent or by cycling.
+
+    A cycling head must not be empty (ValidationError).
+    """
 
     head: np.ndarray
     parent: "ParamSequence | FrozenSequence | None" = None
     cycle: bool = False
+
+    def __post_init__(self):
+        if self.cycle and len(self.head) == 0:
+            raise ValidationError("a cycling sequence needs a non-empty head")
 
     def prefix(self, n: int) -> np.ndarray:
         if n < 0:

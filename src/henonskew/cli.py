@@ -243,7 +243,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     resolution = _get(exp, "resolution", int, 256)
 
     if kind in ("basin-raster", "constants"):
-        _run_projective(config, kind, exp, outdir, files, seed)
+        _run_projective(config, kind, exp, outdir, files, seed, resolution)
     else:
         fam = parse_family(config["family"])
         base = parse_base(config["base"])
@@ -335,7 +335,9 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
     return manifest
 
 
-def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: int) -> None:
+def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: int, resolution: int) -> None:
+    if kind == "basin-raster" and resolution < 3:  # the rule of every slice raster
+        raise ConfigError(f"[experiment] basin-raster needs a resolution of at least 3, got {resolution}")
     lift = parse_lift(config["lift"])
     base = parse_base(config["base"])
     n_sphere = _get(exp, "n_sphere", int, 20000)
@@ -346,7 +348,6 @@ def _run_projective(config, kind, exp, outdir: Path, files: list[Path], seed: in
         _write_text(outdir, "constants.csv",
                     f"l,L,r,R\n{consts.l_emp:.9g},{consts.L_emp:.9g},{consts.r:.9g},{consts.R:.9g}\n", files)
         return
-    resolution = _get(exp, "resolution", int, 256)
     win = _entries(exp, "window", 4, "-2,2,-2,2", float)
     base_pt = _entries(exp, "plane_base", lift.k + 1, ",".join(["0"] * (lift.k + 1)))
     direction = np.array(_entries(exp, "plane_dir", lift.k + 1, ",".join(["1"] + ["0"] * lift.k)))

@@ -54,9 +54,12 @@ Every value above comes from one driver, _drive, which alone steps
 orbits: it runs the certifying loop _certify, which hands each point to a
 record callback as it leaves the orbit (certified in the wedge, trapped,
 or left at n_max), over `rows` copies of the points, row i along base
-sequence i. Point evaluations and rasters (_run_green) are its rows = 1
-case and the Monte-Carlo values (mc_green) its rows = n_mc case; they
-differ only in their callbacks. The averages then reduce mc_green's
+sequence i. It starts the rows in chunks of MC_CHUNK points; an orbit
+that shrinks below half of that waits at its depth until the orbits
+waiting there fill a chunk and step on together, so the remnants of many
+chunks take one step call per depth, not one each. Point evaluations and
+rasters (_run_green) are its rows = 1 case and the Monte-Carlo values
+(mc_green) its rows = n_mc case; they differ only in their callbacks. The averages then reduce mc_green's
 per-sequence values through one accumulator, MCMoments: means are sums in
 sequence order, and standard errors come from the shifted-data variance,
 so a point average and the raster's pixel at that point agree bit for bit.
@@ -120,8 +123,9 @@ class GreenEval:
 
 
 def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, tol: float,
-             n_lo: int, n_hi: int, n_max: int, record) -> None:
-    """Step the orbit from depth n_lo to n_hi, certifying as it goes.
+             n_lo: int, n_max: int, record, floor: int = 1) -> int:
+    """Step the orbit from depth n_lo toward n_max, certifying as it goes;
+    returns the depth reached.
 
     flt is the record of the orbit's direction (FiltrationRadius.toward).
     Every point leaves the orbit through record(ids, n, values,
@@ -129,9 +133,10 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
     scalars or arrays aligned with ids. A point leaves when the wedge
     rules certify it (undecided if its value is not finite), when it is
     trapped in D_r (at depths where the uniform rule applies; recorded as
-    at n_max), and, if n_hi == n_max, at n_max: bounded in the bidisc
-    V_R, else undecided. A run to n_max thus records each point once and
-    empties the orbit.
+    at n_max), and at n_max: bounded in the bidisc V_R, else undecided.
+    The run stops early, before n_max, once points leaving the orbit
+    leave fewer than `floor` in it (by default: none); otherwise it
+    records each point once and empties the orbit.
     """
     d = float(fam.degree)
     # value 0 at a point whose orbit is in V_R at n_max: there G <= d^-n_max M,
@@ -139,9 +144,7 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
     bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap())
     n_tail = flt.depth_for(tol)  # the uniform rule's first depth; tail_bound falls with n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(n_lo + 1, n_hi + 1):
-            if not len(orbit):
-                return
+        for n in range(n_lo + 1, n_max + 1):
             orbit.step(supplier, fam, n - 1)
             found = _wedge_certificates(orbit, flt, d, n, n >= n_tail, tol)
             held = None
@@ -162,14 +165,15 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
             orbit.keep(keep)
             # free the per-step arrays before the next step, where memory peaks
             del found, held, keep
-        if n_hi < n_max or not len(orbit):
-            return
+            if len(orbit) < floor and n < n_max:
+                return n
         g = d ** (-n_max) * orbit.log_plus_norm()
         bounded = orbit.in_bidisc(flt.R)
         record(orbit.ids[bounded], n_max, 0.0, bounded_err, STATUS_BOUNDED)
         rest = ~bounded
         record(orbit.ids[rest], n_max, g[rest], flt.tail_bound(n_max), STATUS_UNDECIDED)
         orbit.keep(np.zeros(len(orbit), dtype=bool))
+        return n_max
 
 
 def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, uniform: bool, tol: float):
@@ -212,8 +216,9 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, u
     return pos[done], g[done], e[done]
 
 
-# Points per orbit in _drive's chunks and pool pieces when it steps several
-# rows (sequences) of the points: a chunk holds at least one row.
+# Points per chunk when _drive steps several rows (sequences) of the points
+# (a chunk holds at least one row), and the size at which orbits waiting at
+# one depth are joined; an orbit stops to wait once it holds fewer than half.
 MC_CHUNK = 2 ** 14
 
 
@@ -254,40 +259,63 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
     along the supplier, each copy once through record (see _certify).
 
     The copy of point p in row i is named i * len(x) + p. Threads split
-    the points into contiguous ranges, never a point's rows. In a range,
-    chunks of whole rows (mc_chunks) step to n_cut = min(n_max,
-    depth_for(tol)), where the uniform rule certifies every wedge point
-    and drops every trapped one; the cores left are pooled into orbits of
-    at most MC_CHUNK points (a lone orbit as it is) that step to n_max.
-    With rows = 1 a range is one chunk, and its core one orbit.
+    the points into contiguous ranges, never a point's rows. A range's
+    rows start in chunks of whole rows (mc_chunks), and every orbit
+    follows one rule: it steps until the points leaving it leave fewer
+    than MC_CHUNK // 2 (_certify's floor), then waits at the depth it
+    reached. Once the orbits waiting at one depth hold MC_CHUNK points,
+    they are joined and step on as one orbit; when no chunk is left to
+    start, the orbits waiting at the lowest depth go next. The last orbit,
+    started when no chunk is left and no other orbit waits, runs to n_max.
+    Only it, and orbits drained from the lowest depth while others wait,
+    step on fewer than MC_CHUNK // 2 points. With rows = 1 a range is one
+    chunk, stepped to n_max as one orbit. The kernel works point by point
+    and records go by name, so no output depends on MC_CHUNK.
     """
     if n_max < 0:
         raise ValidationError(f"depth n_max must be at least 0, got {n_max}")
     n_pts = len(x)
     flt = flt.toward(inverse)
-    n_cut = min(n_max, flt.depth_for(tol))
-
-    def finish(pool):
-        if pool:
-            orbit = pool[0] if len(pool) == 1 else Orbit.concat(pool)
-            _certify(supplier, fam, orbit, flt, tol, n_cut, n_max, n_max, record)
 
     def work(lo, hi):
         if hi == lo:
             return
-        pool = []
-        for ids, r in mc_chunks(rows, n_pts, lo, hi):
-            xs, ys = (np.broadcast_to(v[lo:hi], (r, hi - lo)).ravel() for v in (x, y))
-            orbit = Orbit(fam, xs, ys, inverse, ids)
-            _certify(supplier, fam, orbit, flt, tol, 0, n_cut, n_max, record)
-            if sum(map(len, pool)) + len(orbit) > MC_CHUNK:
-                finish(pool)
-                pool = []
+        chunks = mc_chunks(rows, n_pts, lo, hi)
+        chunk = next(chunks)
+        waiting = {}  # depth -> the orbits stopped there
+        orbit = None
+        while True:
+            if orbit is None and chunk is not None:
+                (ids, r), chunk = chunk, next(chunks, None)
+                xs, ys = (np.broadcast_to(v[lo:hi], (r, hi - lo)).ravel() for v in (x, y))
+                orbit, n = Orbit(fam, xs, ys, inverse, ids), 0
+            elif orbit is None:
+                if not waiting:
+                    return
+                n = min(waiting)
+                orbit = _join(waiting.pop(n))
+            last = chunk is None and not waiting
+            n = _certify(supplier, fam, orbit, flt, tol, n, n_max, record, 1 if last else MC_CHUNK // 2)
             if len(orbit):
-                pool.append(orbit)
-        finish(pool)
+                group = waiting.setdefault(n, [])
+                group.append(orbit)
+                if sum(map(len, group)) >= MC_CHUNK:
+                    orbit = _join(waiting.pop(n))
+                    continue
+            orbit = None
 
     _in_threads(work, n_pts, threads)
+
+
+def _join(parts: list[Orbit]) -> Orbit:
+    """One orbit of the points of `parts`, ids ascending as the suppliers need (a lone part as it is)."""
+    if len(parts) == 1:
+        return parts[0]
+    parts = sorted(parts, key=lambda o: o.ids[0])
+    orbit = Orbit.concat(parts)
+    if any(p.ids[-1] > q.ids[0] for p, q in zip(parts, parts[1:])):
+        orbit.sort_by_ids()  # the parts' rows interleave
+    return orbit
 
 
 def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float,

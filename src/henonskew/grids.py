@@ -48,8 +48,7 @@ class SliceGrid:
     data: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise ValidationError("raster needs nx, ny >= 3")
+        _check_size(self.nx, self.ny)
         if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
             raise ValidationError("raster spacing must be positive and finite")
 
@@ -64,6 +63,7 @@ class SliceGrid:
         a0, a1, b0, b1 = window
         if ny is None:
             ny = nx
+        _check_size(nx, ny)  # before the spacing divides by it
         dx = (a1 - a0) / nx
         dy = (b1 - b0) / ny
         return cls(nx=nx, ny=ny, x0=a0 + dx / 2, y0=b0 + dy / 2, dx=dx, dy=dy, spec=spec)
@@ -85,3 +85,8 @@ class SliceGrid:
         if data.shape != (self.ny, self.nx):
             raise ValidationError(f"data shape {data.shape} != ({self.ny}, {self.nx})")
         return SliceGrid(self.nx, self.ny, self.x0, self.y0, self.dx, self.dy, self.spec, data)
+
+
+def _check_size(nx: int, ny: int) -> None:
+    if nx < 3 or ny < 3:
+        raise ValidationError(f"raster needs nx, ny >= 3, got {nx} x {ny}")

@@ -105,6 +105,16 @@ class Orbit:
         o.inverse = parts[0].inverse
         return o
 
+    def sort_by_ids(self) -> None:
+        """Reorder the points so that their ids ascend, in place; a log-form
+        point keeps its log entries, at its new position."""
+        order = np.argsort(self.ids, kind="stable")
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        self.lpos = where[self.lpos]
+        for name in self._STATE:
+            setattr(self, name, getattr(self, name)[order])
+
     def step(self, supplier, fam: HenonFamily, k: int) -> None:
         """Step k: one map application at the supplier's base points for the orbit's points."""
         step_coeffs(self, supplier.coeffs(fam, k, self.ids))

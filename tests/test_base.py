@@ -116,6 +116,15 @@ def test_prepend_and_frozen():
         frozen.prefix(3)
 
 
+def test_empty_cycling_head_is_rejected():
+    # without the check prefix(3) divided by the head's length, 0
+    with pytest.raises(ValidationError, match="non-empty head"):
+        FrozenSequence(np.array([], dtype=complex), cycle=True).prefix(3)
+    cycled = FrozenSequence(np.array([1 + 0j, 2 + 0j]), cycle=True)
+    np.testing.assert_array_equal(cycled.prefix(5), [1, 2, 1, 2, 1])
+    assert len(FrozenSequence(np.array([], dtype=complex)).prefix(0)) == 0
+
+
 def test_word_enumeration():
     space = BaseSpace("finite", points=(-1 + 0j, 1 + 0j))
     words = word_sequences(space, 3)

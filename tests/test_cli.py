@@ -449,6 +449,28 @@ def test_slice_mass_resolutions_below_5_exit_2(tmp_path, capsys):
     assert read_raw_grid(tmp_path / "o" / "density_5.grid").data.shape == (3, 3)
 
 
+@pytest.mark.parametrize("kind", ["green-raster", "julia-raster", "avg-green", "theta"])
+@pytest.mark.parametrize("resolution", ["0", "2", "-2"])
+def test_slice_raster_resolutions_below_3_exit_2(kind, resolution, tmp_path, capsys):
+    # a resolution of 0 once died with a ZeroDivisionError in SliceGrid.from_window
+    text = _with_options(TWO_LETTER, "experiment", resolution=resolution, n_mc="3", n_max="4")
+    assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    assert "nx, ny >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("resolution", [0, 2, -2])
+def test_basin_raster_resolutions_below_3_exit_2(resolution, tmp_path, capsys):
+    # without the check 0 wrote a 0 x 0 basin.pgm and -2 died in np.linspace
+    cfg = _write(tmp_path, _basin_cfg().replace("resolution = 8", f"resolution = {resolution}"))
+    assert main(["basin-raster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    cfg = _write(tmp_path, _basin_cfg().replace("resolution = 8", "resolution = 3"))
+    assert main(["basin-raster", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert read_pgm16(tmp_path / "o" / "basin.pgm").shape == (3, 3)
+
+
 def test_depth_zero_runs(tmp_path):
     text = MINIMAL + "depth = 0\nresolution = 8\n"
     assert main(["green-raster", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0

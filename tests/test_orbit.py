@@ -433,6 +433,35 @@ def test_keep_and_concat_carry_log_form_points(inverse):
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_sort_by_ids_carries_log_form_points(inverse):
+    """Two orbits whose ids interleave, concatenated and sorted by id: the
+    ids ascend, and each point keeps the state of its point stepped alone,
+    log-form points included, through the steps that follow."""
+    fam = SLICE_FAMILIES["two-factor"]
+    base, _ = SLICE_BASES["rotation"]
+    rng = np.random.Generator(np.random.PCG64(22))
+    n = 60
+    scale = np.where(rng.uniform(size=n) < 0.5, 2.5, 1e25)
+    x = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    y = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    sup = SigmaSupplier(base.sigma, rng.uniform(0.0, 1.0, n))
+    alone = [Orbit(fam, x[i:i + 1], y[i:i + 1], inverse, np.array([i])) for i in range(n)]
+    third = np.arange(n) % 3 == 1
+    parts = [Orbit(fam, x[m], y[m], inverse, np.flatnonzero(m)) for m in (~third, third)]
+    for o in parts + alone:
+        o.step(sup, fam, 0)
+    both = Orbit.concat(parts)
+    assert not np.all(np.diff(both.ids) > 0)
+    both.sort_by_ids()
+    assert np.array_equal(both.ids, np.arange(n)) and log_mask(both).any() and not log_mask(both).all()
+    _assert_steps_as_alone(both, alone)
+    for k in (1, 2):
+        for o in [both] + alone:
+            o.step(sup, fam, k)
+        _assert_steps_as_alone(both, alone)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 def test_log_form_points_are_nan_explicitly_and_in_the_wedge(inverse):
     """Log-form positions hold NaN in x, y, dom and sub, and lie in the
     wedge and outside every bidisc. A NaN start point stays explicit and is

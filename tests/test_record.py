@@ -1,7 +1,7 @@
 """Every point leaves the certifying engine through its record callback
 exactly once: wedge certificates, trapped points and the finish at n_max,
-in one-call runs and in the shared driver's split at n_cut with its pool,
-for rasters and for mc_green."""
+in one-call runs and in the shared driver's orbits pooled by depth, for
+rasters and for mc_green."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,16 @@ from henonskew import green as green_mod
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem
 from henonskew.family import quadratic_family
 from henonskew.filtration import compute_radius
-from henonskew.green import STATUS_BOUNDED, STATUS_ESCAPED, STATUS_UNDECIDED, _certify, green_field, green_values, mc_green
+from henonskew.green import (
+    STATUS_BOUNDED,
+    STATUS_ESCAPED,
+    STATUS_UNDECIDED,
+    _certify,
+    _run_green,
+    green_field,
+    green_values,
+    mc_green,
+)
 from henonskew.grids import SliceGrid, SliceSpec
 from henonskew.orbit import Orbit, SigmaSupplier
 from test_trap import _record_steps
@@ -49,8 +58,8 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
     steps = _record_steps(monkeypatch)
     orbit = Orbit(fam, x, y, inverse)
     flt = flt.toward(inverse)
-    _certify(SigmaSupplier(BaseDynamics("identity"), 0.1), fam, orbit, flt, TOL, 0, n_max, n_max, record)
-    assert len(orbit) == 0
+    n = _certify(SigmaSupplier(BaseDynamics("identity"), 0.1), fam, orbit, flt, TOL, 0, n_max, record)
+    assert len(orbit) == 0 and n <= n_max
     ids = np.concatenate([i for i, _ in calls])
     assert np.array_equal(np.sort(ids), np.arange(len(x)))
 
@@ -71,48 +80,127 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
         assert np.count_nonzero(status == STATUS_UNDECIDED) > 2
 
 
-@pytest.mark.parametrize("n_max", [5, 22, 30, 200])
-@pytest.mark.parametrize("fam_name", FAMILIES)
-def test_mc_split_records_every_point_once(fam_name, n_max, monkeypatch):
-    """mc_green's chunks run to n_cut and its pool from n_cut to n_max; with
-    n_max <= depth_for(tol) the chunks finish every point themselves."""
-    fam = FAMILIES[fam_name]
-    flt = compute_radius(fam, SPACE)
-    x, y = _points()
-    monkeypatch.setattr(green_mod, "MC_CHUNK", 200)
-    seen, runs = [], []
-    certify = green_mod._certify
+def _spy_runs(monkeypatch):
+    """Patch _certify and Orbit.step; returns (runs, steps, seen): per run
+    (orbit, n_lo, floor, points, depth reached), per step (orbit, points),
+    and the ids of every record call."""
+    runs, steps, seen = [], [], []
+    certify, step = green_mod._certify, Orbit.step
 
-    def spying(supplier, fam, orbit, flt, tol, n_lo, n_hi, n_max, record):
-        runs.append(n_lo)
-
+    def spying(supplier, fam, orbit, flt, tol, n_lo, n_max, record, floor=1):
         def spy(ids, *rest):
             seen.append(ids.copy())
             record(ids, *rest)
 
-        certify(supplier, fam, orbit, flt, tol, n_lo, n_hi, n_max, spy)
+        size = len(orbit)
+        n = certify(supplier, fam, orbit, flt, tol, n_lo, n_max, spy, floor)
+        runs.append((orbit, n_lo, floor, size, n))
+        return n
+
+    def stepping(orbit, supplier, fam, k):
+        steps.append((orbit, len(orbit)))
+        step(orbit, supplier, fam, k)
 
     monkeypatch.setattr(green_mod, "_certify", spying)
+    monkeypatch.setattr(Orbit, "step", stepping)
+    return runs, steps, seen
+
+
+# Orbit.step calls of the mc_green run below: each sequence alone to depth
+# min(n_max, 22) made 4 x 22 = 88 at depth 22, plus pool steps past it
+MC_STEPS = {"trap": {5: 20, 22: 62, 30: 62, 200: 62}, "no-trap": {5: 20, 22: 62, 30: 78, 200: 418}}
+
+
+@pytest.mark.parametrize("n_max", [5, 22, 30, 200])
+@pytest.mark.parametrize("fam_name", FAMILIES)
+def test_mc_split_records_every_point_once(fam_name, n_max, monkeypatch):
+    """mc_green over 4 sequences of 638 points with MC_CHUNK = 200: each
+    sequence is a chunk, which steps until fewer than 100 points are left
+    (depth 9, unless n_max comes first); three such cores join at that
+    depth and step on together, and the last chunk runs to n_max alone.
+    Every point is recorded once, and every orbit stepped except the last
+    holds at least MC_CHUNK // 2 points."""
+    fam = FAMILIES[fam_name]
+    flt = compute_radius(fam, SPACE)
+    x, y = _points()
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 200)
+    runs, steps, seen = _spy_runs(monkeypatch)
     n_mc = 4
     mc = mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, n_max)
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(n_mc * len(x)))
     assert mc.undecided[-2:].all() and mc.seq_undecided.min() >= 2
 
-    n_cut = min(n_max, flt.depth_for(TOL))
-    pooled = runs.count(n_cut)
-    assert runs.count(0) == n_mc  # one chunk per sequence: MC_CHUNK < 2 len(x)
-    if n_cut == n_max or fam_name == "trap":
-        assert pooled == 0
-    else:
-        assert pooled >= 2  # the pool is run in more than one piece
+    assert len(steps) == MC_STEPS[fam_name][n_max]
+    last = runs[-1][0]
+    assert runs[-1][2] == 1 and not len(last)
+    assert all(size >= 100 for o, size in steps if o is not last)
+    assert [n_lo for _, n_lo, _, _, _ in runs].count(0) == n_mc  # one chunk per sequence: MC_CHUNK < 2 len(x)
+    if n_max > 9:
+        joined = [size for _, n_lo, _, size, _ in runs if n_lo == 9]
+        assert len(joined) == 1 and 200 <= joined[0] < 300
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_raster_pools_its_leftover(threads, monkeypatch):
-    """A raster of the family with no trap, n_max above n_cut: each thread
-    range is one orbit, whatever MC_CHUNK, stepped to n_cut and then, as it
-    is, to n_max; every pixel is recorded once, and the values equal those
-    of the points taken one at a time."""
+@pytest.mark.parametrize("fam_name", FAMILIES)
+def test_chunk_size_changes_no_value(fam_name, threads, monkeypatch):
+    """mc_green and _run_green (both directions) with MC_CHUNK = 200 give
+    the bytes they give when one chunk holds every row of the points."""
+    fam = FAMILIES[fam_name]
+    flt = compute_radius(fam, SPACE)
+    x, y = _points()
+    n_mc = 4
+    sup = SigmaSupplier(BaseDynamics("identity"), 0.1)
+
+    def outputs():
+        mc = mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, 200, threads)
+        out = [mc.values, mc.undecided, mc.depth, mc.seq_undecided]
+        for inverse in (False, True):
+            out += _run_green(sup, fam, x, y, flt, TOL, 200, inverse, threads)
+        return out
+
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 200)
+    small = outputs()
+    monkeypatch.setattr(green_mod, "MC_CHUNK", n_mc * len(x) + 1)
+    whole = outputs()
+    assert len(small) == 12
+    for i, (a, b) in enumerate(zip(small, whole)):
+        assert a.tobytes() == b.tobytes(), i
+
+
+def test_interleaved_rows_join_in_id_order(monkeypatch):
+    """Sequences over a base whose letters drive the orbits apart stop at
+    different depths, so orbits joined at one depth can hold rows on both
+    sides of another orbit's rows; a join puts the ids back in ascending
+    order, which the table supplier needs, and the values equal those of
+    a run whose one chunk holds every row."""
+    fam = quadratic_family(0.3, "0.3 * u")
+    space = BaseSpace("finite", points=(-1 + 0j, 1 + 0j, 0.5j))
+    flt = compute_radius(fam, space)
+    rng = np.random.Generator(np.random.PCG64(5))
+    x, y = 2.5 * (rng.uniform(-1, 1, (2, 16)) + 1j * rng.uniform(-1, 1, (2, 16)))
+    sorts = []
+    sort = Orbit.sort_by_ids
+
+    def sorting(orbit):
+        sorts.append(len(orbit))
+        sort(orbit)
+
+    monkeypatch.setattr(Orbit, "sort_by_ids", sorting)
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 30)
+    a = mc_green(fam, space, 1, 40, x, y, flt, TOL, 60)
+    assert sorts
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 40 * len(x) + 1)
+    b = mc_green(fam, space, 1, 40, x, y, flt, TOL, 60)
+    for name in ("values", "undecided", "depth", "seq_undecided"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_raster_range_is_one_orbit(threads, monkeypatch):
+    """A raster of the family with no trap, n_max above depth_for(tol):
+    each thread range is one orbit, whatever MC_CHUNK, which one run steps
+    to n_max without a stop or a copy; every pixel is recorded once, and
+    the values equal those of the points taken one at a time."""
     fam, base = FAMILIES["no-trap"], BaseSystem(SPACE, BaseDynamics("identity"))
     flt = compute_radius(fam, SPACE)
     n_max = 40
@@ -120,28 +208,15 @@ def test_raster_pools_its_leftover(threads, monkeypatch):
     assert n_cut < n_max
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.0, 2.0, -2.0, 2.0), 20)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 100)  # below a thread range's pixels, which stay one orbit
-    seen, runs = [], []
-    certify = green_mod._certify
-
-    def spying(supplier, fam, orbit, flt, tol, n_lo, n_hi, n_max, record):
-        runs.append((n_lo, orbit, len(orbit)))
-
-        def spy(ids, *rest):
-            seen.append(ids.copy())
-            record(ids, *rest)
-
-        certify(supplier, fam, orbit, flt, tol, n_lo, n_hi, n_max, spy)
-
-    monkeypatch.setattr(green_mod, "_certify", spying)
+    runs, steps, seen = _spy_runs(monkeypatch)
     field = green_field(fam, base, 0.1, grid, TOL, n_max, flt, threads=threads)
-    monkeypatch.setattr(green_mod, "_certify", certify)
+    monkeypatch.undo()
 
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(grid.nx * grid.ny))
-    chunks = [o for n, o, _ in runs if n == 0]
-    pooled = [(o, size) for n, o, size in runs if n == n_cut]
-    assert len(chunks) == len(pooled) == threads and len(runs) == 2 * threads
-    # the leftover of each range is its own orbit, not a copy, and holds bounded pixels
-    assert all(any(o is c for c in chunks) and size > 0 for o, size in pooled)
+    assert len(runs) == threads and all(n_lo == 0 and floor == 1 and n == n_max for _, n_lo, floor, _, n in runs)
+    # each range's orbit is stepped as it is, never copied, and holds bounded pixels to the end
+    orbits = [o for o, *_ in runs]
+    assert all(any(o is r for r in orbits) for o, _ in steps)
     assert np.count_nonzero(field.depth == n_max) and np.count_nonzero(field.depth < n_cut)
 
     x, y = (p.ravel() for p in grid.points())

@@ -302,10 +302,13 @@ def test_bounded_raster_stops_at_the_uniform_depth(monkeypatch):
     assert len(calls) == flt.depth_for(TOL)
 
 
-def test_monte_carlo_takes_no_pool_step(monkeypatch):
+def test_monte_carlo_pools_by_depth(monkeypatch):
     """mc_green over 4 sequences on a 128^2 raster of the random-averages
-    family: every bounded core is trapped by n_cut, so the pool stays empty
-    and no orbit steps past n_cut."""
+    family: each sequence is a chunk of MC_CHUNK points, which steps until
+    fewer than MC_CHUNK // 2 are left, at depth 6; the four cores join there
+    and step on as one orbit to depth_for(tol), where the trap and the
+    uniform rule empty it. That is 4 x 6 + 16 = 40 steps, where the chunks
+    stepped alone to depth_for(tol) took 4 x 22 = 88."""
     fam, space = quadratic_family(0.2, "0.003 + u"), BaseSpace("box", bounds=((-0.1, 0.1),))
     flt = compute_radius(fam, space)
     calls = _record_steps(monkeypatch)
@@ -313,5 +316,8 @@ def test_monte_carlo_takes_no_pool_step(monkeypatch):
     x, y = (p.ravel() for p in grid.points())
     mc = mc_green(fam, space, 1, 4, x, y, flt, TOL, 200)
     assert np.count_nonzero(mc.values == 0.0) > 5000
-    chunks = len(list(green_mod.mc_chunks(4, len(x))))
-    assert chunks == 4 and len(calls) == chunks * flt.depth_for(TOL)
+    assert len(list(green_mod.mc_chunks(4, len(x)))) == 4 and flt.depth_for(TOL) == 22
+    assert len(calls) == 40
+    # the chunks step on at least MC_CHUNK // 2 points; three cores hold fewer than
+    # MC_CHUNK together, so they wait for the fourth, and the four step on as one
+    assert min(calls[:24]) >= green_mod.MC_CHUNK // 2 and calls[24] > green_mod.MC_CHUNK
