@@ -10,6 +10,7 @@ point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ class PotentialSpec:
     """Admissible scalar potential with logarithmic growth.
 
     kinds: 'log-plus' u = log+ ||z||, 'fubini-study' u = 1/2 log(1+||z||^2),
-    'smoothed-log' u = 1/2 log(c^2 + ||z||^2).
+    'smoothed-log' u = 1/2 log(c^2 + ||z||^2), with a finite c > 0.
     """
 
     kind: str
@@ -42,8 +43,8 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in (LOG_PLUS, FUBINI_STUDY, SMOOTHED_LOG):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
-        if self.kind == SMOOTHED_LOG and self.c <= 0:
-            raise ValidationError("smoothed-log needs c > 0")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValidationError(f"potential needs a finite c > 0, got {self.c}")
 
     def eval_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Potential at (x, y); reads only |x| and |y|, so moduli serve as well."""
@@ -55,12 +56,23 @@ class PotentialSpec:
         return 0.5 * np.log(c * c + norm ** 2)
 
     def eval_lognorm(self, L: np.ndarray) -> np.ndarray:
-        """Value from log||z|| for points in log-scale representation."""
+        """Value from L = log||z|| for points in log-scale representation, as a new array.
+
+        The value is L + 1/2 log1p(c^2 e^(-2L)). For L > 20 + log max(c, 1)
+        the added term is at most 1/2 e^(-40) < 2.2e-18, below half an ulp
+        of L (2^-49 for L >= 16), so L + term rounds to L: the formula is
+        evaluated only on the other entries, NaN included, bit for bit.
+        """
         if self.kind == LOG_PLUS:
             return np.maximum(L, 0.0)
         c = 1.0 if self.kind == FUBINI_STUDY else self.c
-        with np.errstate(under="ignore"):
-            return L + 0.5 * np.log1p(c * c * np.exp(-2.0 * L))
+        out = np.array(L, dtype=float)
+        near = ~(out > 20.0 + math.log(max(c, 1.0)))
+        if near.any():
+            L_near = out[near]
+            with np.errstate(under="ignore"):
+                out[near] = L_near + 0.5 * np.log1p(c * c * np.exp(-2.0 * L_near))
+        return out
 
     def eval_orbit(self, orbit: Orbit) -> np.ndarray:
         return orbit.radial(self.eval_points, self.eval_lognorm)
@@ -111,6 +123,20 @@ class ConvergenceReport:
         )
 
 
+def _check_growth(fam: HenonFamily, n_max: int) -> None:
+    """ValidationError if d^n_max > 2^1000, before any reference field is computed.
+
+    With G_n = d^-n log+||H_n z|| and |G_(n+1) - G_n| <= K d^-n
+    (FiltrationRadius.K), L_n = log||H_n z|| <= d^n (log+||z_0|| + K d/(d-1)).
+    For d^n <= 2^1000 ~ 1.07e301, L_n stays below the largest double
+    (1.8e308) while log+||z_0|| + K d/(d-1) <= 1.6e7, and d^-n is a
+    normal double. Past that L_n overflows to inf, and the depth's values
+    read inf or NaN.
+    """
+    if n_max > 1000 or fam.degree ** n_max > 2 ** 1000:
+        raise ValidationError(f"n_max = {n_max} gives d^n_max > 2^1000 (d = {fam.degree}): pulled-back potentials overflow")
+
+
 def _pullback_stack(fam, supplier, x: np.ndarray, y: np.ndarray, us, depths, idx=None):
     """d^(-n) u(H_n(z)) at the points (x, y) for each potential u in `us`
     and each requested depth, on one incremental orbit.
@@ -144,11 +170,12 @@ def pullback_convergence(
     """Sup-norm gap between pulled-back potentials and the Green limit.
 
     e_n = sup over certified cells of |d^(-n) u(H_(n,Lambda)(z)) - G_Lambda^+(z)|
-    for n = 1 .. n_max, n_max >= 1. Without `flt` the constants come from
-    `seq.space`.
+    for n = 1 .. n_max, n_max >= 1 and d^n_max <= 2^1000 (_check_growth).
+    Without `flt` the constants come from `seq.space`.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be at least 1, got {n_max}")
+    _check_growth(fam, n_max)
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     ref = green_field_seq(fam, seq, grid, tol, max(200, n_max + flt.depth_for(tol)), flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
@@ -170,7 +197,8 @@ def theta_average_pullback(
     flt: FiltrationRadius | None = None,
     threads: int = 1,
 ):
-    """Averaged pullback against the averaged Green potential, n_max >= 1, n_mc >= 2.
+    """Averaged pullback against the averaged Green potential, n_max >= 1
+    with d^n_max <= 2^1000 (_check_growth), n_mc >= 2.
 
     Returns (report, noise_floor): e_n should fall to the Monte-Carlo
     floor estimated from both averaging errors. The pullbacks along the
@@ -179,6 +207,7 @@ def theta_average_pullback(
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be at least 1, got {n_max}")
+    _check_growth(fam, n_max)
     flt = resolve_radius(fam, flt, space)
     ref, ref_stderr = avg_green_field(fam, space, grid, tol, n_mc, seed + 1, flt=flt, threads=threads)
     mask = ref.status != STATUS_UNDECIDED
@@ -213,12 +242,13 @@ def rigidity_probe(
     tol: float = 1e-6,
     flt: FiltrationRadius | None = None,
 ) -> float:
-    """Sup distance of two admissible potentials after n_max pullbacks.
+    """Sup distance of two admissible potentials after n_max pullbacks, d^n_max <= 2^1000 (_check_growth).
 
     Both converge to the same Green potential; the gap certifies the
     uniqueness (rigidity) statement numerically. Without `flt` the
     constants come from `seq.space`.
     """
+    _check_growth(fam, n_max)
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     ref = green_field_seq(fam, seq, grid, tol, 200, flt)
     mask = ref.status != STATUS_UNDECIDED
@@ -231,6 +261,10 @@ class CutoffSpec:
     """Smooth radial bump; support radius must avoid the escape wedge."""
 
     radius: float | None = None  # None means psi == 1 (no cutoff)
+
+    def __post_init__(self):
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValidationError(f"cutoff radius must be None or finite and > 0, got {self.radius}")
 
     def eval_orbit(self, orbit: Orbit) -> np.ndarray:
         if self.radius is None:
@@ -277,7 +311,7 @@ def cutoff_limit_probe(
     tol: float = 1e-6,
     flt: FiltrationRadius | None = None,
 ) -> CutoffProbeReport:
-    """Limit of normalized cutoff pullbacks as a multiple of the Green current.
+    """Limit of normalized cutoff pullbacks as a multiple of the Green current, d^n_max <= 2^1000.
 
     Realized at slice-density level: the pullback of the cutoff current
     restricted to the slice has density psi(H^n z) * Lap[d^-n u(H^n z)]
@@ -289,6 +323,7 @@ def cutoff_limit_probe(
     """
     if base.sigma.kind not in (IDENTITY, CONTRACTION):
         raise UnsupportedBase("unique-limit regime requires identity or contraction base")
+    _check_growth(fam, n_max)
     flt = resolve_radius(fam, flt, base.space)
     if cutoff.radius is not None and cutoff.radius > flt.R:
         raise ValidationError("cutoff support must stay clear of the escape wedge V_R^+")

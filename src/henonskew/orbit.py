@@ -17,6 +17,28 @@ coordinate growth of order 10^(d^n) is iterated without overflow; a point
 that switches keeps its position (see Orbit). A step that overflows all
 the same leaves a non-finite state, reported undecided, and no
 floating-point warning: the engine loops run under np.errstate.
+
+A log-form factor step (_step_log) computes the correction
+delta = tail(u) - a r u^(d-1) forward, tail(u) - r u^(d-1) inverse, with
+tail(u) = c_(d-1) u + ... + c_0 u^d, and sets L' = d L + log|1 + delta|
+(- log|a| inverse). Let B bound sum_k |c_k| + |a| + 1 over every factor
+and every base point a supplier can hand the orbit. A point with |r| <= 1
+and |u| <= 2^-56 / B has |delta| <= |u| B <= 2^-56, so the computed
+1 + delta has real part exactly 1 (|Re delta| is below half an ulp of 1,
+2^-54) and modulus hypot(1, t) = 1 for |t| <= 2^-56: log|1 + delta| is 0
+and L' = d L (- log|a|) exactly. After the step |u'| <= |u| and
+|r'| <= 2^-56 (|a| |u|^(d-1) <= 2^-56 inverse), so every later step is
+the same multiply, and log||z|| = L + 1/2 log1p(|r|^2) adds at most
+2^-113 to L ~ -log|u| > 56 log 2 + log B > 38, below half an ulp of L:
+log||z|| is L. Such a point is settled: setting r = u = 0 changes none of
+its later L or log||z|| values, bit for bit, and a point with r = u = 0
+steps by the same formula as L <- d L (- log|a|), since tail(0) = 0 and
+1 + delta = 1, which _step_log takes without computing the correction.
+iterate settles points before each map step when its supplier gives B:
+TableSupplier derives it from the coefficients it builds on its distinct
+base points; SigmaSupplier gives none. The certifying loop
+(green._certify) steps orbits without settling them: its own-tail error
+bound reads |r|.
 """
 
 from __future__ import annotations
@@ -30,6 +52,9 @@ from .family import HenonFamily, factor_step, imul, map_coeffs
 # Largest switch bound; factors of degree > 15 get 10^(300/degree) so that
 # p(y) stays below 1e300 on explicit entries.
 OVERFLOW_SWITCH = 1e20
+
+# |u| B at or below which a log-form point with |r| <= 1 is settled (see the module docstring)
+SETTLE = 2.0 ** -56
 
 
 def switch_bound(fam: HenonFamily) -> float:
@@ -56,11 +81,17 @@ class Orbit:
     so the step carries the old `dom` over as the new `sub` instead of
     taking another absolute value.
 
+    A settled log-form point (see the module docstring) has r = u = 0
+    exactly; it steps as L <- d L (- log|a| inverse), and its log||z|| is L.
+    `settle` makes them and sets `settling`: only then does a log-scale
+    step look for points with r = u = 0 (an orbit that never settles
+    steps every log-form point by the full formula).
+
     The orbit carries its direction (`inverse`) and its points' names for
     the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`.
     """
 
-    __slots__ = ("x", "y", "dom", "sub", "ids", "lpos", "L", "r", "u", "switch", "inverse")
+    __slots__ = ("x", "y", "dom", "sub", "ids", "lpos", "L", "r", "u", "switch", "inverse", "settling")
     _STATE = ("x", "y", "dom", "sub", "ids")
     _LOG = ("L", "r", "u")
 
@@ -73,6 +104,7 @@ class Orbit:
         self.lpos, self.L = np.empty(0, dtype=np.intp), np.empty(0, dtype=float)
         self.r, self.u = np.empty((2, 0), dtype=complex)
         self.switch = switch_bound(fam)
+        self.settling = False
         self.dom = np.abs(self.x if inverse else self.y)
         self.sub = np.abs(self.y if inverse else self.x)
         big = self.dom > self.switch
@@ -103,6 +135,7 @@ class Orbit:
         o.lpos = np.concatenate([p.lpos + off for p, off in zip(parts, offsets)])
         o.switch = parts[0].switch
         o.inverse = parts[0].inverse
+        o.settling = any(p.settling for p in parts)
         return o
 
     def sort_by_ids(self) -> None:
@@ -131,9 +164,27 @@ class Orbit:
         for v in (self.x, self.y, self.dom, self.sub):
             v[pos] = np.nan
 
+    def settle(self, u_max: float) -> None:
+        """Zero r and u of the log-form points with |u| <= u_max = 2^-56 / B and
+        |r| <= 1 (a NaN fails both tests); their later L and log||z|| are
+        unchanged bit for bit (see the module docstring). Only points with
+        u != 0 are tested: a log step leaves a point with u = 0 and a finite
+        r settled."""
+        pos = np.flatnonzero(self.u != 0)
+        pos = pos[(np.abs(self.u[pos]) <= u_max) & (np.abs(self.r[pos]) <= 1.0)]
+        self.r[pos] = 0.0
+        self.u[pos] = 0.0
+        self.settling = True
+
     def log_form_norm(self) -> np.ndarray:
-        """log ||z|| of the log-form points, in the order of `lpos`."""
-        return self.L + 0.5 * np.log1p(np.abs(self.r) ** 2)
+        """log ||z|| = L + 1/2 log1p(|r|^2) of the log-form points, in the
+        order of `lpos`; L itself where r = 0, as the formula gives."""
+        if not self.settling:
+            return self.L + 0.5 * np.log1p(np.abs(self.r) ** 2)
+        out = self.L.copy()
+        pos = np.flatnonzero(self.r != 0)  # NaN included
+        out[pos] += 0.5 * np.log1p(np.abs(self.r[pos]) ** 2)
+        return out
 
     def radial(self, explicit_fn, from_log_fn) -> np.ndarray:
         """Per-point values of a function of the point's norm.
@@ -188,7 +239,7 @@ def step_factor(o: Orbit, coeffs, a) -> None:
     log-scale step on the compact ones.
     """
     if len(o.lpos):
-        _step_log(o, [c[o.lpos] if np.ndim(c) else c for c in coeffs], a[o.lpos] if np.ndim(a) else a)
+        _step_log(o, coeffs, a)
     # the old |dominant| is the new |subordinate|; the old `sub` is dropped
     # before the step, which lowers the step's memory peak
     o.sub = o.dom
@@ -201,29 +252,51 @@ def step_factor(o: Orbit, coeffs, a) -> None:
 
 
 def _step_log(o: Orbit, coeffs, a) -> None:
-    """Log-scale factor step of the log-form points, coefficients given at `lpos`."""
+    """Log-scale factor step of the log-form points, coefficients shared or given per point.
+
+    Forward: delta = tail(u) - a r u^(d-1), r' = u^(d-1) / (1 + delta);
+    inverse: delta = tail(u) - r u^(d-1), r' = a u^(d-1) / (1 + delta);
+    then L' = d L + log|1 + delta| (- log|a| inverse) and u' = r' u, in
+    place. A settled point (r = u = 0, see the module docstring) has
+    delta = 0 and keeps r = u = 0, so the correction runs only on the other
+    points, with the coefficients gathered at their positions alone; every
+    point's L is multiplied by d first, then corrected, then (inverse)
+    lowered by log|a|, in the order the formula takes.
+    """
     deg = len(coeffs) - 1
-    u = o.u
-    # forward: delta = tail(u) - a r u^(d-1), r' = u^(d-1) / (1 + delta);
-    # inverse: delta = tail(u) - r u^(d-1), r' = a u^(d-1) / (1 + delta),
-    # and L' = d L + log|1 + delta| (- log|a| inverse), u' = r' u; in place
-    with np.errstate(under="ignore"):
-        upow = u ** (deg - 1)
-        one = _tail_poly(coeffs, u)
-        r = o.r if o.inverse else imul(o.r, a)
-        r = imul(r, upow)
-        one -= r
-        one += 1.0
-        del r
-        o.L *= deg
-        o.L += np.log(np.abs(one))
-        if o.inverse:
-            o.L -= np.log(np.abs(a))
-            upow = imul(upow, a)
-        o.r = upow / one
-        upow = imul(upow, u)
-        upow /= one
-        o.u = upow
+    live = None  # every point, or the positions of the points not settled
+    if o.settling:
+        live = o.u != 0
+        live |= o.r != 0  # NaN is live
+        live = None if live.all() else np.flatnonzero(live)
+    o.L *= deg
+    if live is None or len(live):
+        pos = o.lpos if live is None else o.lpos[live]
+        u, r = (o.u, o.r) if live is None else (o.u[live], o.r[live])
+        at = [c[pos] if np.ndim(c) else c for c in coeffs]
+        a_at = a[pos] if np.ndim(a) else a
+        with np.errstate(under="ignore"):
+            upow = u ** (deg - 1)
+            one = _tail_poly(at, u)
+            if not o.inverse:
+                r = imul(r, a_at)
+            r = imul(r, upow)
+            one -= r
+            one += 1.0
+            del r
+            if o.inverse:
+                upow = imul(upow, a_at)
+            r = upow / one
+            upow = imul(upow, u)
+            upow /= one
+        if live is None:
+            o.L += np.log(np.abs(one))
+            o.r, o.u = r, upow
+        else:
+            o.L[live] += np.log(np.abs(one))
+            o.r[live], o.u[live] = r, upow
+    if o.inverse:
+        o.L -= np.log(np.abs(a[o.lpos] if np.ndim(a) else a))
 
 
 def step_coeffs(o: Orbit, coeffs: tuple) -> None:
@@ -251,6 +324,10 @@ class SigmaSupplier:
         self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
         self.back = back
 
+    def settled_u(self, fam: HenonFamily) -> None:
+        """No settling: the base points of later steps are not known ahead."""
+        return None
+
     def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
         lam = self.lam if np.ndim(self.lam) == 0 else self.lam[idx]
         return map_coeffs(fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
@@ -272,14 +349,26 @@ class TableSupplier:
         self.points, index = np.unique(table, return_inverse=True)
         self.index = index.reshape(table.shape)
         self.width = width
-        self._bound = None  # (fam, per-factor (rows, a)), set on first use
+        self._bound = None  # (fam, per-factor (rows, a), settled_u), set on first use
+
+    def _at_points(self, fam: HenonFamily) -> tuple:
+        bound = self._bound
+        if bound is None or bound[0] is not fam:
+            coeffs = map_coeffs(fam, self.points)
+            # B = max over factors of sum_k max|c_k| + max|a| + 1 over the table's base points
+            B = max(sum(np.max(np.abs(c), initial=0.0) for c in (*rows[1:], a)) + 1.0 for rows, a in coeffs)
+            bound = self._bound = (fam, coeffs, SETTLE / B if np.isfinite(B) else None)
+        return bound
+
+    def settled_u(self, fam: HenonFamily) -> float | None:
+        """2^-56 / B, the largest |u| of a settled log-form point (see the
+        module docstring), or None if some coefficient is not finite."""
+        return self._at_points(fam)[2]
 
     def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
         if k >= self.index.shape[1]:
             raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
-        bound = self._bound
-        if bound is None or bound[0] is not fam:
-            bound = self._bound = (fam, map_coeffs(fam, self.points))
+        bound = self._at_points(fam)
         col = self.index[:, k]
         j, counts = col[0], None
         if len(col) > 1 and len(idx):
@@ -318,16 +407,24 @@ def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, in
 
     One orbit of the points (x, y) is stepped incrementally and updated in
     place, so each yielded orbit is valid until the next one is requested.
-    `idx` names the points to the supplier (None: 0 .. n-1).
+    `idx` names the points to the supplier (None: 0 .. n-1). Before each
+    map step, after the previous yield, the log-form points that are
+    settled under the supplier's bound (supplier.settled_u; see the module
+    docstring) get r = u = 0: each yielded orbit's L and log||z|| are those
+    of the orbit stepped without settling, bit for bit, and a settled
+    point's step is one multiply of L.
     """
     depths = sorted(depths)
     if depths and depths[0] < 0:
         raise ValidationError(f"depths must be at least 0, got {depths[0]}")
     orbit = Orbit(fam, x, y, inverse, idx)
+    u_max = supplier.settled_u(fam)
     n_done = 0
     for n in depths:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while n_done < n:
+                if u_max is not None and len(orbit.lpos):
+                    orbit.settle(u_max)
                 orbit.step(supplier, fam, n_done)
                 n_done += 1
         yield n, orbit

@@ -429,6 +429,15 @@ def test_pullback_depths_below_one_exit_2(kind, n_max, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", ["converge", "theta", "rigidity"])
+def test_pullback_depths_that_overflow_exit_2(kind, tmp_path, capsys):
+    # d^n_max > 2^1000; without the check each exited 0, with inf and nan rows from n = 1024 on
+    text = _with_options(TWO_LETTER.replace("resolution = 32", "resolution = 8"), "experiment", n_max="1100", n_mc="3")
+    assert main([kind, "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    assert "d^n_max > 2^1000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_basin_raster_negative_depth_exits_2(tmp_path, capsys):
     # without the check every pixel came out indeterminate
     cfg = _write(tmp_path, _basin_cfg(depth="-3"))

@@ -216,3 +216,76 @@ def test_rigidity_one_orbit_matches_two(box_fam, two_letter_base):
     ref = green_mod.green_field_seq(box_fam, seq, grid, 1e-6, 200, flt)
     mask = (ref.status != green_mod.STATUS_UNDECIDED).ravel()
     assert d == float(np.abs(s1 - s2)[mask].max())
+
+
+@pytest.mark.parametrize("kind, c", [("fubini-study", 1.0), ("smoothed-log", 1e-3), ("smoothed-log", 1.0),
+                                     ("smoothed-log", 2.0), ("smoothed-log", 1e6)])
+def test_eval_lognorm_equals_the_formula(kind, c):
+    """The L > 20 + log max(c, 1) shortcut changes no value: bitwise equal
+    to L + 1/2 log1p(c^2 e^(-2L)) on a dense grid around the threshold,
+    far from it, and at inf and NaN."""
+    u = PotentialSpec(kind, c)
+    thr = 20.0 + np.log(max(c, 1.0))
+    near = thr + np.linspace(-2.0, 2.0, 200_001)
+    edge = np.array([np.nextafter(thr, -np.inf), thr, np.nextafter(thr, np.inf)])
+    L = np.concatenate((near, edge, np.linspace(-50.0, 1e4, 50_001), [1e300, np.inf, np.nan, -np.inf]))
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        want = L + 0.5 * np.log1p(c * c * np.exp(-2.0 * L))
+        got = u.eval_lognorm(L)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got is not L
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", ["smoothed-log", "fubini-study", "log-plus"])
+def test_potential_needs_a_finite_positive_c(kind, c):
+    with pytest.raises(ValidationError, match="finite c > 0"):
+        PotentialSpec(kind, c)
+
+
+@pytest.mark.parametrize("radius", [np.nan, -1.0, 0.0, np.inf, -np.inf])
+def test_cutoff_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ValidationError, match="cutoff radius"):
+        CutoffSpec(radius)
+
+
+def test_cutoff_radius_none_or_positive_is_accepted():
+    assert CutoffSpec(None).radius is None and CutoffSpec(2.0).radius == 2.0
+
+
+def _no_reference(*args, **kwargs):
+    raise AssertionError("reference field computed")
+
+
+@pytest.mark.parametrize("fam_name, first_bad", [("quadratic", 1001), ("cubic", 631), ("quartic", 501)])
+def test_pullback_depths_that_overflow_are_rejected(fam_name, first_bad, two_letter_base, monkeypatch):
+    """d^n_max > 2^1000 is a ValidationError before any reference field is
+    computed; d^n_max <= 2^1000 reaches the reference field. Without the
+    check, quadratic depths from 1024 on read inf or NaN."""
+    factors = {"quadratic": (2,), "cubic": (3,), "quartic": (2, 2)}[fam_name]
+    fam = HenonFamily(tuple(HenonFactor(k, (CoeffMap.constant(0.0),) * (k - 1) + (CoeffMap.parse("u"),),
+                                        CoeffMap.constant(0.2)) for k in factors))
+    monkeypatch.setattr(conv_mod, "green_field_seq", _no_reference)
+    monkeypatch.setattr(conv_mod, "avg_green_field", _no_reference)
+    space = two_letter_base.space
+    flt = compute_radius(fam, space)
+    seq = ParamSequence(space, 1)
+    calls = {
+        "converge": lambda n: pullback_convergence(fam, seq, U_FS, _grid(8), n_max=n, flt=flt),
+        "theta": lambda n: theta_average_pullback(fam, space, U_FS, _grid(8), n_max=n, n_mc=3, flt=flt),
+        "rigidity": lambda n: rigidity_probe(fam, seq, U_FS, U_LOG, _grid(8), n_max=n, flt=flt),
+    }
+    for call in calls.values():
+        for n_max in (first_bad, first_bad + 99):
+            with pytest.raises(ValidationError, match="2\\^1000"):
+                call(n_max)
+        with pytest.raises(AssertionError, match="reference field computed"):
+            call(first_bad - 1)
+
+
+def test_cutoff_probe_depths_that_overflow_are_rejected(quad_fam, single_base, quad_flt, monkeypatch):
+    monkeypatch.setattr(conv_mod, "green_field", _no_reference)
+    with pytest.raises(ValidationError, match="2\\^1000"):
+        cutoff_limit_probe(quad_fam, single_base, 0.0, U_FS, CutoffSpec(None), _grid(8), n_max=1001, flt=quad_flt)
+    with pytest.raises(AssertionError, match="reference field computed"):
+        cutoff_limit_probe(quad_fam, single_base, 0.0, U_FS, CutoffSpec(None), _grid(8), n_max=1000, flt=quad_flt)

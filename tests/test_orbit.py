@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import henonskew.orbit as orbit_mod
 from conftest import log_mask, mp_orbit_green, mp_truncation, mp_wedge_green
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance, point_base
+from henonskew.convergence import PotentialSpec
 from henonskew.errors import ValidationError
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, quadratic_family
@@ -23,7 +25,9 @@ from henonskew.green import (
 from henonskew.grids import SliceGrid, SliceSpec
 from henonskew.orbit import (
     OVERFLOW_SWITCH,
+    SETTLE,
     Orbit,
+    SeqSupplier,
     SigmaSupplier,
     TableSupplier,
     iterate,
@@ -561,3 +565,131 @@ def test_table_rows_are_map_coeffs_at_the_step_base_points():
                     if np.ndim(w) == 0:
                         assert v is w  # a constant map stays the one shared scalar
                     assert np.array_equal(np.broadcast_to(v, idx.shape), np.broadcast_to(w, idx.shape))
+
+
+# ---------------------------------------------------------------------------
+# settled log-form points: iterate with settling equals iterate without
+
+
+class _Unsettled(TableSupplier):
+    """The same coefficients with no bound: iterate settles no point."""
+
+    def settled_u(self, fam):
+        return None
+
+
+SETTLE_FAMILIES = {
+    # the random-averages family: p(y) = y^2 + c0 + u, a = 0.2
+    "quadratic-u": HenonFamily((HenonFactor(2, (_K(0.0), _P("0.003 - 0.002i + u")), _K(0.2)),)),
+    "cubic": HenonFamily((HenonFactor(3, (_K(0.0), _P("0.004*u"), _K(0.003j)), _K(0.3)),)),
+    "two-factor": SLICE_FAMILIES["two-factor"],
+    "per-point-a": HenonFamily((HenonFactor(2, (_K(0.0), _P("u")), _P("0.2 + 0.5*u")),)),
+    # B ~ 2e6: points that switch at |dominant| ~ 1e20 settle a step later,
+    # and their corrections of ~1e-14 move L
+    "coeffs-1e6": HenonFamily((HenonFactor(2, (_P("1e6 + u"), _P("-1e6 + u")), _K(0.3)),)),
+}
+SETTLE_POTENTIALS = (PotentialSpec("log-plus"), PotentialSpec("fubini-study"), PotentialSpec("smoothed-log", c=1e6))
+
+
+def _settle_start_points(inverse, n=400):
+    """Random points from 1e-2 to 1e25, points with |x| >> |y| > switch
+    (|y| >> |x| inverse), points just above the switch (where a correction
+    of 1e6 |u| moves L) and points with an inf coordinate."""
+    rng = np.random.Generator(np.random.PCG64(31))
+    scale = 10.0 ** rng.uniform(-2, 25, (2, n))
+    x, y = scale * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    lead = np.array([1e40, 1e30j, 3e21 - 1e21j, 1.0, -0.5, 2j])
+    tail = np.array([1e21, -2e20, 1e20j, 1.05e20, -1.1e20, 1.02e20 + 1e18j])
+    inf = np.array([np.inf, np.inf, 1.0, 0.5j, np.inf * (1 + 1j)])
+    other = np.array([0.5, np.inf, np.inf, 1e30, 2e20])
+    x = np.concatenate((x, tail if inverse else lead, inf))
+    y = np.concatenate((y, lead if inverse else tail, other))
+    return x, y
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("fam_name", SETTLE_FAMILIES)
+def test_settling_changes_no_value(fam_name, inverse):
+    """At every depth the settled orbit's log-form positions and L, its
+    log+||z|| and three potentials equal, bit for bit, those of the orbit
+    stepped without settling; settling happens."""
+    fam = SETTLE_FAMILIES[fam_name]
+    x, y = _settle_start_points(inverse)
+    width = len(x) // 2 + 1
+    rng = np.random.Generator(np.random.PCG64(32))
+    table = rng.uniform(-0.1, 0.1, (2, 14))
+    settled_sup = TableSupplier(table, width)
+    assert settled_sup.settled_u(fam) is not None
+    depths = range(15)
+    settled = 0
+    for (n, o), (_, ref) in zip(iterate(fam, settled_sup, x, y, depths, inverse),
+                                iterate(fam, _Unsettled(table, width), x, y, depths, inverse)):
+        assert np.array_equal(o.lpos, ref.lpos), n
+        assert np.array_equal(o.L, ref.L, equal_nan=True), n
+        assert np.array_equal(o.log_plus_norm(), ref.log_plus_norm(), equal_nan=True), n
+        for u in SETTLE_POTENTIALS:
+            assert np.array_equal(u.eval_orbit(o), u.eval_orbit(ref), equal_nan=True), (n, u)
+        settled += np.count_nonzero((o.u == 0) & (o.r == 0) & (ref.u != 0))
+    assert settled > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_large_coefficients_delay_settling():
+    """With B ~ 2e6 a point that switched at |y| ~ 2e20 has |u| ~ 5e-21,
+    above 2^-56 / B but below 2^-56: it is not settled before the next
+    step, only before the one after."""
+    fam = SETTLE_FAMILIES["coeffs-1e6"]
+    sup = TableSupplier([[0.05] * 6])
+    u_max = sup.settled_u(fam)
+    assert SETTLE / 3e6 < u_max < SETTLE / 2e6
+    x, y = np.array([0.1 + 0j]), np.array([1.4e10 + 0j])
+    steps = iterate(fam, sup, x, y, range(4))
+    live = [(n, o.lpos.tolist(), np.count_nonzero(o.u)) for n, o in steps]
+    assert live == [(0, [], 0), (1, [0], 1), (2, [0], 1), (3, [0], 0)]
+
+
+def test_sigma_supplier_gives_no_bound():
+    assert SigmaSupplier(BaseDynamics("identity"), 0.1).settled_u(quadratic_family()) is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_coefficients_give_no_bound():
+    fam = HenonFamily((HenonFactor(2, (_K(0.0), _P("1e300*u*u*u")), _K(0.3)),))
+    assert TableSupplier([[1e10, 0.0]]).settled_u(fam) is None
+    assert TableSupplier([[0.1, 0.0]]).settled_u(fam) is not None
+
+
+def test_unit_plus_small_imaginary_part_has_modulus_one():
+    """|1 + i t| == 1 for |t| <= 2^-30, and 1 + s == 1 for |s| <= 2^-56: a
+    settled point's 1 + delta has log-modulus 0."""
+    rng = np.random.Generator(np.random.PCG64(33))
+    t = np.concatenate((2.0 ** -np.arange(30.0, 1075.0), rng.uniform(-1, 1, 100_000) * 2.0 ** -30, [0.0]))
+    t = np.concatenate((t, -t))
+    assert np.all(np.abs(1.0 + 1j * t) == 1.0)
+    assert np.all(np.log(np.abs(1.0 + 1j * t)) == 0.0)
+    s = t * 2.0 ** -26
+    assert np.all(1.0 + s == 1.0)
+
+
+def test_pullback_log_steps_skip_the_correction(monkeypatch):
+    """On the random-averages family a pullback orbit's log-form points
+    settle before the map step after their switch: at most 1 % of the
+    log-form point-steps compute the correction (none here)."""
+    counts = [0, 0]
+    step_log = orbit_mod._step_log
+
+    def spy(o, coeffs, a):
+        counts[0] += len(o.L)
+        counts[1] += np.count_nonzero((o.u != 0) | (o.r != 0))
+        step_log(o, coeffs, a)
+
+    monkeypatch.setattr(orbit_mod, "_step_log", spy)
+    fam = SETTLE_FAMILIES["quadratic-u"]
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 64)
+    x, y = grid.points()
+    seq = ParamSequence(BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j)), 3)
+    for _ in iterate(fam, SeqSupplier(seq, 12), x.ravel(), y.ravel(), range(1, 13)):
+        pass
+    assert counts[0] > 10_000
+    assert counts[1] <= 0.01 * counts[0], counts
