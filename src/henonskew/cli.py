@@ -315,7 +315,7 @@ def run(config: configparser.ConfigParser, outdir: Path, threads: int = 1) -> Pa
             else:
                 u2 = PotentialSpec(exp.get("potential2", fallback="log-plus"))
                 seq = ParamSequence(base.space, seed)
-                dist = rigidity_probe(fam, seq, u, u2, grid, depth, tol, flt)
+                dist = rigidity_probe(fam, seq, u, u2, grid, depth, flt)
                 print(f"rigidity sup-distance = {dist:.6g}")
                 _write_text(outdir, "rigidity.csv", f"n_max,distance\n{depth},{dist:.12g}\n", files)
         elif kind == "entropy":

@@ -239,19 +239,19 @@ def rigidity_probe(
     u2: PotentialSpec,
     grid: SliceGrid,
     n_max: int = 12,
-    tol: float = 1e-6,
     flt: FiltrationRadius | None = None,
 ) -> float:
     """Sup distance of two admissible potentials after n_max pullbacks, d^n_max <= 2^1000 (_check_growth).
 
     Both converge to the same Green potential; the gap certifies the
     uniqueness (rigidity) statement numerically. Without `flt` the
-    constants come from `seq.space`.
+    constants come from `seq.space`. The sup runs over the pixels that a
+    decision pass (tol = inf, as in classify) decides, as a raster at any
+    tol does: wedge points stay in the wedge, trapped ones in D_r ⊂ V_R.
     """
     _check_growth(fam, n_max)
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
-    ref = green_field_seq(fam, seq, grid, tol, 200, flt)
-    mask = ref.status != STATUS_UNDECIDED
+    mask = green_field_seq(fam, seq, grid, math.inf, 200, flt).status != STATUS_UNDECIDED
     s1, s2 = _grid_stack(fam, seq, grid, (u1, u2), [n_max])[n_max]
     return float(np.abs(s1 - s2)[mask].max())
 

@@ -30,15 +30,14 @@ and L' = d L (- log|a|) exactly. After the step |u'| <= |u| and
 |r'| <= 2^-56 (|a| |u|^(d-1) <= 2^-56 inverse), so every later step is
 the same multiply, and log||z|| = L + 1/2 log1p(|r|^2) adds at most
 2^-113 to L ~ -log|u| > 56 log 2 + log B > 38, below half an ulp of L:
-log||z|| is L. Such a point is settled: setting r = u = 0 changes none of
-its later L or log||z|| values, bit for bit, and a point with r = u = 0
-steps by the same formula as L <- d L (- log|a|), since tail(0) = 0 and
-1 + delta = 1, which _step_log takes without computing the correction.
-iterate settles points before each map step when its supplier gives B:
-TableSupplier derives it from the coefficients it builds on its distinct
-base points; SigmaSupplier gives none. The certifying loop
-(green._certify) steps orbits without settling them: its own-tail error
-bound reads |r|.
+log||z|| is L. Such a point is settled: r and u no longer reach its later
+L or log||z||. iterate retires settled points before each map step when
+its supplier gives B (TableSupplier derives it from the coefficients of
+its distinct base points; SigmaSupplier gives none): they leave the orbit
+for a record of their positions, ids and L (Orbit.retire), stepped by the
+operations _step_log takes on a settled point, L <- d L (- log|a|), so
+every value iterate yields stays the same bit for bit. The certifying loop
+(green._certify) retires nothing: its own-tail error bound reads |r|.
 """
 
 from __future__ import annotations
@@ -72,26 +71,27 @@ class Orbit:
     entries lie in the invariant wedge.
 
     `x`, `y`, `dom` = |dominant|, `sub` = |subordinate| and `ids` have one
-    entry per point. A log-form point has NaN there, which explicit steps
-    keep and explicit tests reject, and its `L`, `r` and `u` sit at the
-    index of its position in `lpos`. Log-form points are found through
-    `lpos` alone, never through NaN: a NaN start point or an overflowed
-    explicit point is not in log form. A factor step moves the dominant
-    coordinate into the subordinate slot (x' = y forward, y' = x backward),
-    so the step carries the old `dom` over as the new `sub` instead of
-    taking another absolute value.
+    entry per point in the orbit. A log-form point has NaN there, which
+    explicit steps keep and explicit tests reject, and its `L`, `r` and `u`
+    sit at the index of its position in `lpos`. Log-form points are found
+    through `lpos` alone, never through NaN: a NaN start point or an
+    overflowed explicit point is not in log form. A factor step moves the
+    dominant coordinate into the subordinate slot (x' = y forward, y' = x
+    backward), so the step carries the old `dom` over as the new `sub`
+    instead of taking another absolute value.
 
-    A settled log-form point (see the module docstring) has r = u = 0
-    exactly; it steps as L <- d L (- log|a| inverse), and its log||z|| is L.
-    `settle` makes them and sets `settling`: only then does a log-scale
-    step look for points with r = u = 0 (an orbit that never settles
-    steps every log-form point by the full formula).
+    A settled log-form point (see the module docstring) leaves through
+    `retire` for the retired record: `rpos` (its position among the points
+    given to the orbit), `rids` and `rL`, in ascending `rids`; `at` holds the
+    positions of the points left, None until one retires (as in the orbits
+    `keep`, `concat` and `sort_by_ids` take). `len` and the per-point
+    answers (`radial`, `in_wedge`, `in_bidisc`) cover every point.
 
     The orbit carries its direction (`inverse`) and its points' names for
     the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`.
     """
 
-    __slots__ = ("x", "y", "dom", "sub", "ids", "lpos", "L", "r", "u", "switch", "inverse", "settling")
+    __slots__ = ("x", "y", "dom", "sub", "ids", "lpos", "L", "r", "u", "switch", "inverse", "at", "rpos", "rids", "rL")
     _STATE = ("x", "y", "dom", "sub", "ids")
     _LOG = ("L", "r", "u")
 
@@ -104,7 +104,7 @@ class Orbit:
         self.lpos, self.L = np.empty(0, dtype=np.intp), np.empty(0, dtype=float)
         self.r, self.u = np.empty((2, 0), dtype=complex)
         self.switch = switch_bound(fam)
-        self.settling = False
+        self.at = None
         self.dom = np.abs(self.x if inverse else self.y)
         self.sub = np.abs(self.y if inverse else self.x)
         big = self.dom > self.switch
@@ -113,7 +113,7 @@ class Orbit:
                 self.to_log(big)
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.x) if self.at is None else len(self.at) + len(self.rpos)
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the points the boolean mask selects, replacing one array at a
@@ -135,7 +135,7 @@ class Orbit:
         o.lpos = np.concatenate([p.lpos + off for p, off in zip(parts, offsets)])
         o.switch = parts[0].switch
         o.inverse = parts[0].inverse
-        o.settling = any(p.settling for p in parts)
+        o.at = None
         return o
 
     def sort_by_ids(self) -> None:
@@ -151,6 +151,13 @@ class Orbit:
     def step(self, supplier, fam: HenonFamily, k: int) -> None:
         """Step k: one map application at the supplier's base points for the orbit's points."""
         step_coeffs(self, supplier.coeffs(fam, k, self.ids))
+        if self.at is not None and self.inverse:  # retired points, per factor as _step_log steps settled ones
+            for rows, a in reversed(supplier.coeffs(fam, k, self.rids)):
+                self.rL *= len(rows) - 1
+                self.rL -= np.log(np.abs(a))
+        elif self.at is not None:
+            for f in fam.factors:
+                self.rL *= f.degree
 
     def to_log(self, mask: np.ndarray) -> None:
         """Move the masked explicit points to log form, leaving NaN in their explicit entries."""
@@ -164,26 +171,36 @@ class Orbit:
         for v in (self.x, self.y, self.dom, self.sub):
             v[pos] = np.nan
 
-    def settle(self, u_max: float) -> None:
-        """Zero r and u of the log-form points with |u| <= u_max = 2^-56 / B and
-        |r| <= 1 (a NaN fails both tests); their later L and log||z|| are
-        unchanged bit for bit (see the module docstring). Only points with
-        u != 0 are tested: a log step leaves a point with u = 0 and a finite
-        r settled."""
-        pos = np.flatnonzero(self.u != 0)
-        pos = pos[(np.abs(self.u[pos]) <= u_max) & (np.abs(self.r[pos]) <= 1.0)]
-        self.r[pos] = 0.0
-        self.u[pos] = 0.0
-        self.settling = True
+    def retire(self, u_max: float) -> None:
+        """Move the log-form points with |u| <= u_max = 2^-56 / B and |r| <= 1
+        (a NaN fails both) to the retired record (see the module docstring)."""
+        j = np.flatnonzero((np.abs(self.u) <= u_max) & (np.abs(self.r) <= 1.0))
+        if not len(j):
+            return
+        gone = self.lpos[j]
+        if self.at is None:
+            self.at, self.rpos, self.rids, self.rL = np.arange(len(self.x)), gone[:0], self.ids[:0], self.L[:0]
+        ids = np.concatenate((self.rids, self.ids[gone]))
+        order = np.argsort(ids, kind="stable")
+        self.rids = ids[order]
+        self.rpos = np.concatenate((self.rpos, self.at[gone]))[order]
+        self.rL = np.concatenate((self.rL, self.L[j]))[order]
+        kept = np.ones(len(self.x), dtype=bool)
+        kept[gone] = False
+        self.at = self.at[kept]
+        self.keep(kept)
 
     def log_form_norm(self) -> np.ndarray:
-        """log ||z|| = L + 1/2 log1p(|r|^2) of the log-form points, in the
-        order of `lpos`; L itself where r = 0, as the formula gives."""
-        if not self.settling:
-            return self.L + 0.5 * np.log1p(np.abs(self.r) ** 2)
-        out = self.L.copy()
-        pos = np.flatnonzero(self.r != 0)  # NaN included
-        out[pos] += 0.5 * np.log1p(np.abs(self.r[pos]) ** 2)
+        """log ||z|| = L + 1/2 log1p(|r|^2) of the log-form points, in the order of `lpos`."""
+        return self.L + 0.5 * np.log1p(np.abs(self.r) ** 2)
+
+    def _per_point(self, live: np.ndarray, retired_fn) -> np.ndarray:
+        """Per point, in the order given to the orbit: `live` for the points left, retired_fn(rL) for the rest."""
+        if self.at is None:
+            return live
+        out = np.empty(len(self), dtype=live.dtype)
+        out[self.at] = live
+        out[self.rpos] = retired_fn(self.rL)
         return out
 
     def radial(self, explicit_fn, from_log_fn) -> np.ndarray:
@@ -196,7 +213,7 @@ class Orbit:
         """
         out = explicit_fn(self.dom, self.sub)
         out[self.lpos] = from_log_fn(self.log_form_norm())
-        return out
+        return self._per_point(out, from_log_fn)
 
     def log_norm(self) -> np.ndarray:
         """log ||z|| per point (exact for both representations)."""
@@ -215,11 +232,11 @@ class Orbit:
         """Closed invariant wedge: V_R^+ forward, V_R^- backward."""
         out = self.in_explicit_wedge(R)
         out[self.lpos] = True
-        return out
+        return self._per_point(out, lambda L: True)
 
     def in_bidisc(self, r: float) -> np.ndarray:
         """Explicit points with |x| <= r and |y| <= r (a non-finite state is outside)."""
-        return (self.dom <= r) & (self.sub <= r)
+        return self._per_point((self.dom <= r) & (self.sub <= r), lambda L: False)
 
 
 def _tail_poly(coeffs, u):
@@ -257,46 +274,29 @@ def _step_log(o: Orbit, coeffs, a) -> None:
     Forward: delta = tail(u) - a r u^(d-1), r' = u^(d-1) / (1 + delta);
     inverse: delta = tail(u) - r u^(d-1), r' = a u^(d-1) / (1 + delta);
     then L' = d L + log|1 + delta| (- log|a| inverse) and u' = r' u, in
-    place. A settled point (r = u = 0, see the module docstring) has
-    delta = 0 and keeps r = u = 0, so the correction runs only on the other
-    points, with the coefficients gathered at their positions alone; every
-    point's L is multiplied by d first, then corrected, then (inverse)
+    place; L is multiplied by d first, then corrected, then (inverse)
     lowered by log|a|, in the order the formula takes.
     """
     deg = len(coeffs) - 1
-    live = None  # every point, or the positions of the points not settled
-    if o.settling:
-        live = o.u != 0
-        live |= o.r != 0  # NaN is live
-        live = None if live.all() else np.flatnonzero(live)
+    at = [c[o.lpos] if np.ndim(c) else c for c in coeffs]
+    a_at = a[o.lpos] if np.ndim(a) else a
     o.L *= deg
-    if live is None or len(live):
-        pos = o.lpos if live is None else o.lpos[live]
-        u, r = (o.u, o.r) if live is None else (o.u[live], o.r[live])
-        at = [c[pos] if np.ndim(c) else c for c in coeffs]
-        a_at = a[pos] if np.ndim(a) else a
-        with np.errstate(under="ignore"):
-            upow = u ** (deg - 1)
-            one = _tail_poly(at, u)
-            if not o.inverse:
-                r = imul(r, a_at)
-            r = imul(r, upow)
-            one -= r
-            one += 1.0
-            del r
-            if o.inverse:
-                upow = imul(upow, a_at)
-            r = upow / one
-            upow = imul(upow, u)
-            upow /= one
-        if live is None:
-            o.L += np.log(np.abs(one))
-            o.r, o.u = r, upow
-        else:
-            o.L[live] += np.log(np.abs(one))
-            o.r[live], o.u[live] = r, upow
+    with np.errstate(under="ignore"):
+        upow = o.u ** (deg - 1)
+        one = _tail_poly(at, o.u)
+        r = imul(o.r if o.inverse else imul(o.r, a_at), upow)
+        one -= r
+        one += 1.0
+        del r
+        if o.inverse:
+            upow = imul(upow, a_at)
+        r = upow / one
+        upow = imul(upow, o.u)
+        upow /= one
+    o.L += np.log(np.abs(one))
+    o.r, o.u = r, upow
     if o.inverse:
-        o.L -= np.log(np.abs(a[o.lpos] if np.ndim(a) else a))
+        o.L -= np.log(np.abs(a_at))
 
 
 def step_coeffs(o: Orbit, coeffs: tuple) -> None:
@@ -325,7 +325,7 @@ class SigmaSupplier:
         self.back = back
 
     def settled_u(self, fam: HenonFamily) -> None:
-        """No settling: the base points of later steps are not known ahead."""
+        """No bound, so no point retires: the base points of later steps are not known ahead."""
         return None
 
     def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
@@ -410,9 +410,9 @@ def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, in
     `idx` names the points to the supplier (None: 0 .. n-1). Before each
     map step, after the previous yield, the log-form points that are
     settled under the supplier's bound (supplier.settled_u; see the module
-    docstring) get r = u = 0: each yielded orbit's L and log||z|| are those
-    of the orbit stepped without settling, bit for bit, and a settled
-    point's step is one multiply of L.
+    docstring) retire from the orbit (Orbit.retire): each yielded orbit's
+    per-point answers, in the order of (x, y), are those of the orbit
+    stepped without retiring, bit for bit.
     """
     depths = sorted(depths)
     if depths and depths[0] < 0:
@@ -424,7 +424,7 @@ def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, in
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while n_done < n:
                 if u_max is not None and len(orbit.lpos):
-                    orbit.settle(u_max)
+                    orbit.retire(u_max)
                 orbit.step(supplier, fam, n_done)
                 n_done += 1
         yield n, orbit

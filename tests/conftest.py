@@ -44,9 +44,14 @@ def two_letter_base():
 
 
 def log_mask(orbit):
-    """Boolean mask of an orbit's log-form points, read from orbit.lpos."""
+    """Boolean mask of an orbit's log-form points, retired ones included, in
+    the order the orbit was made with: read from orbit.lpos and orbit.rpos."""
     mask = np.zeros(len(orbit), dtype=bool)
-    mask[orbit.lpos] = True
+    if orbit.at is None:
+        mask[orbit.lpos] = True
+    else:
+        mask[orbit.at[orbit.lpos]] = True
+        mask[orbit.rpos] = True
     return mask
 
 

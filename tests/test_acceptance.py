@@ -239,9 +239,7 @@ def test_c08_rigidity():
     flt = compute_radius(fam, space)
     seq = ParamSequence(space, 99)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 128)
-    dist = rigidity_probe(
-        fam, seq, PotentialSpec("log-plus"), PotentialSpec("fubini-study"), grid, n_max=12, tol=1e-6, flt=flt
-    )
+    dist = rigidity_probe(fam, seq, PotentialSpec("log-plus"), PotentialSpec("fubini-study"), grid, n_max=12, flt=flt)
     ok = dist < 1e-2
     _report(8, "rigidity probe", ok, f"sup distance after 12 pullbacks = {dist:.2e} (< 1e-2)")
 

@@ -16,6 +16,7 @@ from henonskew.cli import _parse_sigma, main
 from henonskew.errors import ValidationError
 from henonskew.gridio import read_pgm16, read_raw_grid, write_pgm16, write_raw_grid
 from henonskew.grids import SliceGrid, SliceSpec
+from henonskew.orbit import Orbit, TableSupplier
 
 MINIMAL = """
 [family]
@@ -130,6 +131,48 @@ def test_converge_and_rigidity(tmp_path):
     assert (tmp_path / "c" / "converge.csv").exists()
     assert (tmp_path / "c" / "fit.json").exists()
     assert main(["rigidity", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
+
+# the random-averages benchmark family over its two-letter shift base, at the benchmark's small sizes
+RANDOM_AVERAGES = """
+[family]
+factor1.degree = 2
+factor1.coeffs = 0j, (0.003 - 0.002i) + 1.0*u
+factor1.a = 0.2
+
+[base]
+kind = finite
+points = -0.1, 0.1
+sigma = shift
+
+[experiment]
+seed = 5
+slice = x=0
+window = -2.6, 2.6, -2.6, 2.6
+n_max = 8
+"""
+
+
+@pytest.mark.parametrize("kind, opts", [("converge", "resolution = 48\n"), ("theta", "resolution = 32\nn_mc = 4\n"),
+                                        ("rigidity", "resolution = 48\n")])
+def test_retiring_settled_points_changes_no_output(kind, opts, tmp_path, monkeypatch):
+    """converge, theta and rigidity write the same bytes when settled points
+    retire from the pullback orbits as when none does (no bound)."""
+    cfg = _write(tmp_path, RANDOM_AVERAGES + opts)
+    retired = []
+    retire = Orbit.retire
+
+    def spy(o, u_max):
+        retire(o, u_max)
+        retired.append(0 if o.at is None else len(o.rpos))
+
+    monkeypatch.setattr(Orbit, "retire", spy)
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "retiring")]) == 0
+    assert max(retired) > 0
+    monkeypatch.setattr(TableSupplier, "settled_u", lambda self, fam: None)
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "kept")]) == 0
+    outputs = _manifest_output_hashes(tmp_path / "retiring")
+    assert outputs and outputs == _manifest_output_hashes(tmp_path / "kept")
 
 
 def test_constants_and_basin(tmp_path, capsys):

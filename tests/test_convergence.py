@@ -218,6 +218,34 @@ def test_rigidity_one_orbit_matches_two(box_fam, two_letter_base):
     assert d == float(np.abs(s1 - s2)[mask].max())
 
 
+@pytest.mark.parametrize("case", ["quadratic", "two-letter", "c08"])
+def test_rigidity_mask_from_the_decision_pass_equals_the_certified_mask(case, quad_fam, quad_flt, box_fam,
+                                                                         two_letter_base, monkeypatch):
+    """rigidity_probe reads its mask off a decision pass (tol = inf); on the
+    families of the rigidity tests and on the c08 grid it equals the mask of
+    the certified raster at tol = 1e-6."""
+    space = two_letter_base.space
+    fam, seq, grid, n_max, flt = {
+        "quadratic": (quad_fam, FrozenSequence(np.zeros(1, dtype=complex), cycle=True), _grid(48), 8, quad_flt),
+        "two-letter": (box_fam, ParamSequence(space, 4), _grid(), 12, None),
+        "c08": (box_fam, ParamSequence(space, 99), _grid(128), 12, None),
+    }[case]
+    flt = flt or compute_radius(box_fam, space)
+    passes = []
+    decide = green_mod.green_field_seq
+
+    def spy(*args):
+        passes.append((args[3], decide(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(conv_mod, "green_field_seq", spy)
+    rigidity_probe(fam, seq, U_LOG, U_FS, grid, n_max, flt=flt)
+    (tol, field), = passes
+    certified = decide(fam, seq, grid, 1e-6, 200, flt)
+    assert tol == np.inf
+    assert np.array_equal(field.status != green_mod.STATUS_UNDECIDED, certified.status != green_mod.STATUS_UNDECIDED)
+
+
 @pytest.mark.parametrize("kind, c", [("fubini-study", 1.0), ("smoothed-log", 1e-3), ("smoothed-log", 1.0),
                                      ("smoothed-log", 2.0), ("smoothed-log", 1e6)])
 def test_eval_lognorm_equals_the_formula(kind, c):

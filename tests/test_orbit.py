@@ -568,11 +568,11 @@ def test_table_rows_are_map_coeffs_at_the_step_base_points():
 
 
 # ---------------------------------------------------------------------------
-# settled log-form points: iterate with settling equals iterate without
+# settled log-form points retire: iterate with retiring equals iterate without
 
 
 class _Unsettled(TableSupplier):
-    """The same coefficients with no bound: iterate settles no point."""
+    """The same coefficients with no bound: no point retires."""
 
     def settled_u(self, fam):
         return None
@@ -607,13 +607,26 @@ def _settle_start_points(inverse, n=400):
     return x, y
 
 
+def _log_form_L(o):
+    """Each point's L in the order the orbit was made with, from `L` and the
+    retired record's `rL`; NaN for explicit points."""
+    out = np.full(len(o), np.nan)
+    if o.at is None:
+        out[o.lpos] = o.L
+    else:
+        out[o.at[o.lpos]] = o.L
+        out[o.rpos] = o.rL
+    return out
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 @pytest.mark.parametrize("fam_name", SETTLE_FAMILIES)
 def test_settling_changes_no_value(fam_name, inverse):
-    """At every depth the settled orbit's log-form positions and L, its
-    log+||z|| and three potentials equal, bit for bit, those of the orbit
-    stepped without settling; settling happens."""
+    """At every depth the retiring orbit's log-form points (retired ones
+    included) and their L, its log+||z||, three potentials and its wedge and
+    bidisc masks equal, bit for bit, those of the orbit stepped without
+    retiring; points retire, and the retired record's ids ascend."""
     fam = SETTLE_FAMILIES[fam_name]
     x, y = _settle_start_points(inverse)
     width = len(x) // 2 + 1
@@ -622,22 +635,24 @@ def test_settling_changes_no_value(fam_name, inverse):
     settled_sup = TableSupplier(table, width)
     assert settled_sup.settled_u(fam) is not None
     depths = range(15)
-    settled = 0
     for (n, o), (_, ref) in zip(iterate(fam, settled_sup, x, y, depths, inverse),
                                 iterate(fam, _Unsettled(table, width), x, y, depths, inverse)):
-        assert np.array_equal(o.lpos, ref.lpos), n
-        assert np.array_equal(o.L, ref.L, equal_nan=True), n
+        assert ref.at is None and len(o) == len(ref) == len(x), n
+        assert np.array_equal(log_mask(o), log_mask(ref)), n
+        assert np.array_equal(_log_form_L(o), _log_form_L(ref), equal_nan=True), n
         assert np.array_equal(o.log_plus_norm(), ref.log_plus_norm(), equal_nan=True), n
         for u in SETTLE_POTENTIALS:
             assert np.array_equal(u.eval_orbit(o), u.eval_orbit(ref), equal_nan=True), (n, u)
-        settled += np.count_nonzero((o.u == 0) & (o.r == 0) & (ref.u != 0))
-    assert settled > 0
+        assert np.array_equal(o.in_wedge(1.0), ref.in_wedge(1.0)), n
+        assert np.array_equal(o.in_bidisc(1e300), ref.in_bidisc(1e300)), n
+    assert o.at is not None and len(o.rpos) > 0
+    assert np.all(np.diff(o.rids) > 0) and np.array_equal(o.rids, o.rpos)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_large_coefficients_delay_settling():
     """With B ~ 2e6 a point that switched at |y| ~ 2e20 has |u| ~ 5e-21,
-    above 2^-56 / B but below 2^-56: it is not settled before the next
+    above 2^-56 / B but below 2^-56: it does not retire before the next
     step, only before the one after."""
     fam = SETTLE_FAMILIES["coeffs-1e6"]
     sup = TableSupplier([[0.05] * 6])
@@ -645,8 +660,8 @@ def test_large_coefficients_delay_settling():
     assert SETTLE / 3e6 < u_max < SETTLE / 2e6
     x, y = np.array([0.1 + 0j]), np.array([1.4e10 + 0j])
     steps = iterate(fam, sup, x, y, range(4))
-    live = [(n, o.lpos.tolist(), np.count_nonzero(o.u)) for n, o in steps]
-    assert live == [(0, [], 0), (1, [0], 1), (2, [0], 1), (3, [0], 0)]
+    live = [(n, o.lpos.tolist(), 0 if o.at is None else len(o.rpos)) for n, o in steps]
+    assert live == [(0, [], 0), (1, [0], 0), (2, [0], 0), (3, [], 1)]
 
 
 def test_sigma_supplier_gives_no_bound():
@@ -672,24 +687,36 @@ def test_unit_plus_small_imaginary_part_has_modulus_one():
     assert np.all(1.0 + s == 1.0)
 
 
-def test_pullback_log_steps_skip_the_correction(monkeypatch):
+def test_pullback_orbits_hold_no_settled_points(monkeypatch):
     """On the random-averages family a pullback orbit's log-form points
-    settle before the map step after their switch: at most 1 % of the
-    log-form point-steps compute the correction (none here)."""
-    counts = [0, 0]
-    step_log = orbit_mod._step_log
+    retire before the map step after their switch: at most 1 % of the
+    explicit kernel's point-steps fall on log-form (NaN) entries, and
+    to_log copies no more held log-form entries than switched in the step
+    before."""
+    kernel = [0, 0, 0]  # factor steps, their point-steps and those on log-form entries
+    switches = []  # (factor step, log-form entries held, entries switching) per to_log call
+    step_factor, to_log = orbit_mod.step_factor, Orbit.to_log
 
-    def spy(o, coeffs, a):
-        counts[0] += len(o.L)
-        counts[1] += np.count_nonzero((o.u != 0) | (o.r != 0))
-        step_log(o, coeffs, a)
+    def spy_step(o, coeffs, a):
+        kernel[0] += 1
+        kernel[1] += len(o.x)
+        kernel[2] += len(o.lpos)
+        step_factor(o, coeffs, a)
 
-    monkeypatch.setattr(orbit_mod, "_step_log", spy)
+    def spy_to_log(o, mask):
+        switches.append((kernel[0], len(o.lpos), np.count_nonzero(mask)))
+        to_log(o, mask)
+
+    monkeypatch.setattr(orbit_mod, "step_factor", spy_step)
+    monkeypatch.setattr(Orbit, "to_log", spy_to_log)
     fam = SETTLE_FAMILIES["quadratic-u"]
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 64)
     x, y = grid.points()
     seq = ParamSequence(BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j)), 3)
     for _ in iterate(fam, SeqSupplier(seq, 12), x.ravel(), y.ravel(), range(1, 13)):
         pass
-    assert counts[0] > 10_000
-    assert counts[1] <= 0.01 * counts[0], counts
+    assert kernel[1] > 10_000 and len(switches) > 3
+    assert kernel[2] <= 0.01 * kernel[1], kernel
+    switched = {k: new for k, _, new in switches}
+    for k, held, _ in switches:
+        assert held <= switched.get(k - 1, 0), (k, held)
