@@ -54,12 +54,15 @@ Every value above comes from one driver, _drive, which alone steps
 orbits: it runs the certifying loop _certify, which hands each point to a
 record callback as it leaves the orbit (certified in the wedge, trapped,
 or left at n_max), over `rows` copies of the points, row i along base
-sequence i. It starts the rows in chunks of MC_CHUNK points; an orbit
-that shrinks below half of that waits at its depth until the orbits
-waiting there fill a chunk and step on together, so the remnants of many
-chunks take one step call per depth, not one each. Point evaluations and
-rasters (_run_green) are its rows = 1 case and the Monte-Carlo values
-(mc_green) its rows = n_mc case; they differ only in their callbacks. The averages then reduce mc_green's
+sequence i. Each thread walks its range of the points in pieces of PIECE
+points and starts a piece's rows in chunks of MC_CHUNK points (or one
+row), so no orbit starts larger than a piece. An orbit that shrinks below
+half of the pool size (MC_CHUNK, or PIECE in a range of several pieces)
+waits at its depth until the orbits waiting there fill a pool and step on
+together, so the remnants of many chunks take one step call per depth,
+not one each. Point evaluations and rasters (_run_green) are its rows = 1
+case and the Monte-Carlo values (mc_green) its rows = n_mc case; they
+differ only in their callbacks. The averages then reduce mc_green's
 per-sequence values through one accumulator, MCMoments: means are sums in
 sequence order, and standard errors come from the shifted-data variance,
 so a point average and the raster's pixel at that point agree bit for bit.
@@ -218,8 +221,16 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, u
 
 # Points per chunk when _drive steps several rows (sequences) of the points
 # (a chunk holds at least one row), and the size at which orbits waiting at
-# one depth are joined; an orbit stops to wait once it holds fewer than half.
+# one depth are joined in a range of one piece; an orbit stops to wait once
+# it holds fewer than half.
 MC_CHUNK = 2 ** 14
+
+# Points of a thread's range that _drive starts at a time (PIECE >= MC_CHUNK),
+# its pool size in a range of several pieces, and the points a thread needs
+# (_in_threads). Chosen from a sweep of 1024^2 rasters over 2^14 .. 2^17
+# (CHANGES.md): smaller pieces stepped two threads slower, larger ones held
+# more memory and were no faster.
+PIECE = 2 ** 16
 
 
 def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
@@ -238,12 +249,14 @@ def mc_chunks(n_mc: int, n_pts: int, lo: int = 0, hi: int | None = None):
             yield (r[:, None] * n_pts + np.arange(lo, hi)).ravel(), len(r)
 
 
-def _in_threads(work, n: int, threads: int) -> None:
+def _in_threads(work, n: int, threads: int, rows: int = 1) -> None:
     """work(lo, hi) over contiguous ranges of range(n), one thread each.
 
-    At most `threads` ranges, and no more than there are points or CPUs.
+    At most `threads` ranges, and no more than there are points, CPUs or
+    pieces of PIECE among the rows * n points stepped, so a raster of one
+    piece runs on one thread.
     """
-    threads = min(threads, n, os.cpu_count() or 1)
+    threads = min(threads, n, os.cpu_count() or 1, -(-rows * n // PIECE))
     if threads <= 1:
         return work(0, n)
     from concurrent.futures import ThreadPoolExecutor
@@ -259,35 +272,46 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
     along the supplier, each copy once through record (see _certify).
 
     The copy of point p in row i is named i * len(x) + p. Threads split
-    the points into contiguous ranges, never a point's rows. A range's
-    rows start in chunks of whole rows (mc_chunks), and every orbit
-    follows one rule: it steps until the points leaving it leave fewer
-    than MC_CHUNK // 2 (_certify's floor), then waits at the depth it
-    reached. Once the orbits waiting at one depth hold MC_CHUNK points,
-    they are joined and step on as one orbit; when no chunk is left to
-    start, the orbits waiting at the lowest depth go next. The last orbit,
-    started when no chunk is left and no other orbit waits, runs to n_max.
-    Only it, and orbits drained from the lowest depth while others wait,
-    step on fewer than MC_CHUNK // 2 points. With rows = 1 a range is one
-    chunk, stepped to n_max as one orbit. The kernel works point by point
-    and records go by name, so no output depends on MC_CHUNK.
+    the points into contiguous ranges, never a point's rows. A range is
+    walked in pieces of at most PIECE points, and each piece's rows start
+    in chunks of whole rows (mc_chunks), so no orbit starts with more than
+    max(PIECE, MC_CHUNK) points. Orbits are pooled by depth at a size S,
+    MC_CHUNK in a range of one piece and PIECE in a range of several:
+    every orbit steps until the points leaving it leave fewer than S // 2
+    (_certify's floor), then waits at the depth it reached. Once the orbits
+    waiting at one depth hold S points, they are joined and step on as one
+    orbit; when no chunk is left to start, the orbits waiting at the lowest
+    depth go next. The last orbit, started when no chunk is left and no
+    other orbit waits, runs to n_max; so a range of one piece and one row
+    is one orbit. Only it, and orbits drained from the lowest depth while
+    others wait, step on fewer than S // 2 points. The kernel works point
+    by point and records go by name, so no output depends on PIECE,
+    MC_CHUNK or the thread count.
     """
     if n_max < 0:
         raise ValidationError(f"depth n_max must be at least 0, got {n_max}")
     n_pts = len(x)
     flt = flt.toward(inverse)
 
+    def starts(lo, hi):
+        """(names, rows, piece's first point, piece's end) per chunk of the range, piece by piece."""
+        for p in range(lo, hi, PIECE):
+            q = min(hi, p + PIECE)
+            for ids, r in mc_chunks(rows, n_pts, p, q):
+                yield ids, r, p, q
+
     def work(lo, hi):
         if hi == lo:
             return
-        chunks = mc_chunks(rows, n_pts, lo, hi)
+        chunks = starts(lo, hi)
         chunk = next(chunks)
+        size = MC_CHUNK if hi - lo <= PIECE else PIECE
         waiting = {}  # depth -> the orbits stopped there
         orbit = None
         while True:
             if orbit is None and chunk is not None:
-                (ids, r), chunk = chunk, next(chunks, None)
-                xs, ys = (np.broadcast_to(v[lo:hi], (r, hi - lo)).ravel() for v in (x, y))
+                (ids, r, p, q), chunk = chunk, next(chunks, None)
+                xs, ys = (np.broadcast_to(v[p:q], (r, q - p)).ravel() for v in (x, y))
                 orbit, n = Orbit(fam, xs, ys, inverse, ids), 0
             elif orbit is None:
                 if not waiting:
@@ -295,16 +319,16 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
                 n = min(waiting)
                 orbit = _join(waiting.pop(n))
             last = chunk is None and not waiting
-            n = _certify(supplier, fam, orbit, flt, tol, n, n_max, record, 1 if last else MC_CHUNK // 2)
+            n = _certify(supplier, fam, orbit, flt, tol, n, n_max, record, 1 if last else size // 2)
             if len(orbit):
                 group = waiting.setdefault(n, [])
                 group.append(orbit)
-                if sum(map(len, group)) >= MC_CHUNK:
+                if sum(map(len, group)) >= size:
                     orbit = _join(waiting.pop(n))
                     continue
             orbit = None
 
-    _in_threads(work, n_pts, threads)
+    _in_threads(work, n_pts, threads, rows)
 
 
 def _join(parts: list[Orbit]) -> Orbit:
@@ -323,7 +347,7 @@ def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: Fi
     """Certified (value, status, depth, err) arrays of points sharing a lam-supply.
 
     The rows = 1 case of _drive: threads step contiguous ranges of the
-    points, each as one orbit named by its range. err bounds |value - G|
+    points, piece by piece. err bounds |value - G|
     for escaped points (the truncation error; the double carries its own
     rounding). A point whose orbit state is not finite stays undecided.
     """
@@ -558,7 +582,7 @@ def _field(supplier, fam: HenonFamily, grid: SliceGrid, flt: FiltrationRadius, t
            inverse: bool, threads: int) -> GreenField:
     """The certified Green raster of a slice grid along one lam-supply."""
     x, y = grid.points()
-    v, s, n, _ = _run_green(supplier, fam, x.ravel(), y.ravel(), flt, tol, n_max, inverse, threads)
+    v, s, n, _ = _run_green(supplier, fam, x.reshape(-1), y.reshape(-1), flt, tol, n_max, inverse, threads)
     shape = (grid.ny, grid.nx)
     return GreenField(grid.with_data(v.reshape(shape)), s.reshape(shape), n.reshape(shape))
 

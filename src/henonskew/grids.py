@@ -24,10 +24,11 @@ class SliceSpec:
             raise ValidationError(f"unknown slice kind {self.kind!r}")
 
     def to_points(self, w: np.ndarray):
-        """Map raster coordinates w to (x, y) in C^2."""
-        if self.kind == SLICE_X:
-            return np.full_like(w, self.const), w.astype(complex)
-        return w.astype(complex), np.full_like(w, self.const)
+        """Map raster coordinates w to (x, y) in C^2; the constant coordinate
+        is a read-only broadcast of one value, and complex w is not copied."""
+        w = w.astype(complex, copy=False)
+        const = np.broadcast_to(np.complex128(self.const), w.shape)
+        return (const, w) if self.kind == SLICE_X else (w, const)
 
 
 @dataclass

@@ -82,7 +82,9 @@ class Orbit:
 
     A settled log-form point (see the module docstring) leaves through
     `retire` for the retired record: `rpos` (its position among the points
-    given to the orbit), `rids` and `rL`, in ascending `rids`; `at` holds the
+    given to the orbit), `rids` and `rL`, in the order the points retired;
+    an inverse orbit keeps them in ascending `rids`, since its step reads
+    the record's coefficients through the supplier. `at` holds the
     positions of the points left, None until one retires (as in the orbits
     `keep`, `concat` and `sort_by_ids` take). `len` and the per-point
     answers (`radial`, `in_wedge`, `in_bidisc`) cover every point.
@@ -118,10 +120,11 @@ class Orbit:
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the points the boolean mask selects, replacing one array at a
         time; a kept log-form point keeps its log entries, at its new position."""
-        held = mask[self.lpos]
-        self.lpos = (np.cumsum(mask) - 1)[self.lpos[held]]
-        for name in self._LOG:
-            setattr(self, name, getattr(self, name)[held])
+        if len(self.lpos):
+            held = mask[self.lpos]
+            self.lpos = (np.cumsum(mask) - 1)[self.lpos[held]]
+            for name in self._LOG:
+                setattr(self, name, getattr(self, name)[held])
         for name in self._STATE:
             setattr(self, name, getattr(self, name)[mask])
 
@@ -180,11 +183,12 @@ class Orbit:
         gone = self.lpos[j]
         if self.at is None:
             self.at, self.rpos, self.rids, self.rL = np.arange(len(self.x)), gone[:0], self.ids[:0], self.L[:0]
-        ids = np.concatenate((self.rids, self.ids[gone]))
-        order = np.argsort(ids, kind="stable")
-        self.rids = ids[order]
-        self.rpos = np.concatenate((self.rpos, self.at[gone]))[order]
-        self.rL = np.concatenate((self.rL, self.L[j]))[order]
+        self.rids = np.concatenate((self.rids, self.ids[gone]))
+        self.rpos = np.concatenate((self.rpos, self.at[gone]))
+        self.rL = np.concatenate((self.rL, self.L[j]))
+        if self.inverse:  # the inverse step reads the record's coefficients by id
+            order = np.argsort(self.rids, kind="stable")
+            self.rids, self.rpos, self.rL = self.rids[order], self.rpos[order], self.rL[order]
         kept = np.ones(len(self.x), dtype=bool)
         kept[gone] = False
         self.at = self.at[kept]

@@ -400,6 +400,7 @@ def test_avg_green_field_matches_loop_at_full_budget(space_name, box_fam):
 @pytest.mark.parametrize("fam_name", ["box-family", "lam-a"])
 def test_avg_green_field_threads_match_single_thread(fam_name, box_fam, monkeypatch):
     monkeypatch.setattr(green_mod, "MC_CHUNK", 500)
+    monkeypatch.setattr(green_mod, "PIECE", 500)  # 5 x 15^2 points: two threads start
     fam, space = _mc_family(fam_name, box_fam), MC_SPACES["box"]
     flt = compute_radius(fam, space)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), MC_WINDOWS["julia"], 15)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import henonskew.green as green_mod
 import henonskew.orbit as orbit_mod
 from conftest import log_mask, mp_orbit_green, mp_truncation, mp_wedge_green
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance, point_base
@@ -184,7 +185,9 @@ def test_wedge_error_bound_covers_truncation(fam_name):
 
 
 @pytest.mark.parametrize("fam_name", ["quadratic", "two-factor"])
-def test_field_threads_match_single_thread(fam_name):
+def test_field_threads_match_single_thread(fam_name, monkeypatch):
+    # pieces of 500 points: two threads start, and each walks several pieces
+    monkeypatch.setattr(green_mod, "PIECE", 500)
     fam = SLICE_FAMILIES[fam_name]
     base, lam = SLICE_BASES["rotation"]
     flt = compute_radius(fam, base.space)
@@ -626,7 +629,8 @@ def test_settling_changes_no_value(fam_name, inverse):
     """At every depth the retiring orbit's log-form points (retired ones
     included) and their L, its log+||z||, three potentials and its wedge and
     bidisc masks equal, bit for bit, those of the orbit stepped without
-    retiring; points retire, and the retired record's ids ascend."""
+    retiring; points retire, each once, under their own ids, and the
+    record's ids ascend on an inverse orbit."""
     fam = SETTLE_FAMILIES[fam_name]
     x, y = _settle_start_points(inverse)
     width = len(x) // 2 + 1
@@ -646,7 +650,41 @@ def test_settling_changes_no_value(fam_name, inverse):
         assert np.array_equal(o.in_wedge(1.0), ref.in_wedge(1.0)), n
         assert np.array_equal(o.in_bidisc(1e300), ref.in_bidisc(1e300)), n
     assert o.at is not None and len(o.rpos) > 0
-    assert np.all(np.diff(o.rids) > 0) and np.array_equal(o.rids, o.rpos)
+    assert len(np.unique(o.rpos)) == len(o.rpos) and np.array_equal(o.rids, o.rpos)
+    if inverse:
+        assert np.all(np.diff(o.rids) > 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_retirement_order_changes_no_value(inverse):
+    """Points named by ids with gaps retire over several steps, later ids
+    first: a forward record keeps them in that order and an inverse one
+    sorts them by id for its supplier, and both orbits' per-point answers
+    equal, bit for bit, those of an orbit that never retires."""
+    fam = SETTLE_FAMILIES["per-point-a"]
+    rng = np.random.Generator(np.random.PCG64(33))
+    n = 300
+    # magnitudes rise with the position, so the later points switch and settle first
+    lead = 10.0 ** np.linspace(2, 19, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    other = 0.5 * np.exp(2j * np.pi * rng.uniform(size=n))
+    x, y = (other, lead) if not inverse else (lead, other)
+    ids = 3 * np.arange(n) + 1
+    table = rng.uniform(-0.1, 0.1, (3, 10))
+    sup, ref_sup = TableSupplier(table, 301), _Unsettled(table, 301)
+    depths = range(10)
+    sizes = []
+    runs = (iterate(fam, s, x, y, depths, inverse, ids) for s in (sup, ref_sup))
+    for (k, o), (_, ref) in zip(*runs):
+        sizes.append(0 if o.at is None else len(o.rpos))
+        assert np.array_equal(o.log_plus_norm(), ref.log_plus_norm(), equal_nan=True), k
+        for u in SETTLE_POTENTIALS:
+            assert np.array_equal(u.eval_orbit(o), u.eval_orbit(ref), equal_nan=True), (k, u)
+        assert np.array_equal(o.in_wedge(1.0), ref.in_wedge(1.0)), k
+        assert np.array_equal(o.in_bidisc(1e300), ref.in_bidisc(1e300)), k
+    assert len(set(sizes[1:])) > 2  # points retired at several steps
+    assert np.array_equal(o.rids, ids[o.rpos]) and len(np.unique(o.rpos)) == len(o.rpos)
+    assert np.all(np.diff(o.rids) > 0) if inverse else np.any(np.diff(o.rids) < 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -198,9 +198,10 @@ def test_interleaved_rows_join_in_id_order(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_raster_range_is_one_orbit(threads, monkeypatch):
     """A raster of the family with no trap, n_max above depth_for(tol):
-    each thread range is one orbit, whatever MC_CHUNK, which one run steps
-    to n_max without a stop or a copy; every pixel is recorded once, and
-    the values equal those of the points taken one at a time."""
+    each thread range of one piece is one orbit, whatever MC_CHUNK, which
+    one run steps to n_max without a stop or a copy; every pixel is
+    recorded once, and the values equal those of the points taken one at
+    a time."""
     fam, base = FAMILIES["no-trap"], BaseSystem(SPACE, BaseDynamics("identity"))
     flt = compute_radius(fam, SPACE)
     n_max = 40
@@ -208,6 +209,7 @@ def test_raster_range_is_one_orbit(threads, monkeypatch):
     assert n_cut < n_max
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.0, 2.0, -2.0, 2.0), 20)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 100)  # below a thread range's pixels, which stay one orbit
+    monkeypatch.setattr(green_mod, "PIECE", 400 // threads)  # a piece a thread: `threads` ranges of one piece
     runs, steps, seen = _spy_runs(monkeypatch)
     field = green_field(fam, base, 0.1, grid, TOL, n_max, flt, threads=threads)
     monkeypatch.undo()
@@ -223,3 +225,81 @@ def test_raster_range_is_one_orbit(threads, monkeypatch):
     alone = [green_values(fam, base, 0.1, x[i:i + 1], y[i:i + 1], TOL, n_max, flt) for i in range(len(x))]
     for name, got, want in zip(("value", "status", "depth"), (field.values, field.status, field.depth), zip(*alone)):
         assert np.array_equal(got.ravel(), np.concatenate(want)), name
+
+
+def _more_points():
+    """1 276 points: two sets of _points, more than a PIECE of 1 000."""
+    return tuple(np.concatenate(p) for p in zip(_points(4), _points(5)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fam_name", FAMILIES)
+def test_piece_size_changes_no_value(fam_name, threads, monkeypatch):
+    """_run_green (value, status, depth, err) and green_field, forward and
+    backward, green_values and mc_green over 3 sequences, with PIECE = 7
+    and 1 000, below the 1 276 points and the 36^2 pixels, give the bytes
+    of one thread with a PIECE above the input."""
+    fam = FAMILIES[fam_name]
+    flt = compute_radius(fam, SPACE)
+    x, y = _more_points()
+    base = BaseSystem(SPACE, BaseDynamics("identity"))
+    sup = SigmaSupplier(base.sigma, 0.1)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 36)
+    n_max = 30  # above depth_for(TOL) = 22
+
+    def outputs(piece, threads):
+        monkeypatch.setattr(green_mod, "PIECE", piece)
+        out = []
+        for inverse in (False, True):
+            out += _run_green(sup, fam, x, y, flt, TOL, n_max, inverse, threads)
+            field = green_field(fam, base, 0.1, grid, TOL, n_max, flt, inverse, threads)
+            out += [field.values, field.status, field.depth]
+        out += green_values(fam, base, 0.1, x, y, TOL, n_max, flt)
+        mc = mc_green(fam, SPACE, 5, 3, x, y, flt, TOL, n_max, threads)
+        return out + [mc.values, mc.undecided, mc.depth, mc.seq_undecided]
+
+    whole = outputs(10 ** 9, 1)
+    assert len(whole) == 21
+    for piece in (7, 1000):
+        for i, (a, b) in enumerate(zip(outputs(piece, threads), whole)):
+            assert a.tobytes() == b.tobytes(), (piece, i)
+
+
+def test_threads_get_a_piece_each(monkeypatch):
+    """_in_threads starts no more threads than there are pieces of PIECE
+    among the rows x points, and its ranges cover the points once."""
+    monkeypatch.setattr(green_mod.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(green_mod, "PIECE", 100)
+    for n, rows, threads, want in [(100, 1, 8, 1), (101, 1, 8, 2), (450, 1, 8, 5), (450, 1, 3, 3),
+                                   (30, 4, 8, 2), (30, 10, 8, 3), (1, 1000, 8, 1)]:
+        ranges = []
+        green_mod._in_threads(lambda lo, hi: ranges.append((int(lo), int(hi))), n, threads, rows)
+        assert len(ranges) == want, (n, rows, threads)
+        assert sorted(ranges)[0][0] == 0 and sorted(ranges)[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(sorted(ranges), sorted(ranges)[1:]))
+
+
+def test_raster_memory_is_bounded_by_the_piece():
+    """A 512^2 backward raster, every pixel certified at one depth, traces
+    under 32 MB: its outputs, its pixel coordinates and the live state of
+    one piece. Stepping the whole raster as one orbit traced 58 MB."""
+    import tracemalloc
+
+    fam = quadratic_family(0.3, 0.0)
+    base = BaseSystem(BaseSpace("finite", points=(0.1 + 0j,)), BaseDynamics("identity"))
+    flt = compute_radius(fam, base.space)
+    grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 512)
+    assert grid.nx * grid.ny > 2 * green_mod.PIECE
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        field = green_field(fam, base, 0.1, grid, TOL, 200, flt, inverse=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert np.all(field.status == STATUS_ESCAPED) and np.all(field.depth == field.depth[0, 0])
+    assert peak < 32e6, peak
