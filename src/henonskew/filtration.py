@@ -10,6 +10,13 @@ potential-increment bound K, with |G_(n+1) - G_n| <= K d^(-n) on V_R u V_R^+
 (V_R u V_R^- backward), which certifies Green-function tails, and, forward
 only, the per-step distortion bound e(rho) on V_R^+ at a point's own radius,
 which certifies a point's tail before the uniform one is small enough.
+
+check_invariance cross-checks R on random points of the three regions.
+Per base point it draws all of its uniform numbers first, then builds and
+maps the points in blocks of at most BLOCK per region, with the phases
+e^(2 pi i u) read off a table of PHASE_TABLE roots of unity and corrected
+by a short series (_phases) rather than taken from a complex exp. The
+block size changes neither the sample nor the counts.
 """
 
 from __future__ import annotations
@@ -249,21 +256,70 @@ def region_masks(x: np.ndarray, y: np.ndarray, R: float):
     return plus, minus, box
 
 
-def _sample_regions(rng: np.random.Generator, R: float, n: int):
-    """Points in V_R^+, V_R^- and V_R (log-uniform radial spread)."""
-    rad = R * np.exp(rng.uniform(1e-6, math.log(10.0), size=n))
-    sub = rng.uniform(0.0, 1.0, size=n) * rad
-    ph1 = np.exp(2j * math.pi * rng.uniform(size=n))
-    ph2 = np.exp(2j * math.pi * rng.uniform(size=n))
-    plus = (sub * ph1, rad * ph2)
-    rad_m = R * np.exp(rng.uniform(1e-6, math.log(10.0), size=n))
-    sub_m = rng.uniform(0.0, 1.0, size=n) * rad_m
-    minus = (rad_m * np.exp(2j * math.pi * rng.uniform(size=n)), sub_m * np.exp(2j * math.pi * rng.uniform(size=n)))
-    box = (
-        rng.uniform(0.0, R, size=n) * np.exp(2j * math.pi * rng.uniform(size=n)),
-        rng.uniform(0.0, R, size=n) * np.exp(2j * math.pi * rng.uniform(size=n)),
-    )
+# e^(2 pi i k / PHASE_TABLE) for k < PHASE_TABLE: _phases reads a draw's
+# phase off this table and corrects it by a short series.
+PHASE_TABLE = 4096
+_ROOTS = np.exp(2j * np.pi * np.arange(PHASE_TABLE) / PHASE_TABLE)
+
+# Points per region that check_invariance builds and maps at a time. Chosen
+# from a sweep over 4096 .. 32768 (CHANGES.md): smaller blocks were slower,
+# larger ones held more memory and were no faster.
+BLOCK = 8192
+
+
+def _phases(u: np.ndarray) -> np.ndarray:
+    """e^(2 pi i u) for u in [0, 1), without a complex exp.
+
+    With t = PHASE_TABLE u (exact), k = floor(t) and phi = (t - k) 2 pi /
+    PHASE_TABLE (one rounding), e^(2 pi i u) = _ROOTS[k] e^(i phi). Since
+    0 <= phi < 1.6e-3, cos phi = 1 - phi^2/2 + phi^4/24 and
+    sin phi = phi - phi^3/6 + phi^5/120 leave out less than 1e-19. Each
+    component is within 2e-15 of np.exp(2j pi u).
+    """
+    t = u * PHASE_TABLE
+    k = t.astype(np.intp)
+    phi = t - k
+    phi *= 2.0 * math.pi / PHASE_TABLE
+    p2 = phi * phi
+    rot = np.empty(len(u), dtype=complex)
+    rot.real = 1.0 + p2 * (-1.0 / 2.0 + p2 * (1.0 / 24.0))
+    rot.imag = phi * (1.0 + p2 * (-1.0 / 6.0 + p2 * (1.0 / 120.0)))
+    w = _ROOTS[k]
+    w *= rot
+    return w
+
+
+def _draws(rng: np.random.Generator, R: float, n: int) -> tuple[np.ndarray, ...]:
+    """The twelve uniform arrays behind n points of each region, in draw order.
+
+    V_R^+: radius, sub-radius fraction, x and y phases; V_R^-: the same;
+    V_R: x radius and phase, y radius and phase. Slices of them give the
+    points of a slice (_points).
+    """
+    def wedge():
+        return (rng.uniform(1e-6, math.log(10.0), size=n), rng.uniform(0.0, 1.0, size=n),
+                rng.uniform(size=n), rng.uniform(size=n))
+
+    def box_coordinate():
+        return rng.uniform(0.0, R, size=n), rng.uniform(size=n)
+
+    return wedge() + wedge() + box_coordinate() + box_coordinate()
+
+
+def _points(R: float, draws):
+    """Points in V_R^+, V_R^- and V_R from _draws (log-uniform radial spread)."""
+    ru, su, p1, p2, mru, msu, m1, m2, bxr, bx, byr, by = draws
+    rad = R * np.exp(ru)
+    rad_m = R * np.exp(mru)
+    plus = (su * rad * _phases(p1), rad * _phases(p2))
+    minus = (rad_m * _phases(m1), msu * rad_m * _phases(m2))
+    box = (bxr * _phases(bx), byr * _phases(by))
     return plus, minus, box
+
+
+def _sample_regions(rng: np.random.Generator, R: float, n: int):
+    """n points in each of V_R^+, V_R^- and V_R (log-uniform radial spread)."""
+    return _points(R, _draws(rng, R, n))
 
 
 @dataclass(frozen=True)
@@ -306,24 +362,31 @@ def check_invariance(
 ) -> InvarianceReport:
     """Sample the three regions over a base grid and count violations.
 
-    Per base point V_R^+ u V_R is mapped forward and V_R^- u V_R backward,
-    once each; the wedge-only relations read the first per_lam images.
+    Per base point the twelve uniform arrays of per_lam points are drawn
+    at once (_draws), so the sample does not depend on BLOCK. The points
+    are then built (_phases reads their phases off a table) and mapped in
+    slices of at most BLOCK per region: V_R^+ u V_R forward and
+    V_R^- u V_R backward, once each; the wedge-only relations read the
+    first m images of a slice of m points.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     lam_all = space.grid(lam_grid)
     fwd_plus = fwd_plus_box = bwd_minus = bwd_minus_box = 0
     per_lam = max(1, n_points // max(1, len(lam_all)))
     for lam in np.atleast_1d(lam_all):
-        (px, py), (mx, my), (bx, by) = _sample_regions(rng, R, per_lam)
-        fx, fy = eval_map(fam, lam, (np.concatenate((px, bx)), np.concatenate((py, by))))
-        plus, minus, _ = region_masks(fx, fy, R)
-        fwd_plus += int(np.count_nonzero(~plus[:per_lam]))
-        fwd_plus_box += int(np.count_nonzero(minus))  # image must avoid V_R^-
+        draws = _draws(rng, R, per_lam)
+        for lo in range(0, per_lam, BLOCK):
+            (px, py), (mx, my), (bx, by) = _points(R, [u[lo:lo + BLOCK] for u in draws])
+            m = len(px)
+            fx, fy = eval_map(fam, lam, (np.concatenate((px, bx)), np.concatenate((py, by))))
+            plus, minus, _ = region_masks(fx, fy, R)
+            fwd_plus += int(np.count_nonzero(~plus[:m]))
+            fwd_plus_box += int(np.count_nonzero(minus))  # image must avoid V_R^-
 
-        kx, ky = eval_inverse(fam, lam, (np.concatenate((mx, bx)), np.concatenate((my, by))))
-        plus, minus, _ = region_masks(kx, ky, R)
-        bwd_minus += int(np.count_nonzero(~minus[:per_lam]))
-        bwd_minus_box += int(np.count_nonzero(plus))  # image must avoid V_R^+
+            kx, ky = eval_inverse(fam, lam, (np.concatenate((mx, bx)), np.concatenate((my, by))))
+            plus, minus, _ = region_masks(kx, ky, R)
+            bwd_minus += int(np.count_nonzero(~minus[:m]))
+            bwd_minus_box += int(np.count_nonzero(plus))  # image must avoid V_R^+
 
     return InvarianceReport(
         R=R,

@@ -197,17 +197,17 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, u
     lg = np.flatnonzero(~(orbit.L <= math.log(rho)))
     if ex.size == 0 and lg.size == 0:
         return None
-    pos = np.concatenate((ex, orbit.lpos[lg]))
+    pos = _cat(ex, orbit.lpos[lg])
     dom, sub = orbit.dom[ex], orbit.sub[ex]
-    g = np.concatenate((np.log(np.hypot(dom, sub)), orbit.log_form_norm()[lg]))
+    g = _cat(np.log(np.hypot(dom, sub)), orbit.log_form_norm()[lg])
     np.maximum(g, 0.0, out=g)
     g *= d ** (-n)
     if uniform:
         return pos, g, flt.tail_bound(n)
     # 1/rho_n and |x_n/y_n| per point, explicit points first
     with np.errstate(under="ignore"):
-        inv_rho = np.concatenate((1.0 / dom, np.exp(-orbit.L[lg])))
-        ratio = np.concatenate((sub / dom, np.abs(orbit.r[lg])))
+        inv_rho = _cat(1.0 / dom, np.exp(-orbit.L[lg]))
+        ratio = _cat(sub / dom, np.abs(orbit.r[lg]))
     e = flt.wedge_distortion(inv_rho)
     e /= d - 1.0
     ratio *= ratio
@@ -217,6 +217,11 @@ def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, u
     if not done.any():
         return None
     return pos[done], g[done], e[done]
+
+
+def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a then b; when one of them is empty, the other as it is."""
+    return b if not a.size else a if not b.size else np.concatenate((a, b))
 
 
 # Points per chunk when _drive steps several rows (sequences) of the points
@@ -343,25 +348,27 @@ def _join(parts: list[Orbit]) -> Orbit:
 
 
 def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float,
-               n_max: int, inverse: bool, threads: int = 1):
+               n_max: int, inverse: bool, threads: int = 1, *, with_err: bool = True):
     """Certified (value, status, depth, err) arrays of points sharing a lam-supply.
 
     The rows = 1 case of _drive: threads step contiguous ranges of the
     points, piece by piece. err bounds |value - G|
     for escaped points (the truncation error; the double carries its own
     rounding). A point whose orbit state is not finite stays undecided.
+    With with_err=False err is not kept and comes back as None.
     """
     n_pts = len(x)
     value = np.zeros(n_pts, dtype=float)
     status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
     depth = np.full(n_pts, n_max, dtype=np.int32)
-    err = np.empty(n_pts, dtype=float)
+    err = np.empty(n_pts, dtype=float) if with_err else None
 
     def record(ids, n, g, e, s):
         value[ids] = g
         status[ids] = s
         depth[ids] = n
-        err[ids] = e
+        if with_err:
+            err[ids] = e
 
     _drive(supplier, fam, x, y, 1, flt, tol, n_max, inverse, threads, record)
     return value, status, depth, err
@@ -528,10 +535,12 @@ def classify(
     """Certified orbit classification via the filtration."""
     flt = resolve_radius(fam, flt, base.space)
     sup = SigmaSupplier(base.sigma, lam)
-    _, s_f, n_f, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=False)
+    _, s_f, n_f, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=False,
+                                with_err=False)
     if s_f[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-forward", int(n_f[0]))
-    _, s_b, n_b, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=True)
+    _, s_b, n_b, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=True,
+                                with_err=False)
     if s_b[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-backward", int(n_b[0]))
     if s_f[0] == STATUS_BOUNDED and s_b[0] == STATUS_BOUNDED:
@@ -558,7 +567,8 @@ def green_values(
     """Vectorized Green values; lam may be per-point. Returns (value, status, depth)."""
     flt = resolve_radius(fam, flt, base.space)
     sup = SigmaSupplier(base.sigma, lam, back=backward_base)
-    return _run_green(sup, fam, np.asarray(x, dtype=complex).ravel(), np.asarray(y, dtype=complex).ravel(), flt, tol, n_max, inverse)[:3]
+    x, y = (np.asarray(v, dtype=complex).ravel() for v in (x, y))
+    return _run_green(sup, fam, x, y, flt, tol, n_max, inverse, with_err=False)[:3]
 
 
 @dataclass
@@ -582,7 +592,8 @@ def _field(supplier, fam: HenonFamily, grid: SliceGrid, flt: FiltrationRadius, t
            inverse: bool, threads: int) -> GreenField:
     """The certified Green raster of a slice grid along one lam-supply."""
     x, y = grid.points()
-    v, s, n, _ = _run_green(supplier, fam, x.reshape(-1), y.reshape(-1), flt, tol, n_max, inverse, threads)
+    v, s, n, _ = _run_green(supplier, fam, x.reshape(-1), y.reshape(-1), flt, tol, n_max, inverse, threads,
+                            with_err=False)
     shape = (grid.ny, grid.nx)
     return GreenField(grid.with_data(v.reshape(shape)), s.reshape(shape), n.reshape(shape))
 

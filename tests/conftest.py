@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -258,6 +260,44 @@ def draw_candidates_full_depth(fam, base, window, n_candidates, seed, green_thre
     if total == 0:
         raise EmptyCandidateSet("no points below the Green threshold in the window")
     return tuple(np.concatenate(v)[:n_candidates] for v in (got_lam, got_x, got_y))
+
+
+def _sample_regions_cexp(rng, R, n):
+    """filtration._sample_regions with each phase taken from a complex exp."""
+    rad = R * np.exp(rng.uniform(1e-6, math.log(10.0), size=n))
+    sub = rng.uniform(0.0, 1.0, size=n) * rad
+    ph1 = np.exp(2j * math.pi * rng.uniform(size=n))
+    ph2 = np.exp(2j * math.pi * rng.uniform(size=n))
+    plus = (sub * ph1, rad * ph2)
+    rad_m = R * np.exp(rng.uniform(1e-6, math.log(10.0), size=n))
+    sub_m = rng.uniform(0.0, 1.0, size=n) * rad_m
+    minus = (rad_m * np.exp(2j * math.pi * rng.uniform(size=n)), sub_m * np.exp(2j * math.pi * rng.uniform(size=n)))
+    box = (
+        rng.uniform(0.0, R, size=n) * np.exp(2j * math.pi * rng.uniform(size=n)),
+        rng.uniform(0.0, R, size=n) * np.exp(2j * math.pi * rng.uniform(size=n)),
+    )
+    return plus, minus, box
+
+
+def check_invariance_cexp(fam, space, R, n_points=10_000, seed=0, lam_grid=16):
+    """filtration.check_invariance with complex-exp phases and each base
+    point's points mapped in one piece, forward and backward once each."""
+    from henonskew.family import eval_inverse, eval_map
+    from henonskew.filtration import InvarianceReport, region_masks
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lam_all = np.atleast_1d(space.grid(lam_grid))
+    counts = [0, 0, 0, 0]
+    per_lam = max(1, n_points // max(1, len(lam_all)))
+    for lam in lam_all:
+        (px, py), (mx, my), (bx, by) = _sample_regions_cexp(rng, R, per_lam)
+        plus, minus, _ = region_masks(*eval_map(fam, lam, (np.concatenate((px, bx)), np.concatenate((py, by)))), R)
+        counts[0] += int(np.count_nonzero(~plus[:per_lam]))
+        counts[1] += int(np.count_nonzero(minus))
+        plus, minus, _ = region_masks(*eval_inverse(fam, lam, (np.concatenate((mx, bx)), np.concatenate((my, by)))), R)
+        counts[2] += int(np.count_nonzero(~minus[:per_lam]))
+        counts[3] += int(np.count_nonzero(plus))
+    return InvarianceReport(R, per_lam * len(lam_all), len(lam_all), *counts)
 
 
 def check_invariance_two_pass(fam, space, R, n_points=10_000, seed=0, lam_grid=16):

@@ -3,14 +3,15 @@ import signal
 
 import numpy as np
 import pytest
-from conftest import check_invariance_two_pass, log_mask, mp_wedge_green, quad_factor_data
+from conftest import check_invariance_cexp, check_invariance_two_pass, log_mask, mp_wedge_green, quad_factor_data
 from test_trap import BOX, TRAP_FAMILIES
 
+from henonskew import filtration
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, point_base
 from henonskew.errors import DegenerateFamily, ValidationError
 from henonskew.expr import CoeffMap
 from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_family
-from henonskew.filtration import check_invariance, compute_radius, region_masks
+from henonskew.filtration import _phases, check_invariance, compute_radius, region_masks
 from henonskew.green import green_plus
 from henonskew.orbit import SigmaSupplier, iterate
 
@@ -88,6 +89,7 @@ _INVARIANCE_FAMILIES = {
     )),
 }
 _INVARIANCE_SPACES = {
+    "one-point": BaseSpace("finite", points=(0.3 + 0.1j,)),
     "finite": BaseSpace("finite", points=(-0.2 + 0j, 0.3 + 0.1j)),
     "box": BaseSpace("box", bounds=((-0.5, 0.5),)),
     "circle": BaseSpace("circle"),
@@ -96,17 +98,79 @@ _INVARIANCE_SPACES = {
 
 @pytest.mark.parametrize("sname", sorted(_INVARIANCE_SPACES))
 @pytest.mark.parametrize("fname", sorted(_INVARIANCE_FAMILIES))
-def test_invariance_matches_two_pass_loop(fname, sname):
-    """One forward and one backward map per base point count exactly what
-    four maps (each wedge alone, then with the bidisc) count. At 0.3 R every
-    relation is violated, so the counts compare nonzero numbers."""
+def test_invariance_matches_two_pass_loop(fname, sname, monkeypatch):
+    """One forward and one backward map per base point, over blocks of
+    table phases (several and a partial one), count exactly what four maps
+    (each wedge alone, then with the bidisc) count, and what complex-exp
+    phases mapped in one piece count. At 0.3 R every relation is violated,
+    so the counts compare nonzero numbers."""
+    monkeypatch.setattr(filtration, "BLOCK", 128)
     fam, space = _INVARIANCE_FAMILIES[fname], _INVARIANCE_SPACES[sname]
     R = compute_radius(fam, space).R
     for scale in (1.0, 0.5, 0.3):
         rep = check_invariance(fam, space, scale * R, n_points=2400, seed=5, lam_grid=8)
-        assert rep.n_points // rep.lam_count >= 2
+        per_lam = rep.n_points // rep.lam_count
+        assert per_lam > 2 * filtration.BLOCK and per_lam % filtration.BLOCK
         assert rep == check_invariance_two_pass(fam, space, scale * R, n_points=2400, seed=5, lam_grid=8)
+        assert rep == check_invariance_cexp(fam, space, scale * R, n_points=2400, seed=5, lam_grid=8)
     assert all(count > 0 for _, count in rep.rows())
+
+
+def test_phases_match_complex_exp():
+    """_phases is within 2e-15 of np.exp(2j pi u) in each component and of
+    unit modulus within 4.5e-16, on 10^6 draws and both ends of [0, 1), and
+    its imaginary part within 1e-15 relative on [0, 1/PHASE_TABLE)."""
+    u = np.random.Generator(np.random.PCG64(23)).uniform(size=1_000_000)
+    u[:2] = 0.0, 1.0 - 2.0 ** -53
+    p, ref = _phases(u), np.exp(2j * np.pi * u)
+    assert np.abs(p.real - ref.real).max() < 2e-15
+    assert np.abs(p.imag - ref.imag).max() < 2e-15
+    assert np.abs(np.abs(p) - 1.0).max() < 4.5e-16
+    assert p[0] == 1.0
+    # below the first table step the root is 1 and the series alone gives
+    # sin(2 pi u) to within 1e-15 of its own size
+    u /= filtration.PHASE_TABLE
+    p, ref = _phases(u), np.exp(2j * np.pi * u)
+    assert np.all(np.abs(p.imag - ref.imag) <= 1e-15 * np.abs(ref.imag))
+
+
+@pytest.mark.parametrize("sname", ["one-point", "box"])
+def test_block_size_changes_no_report(sname, monkeypatch):
+    """BLOCK of 7, of 1000 and above per_lam give the same report."""
+    fam, space = _INVARIANCE_FAMILIES["quadratic"], _INVARIANCE_SPACES[sname]
+    R = compute_radius(fam, space).R
+    for scale in (1.0, 0.3):
+        reps = []
+        for block in (7, 1000, 10_000):
+            monkeypatch.setattr(filtration, "BLOCK", block)
+            reps.append(check_invariance(fam, space, scale * R, n_points=4000, seed=11, lam_grid=4))
+        assert reps[0].n_points // reps[0].lam_count < 10_000
+        assert reps[0] == reps[1] == reps[2]
+    assert all(count > 0 for _, count in reps[0].rows())
+
+
+def test_invariance_memory_is_bounded_by_the_block():
+    """100 000 points on a one-point base trace under 16 MB: the uniform
+    draws and one block's points and images. Building every point at once
+    traced 28 MB."""
+    import tracemalloc
+
+    fam, space = quadratic_family(a=0.3, c=0.1 + 0.05j), _INVARIANCE_SPACES["one-point"]
+    R = compute_radius(fam, space).R
+    assert 100_000 > 2 * filtration.BLOCK
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        rep = check_invariance(fam, space, R, n_points=100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rep.n_points == 100_000 and rep.total_violations == 0
+    assert peak < 16e6, peak
 
 
 _PINNED_FAMILIES = {
