@@ -64,19 +64,16 @@ def slice_measure(field: GreenField | SliceGrid) -> SliceMeasure:
 
 
 def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:
-    """Chebyshev dilation by `iterations` pixels (edge-clipped)."""
+    """Chebyshev dilation by `iterations` pixels (edge-clipped): each pixel
+    step is a dilation along the rows, then one along the columns."""
     out = mask.copy()
     for _ in range(iterations):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        grown[1:, 1:] |= out[:-1, :-1]
-        grown[1:, :-1] |= out[:-1, 1:]
-        grown[:-1, 1:] |= out[1:, :-1]
-        grown[:-1, :-1] |= out[1:, 1:]
-        out = grown
+        rows = out.copy()
+        rows[1:] |= out[:-1]
+        rows[:-1] |= out[1:]
+        out = rows.copy()
+        out[:, 1:] |= rows[:, :-1]
+        out[:, :-1] |= rows[:, 1:]
     return out
 
 
@@ -92,7 +89,7 @@ def transition_band(status: np.ndarray, width: int = BAND_WIDTH) -> np.ndarray:
     edge[:, 1:] |= esc[:, :-1] != esc[:, 1:]
     edge[:-1, :] |= esc[:-1, :] != esc[1:, :]
     edge[1:, :] |= esc[:-1, :] != esc[1:, :]
-    return _dilate(edge, width - 1) if width > 1 else edge
+    return _dilate(edge, width - 1)
 
 
 def off_band_fraction(measure: SliceMeasure, status: np.ndarray, width: int = BAND_WIDTH) -> float:

@@ -452,8 +452,12 @@ def entropy_lower_bound(
     if candidates is None:
         candidates = draw_candidates(fam, base, None, n_candidates, seed, flt=flt)
     lam, x, y = candidates
+    if any(np.ndim(v) != 1 for v in (lam, x, y)) or not len(lam) == len(x) == len(y):
+        raise ValidationError("candidate base points and coordinates must be 1-d arrays of one length")
     if not all(np.isfinite(v).all() for v in (lam, x, y)):
         raise ValidationError("candidate base points and coordinates must be finite")
+    if not len(lam):
+        raise EmptyCandidateSet("the candidate cloud has no points")
     n_top = max(n_range)
     xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, n_top, flt.R)
     rng = np.random.Generator(np.random.PCG64(seed + 1))

@@ -7,7 +7,8 @@ base. Inverses are exact: (x, y) -> ((p(x) - y) / a, x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,15 +57,15 @@ class HenonFactor:
 @dataclass(frozen=True)
 class HenonFamily:
     factors: tuple[HenonFactor, ...]
-    degree: int = field(init=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValidationError("family needs at least one factor")
-        d = 1
-        for f in self.factors:
-            d *= f.degree
-        object.__setattr__(self, "degree", d)
+
+    @cached_property
+    def degree(self) -> int:
+        """d = prod d_j, the product of the factor degrees."""
+        return math.prod(f.degree for f in self.factors)
 
 
 def quadratic_family(a: complex | str = 0.3, c: complex | str = 0.0) -> HenonFamily:

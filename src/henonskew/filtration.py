@@ -47,12 +47,16 @@ class FiltrationRadius:
 
     R: float
     margin: float
-    degree: int
     a_sup: float
     a_inf: float
     coeff_sums: tuple[float, ...]
     factor_degrees: tuple[int, ...]
     inverse: bool = False
+
+    @cached_property
+    def degree(self) -> int:
+        """d = prod d_j, the product of the factor degrees."""
+        return math.prod(self.factor_degrees)
 
     def toward(self, inverse: bool) -> FiltrationRadius:
         """The record of the backward (inverse) or forward direction."""
@@ -230,7 +234,6 @@ def compute_radius(
     return FiltrationRadius(
         R=float(R),
         margin=margin,
-        degree=fam.degree,
         a_sup=a_sup,
         a_inf=a_inf,
         coeff_sums=tuple(coeff_sums),

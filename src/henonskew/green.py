@@ -284,14 +284,14 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
     MC_CHUNK in a range of one piece and PIECE in a range of several:
     every orbit steps until the points leaving it leave fewer than S // 2
     (_certify's floor), then waits at the depth it reached. Once the orbits
-    waiting at one depth hold S points, they are joined and step on as one
-    orbit; when no chunk is left to start, the orbits waiting at the lowest
-    depth go next. The last orbit, started when no chunk is left and no
-    other orbit waits, runs to n_max; so a range of one piece and one row
-    is one orbit. Only it, and orbits drained from the lowest depth while
-    others wait, step on fewer than S // 2 points. The kernel works point
-    by point and records go by name, so no output depends on PIECE,
-    MC_CHUNK or the thread count.
+    waiting at one depth hold S points, they are joined in the order they
+    waited (Orbit.concat) and step on as one orbit; when no chunk is left
+    to start, the orbits waiting at the lowest depth go next. The last
+    orbit, started when no chunk is left and no other orbit waits, runs to
+    n_max; so a range of one piece and one row is one orbit. Only it, and
+    orbits drained from the lowest depth while others wait, step on fewer
+    than S // 2 points. The kernel works point by point and records go by
+    name, so no output depends on PIECE, MC_CHUNK or the thread count.
     """
     if n_max < 0:
         raise ValidationError(f"depth n_max must be at least 0, got {n_max}")
@@ -322,29 +322,18 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
                 if not waiting:
                     return
                 n = min(waiting)
-                orbit = _join(waiting.pop(n))
+                orbit = Orbit.concat(waiting.pop(n))
             last = chunk is None and not waiting
             n = _certify(supplier, fam, orbit, flt, tol, n, n_max, record, 1 if last else size // 2)
             if len(orbit):
                 group = waiting.setdefault(n, [])
                 group.append(orbit)
                 if sum(map(len, group)) >= size:
-                    orbit = _join(waiting.pop(n))
+                    orbit = Orbit.concat(waiting.pop(n))
                     continue
             orbit = None
 
     _in_threads(work, n_pts, threads, rows)
-
-
-def _join(parts: list[Orbit]) -> Orbit:
-    """One orbit of the points of `parts`, ids ascending as the suppliers need (a lone part as it is)."""
-    if len(parts) == 1:
-        return parts[0]
-    parts = sorted(parts, key=lambda o: o.ids[0])
-    orbit = Orbit.concat(parts)
-    if any(p.ids[-1] > q.ids[0] for p, q in zip(parts, parts[1:])):
-        orbit.sort_by_ids()  # the parts' rows interleave
-    return orbit
 
 
 def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float,

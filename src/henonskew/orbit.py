@@ -3,7 +3,7 @@ suppliers and the step-to-depth loop.
 
 A supplier gives each step's factor coefficients: supplier.coeffs(fam, k,
 idx) is the tuple of (rows, a) pairs, one per factor in the family's
-order, for step k at the points named idx (an orbit's ids, ascending).
+order, for step k at the points named idx (an orbit's ids, in any order).
 The rows are the monic coefficients (1, c_(d-1), ..., c_0). Both
 suppliers take them from family.map_coeffs, the one coefficient builder:
 each row and `a` is either shared by every point (a numpy scalar, for a
@@ -83,11 +83,10 @@ class Orbit:
     A settled log-form point (see the module docstring) leaves through
     `retire` for the retired record: `rpos` (its position among the points
     given to the orbit), `rids` and `rL`, in the order the points retired;
-    an inverse orbit keeps them in ascending `rids`, since its step reads
-    the record's coefficients through the supplier. `at` holds the
-    positions of the points left, None until one retires (as in the orbits
-    `keep`, `concat` and `sort_by_ids` take). `len` and the per-point
-    answers (`radial`, `in_wedge`, `in_bidisc`) cover every point.
+    an inverse step reads the record's coefficients through the supplier
+    by `rids`. `at` holds the positions of the points left, None until one
+    retires (as in the orbits `keep` and `concat` take). `len` and the
+    per-point answers (`radial`, `in_wedge`, `in_bidisc`) cover every point.
 
     The orbit carries its direction (`inverse`) and its points' names for
     the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`.
@@ -130,7 +129,9 @@ class Orbit:
 
     @classmethod
     def concat(cls, parts: list["Orbit"]) -> "Orbit":
-        """One orbit holding the points of `parts` in order (same family and direction)."""
+        """One orbit holding the points of `parts` in order (same family and direction; a lone part as it is)."""
+        if len(parts) == 1:
+            return parts[0]
         o = cls.__new__(cls)
         for name in cls._STATE + cls._LOG:
             setattr(o, name, np.concatenate([getattr(p, name) for p in parts]))
@@ -140,16 +141,6 @@ class Orbit:
         o.inverse = parts[0].inverse
         o.at = None
         return o
-
-    def sort_by_ids(self) -> None:
-        """Reorder the points so that their ids ascend, in place; a log-form
-        point keeps its log entries, at its new position."""
-        order = np.argsort(self.ids, kind="stable")
-        where = np.empty_like(order)
-        where[order] = np.arange(len(order))
-        self.lpos = where[self.lpos]
-        for name in self._STATE:
-            setattr(self, name, getattr(self, name)[order])
 
     def step(self, supplier, fam: HenonFamily, k: int) -> None:
         """Step k: one map application at the supplier's base points for the orbit's points."""
@@ -186,9 +177,6 @@ class Orbit:
         self.rids = np.concatenate((self.rids, self.ids[gone]))
         self.rpos = np.concatenate((self.rpos, self.at[gone]))
         self.rL = np.concatenate((self.rL, self.L[j]))
-        if self.inverse:  # the inverse step reads the record's coefficients by id
-            order = np.argsort(self.rids, kind="stable")
-            self.rids, self.rpos, self.rL = self.rids[order], self.rpos[order], self.rL[order]
         kept = np.ones(len(self.x), dtype=bool)
         kept[gone] = False
         self.at = self.at[kept]
@@ -345,7 +333,7 @@ class TableSupplier:
     table's distinct base points (for a finite base, its letters),
     evaluated once per family. A coefficient whose map is constant stays
     shared; the others are shared when a step's points all lie in one row,
-    and spread over the points row by row otherwise.
+    and read per point from the point's row otherwise.
     """
 
     def __init__(self, table, width: int = 1):
@@ -374,19 +362,18 @@ class TableSupplier:
             raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
         bound = self._at_points(fam)
         col = self.index[:, k]
-        j, counts = col[0], None
+        j, row = col[0], None
         if len(col) > 1 and len(idx):
-            # idx ascends, so its points form one run per row from its first row to its last
-            first, last = idx[0] // self.width, idx[-1] // self.width
-            j = col[first]
-            if first != last:
-                ends = np.searchsorted(idx, np.arange(first, last + 2) * self.width)
-                j, counts = col[first:last + 1], ends[1:] - ends[:-1]
+            first = idx.min() // self.width
+            if first == idx.max() // self.width:
+                j = col[first]
+            else:  # each point reads its row's value
+                j, row = col, idx // self.width
 
         def spread(v):
             if np.ndim(v) == 0:
                 return v
-            return v[j] if counts is None else np.repeat(v[j], counts)
+            return v[j] if row is None else v[j].take(row)
 
         return tuple((tuple(map(spread, rows)), spread(a)) for rows, a in bound[1])
 

@@ -5,6 +5,7 @@ import henonskew.green as green_mod
 from conftest import avg_current_slice_loop
 from henonskew.base import BaseSpace
 from henonskew.currents import (
+    _dilate,
     avg_current_slice,
     julia_raster,
     laplacian_density,
@@ -102,6 +103,19 @@ def test_transition_band_shape():
     band = transition_band(status, width=2)
     assert band[:, 4].all() and band[:, 5].all()
     assert not band[:, 0].any() and not band[:, 8].any()
+
+
+@pytest.mark.parametrize("iterations", range(5))
+def test_dilate_is_chebyshev(iterations):
+    """_dilate marks exactly the pixels within Chebyshev distance
+    `iterations` of a marked pixel, the rest of the raster clipped off."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    for shape in ((13, 17), (1, 9), (6, 1)):
+        mask = rng.uniform(size=shape) < 0.05
+        i, j = np.indices(shape)
+        mi, mj = np.nonzero(mask)
+        near = np.maximum(np.abs(i[..., None] - mi), np.abs(j[..., None] - mj)) <= iterations
+        assert np.array_equal(_dilate(mask, iterations), near.any(axis=-1)), shape
 
 
 def test_avg_current_slice_constant_family(quad_fam, single_base, quad_flt):

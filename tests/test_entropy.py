@@ -161,6 +161,31 @@ def test_rejects_non_finite_candidates(coord, bad):
                             candidates=(cloud["lam"], cloud["x"], cloud["y"]))
 
 
+@pytest.mark.parametrize("lengths", [(5, 5, 3), (5, 3, 5), (3, 5, 5)])
+def test_rejects_candidates_of_unequal_lengths(lengths):
+    fam = quadratic_family(a=0.3)
+    lam, x, y = (np.full(m, 0.1 + 0j) for m in lengths)
+    with pytest.raises(ValidationError, match="one length"):
+        entropy_lower_bound(fam, point_base(0), eps=0.1, n_range=[1, 2], candidates=(lam, x, y))
+
+
+def test_rejects_candidates_that_are_not_1d():
+    fam = quadratic_family(a=0.3)
+    lam, x, y = np.zeros((2, 3), dtype=complex), np.zeros(6, dtype=complex), np.zeros(6, dtype=complex)
+    with pytest.raises(ValidationError, match="1-d"):
+        entropy_lower_bound(fam, point_base(0), eps=0.1, n_range=[1, 2], candidates=(lam, x, y))
+
+
+def test_empty_candidate_cloud(monkeypatch):
+    """A precomputed cloud with no points is an EmptyCandidateSet, raised
+    before any orbit is tracked."""
+    monkeypatch.setattr(entropy_mod, "_orbit_track", None)
+    empty = np.empty(0, dtype=complex)
+    with pytest.raises(EmptyCandidateSet, match="no points"):
+        entropy_lower_bound(quadratic_family(a=0.3), point_base(0), eps=0.1, n_range=[1, 2],
+                            candidates=(empty, empty, empty))
+
+
 def test_empty_candidates(quad_fam, single_base, quad_flt):
     # a window far out in the escape region has no low-Green points
     win = (50.0, 60.0, 50.0, 60.0, 50.0, 60.0, 50.0, 60.0)

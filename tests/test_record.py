@@ -21,7 +21,7 @@ from henonskew.green import (
     mc_green,
 )
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import Orbit, SigmaSupplier
+from henonskew.orbit import Orbit, SigmaSupplier, TableSupplier
 from test_trap import _record_steps
 
 TOL = 1e-6
@@ -167,28 +167,28 @@ def test_chunk_size_changes_no_value(fam_name, threads, monkeypatch):
         assert a.tobytes() == b.tobytes(), i
 
 
-def test_interleaved_rows_join_in_id_order(monkeypatch):
+def test_interleaved_rows_join_in_any_order(monkeypatch):
     """Sequences over a base whose letters drive the orbits apart stop at
     different depths, so orbits joined at one depth can hold rows on both
-    sides of another orbit's rows; a join puts the ids back in ascending
-    order, which the table supplier needs, and the values equal those of
-    a run whose one chunk holds every row."""
+    sides of another orbit's rows; a join keeps the order the orbits
+    waited in, so the table supplier sees names that do not ascend, and
+    the values equal those of a run whose one chunk holds every row."""
     fam = quadratic_family(0.3, "0.3 * u")
     space = BaseSpace("finite", points=(-1 + 0j, 1 + 0j, 0.5j))
     flt = compute_radius(fam, space)
     rng = np.random.Generator(np.random.PCG64(5))
     x, y = 2.5 * (rng.uniform(-1, 1, (2, 16)) + 1j * rng.uniform(-1, 1, (2, 16)))
-    sorts = []
-    sort = Orbit.sort_by_ids
+    unsorted = []
+    coeffs = TableSupplier.coeffs
 
-    def sorting(orbit):
-        sorts.append(len(orbit))
-        sort(orbit)
+    def spy(self, fam, k, idx):
+        unsorted.append(bool(np.any(np.diff(idx) < 0)))
+        return coeffs(self, fam, k, idx)
 
-    monkeypatch.setattr(Orbit, "sort_by_ids", sorting)
+    monkeypatch.setattr(TableSupplier, "coeffs", spy)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 30)
     a = mc_green(fam, space, 1, 40, x, y, flt, TOL, 60)
-    assert sorts
+    assert any(unsorted)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 40 * len(x) + 1)
     b = mc_green(fam, space, 1, 40, x, y, flt, TOL, 60)
     for name in ("values", "undecided", "depth", "seq_undecided"):
