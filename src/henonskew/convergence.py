@@ -137,23 +137,23 @@ def _check_growth(fam: HenonFamily, n_max: int) -> None:
         raise ValidationError(f"n_max = {n_max} gives d^n_max > 2^1000 (d = {fam.degree}): pulled-back potentials overflow")
 
 
-def _pullback_stack(fam, supplier, x: np.ndarray, y: np.ndarray, us, depths, idx=None):
+def _pullback_stack(supplier, x: np.ndarray, y: np.ndarray, us, depths, idx=None):
     """d^(-n) u(H_n(z)) at the points (x, y) for each potential u in `us`
     and each requested depth, on one incremental orbit.
 
     Returns {n: [values for each u]}; `idx` names the points to the supplier.
     """
-    d = float(fam.degree)
+    d = float(supplier.fam.degree)
     return {
         n: [d ** (-n) * u.eval_orbit(orbit) for u in us]
-        for n, orbit in iterate(fam, supplier, x, y, depths, idx=idx)
+        for n, orbit in iterate(supplier, x, y, depths, idx=idx)
     }
 
 
 def _grid_stack(fam, seq, grid: SliceGrid, us, depths):
     """_pullback_stack over a slice grid along one sequence, as rasters."""
     x, y = grid.points()
-    stack = _pullback_stack(fam, SeqSupplier(seq, max(depths)), x.ravel(), y.ravel(), us, depths)
+    stack = _pullback_stack(SeqSupplier(fam, seq, max(depths)), x.ravel(), y.ravel(), us, depths)
     return {n: [v.reshape(grid.ny, grid.nx) for v in vals] for n, vals in stack.items()}
 
 
@@ -215,10 +215,10 @@ def theta_average_pullback(
 
     x, y = grid.points()
     n_pts = x.size
-    sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
+    sup = mc_supplier(fam, space, seed, n_mc, n_max, n_pts)
     moments = {n: MCMoments() for n in range(1, n_max + 1)}
     for ids, rows in mc_chunks(n_mc, n_pts):
-        stack = _pullback_stack(fam, sup, np.tile(x.ravel(), rows), np.tile(y.ravel(), rows), (u,),
+        stack = _pullback_stack(sup, np.tile(x.ravel(), rows), np.tile(y.ravel(), rows), (u,),
                                 range(1, n_max + 1), ids)
         for n, (vals,) in stack.items():
             for v in vals.reshape(rows, grid.ny, grid.nx):
@@ -336,7 +336,7 @@ def cutoff_limit_probe(
     x, y = grid.points()
     d = float(fam.degree)
     depths, cs, res = [], [], []
-    for n, orbit in iterate(fam, SigmaSupplier(base.sigma, lam), x.ravel(), y.ravel(), range(1, n_max + 1)):
+    for n, orbit in iterate(SigmaSupplier(fam, base.sigma, lam), x.ravel(), y.ravel(), range(1, n_max + 1)):
         fldn = (d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx)
         weight = cutoff.eval_orbit(orbit).reshape(grid.ny, grid.nx)[1:-1, 1:-1]
         den = _smooth(weight * laplacian_density(fldn, grid.dx, grid.dy)).ravel()

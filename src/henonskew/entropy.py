@@ -61,14 +61,18 @@ class SeparatedSetEstimate:
     n: int
     eps: float
     s_n: int
-    rate: float
     survivors: int | None = None
 
     def __post_init__(self):
-        if self.s_n < 1 or self.rate < 0:
-            raise ValidationError("separated-set estimate needs s_n >= 1, rate >= 0")
+        if self.s_n < 1:
+            raise ValidationError("separated-set estimate needs s_n >= 1")
         if self.survivors is not None and self.s_n > self.survivors:
             raise ValidationError("separated-set estimate needs s_n <= survivors")
+
+    @property
+    def rate(self) -> float:
+        """log(s_n) / n, the entropy lower bound at this depth (0 for s_n = 1)."""
+        return math.log(self.s_n) / self.n if self.s_n > 1 else 0.0
 
 
 def _base_dist(space_kind_is_circle: bool, a: np.ndarray, b) -> np.ndarray:
@@ -470,6 +474,5 @@ def entropy_lower_bound(
             raise EmptyCandidateSet(f"no candidate orbit stays in the bidisc for {n} steps")
         order = keep[rng.permutation(keep.size)]
         s_n = _greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order, index)
-        rate = math.log(s_n) / n if s_n > 1 else 0.0
-        out.append(SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, rate=rate, survivors=keep.size))
+        out.append(SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, survivors=keep.size))
     return out

@@ -125,8 +125,8 @@ class GreenEval:
 # certifying engine
 
 
-def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, tol: float,
-             n_lo: int, n_max: int, record, floor: int = 1) -> int:
+def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: int, n_max: int, record,
+             floor: int = 1) -> int:
     """Step the orbit from depth n_lo toward n_max, certifying as it goes;
     returns the depth reached.
 
@@ -141,14 +141,14 @@ def _certify(supplier, fam: HenonFamily, orbit: Orbit, flt: FiltrationRadius, to
     leave fewer than `floor` in it (by default: none); otherwise it
     records each point once and empties the orbit.
     """
-    d = float(fam.degree)
+    d = float(supplier.fam.degree)
     # value 0 at a point whose orbit is in V_R at n_max: there G <= d^-n_max M,
     # M = FiltrationRadius.bidisc_cap
     bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap())
     n_tail = flt.depth_for(tol)  # the uniform rule's first depth; tail_bound falls with n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_lo + 1, n_max + 1):
-            orbit.step(supplier, fam, n - 1)
+            orbit.step(supplier, n - 1)
             found = _wedge_certificates(orbit, flt, d, n, n >= n_tail, tol)
             held = None
             if flt.trap_radius and n >= n_tail:
@@ -271,8 +271,8 @@ def _in_threads(work, n: int, threads: int, rows: int = 1) -> None:
         list(pool.map(lambda i: work(bounds[i], bounds[i + 1]), range(threads)))
 
 
-def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, flt: FiltrationRadius,
-           tol: float, n_max: int, inverse: bool, threads: int, record) -> None:
+def _drive(supplier, x: np.ndarray, y: np.ndarray, rows: int, flt: FiltrationRadius, tol: float, n_max: int,
+           inverse: bool, threads: int, record) -> None:
     """The one stepping loop: certify `rows` copies of the points (x, y)
     along the supplier, each copy once through record (see _certify).
 
@@ -317,14 +317,14 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
             if orbit is None and chunk is not None:
                 (ids, r, p, q), chunk = chunk, next(chunks, None)
                 xs, ys = (np.broadcast_to(v[p:q], (r, q - p)).ravel() for v in (x, y))
-                orbit, n = Orbit(fam, xs, ys, inverse, ids), 0
+                orbit, n = Orbit(supplier.fam, xs, ys, inverse, ids), 0
             elif orbit is None:
                 if not waiting:
                     return
                 n = min(waiting)
                 orbit = Orbit.concat(waiting.pop(n))
             last = chunk is None and not waiting
-            n = _certify(supplier, fam, orbit, flt, tol, n, n_max, record, 1 if last else size // 2)
+            n = _certify(supplier, orbit, flt, tol, n, n_max, record, 1 if last else size // 2)
             if len(orbit):
                 group = waiting.setdefault(n, [])
                 group.append(orbit)
@@ -336,8 +336,8 @@ def _drive(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, rows: int, 
     _in_threads(work, n_pts, threads, rows)
 
 
-def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float,
-               n_max: int, inverse: bool, threads: int = 1, *, with_err: bool = True):
+def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float, n_max: int,
+               inverse: bool, threads: int = 1, *, with_err: bool = True):
     """Certified (value, status, depth, err) arrays of points sharing a lam-supply.
 
     The rows = 1 case of _drive: threads step contiguous ranges of the
@@ -359,13 +359,13 @@ def _run_green(supplier, fam: HenonFamily, x: np.ndarray, y: np.ndarray, flt: Fi
         if with_err:
             err[ids] = e
 
-    _drive(supplier, fam, x, y, 1, flt, tol, n_max, inverse, threads, record)
+    _drive(supplier, x, y, 1, flt, tol, n_max, inverse, threads, record)
     return value, status, depth, err
 
 
-def _green_at(supplier, fam: HenonFamily, z, flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> GreenEval:
+def _green_at(supplier, z, flt: FiltrationRadius, tol: float, n_max: int, inverse: bool) -> GreenEval:
     """Certified Green value at the single point z."""
-    v, s, n, e = _run_green(supplier, fam, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse)
+    v, s, n, e = _run_green(supplier, np.array([z[0]]), np.array([z[1]]), flt, tol, n_max, inverse)
     return GreenEval(float(v[0]), int(n[0]), float(e[0]), STATUS_NAMES[s[0]])
 
 
@@ -384,7 +384,7 @@ def green_plus(
 ) -> GreenEval:
     """Forward Green function G_lam^+ at a point, certified within tol."""
     flt = resolve_radius(fam, flt, base.space)
-    return _green_at(SigmaSupplier(base.sigma, lam), fam, z, flt, tol, n_max, inverse=False)
+    return _green_at(SigmaSupplier(fam, base.sigma, lam), z, flt, tol, n_max, inverse=False)
 
 
 def green_minus(
@@ -398,7 +398,7 @@ def green_minus(
 ) -> GreenEval:
     """Backward Green function along sigma-forward base indices."""
     flt = resolve_radius(fam, flt, base.space)
-    return _green_at(SigmaSupplier(base.sigma, lam), fam, z, flt, tol, n_max, inverse=True)
+    return _green_at(SigmaSupplier(fam, base.sigma, lam), z, flt, tol, n_max, inverse=True)
 
 
 def green_minus_cal(
@@ -415,7 +415,7 @@ def green_minus_cal(
     Satisfies value(H_lam(z)) = (1/d) value(z) up to certified errors.
     """
     flt = resolve_radius(fam, flt, base.space)
-    return _green_at(SigmaSupplier(base.sigma, lam, back=True), fam, z, flt, tol, n_max, inverse=True)
+    return _green_at(SigmaSupplier(fam, base.sigma, lam, back=True), z, flt, tol, n_max, inverse=True)
 
 
 def green_minus_tilde(
@@ -443,8 +443,8 @@ def green_minus_tilde(
     last = 0.0
     for n in range(1, n_max + 1):
         # H_(sigma^(n-1) lam)^-1 is applied first, H_lam^-1 last
-        reversed_sup = TableSupplier([[advance(base.sigma, lam, n - 1 - k) for k in range(n)]])
-        (_, orbit), = iterate(fam, reversed_sup, np.array([z[0]]), np.array([z[1]]), [n], inverse=True)
+        reversed_sup = TableSupplier(fam, [[advance(base.sigma, lam, n - 1 - k) for k in range(n)]])
+        (_, orbit), = iterate(reversed_sup, np.array([z[0]]), np.array([z[1]]), [n], inverse=True)
         cur = d ** (-n) * float(orbit.log_plus_norm()[0])
         if prev is not None and abs(cur - prev) < tol * (d - 1) / d and n >= 4:
             return GreenEval(cur, n, tol, STATUS_NAMES[STATUS_CONVERGED])
@@ -469,7 +469,7 @@ def green_random(
     the filtration constants from.
     """
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
-    return _green_at(SeqSupplier(seq, n_max), fam, z, flt, tol, n_max, inverse)
+    return _green_at(SeqSupplier(fam, seq, n_max), z, flt, tol, n_max, inverse)
 
 
 def avg_green(
@@ -523,13 +523,11 @@ def classify(
 ) -> OrbitClass:
     """Certified orbit classification via the filtration."""
     flt = resolve_radius(fam, flt, base.space)
-    sup = SigmaSupplier(base.sigma, lam)
-    _, s_f, n_f, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=False,
-                                with_err=False)
+    sup, x, y = SigmaSupplier(fam, base.sigma, lam), np.array([z[0]]), np.array([z[1]])
+    _, s_f, n_f, _ = _run_green(sup, x, y, flt, np.inf, n_max, inverse=False, with_err=False)
     if s_f[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-forward", int(n_f[0]))
-    _, s_b, n_b, _ = _run_green(sup, fam, np.array([z[0]]), np.array([z[1]]), flt, np.inf, n_max, inverse=True,
-                                with_err=False)
+    _, s_b, n_b, _ = _run_green(sup, x, y, flt, np.inf, n_max, inverse=True, with_err=False)
     if s_b[0] == STATUS_ESCAPED:
         return OrbitClass("escaped-backward", int(n_b[0]))
     if s_f[0] == STATUS_BOUNDED and s_b[0] == STATUS_BOUNDED:
@@ -553,11 +551,14 @@ def green_values(
     inverse: bool = False,
     backward_base: bool = False,
 ):
-    """Vectorized Green values; lam may be per-point. Returns (value, status, depth)."""
+    """Vectorized Green values at points (x, y) of one shape; lam is one base
+    point or one per point. Returns flat (value, status, depth)."""
+    x, y = (np.asarray(v, dtype=complex) for v in (x, y))
+    if x.shape != y.shape or np.ndim(lam) > 1 or np.ndim(lam) == 1 and len(lam) != x.size:
+        raise ValidationError(f"green_values: x, y, lam of shapes {x.shape}, {y.shape}, {np.shape(lam)} do not match")
     flt = resolve_radius(fam, flt, base.space)
-    sup = SigmaSupplier(base.sigma, lam, back=backward_base)
-    x, y = (np.asarray(v, dtype=complex).ravel() for v in (x, y))
-    return _run_green(sup, fam, x, y, flt, tol, n_max, inverse, with_err=False)[:3]
+    sup = SigmaSupplier(fam, base.sigma, lam, back=backward_base)
+    return _run_green(sup, x.ravel(), y.ravel(), flt, tol, n_max, inverse, with_err=False)[:3]
 
 
 @dataclass
@@ -577,11 +578,11 @@ class GreenField:
         return int(np.count_nonzero(self.status == STATUS_UNDECIDED))
 
 
-def _field(supplier, fam: HenonFamily, grid: SliceGrid, flt: FiltrationRadius, tol: float, n_max: int,
-           inverse: bool, threads: int) -> GreenField:
+def _field(supplier, grid: SliceGrid, flt: FiltrationRadius, tol: float, n_max: int, inverse: bool,
+           threads: int) -> GreenField:
     """The certified Green raster of a slice grid along one lam-supply."""
     x, y = grid.points()
-    v, s, n, _ = _run_green(supplier, fam, x.reshape(-1), y.reshape(-1), flt, tol, n_max, inverse, threads,
+    v, s, n, _ = _run_green(supplier, x.reshape(-1), y.reshape(-1), flt, tol, n_max, inverse, threads,
                             with_err=False)
     shape = (grid.ny, grid.nx)
     return GreenField(grid.with_data(v.reshape(shape)), s.reshape(shape), n.reshape(shape))
@@ -600,8 +601,7 @@ def green_field(
 ) -> GreenField:
     """Rasterize a fibered Green function over a slice grid."""
     flt = resolve_radius(fam, flt, base.space)
-    sup = SigmaSupplier(base.sigma, lam)
-    return _field(sup, fam, grid, flt, tol, n_max, inverse, threads)
+    return _field(SigmaSupplier(fam, base.sigma, lam), grid, flt, tol, n_max, inverse, threads)
 
 
 def green_field_seq(
@@ -615,16 +615,16 @@ def green_field_seq(
 ) -> GreenField:
     """Rasterize the random Green function along one sequence (`flt` from `seq.space` if None)."""
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
-    return _field(SeqSupplier(seq, n_max), fam, grid, flt, tol, n_max, False, threads)
+    return _field(SeqSupplier(fam, seq, n_max), grid, flt, tol, n_max, False, threads)
 
 
-def mc_supplier(space, seed: int, n_mc: int, n_steps: int, width: int) -> TableSupplier:
-    """Table supplier of the first n_steps entries of the n_mc sequences
-    ParamSequence(space, seed).spawn(i), row i driving `width` points."""
+def mc_supplier(fam: HenonFamily, space, seed: int, n_mc: int, n_steps: int, width: int) -> TableSupplier:
+    """Table supplier of `fam` along the first n_steps entries of the n_mc
+    sequences ParamSequence(space, seed).spawn(i), row i driving `width` points."""
     if n_mc < 2:
         raise ValidationError(f"Monte-Carlo averages need n_mc >= 2, got {n_mc}")
     root = ParamSequence(space, seed)
-    return TableSupplier(np.array([root.spawn(i).prefix(n_steps) for i in range(n_mc)]), width)
+    return TableSupplier(fam, np.array([root.spawn(i).prefix(n_steps) for i in range(n_mc)]), width)
 
 
 class MCMoments:
@@ -690,7 +690,7 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
     sequence order, which is the order MCMoments takes them in.
     """
     n_pts = len(x)
-    sup = mc_supplier(space, seed, n_mc, n_max, n_pts)
+    sup = mc_supplier(fam, space, seed, n_mc, n_max, n_pts)
     values = np.empty((n_mc, n_pts))
     undecided = np.zeros((n_mc, n_pts), dtype=bool)
     depth = np.zeros(n_pts, dtype=np.int32)
@@ -702,7 +702,7 @@ def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np
         p = ids % n_pts
         depth[p] = np.maximum(depth[p], n)
 
-    _drive(sup, fam, x, y, n_mc, flt, tol, n_max, False, threads, record)
+    _drive(sup, x, y, n_mc, flt, tol, n_max, False, threads, record)
     return MCGreen(values, undecided.any(axis=0), depth, np.count_nonzero(undecided, axis=1))
 
 
@@ -746,22 +746,26 @@ def depth_values(
     """G_n(z) along lam_k = sigma^k(lam) for each n in `depths` (raw
     finite-depth values, no freeze)."""
     d = float(fam.degree)
-    steps = iterate(fam, SigmaSupplier(sigma, lam), np.array([z[0]]), np.array([z[1]]), depths, inverse)
+    steps = iterate(SigmaSupplier(fam, sigma, lam), np.array([z[0]]), np.array([z[1]]), depths, inverse)
     return np.array([d ** (-n) * float(orbit.log_plus_norm()[0]) for n, orbit in steps])
 
 
 def finite_depth_green(fam: HenonFamily, words: np.ndarray, x: np.ndarray, y: np.ndarray, depth: int) -> np.ndarray:
     """Raw depth-n Green values along explicit words, vectorized.
 
-    words has shape (n_words, depth); returns (n_words, n_points). The
-    exhaustive-word average of these values is the oracle for the
-    Monte-Carlo averaged Green function at the same depth.
+    words has shape (n_words, depth), x and y are 1-d of one length;
+    returns (n_words, n_points). The exhaustive-word average of these
+    values is the oracle for the Monte-Carlo averaged Green function at
+    the same depth.
     """
+    x, y = (np.asarray(v, dtype=complex) for v in (x, y))
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValidationError(f"finite_depth_green: x, y of shapes {x.shape}, {y.shape} are not 1-d of one length")
     n_words, n_pts = len(words), len(x)
-    X = np.broadcast_to(np.asarray(x, dtype=complex), (n_words, n_pts)).ravel()
-    Y = np.broadcast_to(np.asarray(y, dtype=complex), (n_words, n_pts)).ravel()
+    X = np.broadcast_to(x, (n_words, n_pts)).ravel()
+    Y = np.broadcast_to(y, (n_words, n_pts)).ravel()
 
-    (_, orbit), = iterate(fam, TableSupplier(words, n_pts), X, Y, [depth])
+    (_, orbit), = iterate(TableSupplier(fam, words, n_pts), X, Y, [depth])
     vals = orbit.log_plus_norm() / float(fam.degree) ** depth
     return vals.reshape(n_words, n_pts)
 

@@ -1,13 +1,14 @@
 """Orbit engine: vectorized orbit state, factor and map steps, base-point
 suppliers and the step-to-depth loop.
 
-A supplier gives each step's factor coefficients: supplier.coeffs(fam, k,
-idx) is the tuple of (rows, a) pairs, one per factor in the family's
-order, for step k at the points named idx (an orbit's ids, in any order).
-The rows are the monic coefficients (1, c_(d-1), ..., c_0). Both
-suppliers take them from family.map_coeffs, the one coefficient builder:
-each row and `a` is either shared by every point (a numpy scalar, for a
-constant map) or given per point (an array of length n).
+A supplier holds one family, supplier.fam, from when it is built, and its
+steps' factor coefficients: supplier.coeffs(k, idx) is the tuple of
+(rows, a) pairs, one per factor in the family's order, for step k at the
+points named idx (an orbit's ids, in any order). The rows are the monic
+coefficients (1, c_(d-1), ..., c_0). Both suppliers take them from
+family.map_coeffs, the one coefficient builder: each row and `a` is
+either shared by every point (a numpy scalar, for a constant map) or
+given per point (an array of length n).
 
 Orbits are iterated explicitly until the dominant coordinate (y forward,
 x backward) passes the switch bound, then in a log-scale form: L = log of
@@ -31,13 +32,14 @@ and L' = d L (- log|a|) exactly. After the step |u'| <= |u| and
 the same multiply, and log||z|| = L + 1/2 log1p(|r|^2) adds at most
 2^-113 to L ~ -log|u| > 56 log 2 + log B > 38, below half an ulp of L:
 log||z|| is L. Such a point is settled: r and u no longer reach its later
-L or log||z||. iterate retires settled points before each map step when
-its supplier gives B (TableSupplier derives it from the coefficients of
-its distinct base points; SigmaSupplier gives none): they leave the orbit
-for a record of their positions, ids and L (Orbit.retire), stepped by the
-operations _step_log takes on a settled point, L <- d L (- log|a|), so
-every value iterate yields stays the same bit for bit. The certifying loop
-(green._certify) retires nothing: its own-tail error bound reads |r|.
+L or log||z||. Before each map step iterate retires the settled points
+when the supplier gives supplier.settled_u = 2^-56 / B (TableSupplier's
+comes from its distinct base points; SigmaSupplier's is None): they leave
+the orbit for a record of their positions, ids and L (Orbit.retire),
+stepped by the operations _step_log takes on a settled point,
+L <- d L (- log|a|), so every value iterate yields stays the same bit for
+bit. The certifying loop (green._certify) retires nothing: its own-tail
+error bound reads |r|.
 """
 
 from __future__ import annotations
@@ -142,16 +144,15 @@ class Orbit:
         o.at = None
         return o
 
-    def step(self, supplier, fam: HenonFamily, k: int) -> None:
-        """Step k: one map application at the supplier's base points for the orbit's points."""
-        step_coeffs(self, supplier.coeffs(fam, k, self.ids))
-        if self.at is not None and self.inverse:  # retired points, per factor as _step_log steps settled ones
-            for rows, a in reversed(supplier.coeffs(fam, k, self.rids)):
+    def step(self, supplier, k: int) -> None:
+        """Step k: the supplier's map at its base points for the orbit's points, then the retired record."""
+        coeffs = supplier.coeffs(k, self.ids)
+        step_coeffs(self, coeffs)
+        if self.at is not None:  # retired points, per factor as _step_log steps settled ones
+            for rows, a in reversed(supplier.coeffs(k, self.rids)) if self.inverse else coeffs:
                 self.rL *= len(rows) - 1
-                self.rL -= np.log(np.abs(a))
-        elif self.at is not None:
-            for f in fam.factors:
-                self.rL *= f.degree
+                if self.inverse:
+                    self.rL -= np.log(np.abs(a))
 
     def to_log(self, mask: np.ndarray) -> None:
         """Move the masked explicit points to log form, leaving NaN in their explicit entries."""
@@ -302,9 +303,11 @@ def step_coeffs(o: Orbit, coeffs: tuple) -> None:
 
 
 class SigmaSupplier:
-    """lam_k = sigma^(k * step)(lam), step = +1 forward or -1 backward."""
+    """The maps of `fam` at lam_k = sigma^(k * step)(lam), step = +1 forward or -1 backward."""
 
-    def __init__(self, sigma: BaseDynamics, lam, back: bool = False):
+    settled_u = None  # no bound, so no point retires: the base points of later steps are not known ahead
+
+    def __init__(self, fam: HenonFamily, sigma: BaseDynamics, lam, back: bool = False):
         if sigma.kind == SHIFT:
             raise UnsupportedBase(
                 "pointwise Green functions need identity/contraction/rotation; "
@@ -312,55 +315,43 @@ class SigmaSupplier:
             )
         if back and not sigma.invertible:
             raise NotInvertible(f"{sigma.kind} base has no backward orbit")
+        self.fam = fam
         self.sigma = sigma
         self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
         self.back = back
 
-    def settled_u(self, fam: HenonFamily) -> None:
-        """No bound, so no point retires: the base points of later steps are not known ahead."""
-        return None
-
-    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
+    def coeffs(self, k: int, idx: np.ndarray) -> tuple:
         lam = self.lam if np.ndim(self.lam) == 0 else self.lam[idx]
-        return map_coeffs(fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
+        return map_coeffs(self.fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
 
 
 class TableSupplier:
-    """lam_k from an (n_rows, n_steps) table of base points.
+    """The maps of `fam` at lam_k from an (n_rows, n_steps) table of base points.
 
     Row r drives the points r * width ... (r + 1) * width - 1; a one-row
-    table drives every point. The coefficients are map_coeffs on the
-    table's distinct base points (for a finite base, its letters),
-    evaluated once per family. A coefficient whose map is constant stays
-    shared; the others are shared when a step's points all lie in one row,
-    and read per point from the point's row otherwise.
+    table drives every point. The coefficients, map_coeffs on the table's
+    distinct base points (for a finite base, its letters), and settled_u =
+    2^-56 / B (None if some coefficient is not finite) are evaluated when
+    it is built. A coefficient whose map is constant stays shared; the
+    others are shared when a step's points all lie in one row, and read
+    per point from the point's row otherwise.
     """
 
-    def __init__(self, table, width: int = 1):
+    def __init__(self, fam: HenonFamily, table, width: int = 1):
         table = np.asarray(table, dtype=complex)
-        self.points, index = np.unique(table, return_inverse=True)
+        points, index = np.unique(table, return_inverse=True)
+        self.fam = fam
         self.index = index.reshape(table.shape)
         self.width = width
-        self._bound = None  # (fam, per-factor (rows, a), settled_u), set on first use
-
-    def _at_points(self, fam: HenonFamily) -> tuple:
-        bound = self._bound
-        if bound is None or bound[0] is not fam:
-            coeffs = map_coeffs(fam, self.points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.point_coeffs = map_coeffs(fam, points)
             # B = max over factors of sum_k max|c_k| + max|a| + 1 over the table's base points
-            B = max(sum(np.max(np.abs(c), initial=0.0) for c in (*rows[1:], a)) + 1.0 for rows, a in coeffs)
-            bound = self._bound = (fam, coeffs, SETTLE / B if np.isfinite(B) else None)
-        return bound
+            B = max(sum(np.max(np.abs(c), initial=0.0) for c in (*rows[1:], a)) + 1.0 for rows, a in self.point_coeffs)
+        self.settled_u = SETTLE / B if np.isfinite(B) else None
 
-    def settled_u(self, fam: HenonFamily) -> float | None:
-        """2^-56 / B, the largest |u| of a settled log-form point (see the
-        module docstring), or None if some coefficient is not finite."""
-        return self._at_points(fam)[2]
-
-    def coeffs(self, fam: HenonFamily, k: int, idx: np.ndarray) -> tuple:
+    def coeffs(self, k: int, idx: np.ndarray) -> tuple:
         if k >= self.index.shape[1]:
             raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
-        bound = self._at_points(fam)
         col = self.index[:, k]
         j, row = col[0], None
         if len(col) > 1 and len(idx):
@@ -375,7 +366,7 @@ class TableSupplier:
                 return v
             return v[j] if row is None else v[j].take(row)
 
-        return tuple((tuple(map(spread, rows)), spread(a)) for rows, a in bound[1])
+        return tuple((tuple(map(spread, rows)), spread(a)) for rows, a in self.point_coeffs)
 
 
 class SeqSupplier(TableSupplier):
@@ -383,39 +374,39 @@ class SeqSupplier(TableSupplier):
     for k < n: the one-row table of its prefix. A finite sequence shorter
     than n raises only at the first step past its end."""
 
-    def __init__(self, seq, n: int):
+    def __init__(self, fam: HenonFamily, seq, n: int):
         if isinstance(seq, np.ndarray):
             seq = FrozenSequence(seq)
         if isinstance(seq, FrozenSequence) and seq.parent is None and not seq.cycle:
             row = np.asarray(seq.head, dtype=complex)[:n]
         else:
             row = seq.prefix(n)
-        super().__init__(row[None, :])
+        super().__init__(fam, row[None, :])
 
 
-def iterate(fam: HenonFamily, supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = False, idx=None):
+def iterate(supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = False, idx=None):
     """Yield (n, orbit) for each n in `depths`, ascending; a negative depth is a ValidationError.
 
-    One orbit of the points (x, y) is stepped incrementally and updated in
-    place, so each yielded orbit is valid until the next one is requested.
-    `idx` names the points to the supplier (None: 0 .. n-1). Before each
-    map step, after the previous yield, the log-form points that are
-    settled under the supplier's bound (supplier.settled_u; see the module
-    docstring) retire from the orbit (Orbit.retire): each yielded orbit's
-    per-point answers, in the order of (x, y), are those of the orbit
-    stepped without retiring, bit for bit.
+    One orbit of the points (x, y) under the supplier's family is stepped
+    incrementally and updated in place, so each yielded orbit is valid
+    until the next one is requested. `idx` names the points to the
+    supplier (None: 0 .. n-1). Before each map step, after the previous
+    yield, the log-form points that are settled under the supplier's bound
+    (supplier.settled_u; see the module docstring) retire from the orbit
+    (Orbit.retire): each yielded orbit's per-point answers, in the order
+    of (x, y), are those of the orbit stepped without retiring, bit for bit.
     """
     depths = sorted(depths)
     if depths and depths[0] < 0:
         raise ValidationError(f"depths must be at least 0, got {depths[0]}")
-    orbit = Orbit(fam, x, y, inverse, idx)
-    u_max = supplier.settled_u(fam)
+    orbit = Orbit(supplier.fam, x, y, inverse, idx)
+    u_max = supplier.settled_u
     n_done = 0
     for n in depths:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while n_done < n:
                 if u_max is not None and len(orbit.lpos):
                     orbit.retire(u_max)
-                orbit.step(supplier, fam, n_done)
+                orbit.step(supplier, n_done)
                 n_done += 1
         yield n, orbit

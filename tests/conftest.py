@@ -190,8 +190,8 @@ def theta_loop(fam, space, u, grid, n_max, n_mc, seed, tol, flt):
     d = float(fam.degree)
     moments = {n: MCMoments() for n in range(1, n_max + 1)}
     for i in range(n_mc):
-        sup = SeqSupplier(root.spawn(i), n_max)
-        for n, orbit in iterate(fam, sup, x.ravel(), y.ravel(), range(1, n_max + 1)):
+        sup = SeqSupplier(fam, root.spawn(i), n_max)
+        for n, orbit in iterate(sup, x.ravel(), y.ravel(), range(1, n_max + 1)):
             moments[n].add((d ** (-n) * u.eval_orbit(orbit)).reshape(grid.ny, grid.nx))
     errors, floors = [], []
     for m in moments.values():

@@ -169,7 +169,13 @@ def test_retiring_settled_points_changes_no_output(kind, opts, tmp_path, monkeyp
     monkeypatch.setattr(Orbit, "retire", spy)
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "retiring")]) == 0
     assert max(retired) > 0
-    monkeypatch.setattr(TableSupplier, "settled_u", lambda self, fam: None)
+    init = TableSupplier.__init__
+
+    def unbounded(sup, *args):
+        init(sup, *args)
+        sup.settled_u = None
+
+    monkeypatch.setattr(TableSupplier, "__init__", unbounded)
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "kept")]) == 0
     outputs = _manifest_output_hashes(tmp_path / "retiring")
     assert outputs and outputs == _manifest_output_hashes(tmp_path / "kept")

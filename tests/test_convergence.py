@@ -209,9 +209,9 @@ def test_rigidity_one_orbit_matches_two(box_fam, two_letter_base):
     grid = _grid(40)
     d = rigidity_probe(box_fam, seq, U_LOG, U_FS, grid, 9, flt=flt)
     x, y = grid.points()
-    (_, o1), = iterate(box_fam, SeqSupplier(seq, 9), x.ravel(), y.ravel(), [9])
+    (_, o1), = iterate(SeqSupplier(box_fam, seq, 9), x.ravel(), y.ravel(), [9])
     s1 = 2.0 ** -9 * U_LOG.eval_orbit(o1)
-    (_, o2), = iterate(box_fam, SeqSupplier(seq, 9), x.ravel(), y.ravel(), [9])
+    (_, o2), = iterate(SeqSupplier(box_fam, seq, 9), x.ravel(), y.ravel(), [9])
     s2 = 2.0 ** -9 * U_FS.eval_orbit(o2)
     ref = green_mod.green_field_seq(box_fam, seq, grid, 1e-6, 200, flt)
     mask = (ref.status != green_mod.STATUS_UNDECIDED).ravel()

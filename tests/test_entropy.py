@@ -409,9 +409,9 @@ def test_dn_distance_matches_packer_predicate(bname):
 
 
 def test_estimate_survivors_bound():
-    assert SeparatedSetEstimate(n=2, eps=0.1, s_n=4, rate=0.69, survivors=4).survivors == 4
+    assert SeparatedSetEstimate(n=2, eps=0.1, s_n=4, survivors=4).survivors == 4
     with pytest.raises(ValidationError):
-        SeparatedSetEstimate(n=2, eps=0.1, s_n=5, rate=0.8, survivors=4)
+        SeparatedSetEstimate(n=2, eps=0.1, s_n=5, survivors=4)
 
 
 # -- candidate draw decided at the bidisc-cap depth ------------------------------------------

@@ -268,7 +268,7 @@ def test_bidisc_cap_bounds_green(inverse):
     fam, base = quadratic_family(a, c), point_base(0.0)
     flt = compute_radius(fam, base.space)
     R, d, cap = flt.R, float(fam.degree), flt.toward(inverse).bidisc_cap()
-    sup = SigmaSupplier(base.sigma, 0.0)
+    sup = SigmaSupplier(fam, base.sigma, 0.0)
     rng = np.random.Generator(np.random.PCG64(1))
     x = R * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
     y = R * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
@@ -277,13 +277,13 @@ def test_bidisc_cap_bounds_green(inverse):
         return ~log_mask(o) & (np.abs(o.x) <= R) & (np.abs(o.y) <= R)
 
     xs, ys = [x], [y]
-    for _, o in iterate(fam, sup, x, y, [1, 2, 3], not inverse):
+    for _, o in iterate(sup, x, y, [1, 2, 3], not inverse):
         inside = in_bidisc(o)
         xs.append(o.x[inside])
         ys.append(o.y[inside])
     x, y = np.concatenate(xs), np.concatenate(ys)
     last = np.full(x.size, -1)  # deepest n <= 15 with the orbit in V_R
-    for n, o in iterate(fam, sup, x, y, range(16), inverse):
+    for n, o in iterate(sup, x, y, range(16), inverse):
         last[in_bidisc(o)] = n
     found = np.flatnonzero(last >= 0)
     pick = np.union1d(found[np.linspace(0, found.size - 1, 80).astype(int)], np.flatnonzero(last >= 2)[:40])

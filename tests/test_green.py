@@ -26,6 +26,7 @@ from henonskew.green import (
     avg_green_field,
     classify,
     depth_values,
+    finite_depth_green,
     green_minus,
     green_minus_cal,
     green_minus_tilde,
@@ -537,16 +538,16 @@ def test_bounded_points_lie_in_the_bidisc_and_bound_their_values(inverse):
     flt = compute_radius(fam, base.space)
     t = np.linspace(-2.0, 2.0, 401).astype(complex)
     x, y = (t, np.zeros_like(t)) if inverse else (np.zeros_like(t), t)
-    sup = SigmaSupplier(base.sigma, 0.0)
+    sup = SigmaSupplier(fam, base.sigma, 0.0)
     for n_max in (0, 1, 3, 5, 8):
-        v, s, _, e = _run_green(sup, fam, x, y, flt, TOL, n_max, inverse)
-        ref, ref_s, _, ref_e = _run_green(sup, fam, x, y, flt, TOL, 200, inverse)
+        v, s, _, e = _run_green(sup, x, y, flt, TOL, n_max, inverse)
+        ref, ref_s, _, ref_e = _run_green(sup, x, y, flt, TOL, 200, inverse)
         assert np.all(ref_s != green_mod.STATUS_UNDECIDED)
         bounded = s == green_mod.STATUS_BOUNDED
         assert np.all(v[bounded] == 0.0)
         assert np.all(ref[bounded] <= e[bounded] + ref_e[bounded]), n_max
         # "bounded" means z_(n_max) is in V_R, not merely outside the wedge
-        (_, orbit), = iterate(fam, sup, x, y, [n_max], inverse)
+        (_, orbit), = iterate(sup, x, y, [n_max], inverse)
         in_box = np.maximum(np.abs(orbit.x), np.abs(orbit.y)) <= flt.R
         assert np.array_equal(bounded, in_box & ~log_mask(orbit)), n_max
 
@@ -565,7 +566,7 @@ def test_overflowing_orbits_are_undecided_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g, status, _ = green_values(fam, base, np.zeros(m), x, y, 1e-3, 100, inverse=True)
-        steps = [(n, log_mask(o)) for n, o in iterate(fam, SigmaSupplier(base.sigma, 0.0), x, y, [1, 5], True)]
+        steps = [(n, log_mask(o)) for n, o in iterate(SigmaSupplier(fam, base.sigma, 0.0), x, y, [1, 5], True)]
         g_inf, s_inf, _ = green_values(fam, base, np.zeros(2), np.array([np.inf, 1.0]), np.array([np.inf, 1e300]),
                                        1e-3, 10)
     undecided = status == green_mod.STATUS_UNDECIDED
@@ -573,3 +574,36 @@ def test_overflowing_orbits_are_undecided_without_warnings():
     assert np.all(np.isfinite(g[~undecided]))
     assert [n for n, _ in steps] == [1, 5] and steps[0][1].any()
     assert s_inf[0] == green_mod.STATUS_UNDECIDED and s_inf[1] == green_mod.STATUS_ESCAPED and np.isfinite(g_inf[1])
+
+
+# -- point arrays that do not match are rejected -------------------------------------------
+
+
+def _u_family():
+    return quadratic_family(a=0.3, c="0.1*u")
+
+
+def _box_base():
+    return BaseSystem(BaseSpace("box", bounds=((-0.5, 0.5),)), BaseDynamics("identity"))
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 1), (2, 3)])
+def test_green_values_rejects_points_of_unequal_lengths(nx, ny):
+    # the parent broadcast a length-1 y over 3 x, and gave 2 values for lengths 2 and 3
+    with pytest.raises(ValidationError, match="do not match"):
+        green_values(_u_family(), _box_base(), 0.1, np.zeros(nx, dtype=complex), np.ones(ny, dtype=complex))
+
+
+@pytest.mark.parametrize("lam", [np.full(4, 0.1), np.full(2, 0.1), np.full((3, 1), 0.1)], ids=["4", "2", "3x1"])
+def test_green_values_rejects_lam_not_one_per_point(lam):
+    # the parent read a length-4 lam as its first 3 entries and raised numpy's IndexError for the others
+    with pytest.raises(ValidationError, match="do not match"):
+        green_values(_u_family(), _box_base(), lam, np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 1), (2, 3)])
+def test_finite_depth_green_rejects_points_of_unequal_lengths(nx, ny):
+    # the parent broadcast a length-1 y over 3 x, and raised numpy's broadcast ValueError for lengths 2 and 3
+    words = np.array([[0.1, -0.2], [0.3, 0.0]], dtype=complex)
+    with pytest.raises(ValidationError, match="not 1-d of one length"):
+        finite_depth_green(_u_family(), words, np.zeros(nx, dtype=complex), np.ones(ny, dtype=complex), 2)

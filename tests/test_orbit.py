@@ -135,7 +135,7 @@ def test_wedge_certificates_are_earlier_not_looser(fam_name, base_name):
     flt = compute_radius(fam, base.space)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 64)
     x, y = (p.ravel() for p in grid.points())
-    value, status, depth, err = _run_green(SigmaSupplier(base.sigma, lam), fam, x, y, flt, TOL, 200, False)
+    value, status, depth, err = _run_green(SigmaSupplier(fam, base.sigma, lam), x, y, flt, TOL, 200, False)
     esc = status == STATUS_ESCAPED
     N = flt.depth_for(TOL)
     assert 0.5 < esc.mean() < 1.0 and np.any(depth[esc] < N)
@@ -143,7 +143,7 @@ def test_wedge_certificates_are_earlier_not_looser(fam_name, base_name):
     # a pixel stopped before the uniform rule only with its own tail below one ulp
     assert np.all(((err <= np.minimum(TOL, EPS * value)) | (depth >= N))[esc])
 
-    (_, orbit), = iterate(fam, SigmaSupplier(base.sigma, lam), x, y, [N])
+    (_, orbit), = iterate(SigmaSupplier(fam, base.sigma, lam), x, y, [N])
     wedge = orbit.in_wedge(flt.R)
     assert np.all(depth[esc & wedge] <= N)
     assert np.all(wedge[esc & (depth <= N)])  # V_R^+ is forward invariant
@@ -203,9 +203,9 @@ def test_field_threads_match_single_thread(fam_name, monkeypatch):
     for attr in ("values", "status", "depth"):
         assert np.array_equal(getattr(one, attr), getattr(two, attr)), attr
     x, y = (p.ravel() for p in grid.points())
-    sup = SigmaSupplier(base.sigma, lam)
-    one = _run_green(sup, fam, x, y, flt, TOL, 200, False, threads=1)
-    two = _run_green(sup, fam, x, y, flt, TOL, 200, False, threads=2)
+    sup = SigmaSupplier(fam, base.sigma, lam)
+    one = _run_green(sup, x, y, flt, TOL, 200, False, threads=1)
+    two = _run_green(sup, x, y, flt, TOL, 200, False, threads=2)
     for name, u, v in zip(("value", "status", "depth", "err"), one, two):
         assert u.tobytes() == v.tobytes(), name
 
@@ -248,10 +248,10 @@ def test_threads_are_capped_by_points_and_cpus(monkeypatch):
 def test_iterate_rejects_negative_depths(depths):
     # at the parent a negative depth yielded the unstepped orbit
     fam = quadratic_family(a=A)
-    sup = SigmaSupplier(point_base(0.0).sigma, 0j)
+    sup = SigmaSupplier(fam, point_base(0.0).sigma, 0j)
     with pytest.raises(ValidationError, match="at least 0"):
-        list(iterate(fam, sup, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), depths))
-    (n, orbit), = iterate(fam, sup, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), [0])
+        list(iterate(sup, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), depths))
+    (n, orbit), = iterate(sup, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), [0])
     assert n == 0 and len(orbit) == 2
 
 
@@ -331,9 +331,9 @@ def test_radius_gate_changes_no_result(fam_name, base_name):
     gated = compute_radius(fam, base.space)
     ungated = compute_radius(fam, base.space)
     ungated.__dict__["rho_star"] = 0.0
-    sup = SigmaSupplier(base.sigma, lam)
-    a = _run_green(sup, fam, x, y, gated, TOL, 200, False)
-    b = _run_green(sup, fam, x, y, ungated, TOL, 200, False)
+    sup = SigmaSupplier(fam, base.sigma, lam)
+    a = _run_green(sup, x, y, gated, TOL, 200, False)
+    b = _run_green(sup, x, y, ungated, TOL, 200, False)
     assert gated.rho_star > gated.R and ungated.rho_star == 0.0
     for name, u, v in zip(("value", "status", "depth", "err"), a, b):
         assert u.tobytes() == v.tobytes(), name
@@ -421,7 +421,7 @@ def test_keep_and_concat_carry_log_form_points(inverse):
     scale = np.where(rng.uniform(size=n) < 0.5, 2.5, 1e25)
     x = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     y = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-    sup = SigmaSupplier(base.sigma, rng.uniform(0.0, 1.0, n))
+    sup = SigmaSupplier(fam, base.sigma, rng.uniform(0.0, 1.0, n))
     alone = [Orbit(fam, x[i:i + 1], y[i:i + 1], inverse, np.array([i])) for i in range(n)]
     parts = [Orbit(fam, x[lo:lo + 30], y[lo:lo + 30], inverse, np.arange(lo, lo + 30)) for lo in (0, 30, 60)]
     assert all(log_mask(o).any() and not log_mask(o).all() for o in parts)
@@ -433,7 +433,7 @@ def test_keep_and_concat_carry_log_form_points(inverse):
             assert log_mask(both).any() and not log_mask(both).all()
             parts = [both]
         for o in parts + alone:
-            o.step(sup, fam, k)
+            o.step(sup, k)
         for o in parts:
             o.keep(rng.uniform(size=len(o)) < 0.85)
             _assert_steps_as_alone(o, alone)
@@ -455,7 +455,7 @@ def test_interleaved_names_step_as_alone(inverse):
     x = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     y = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     table = rng.uniform(-1, 1, (-(-n // width), 3)) + 1j * rng.uniform(-1, 1, (-(-n // width), 3))
-    sup = TableSupplier(table, width)
+    sup = TableSupplier(fam, table, width)
     alone = [Orbit(fam, x[i:i + 1], y[i:i + 1], inverse, np.array([i])) for i in range(n)]
     third = np.arange(n) % 3 == 1
     names = (np.flatnonzero(~third), np.flatnonzero(third)[::-1])
@@ -463,7 +463,7 @@ def test_interleaved_names_step_as_alone(inverse):
     assert both.ids[0] // width == both.ids[-1] // width and np.any(np.diff(both.ids) < 0)
     assert log_mask(both).any() and not log_mask(both).all()
     for k in range(3):
-        both.step(sup, fam, k)
+        both.step(sup, k)
         for i, one in enumerate(alone):
             step_coeffs(one, map_coeffs(fam, table[i // width, k]))
         _assert_steps_as_alone(both, alone)
@@ -481,7 +481,7 @@ def test_log_form_points_are_nan_explicitly_and_in_the_wedge(inverse):
     lead = np.array([0.2, 1e25 - 3e24j, NAN, 1.5])
     sub = np.array([0.1, 2e24, 0.0, INF])
     x, y = (lead, sub) if inverse else (sub, lead)
-    for n, orbit in iterate(fam, SigmaSupplier(base.sigma, lam), x.astype(complex), y.astype(complex), range(4),
+    for n, orbit in iterate(SigmaSupplier(fam, base.sigma, lam), x.astype(complex), y.astype(complex), range(4),
                             inverse):
         assert orbit.lpos[0] == 1 and 2 not in orbit.lpos
         for name in ("x", "y", "dom", "sub"):
@@ -512,11 +512,11 @@ def test_one_point_orbits_round_as_in_a_batch(fam_name, inverse):
     scale = np.repeat([3.0, 1e5], n // 2)
     x = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     y = scale * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-    sup = SigmaSupplier(base.sigma, lam)
-    batch = _run_green(sup, fam, x, y, flt, TOL, 200, inverse)
+    sup = SigmaSupplier(fam, base.sigma, lam)
+    batch = _run_green(sup, x, y, flt, TOL, 200, inverse)
     assert np.any(batch[1] == STATUS_ESCAPED)
     for i in range(n):
-        alone = _run_green(sup, fam, x[i:i + 1], y[i:i + 1], flt, TOL, 200, inverse)
+        alone = _run_green(sup, x[i:i + 1], y[i:i + 1], flt, TOL, 200, inverse)
         for name, u, v in zip(("value", "status", "depth", "err"), alone, batch):
             assert u[0] == v[i], (name, i)
 
@@ -560,11 +560,11 @@ def test_table_rows_are_map_coeffs_at_the_step_base_points():
     letters = np.array([0.1, -0.2 + 0.1j, 0.3j])
     table = letters[rng.integers(0, 3, (3, 6))]
     width = 4
-    sup = TableSupplier(table, width)
+    sup = TableSupplier(fam, table, width)
     for k in range(table.shape[1]):
         for idx in (np.arange(12), np.arange(4, 8), np.array([1, 2, 9, 11]), np.array([6])):
             want = map_coeffs(fam, table[idx // width, k])
-            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(fam, k, idx), want):
+            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx), want):
                 for v, w in zip(rows + (a,), want_rows + (want_a,)):
                     if np.ndim(w) == 0:
                         assert v is w  # a constant map stays the one shared scalar
@@ -582,21 +582,44 @@ def test_table_supplier_reads_rows_by_name():
     rng = np.random.Generator(np.random.PCG64(24))
     width = 10
     table = rng.uniform(-1, 1, (4, 6)) + 1j * rng.uniform(-1, 1, (4, 6))
-    sup = TableSupplier(table, width)
+    sup = TableSupplier(fam, table, width)
     for k in range(table.shape[1]):
         spread = [rng.permutation(4 * width)[:25], np.array([3, 25, 7]), np.array([38, 0, 39, 12])]
         for idx in spread:
             want = map_coeffs(fam, table[idx // width, k])
-            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(fam, k, idx), want):
+            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx), want):
                 for v, w in zip(rows + (a,), want_rows + (want_a,)):
                     v, w = (np.broadcast_to(c, idx.shape) for c in (v, w))
                     assert v.tobytes() == w.tobytes(), (k, idx)
         for row in range(table.shape[0]):
             idx = row * width + rng.permutation(width)[:7]
             want = map_coeffs(fam, table[row, k])
-            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(fam, k, idx), want):
+            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx), want):
                 for v, w in zip(rows + (a,), want_rows + (want_a,)):
                     assert np.ndim(v) == 0 and v == w, (k, row)
+
+
+def test_table_supplier_evaluates_its_maps_once(monkeypatch):
+    """A TableSupplier evaluates its family's coefficient maps when it is
+    built, and never again while iterate steps it over every column."""
+    calls = []
+    call = CoeffMap.__call__
+
+    def spy(m, lam):
+        calls.append(np.shape(lam))
+        return call(m, lam)
+
+    monkeypatch.setattr(CoeffMap, "__call__", spy)
+    fam = SLICE_FAMILIES["two-factor"]
+    rng = np.random.Generator(np.random.PCG64(25))
+    table = rng.uniform(-1, 1, (3, 8)) + 1j * rng.uniform(-1, 1, (3, 8))
+    sup = TableSupplier(fam, table, 10)
+    built = len(calls)
+    assert built >= 2  # the u-dependent c of the first factor and a of the second
+    x, y = 2.5 * (rng.uniform(-1, 1, (2, 30)) + 1j * rng.uniform(-1, 1, (2, 30)))
+    depths = [n for n, _ in iterate(sup, x, y, range(table.shape[1] + 1))]
+    assert depths == list(range(table.shape[1] + 1))
+    assert len(calls) == built
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +629,9 @@ def test_table_supplier_reads_rows_by_name():
 class _Unsettled(TableSupplier):
     """The same coefficients with no bound: no point retires."""
 
-    def settled_u(self, fam):
-        return None
+    def __init__(self, fam, table, width=1):
+        super().__init__(fam, table, width)
+        self.settled_u = None
 
 
 SETTLE_FAMILIES = {
@@ -664,11 +688,11 @@ def test_settling_changes_no_value(fam_name, inverse):
     width = len(x) // 2 + 1
     rng = np.random.Generator(np.random.PCG64(32))
     table = rng.uniform(-0.1, 0.1, (2, 14))
-    settled_sup = TableSupplier(table, width)
-    assert settled_sup.settled_u(fam) is not None
+    settled_sup = TableSupplier(fam, table, width)
+    assert settled_sup.settled_u is not None
     depths = range(15)
-    for (n, o), (_, ref) in zip(iterate(fam, settled_sup, x, y, depths, inverse),
-                                iterate(fam, _Unsettled(table, width), x, y, depths, inverse)):
+    for (n, o), (_, ref) in zip(iterate(settled_sup, x, y, depths, inverse),
+                                iterate(_Unsettled(fam, table, width), x, y, depths, inverse)):
         assert ref.at is None and len(o) == len(ref) == len(x), n
         assert np.array_equal(log_mask(o), log_mask(ref)), n
         assert np.array_equal(_log_form_L(o), _log_form_L(ref), equal_nan=True), n
@@ -697,10 +721,10 @@ def test_retirement_order_changes_no_value(inverse):
     x, y = (other, lead) if not inverse else (lead, other)
     ids = 3 * np.arange(n) + 1
     table = rng.uniform(-0.1, 0.1, (3, 10))
-    sup, ref_sup = TableSupplier(table, 301), _Unsettled(table, 301)
+    sup, ref_sup = TableSupplier(fam, table, 301), _Unsettled(fam, table, 301)
     depths = range(10)
     sizes = []
-    runs = (iterate(fam, s, x, y, depths, inverse, ids) for s in (sup, ref_sup))
+    runs = (iterate(s, x, y, depths, inverse, ids) for s in (sup, ref_sup))
     for (k, o), (_, ref) in zip(*runs):
         sizes.append(0 if o.at is None else len(o.rpos))
         assert np.array_equal(o.log_plus_norm(), ref.log_plus_norm(), equal_nan=True), k
@@ -719,24 +743,24 @@ def test_large_coefficients_delay_settling():
     above 2^-56 / B but below 2^-56: it does not retire before the next
     step, only before the one after."""
     fam = SETTLE_FAMILIES["coeffs-1e6"]
-    sup = TableSupplier([[0.05] * 6])
-    u_max = sup.settled_u(fam)
+    sup = TableSupplier(fam, [[0.05] * 6])
+    u_max = sup.settled_u
     assert SETTLE / 3e6 < u_max < SETTLE / 2e6
     x, y = np.array([0.1 + 0j]), np.array([1.4e10 + 0j])
-    steps = iterate(fam, sup, x, y, range(4))
+    steps = iterate(sup, x, y, range(4))
     live = [(n, o.lpos.tolist(), 0 if o.at is None else len(o.rpos)) for n, o in steps]
     assert live == [(0, [], 0), (1, [0], 0), (2, [0], 0), (3, [], 1)]
 
 
 def test_sigma_supplier_gives_no_bound():
-    assert SigmaSupplier(BaseDynamics("identity"), 0.1).settled_u(quadratic_family()) is None
+    assert SigmaSupplier(quadratic_family(), BaseDynamics("identity"), 0.1).settled_u is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_coefficients_give_no_bound():
     fam = HenonFamily((HenonFactor(2, (_K(0.0), _P("1e300*u*u*u")), _K(0.3)),))
-    assert TableSupplier([[1e10, 0.0]]).settled_u(fam) is None
-    assert TableSupplier([[0.1, 0.0]]).settled_u(fam) is not None
+    assert TableSupplier(fam, [[1e10, 0.0]]).settled_u is None
+    assert TableSupplier(fam, [[0.1, 0.0]]).settled_u is not None
 
 
 def test_unit_plus_small_imaginary_part_has_modulus_one():
@@ -777,7 +801,7 @@ def test_pullback_orbits_hold_no_settled_points(monkeypatch):
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 64)
     x, y = grid.points()
     seq = ParamSequence(BaseSpace("finite", points=(-0.1 + 0j, 0.1 + 0j)), 3)
-    for _ in iterate(fam, SeqSupplier(seq, 12), x.ravel(), y.ravel(), range(1, 13)):
+    for _ in iterate(SeqSupplier(fam, seq, 12), x.ravel(), y.ravel(), range(1, 13)):
         pass
     assert kernel[1] > 10_000 and len(switches) > 3
     assert kernel[2] <= 0.01 * kernel[1], kernel

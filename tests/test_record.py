@@ -58,7 +58,7 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
     steps = _record_steps(monkeypatch)
     orbit = Orbit(fam, x, y, inverse)
     flt = flt.toward(inverse)
-    n = _certify(SigmaSupplier(BaseDynamics("identity"), 0.1), fam, orbit, flt, TOL, 0, n_max, record)
+    n = _certify(SigmaSupplier(fam, BaseDynamics("identity"), 0.1), orbit, flt, TOL, 0, n_max, record)
     assert len(orbit) == 0 and n <= n_max
     ids = np.concatenate([i for i, _ in calls])
     assert np.array_equal(np.sort(ids), np.arange(len(x)))
@@ -87,19 +87,19 @@ def _spy_runs(monkeypatch):
     runs, steps, seen = [], [], []
     certify, step = green_mod._certify, Orbit.step
 
-    def spying(supplier, fam, orbit, flt, tol, n_lo, n_max, record, floor=1):
+    def spying(supplier, orbit, flt, tol, n_lo, n_max, record, floor=1):
         def spy(ids, *rest):
             seen.append(ids.copy())
             record(ids, *rest)
 
         size = len(orbit)
-        n = certify(supplier, fam, orbit, flt, tol, n_lo, n_max, spy, floor)
+        n = certify(supplier, orbit, flt, tol, n_lo, n_max, spy, floor)
         runs.append((orbit, n_lo, floor, size, n))
         return n
 
-    def stepping(orbit, supplier, fam, k):
+    def stepping(orbit, supplier, k):
         steps.append((orbit, len(orbit)))
-        step(orbit, supplier, fam, k)
+        step(orbit, supplier, k)
 
     monkeypatch.setattr(green_mod, "_certify", spying)
     monkeypatch.setattr(Orbit, "step", stepping)
@@ -149,13 +149,13 @@ def test_chunk_size_changes_no_value(fam_name, threads, monkeypatch):
     flt = compute_radius(fam, SPACE)
     x, y = _points()
     n_mc = 4
-    sup = SigmaSupplier(BaseDynamics("identity"), 0.1)
+    sup = SigmaSupplier(fam, BaseDynamics("identity"), 0.1)
 
     def outputs():
         mc = mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, 200, threads)
         out = [mc.values, mc.undecided, mc.depth, mc.seq_undecided]
         for inverse in (False, True):
-            out += _run_green(sup, fam, x, y, flt, TOL, 200, inverse, threads)
+            out += _run_green(sup, x, y, flt, TOL, 200, inverse, threads)
         return out
 
     monkeypatch.setattr(green_mod, "MC_CHUNK", 200)
@@ -181,9 +181,9 @@ def test_interleaved_rows_join_in_any_order(monkeypatch):
     unsorted = []
     coeffs = TableSupplier.coeffs
 
-    def spy(self, fam, k, idx):
+    def spy(self, k, idx):
         unsorted.append(bool(np.any(np.diff(idx) < 0)))
-        return coeffs(self, fam, k, idx)
+        return coeffs(self, k, idx)
 
     monkeypatch.setattr(TableSupplier, "coeffs", spy)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 30)
@@ -243,7 +243,7 @@ def test_piece_size_changes_no_value(fam_name, threads, monkeypatch):
     flt = compute_radius(fam, SPACE)
     x, y = _more_points()
     base = BaseSystem(SPACE, BaseDynamics("identity"))
-    sup = SigmaSupplier(base.sigma, 0.1)
+    sup = SigmaSupplier(fam, base.sigma, 0.1)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 36)
     n_max = 30  # above depth_for(TOL) = 22
 
@@ -251,7 +251,7 @@ def test_piece_size_changes_no_value(fam_name, threads, monkeypatch):
         monkeypatch.setattr(green_mod, "PIECE", piece)
         out = []
         for inverse in (False, True):
-            out += _run_green(sup, fam, x, y, flt, TOL, n_max, inverse, threads)
+            out += _run_green(sup, x, y, flt, TOL, n_max, inverse, threads)
             field = green_field(fam, base, 0.1, grid, TOL, n_max, flt, inverse, threads)
             out += [field.values, field.status, field.depth]
         out += green_values(fam, base, 0.1, x, y, TOL, n_max, flt)

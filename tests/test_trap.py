@@ -55,13 +55,13 @@ def _disc(rng, n, rad):
     return rad * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
-def _supplier(base_name, n_steps):
-    """(supplier, base points lam_0 .. lam_(n_steps - 1)) of a base."""
+def _supplier(fam, base_name, n_steps):
+    """(supplier of fam, base points lam_0 .. lam_(n_steps - 1)) of a base."""
     base, lam = TRAP_BASES[base_name]
     if lam is None:
         seq = ParamSequence(base.space, SHIFT_SEED)
-        return SeqSupplier(seq, n_steps), seq.prefix(n_steps)
-    return SigmaSupplier(base.sigma, lam), [advance(base.sigma, lam, k) for k in range(n_steps)]
+        return SeqSupplier(fam, seq, n_steps), seq.prefix(n_steps)
+    return SigmaSupplier(fam, base.sigma, lam), [advance(base.sigma, lam, k) for k in range(n_steps)]
 
 
 def _landing(fam, lams, w, k, inverse):
@@ -99,9 +99,9 @@ def _record_steps(monkeypatch):
     lengths = []
     step = Orbit.step
 
-    def recording(orbit, supplier, fam, k):
+    def recording(orbit, supplier, k):
         lengths.append(len(orbit))
-        step(orbit, supplier, fam, k)
+        step(orbit, supplier, k)
 
     monkeypatch.setattr(Orbit, "step", recording)
     return lengths
@@ -183,11 +183,11 @@ def test_trapped_points_stay_in_the_bidisc_in_mpmath(fam_name):
     r, N = flt.trap_radius, flt.depth_for(TOL)
     rng = np.random.Generator(np.random.PCG64(7))
     x, y = _disc(rng, 400, 2.0), _disc(rng, 400, 2.0)
-    sup = SigmaSupplier(base.sigma, lam)
-    (_, orbit), = iterate(fam, sup, x, y, [N])
+    sup = SigmaSupplier(fam, base.sigma, lam)
+    (_, orbit), = iterate(sup, x, y, [N])
     trapped = np.flatnonzero(~log_mask(orbit) & (np.maximum(orbit.dom, orbit.sub) <= r))
     assert trapped.size >= 10
-    _, status, depth, _ = _run_green(sup, fam, x, y, flt, TOL, 200, False)
+    _, status, depth, _ = _run_green(sup, x, y, flt, TOL, 200, False)
     assert np.all(status[trapped] == STATUS_BOUNDED) and np.all(depth[trapped] == 200)
 
     def data(mu):
@@ -219,13 +219,13 @@ def test_trap_changes_no_engine_result(fam_name, base_name, inverse, monkeypatch
     trapped, untrapped = compute_radius(fam, base.space), _untrapped(fam, base.space)
     steps = _record_steps(monkeypatch)
     for n_max in (5, 30, 200):
-        sup, lams = _supplier(base_name, n_max)
+        sup, lams = _supplier(fam, base_name, n_max)
         x, y = _start_points(fam, lams, trapped.trap_radius)
         for tol in (TOL, 1.0):
-            a = _run_green(sup, fam, x, y, trapped, tol, n_max, inverse)
+            a = _run_green(sup, x, y, trapped, tol, n_max, inverse)
             with_trap = sum(steps)
             steps.clear()
-            b = _run_green(sup, fam, x, y, untrapped, tol, n_max, inverse)
+            b = _run_green(sup, x, y, untrapped, tol, n_max, inverse)
             without = sum(steps)
             steps.clear()
             for name, u, v in zip(("value", "status", "depth", "err"), a, b):
@@ -242,7 +242,7 @@ def test_trap_changes_no_classification(fam_name, base_name):
     fam = TRAP_FAMILIES[fam_name]
     base, lam = TRAP_BASES[base_name]
     trapped, untrapped = compute_radius(fam, base.space), _untrapped(fam, base.space)
-    _, lams = _supplier(base_name, 3)
+    _, lams = _supplier(fam, base_name, 3)
     x, y = _start_points(fam, lams, trapped.trap_radius)
     pick = np.arange(0, len(x), 12)  # some points of every kind
     kinds = set()
