@@ -40,15 +40,20 @@ depth. A finite point left in the opposite wedge is undecided.
 
 Forward orbits are bounded earlier where the family is dissipative enough:
 every factor maps the bidisc D_r, r = FiltrationRadius.trap_radius <= 1 < R,
-into itself, so an orbit that enters D_r stays in V_R through n_max. At a
-depth where the uniform rule applies, an explicit point in D_r is dropped
-from the orbit and recorded as the run to n_max would record it: value 0,
-bounded-certified, depth n_max and the same err_bound. Inverse orbits have
-no such disc. GreenField.depth is each pixel's certification depth (n_max
-for bounded and undecided pixels). Orbits are iterated by the
+into itself, so an orbit that enters D_r stays in V_R through n_max. At
+every step where the wedge rules certify some point, which compacts the
+orbit anyway, and at every step from the uniform rule's depth on, an
+explicit point in D_r is dropped from the orbit and recorded as the run to
+n_max would record it: value 0, bounded-certified, depth n_max and the
+same err_bound. Other steps skip the test, a pass over the orbit. Inverse
+orbits have no such disc. GreenField.depth is each pixel's certification
+depth (n_max for bounded and undecided pixels). Orbits are iterated by the
 engine in orbit.py, which switches them to a log-scale representation
 before doubles overflow; inside the invariant wedge the switch is exact to
-machine precision.
+machine precision. A point that a step takes past the switch bound is
+certified from the L and r that the switch would store
+(Orbit.log_entries) before it switches, and only the points that stay in
+the orbit switch.
 
 Every value above comes from one driver, _drive, which alone steps
 orbits: it runs the certifying loop _certify, which hands each point to a
@@ -92,7 +97,7 @@ from .errors import SurjectivityRequired, UnsupportedBase, ValidationError
 from .family import HenonFamily, factor_step, map_coeffs
 from .filtration import FiltrationRadius, resolve_radius
 from .grids import SliceGrid
-from .orbit import Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate
+from .orbit import Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate, log_norm_of
 
 STATUS_UNDECIDED = 0
 STATUS_ESCAPED = 1
@@ -135,10 +140,15 @@ def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: in
     err_bounds, status), with ids from orbit.ids and the other arguments
     scalars or arrays aligned with ids. A point leaves when the wedge
     rules certify it (undecided if its value is not finite), when it is
-    trapped in D_r (at depths where the uniform rule applies; recorded as
-    at n_max), and at n_max: bounded in the bidisc V_R, else undecided.
-    The run stops early, before n_max, once points leaving the orbit
-    leave fewer than `floor` in it (by default: none); otherwise it
+    trapped in D_r (recorded as at n_max), and at n_max: bounded in the
+    bidisc V_R, else undecided. The trap is tested at the steps that
+    compact the orbit anyway, those where the wedge rules certify some
+    point, and at every step from the uniform rule's depth on; D_r is
+    invariant, so a point trapped at any depth gets the record of the run
+    to n_max. The points a step takes past the switch bound are certified
+    before they move to log form, and only those that stay move (see
+    orbit.py). The run stops early, before n_max, once points leaving the
+    orbit leave fewer than `floor` in it (by default: none); otherwise it
     records each point once and empties the orbit.
     """
     d = float(supplier.fam.degree)
@@ -148,14 +158,15 @@ def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: in
     n_tail = flt.depth_for(tol)  # the uniform rule's first depth; tail_bound falls with n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_lo + 1, n_max + 1):
-            orbit.step(supplier, n - 1)
-            found = _wedge_certificates(orbit, flt, d, n, n >= n_tail, tol)
+            new = orbit.step(supplier, n - 1)
+            found = _wedge_certificates(orbit, new, flt, d, n, n >= n_tail, tol)
             held = None
-            if flt.trap_radius and n >= n_tail:
+            if flt.trap_radius and (found is not None or n >= n_tail):
                 held = orbit.in_bidisc(flt.trap_radius)
                 if not held.any():
                     held = None
             if found is None and held is None:
+                orbit.to_log(new)
                 continue
             keep = np.ones(len(orbit), dtype=bool) if held is None else ~held
             if found is not None:
@@ -165,6 +176,7 @@ def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: in
                 del pos, g, e
             if held is not None:
                 record(orbit.ids[held], n_max, 0.0, bounded_err, STATUS_BOUNDED)
+            orbit.to_log(new[keep[new]])
             orbit.keep(keep)
             # free the per-step arrays before the next step, where memory peaks
             del found, held, keep
@@ -179,36 +191,59 @@ def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: in
         return n_max
 
 
-def _wedge_certificates(orbit: Orbit, flt: FiltrationRadius, d: float, n: int, uniform: bool, tol: float):
+def _wedge_certificates(orbit: Orbit, new: np.ndarray, flt: FiltrationRadius, d: float, n: int, uniform: bool,
+                        tol: float):
     """(positions, values, error bounds) of the points certified at depth n, or None.
 
     Once the uniform tail K d/(d-1) d^-n is below tol (`uniform`) every
     wedge point is certified. Before that a point with |y_n| > rho_star is
     certified when its own tail
     err_n = d^-n (e(rho_n)/(d-1) + 1/2 log1p(|x_n/y_n|^2)) is at most
-    min(tol, eps * value); with rho_star = inf no point is.
+    min(tol, eps * value); with rho_star = inf no point is. The explicit
+    points at positions `new`, which the step took past the switch bound,
+    are read as log-form points, from the L and r that Orbit.to_log would
+    store (Orbit.log_entries). Points come explicit first, then log-form
+    ones in the order of `lpos`, then those of `new`: the order of the
+    log-form points after to_log.
     """
     # under the own-tail rule alone, points below rho_star cannot pass
     rho = flt.R if uniform else max(flt.R, flt.rho_star)
     if rho == math.inf:
         return None
-    ex = np.flatnonzero(orbit.in_explicit_wedge(rho))
-    # a log-form point with a NaN L passes, to be recorded undecided
-    lg = np.flatnonzero(~(orbit.L <= math.log(rho)))
-    if ex.size == 0 and lg.size == 0:
-        return None
-    pos = _cat(ex, orbit.lpos[lg])
+    log_rho = math.log(rho)
+    # the closed explicit wedge dom >= sub, dom > rho (NaN entries fail),
+    # without the points of `new`, which are read in log form below
+    inside = orbit.dom > rho
+    inside &= orbit.dom >= orbit.sub
+    inside[new] = False
+    ex = np.flatnonzero(inside)
+    del inside
     dom, sub = orbit.dom[ex], orbit.sub[ex]
-    g = _cat(np.log(np.hypot(dom, sub)), orbit.log_form_norm()[lg])
+    # a log-form point with a NaN L passes, to be recorded undecided
+    lg = np.flatnonzero(~(orbit.L <= log_rho))
+    lpos, L, r = orbit.lpos[lg], orbit.L[lg], orbit.r[lg]
+    if len(new):
+        L_new, r_new = orbit.log_entries(new)[:2]
+        nw = np.flatnonzero(~(L_new <= log_rho))
+        lpos, L, r = _cat(lpos, new[nw]), _cat(L, L_new[nw]), _cat(r, r_new[nw])
+        # temporaries go as soon as they are read: with many points
+        # switching, this call is where a certifying run's memory peaks
+        del nw, L_new, r_new
+    if ex.size == 0 and lpos.size == 0:
+        return None
+    pos = _cat(ex, lpos)
+    g = _cat(np.log(np.hypot(dom, sub)), log_norm_of(L, r))
     np.maximum(g, 0.0, out=g)
     g *= d ** (-n)
     if uniform:
         return pos, g, flt.tail_bound(n)
     # 1/rho_n and |x_n/y_n| per point, explicit points first
     with np.errstate(under="ignore"):
-        inv_rho = _cat(1.0 / dom, np.exp(-orbit.L[lg]))
-        ratio = _cat(sub / dom, np.abs(orbit.r[lg]))
+        inv_rho = _cat(1.0 / dom, np.exp(-L))
+        ratio = _cat(sub / dom, np.abs(r))
+    del L, r, dom, sub
     e = flt.wedge_distortion(inv_rho)
+    del inv_rho
     e /= d - 1.0
     ratio *= ratio
     e += 0.5 * np.log1p(ratio, out=ratio)
@@ -761,11 +796,12 @@ def finite_depth_green(fam: HenonFamily, words: np.ndarray, x: np.ndarray, y: np
     x, y = (np.asarray(v, dtype=complex) for v in (x, y))
     if x.ndim != 1 or x.shape != y.shape:
         raise ValidationError(f"finite_depth_green: x, y of shapes {x.shape}, {y.shape} are not 1-d of one length")
+    sup = TableSupplier(fam, words, len(x))  # a ValidationError unless words is 2-d
     n_words, n_pts = len(words), len(x)
     X = np.broadcast_to(x, (n_words, n_pts)).ravel()
     Y = np.broadcast_to(y, (n_words, n_pts)).ravel()
 
-    (_, orbit), = iterate(TableSupplier(fam, words, n_pts), X, Y, [depth])
+    (_, orbit), = iterate(sup, X, Y, [depth])
     vals = orbit.log_plus_norm() / float(fam.degree) ** depth
     return vals.reshape(n_words, n_pts)
 

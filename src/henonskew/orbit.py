@@ -2,9 +2,10 @@
 suppliers and the step-to-depth loop.
 
 A supplier holds one family, supplier.fam, from when it is built, and its
-steps' factor coefficients: supplier.coeffs(k, idx) is the tuple of
+steps' factor coefficients: supplier.coeffs(k, idx, span) is the tuple of
 (rows, a) pairs, one per factor in the family's order, for step k at the
-points named idx (an orbit's ids, in any order). The rows are the monic
+points named idx (an orbit's ids, in any order, all within the bounds
+span = (lo, hi); see Orbit). The rows are the monic
 coefficients (1, c_(d-1), ..., c_0). Both suppliers take them from
 family.map_coeffs, the one coefficient builder: each row and `a` is
 either shared by every point (a numpy scalar, for a constant map) or
@@ -15,7 +16,15 @@ x backward) passes the switch bound, then in a log-scale form: L = log of
 the dominant coordinate, r = subordinate / dominant, u = 1 / dominant.
 The bound keeps every explicit factor step representable in doubles, so
 coordinate growth of order 10^(d^n) is iterated without overflow; a point
-that switches keeps its position (see Orbit). A step that overflows all
+that switches keeps its position (see Orbit). A factor step (step_factor)
+leaves the points it takes past the bound explicit and returns their
+positions. A map step (step_coeffs, Orbit.step) switches those of every
+factor but the last at once, and returns the last factor's to its caller,
+which must move them to log form (Orbit.to_log) before anything else reads
+the orbit: iterate does so at once, and the certifying loop
+(green._certify) first certifies those it can from the same L and r that
+to_log stores (Orbit.log_entries), so that a point which leaves at that
+step is never converted. A step that overflows all
 the same leaves a non-finite state, reported undecided, and no
 floating-point warning: the engine loops run under np.errstate.
 
@@ -67,10 +76,13 @@ class Orbit:
     """Vectorized orbit state: explicit entries per point, log-scale entries per log-form point.
 
     For forward orbits the log form tracks the dominant y coordinate
-    (L = log|y|, r = x/y, u = 1/y); for inverse orbits the roles of x and
-    y swap. Start points whose dominant coordinate is already above the
-    switch bound enter log form at step 0; from the first step on, log
-    entries lie in the invariant wedge.
+    (L = log|y|, r = x/y, u = 1/y; log_entries); for inverse orbits the
+    roles of x and y swap. Start points whose dominant coordinate is
+    already above the switch bound enter log form at step 0; from the
+    first step on, log entries lie in the invariant wedge. A point that a
+    step takes past the bound switches when that factor's step returns,
+    or, after the map's last factor, when the caller of step moves it
+    (to_log; see the module docstring).
 
     `x`, `y`, `dom` = |dominant|, `sub` = |subordinate| and `ids` have one
     entry per point in the orbit. A log-form point has NaN there, which
@@ -91,10 +103,15 @@ class Orbit:
     per-point answers (`radial`, `in_wedge`, `in_bidisc`) cover every point.
 
     The orbit carries its direction (`inverse`) and its points' names for
-    the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`.
+    the supplier (`ids`, default 0 .. n-1) through `keep` and `concat`, with
+    bounds on the names, `span` = (lo, hi), lo <= every name <= hi: those of
+    its start, joined by `concat` and kept as they are by `keep`, so a
+    supplier reads in O(1) that the names of an orbit started from one of
+    its rows lie in that row.
     """
 
-    __slots__ = ("x", "y", "dom", "sub", "ids", "lpos", "L", "r", "u", "switch", "inverse", "at", "rpos", "rids", "rL")
+    __slots__ = ("x", "y", "dom", "sub", "ids", "span", "lpos", "L", "r", "u", "switch", "inverse", "at", "rpos",
+                 "rids", "rL")
     _STATE = ("x", "y", "dom", "sub", "ids")
     _LOG = ("L", "r", "u")
 
@@ -102,6 +119,7 @@ class Orbit:
         n = len(x)
         self.inverse = inverse
         self.ids = np.arange(n) if ids is None else ids
+        self.span = (0, n - 1) if ids is None or not n else (ids.min(), ids.max())
         self.x = np.array(x, dtype=complex)
         self.y = np.array(y, dtype=complex)
         self.lpos, self.L = np.empty(0, dtype=np.intp), np.empty(0, dtype=float)
@@ -110,10 +128,8 @@ class Orbit:
         self.at = None
         self.dom = np.abs(self.x if inverse else self.y)
         self.sub = np.abs(self.y if inverse else self.x)
-        big = self.dom > self.switch
-        if big.any():
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                self.to_log(big)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.to_log(np.flatnonzero(self.dom > self.switch))
 
     def __len__(self) -> int:
         return len(self.x) if self.at is None else len(self.at) + len(self.rpos)
@@ -139,29 +155,43 @@ class Orbit:
             setattr(o, name, np.concatenate([getattr(p, name) for p in parts]))
         offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
         o.lpos = np.concatenate([p.lpos + off for p, off in zip(parts, offsets)])
+        o.span = (min(p.span[0] for p in parts), max(p.span[1] for p in parts))
         o.switch = parts[0].switch
         o.inverse = parts[0].inverse
         o.at = None
         return o
 
-    def step(self, supplier, k: int) -> None:
-        """Step k: the supplier's map at its base points for the orbit's points, then the retired record."""
-        coeffs = supplier.coeffs(k, self.ids)
-        step_coeffs(self, coeffs)
+    def step(self, supplier, k: int) -> np.ndarray:
+        """Step k: the supplier's map at its base points for the orbit's points, then the retired record.
+
+        Returns the positions of the points the map's last factor took past
+        the switch bound, still explicit: the caller moves them (to_log)
+        before anything else reads the orbit (see step_coeffs).
+        """
+        coeffs = supplier.coeffs(k, self.ids, self.span)
+        new = step_coeffs(self, coeffs)
         if self.at is not None:  # retired points, per factor as _step_log steps settled ones
-            for rows, a in reversed(supplier.coeffs(k, self.rids)) if self.inverse else coeffs:
+            for rows, a in reversed(supplier.coeffs(k, self.rids, self.span)) if self.inverse else coeffs:
                 self.rL *= len(rows) - 1
                 if self.inverse:
                     self.rL -= np.log(np.abs(a))
+        return new
 
-    def to_log(self, mask: np.ndarray) -> None:
-        """Move the masked explicit points to log form, leaving NaN in their explicit entries."""
-        pos = np.flatnonzero(mask)
+    def log_entries(self, pos: np.ndarray) -> tuple:
+        """(L, r, dominant) of the explicit points at positions pos, as to_log
+        stores them: L = log|dominant| and r = subordinate / dominant."""
         lead = (self.x if self.inverse else self.y)[pos]
         sub = (self.y if self.inverse else self.x)[pos]
+        return np.log(self.dom[pos]), sub / lead, lead
+
+    def to_log(self, pos: np.ndarray) -> None:
+        """Move the explicit points at positions pos to log form, leaving NaN in their explicit entries."""
+        if not len(pos):
+            return
+        L, r, lead = self.log_entries(pos)
         self.lpos = np.concatenate((self.lpos, pos))
-        self.L = np.concatenate((self.L, np.log(self.dom[pos])))
-        self.r = np.concatenate((self.r, sub / lead))
+        self.L = np.concatenate((self.L, L))
+        self.r = np.concatenate((self.r, r))
         self.u = np.concatenate((self.u, 1.0 / lead))
         for v in (self.x, self.y, self.dom, self.sub):
             v[pos] = np.nan
@@ -183,10 +213,6 @@ class Orbit:
         self.at = self.at[kept]
         self.keep(kept)
 
-    def log_form_norm(self) -> np.ndarray:
-        """log ||z|| = L + 1/2 log1p(|r|^2) of the log-form points, in the order of `lpos`."""
-        return self.L + 0.5 * np.log1p(np.abs(self.r) ** 2)
-
     def _per_point(self, live: np.ndarray, retired_fn) -> np.ndarray:
         """Per point, in the order given to the orbit: `live` for the points left, retired_fn(rL) for the rest."""
         if self.at is None:
@@ -205,7 +231,7 @@ class Orbit:
         from_log_fn(log||z||) evaluates log-form points.
         """
         out = explicit_fn(self.dom, self.sub)
-        out[self.lpos] = from_log_fn(self.log_form_norm())
+        out[self.lpos] = from_log_fn(log_norm_of(self.L, self.r))
         return self._per_point(out, from_log_fn)
 
     def log_norm(self) -> np.ndarray:
@@ -232,6 +258,11 @@ class Orbit:
         return self._per_point((self.dom <= r) & (self.sub <= r), lambda L: False)
 
 
+def log_norm_of(L: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """log ||z|| = L + 1/2 log1p(|r|^2) of log-form entries L and r, as a new array."""
+    return L + 0.5 * np.log1p(np.abs(r) ** 2)
+
+
 def _tail_poly(coeffs, u):
     """c_(d-1) u + c_(d-2) u^2 + ... + c_0 u^d for monic coeffs [1, c_(d-1)..c_0], as a new array."""
     acc = coeffs[-1] * u
@@ -241,8 +272,10 @@ def _tail_poly(coeffs, u):
     return acc
 
 
-def step_factor(o: Orbit, coeffs, a) -> None:
-    """Apply one factor (its inverse on an inverse orbit) in place, switching reps as needed.
+def step_factor(o: Orbit, coeffs, a) -> np.ndarray:
+    """Apply one factor (its inverse on an inverse orbit) in place; returns
+    the positions of the explicit points now past the switch bound, which
+    it leaves explicit for the caller to move to log form (Orbit.to_log).
 
     Each coefficient row and `a` is shared or per point on its own (see
     the module docstring). The explicit step runs on the whole arrays, the
@@ -257,8 +290,8 @@ def step_factor(o: Orbit, coeffs, a) -> None:
     o.x, o.y = factor_step(coeffs, a, o.x, o.y, o.inverse, scratch=True)
     o.dom = np.abs(o.x if o.inverse else o.y)
     big = o.dom > o.switch
-    if big.any():
-        o.to_log(big)
+    # most steps switch no point, and any() is the cheaper pass then
+    return np.flatnonzero(big) if big.any() else np.empty(0, dtype=np.intp)
 
 
 def _step_log(o: Orbit, coeffs, a) -> None:
@@ -292,10 +325,17 @@ def _step_log(o: Orbit, coeffs, a) -> None:
         o.L -= np.log(np.abs(a_at))
 
 
-def step_coeffs(o: Orbit, coeffs: tuple) -> None:
-    """One full map application (its inverse on an inverse orbit) from per-factor (rows, a) pairs (map_coeffs)."""
-    for c, a in reversed(coeffs) if o.inverse else coeffs:
-        step_factor(o, c, a)
+def step_coeffs(o: Orbit, coeffs: tuple) -> np.ndarray:
+    """One full map application (its inverse on an inverse orbit) from per-factor (rows, a) pairs (map_coeffs).
+
+    The points a factor takes past the switch bound move to log form
+    before the next factor; the last factor's positions are returned, the
+    points still explicit (step_factor).
+    """
+    *first, last = reversed(coeffs) if o.inverse else coeffs
+    for c, a in first:
+        o.to_log(step_factor(o, c, a))
+    return step_factor(o, *last)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +360,7 @@ class SigmaSupplier:
         self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
         self.back = back
 
-    def coeffs(self, k: int, idx: np.ndarray) -> tuple:
+    def coeffs(self, k: int, idx: np.ndarray, span) -> tuple:
         lam = self.lam if np.ndim(self.lam) == 0 else self.lam[idx]
         return map_coeffs(self.fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
 
@@ -334,11 +374,15 @@ class TableSupplier:
     2^-56 / B (None if some coefficient is not finite) are evaluated when
     it is built. A coefficient whose map is constant stays shared; the
     others are shared when a step's points all lie in one row, and read
-    per point from the point's row otherwise.
+    per point from the point's row otherwise. Names whose bounds (span)
+    lie in one row are in it; for others the names' least and greatest
+    decide.
     """
 
     def __init__(self, fam: HenonFamily, table, width: int = 1):
         table = np.asarray(table, dtype=complex)
+        if table.ndim != 2:
+            raise ValidationError(f"a table of base points has shape (rows, steps), got shape {table.shape}")
         points, index = np.unique(table, return_inverse=True)
         self.fam = fam
         self.index = index.reshape(table.shape)
@@ -349,14 +393,16 @@ class TableSupplier:
             B = max(sum(np.max(np.abs(c), initial=0.0) for c in (*rows[1:], a)) + 1.0 for rows, a in self.point_coeffs)
         self.settled_u = SETTLE / B if np.isfinite(B) else None
 
-    def coeffs(self, k: int, idx: np.ndarray) -> tuple:
+    def coeffs(self, k: int, idx: np.ndarray, span) -> tuple:
         if k >= self.index.shape[1]:
             raise ValidationError(f"sequence prefix of length {k + 1} unavailable")
         col = self.index[:, k]
         j, row = col[0], None
         if len(col) > 1 and len(idx):
-            first = idx.min() // self.width
-            if first == idx.max() // self.width:
+            first, last = (v // self.width for v in span)
+            if first != last:  # bounds over several rows: the names decide
+                first, last = idx.min() // self.width, idx.max() // self.width
+            if first == last:
                 j = col[first]
             else:  # each point reads its row's value
                 j, row = col, idx // self.width
@@ -407,6 +453,6 @@ def iterate(supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = Fals
             while n_done < n:
                 if u_max is not None and len(orbit.lpos):
                     orbit.retire(u_max)
-                orbit.step(supplier, n_done)
+                orbit.to_log(orbit.step(supplier, n_done))
                 n_done += 1
         yield n, orbit

@@ -342,3 +342,94 @@ def dn_distance_loop(fam, base, p, q, n):
             lam = advance(base.sigma, lam0, i)
         best = max(best, float(_bowen_step(circ, lam[:1], x[:1], y[:1], lam[1:], x[1:], y[1:])[0]))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the certifying loop in its earlier order: the reference that green._run_green
+# must reproduce bit for bit
+
+
+def _wedge_certificates_switch_first(orbit, flt, d, n, uniform, tol):
+    """green._wedge_certificates on an orbit whose points past the switch
+    bound are already in log form: explicit wedge points by
+    in_explicit_wedge, then log-form points in the order of lpos, their
+    values L + 1/2 log1p(|r|^2)."""
+    from henonskew.green import EPS
+
+    rho = flt.R if uniform else max(flt.R, flt.rho_star)
+    if rho == math.inf:
+        return None
+    ex = np.flatnonzero(orbit.in_explicit_wedge(rho))
+    lg = np.flatnonzero(~(orbit.L <= math.log(rho)))
+    if ex.size == 0 and lg.size == 0:
+        return None
+    pos = np.concatenate((ex, orbit.lpos[lg]))
+    dom, sub = orbit.dom[ex], orbit.sub[ex]
+    g = np.concatenate((np.log(np.hypot(dom, sub)), orbit.L[lg] + 0.5 * np.log1p(np.abs(orbit.r[lg]) ** 2)))
+    np.maximum(g, 0.0, out=g)
+    g *= d ** (-n)
+    if uniform:
+        return pos, g, flt.tail_bound(n)
+    with np.errstate(under="ignore"):
+        inv_rho = np.concatenate((1.0 / dom, np.exp(-orbit.L[lg])))
+        ratio = np.concatenate((sub / dom, np.abs(orbit.r[lg])))
+    e = flt.wedge_distortion(inv_rho)
+    e /= d - 1.0
+    ratio *= ratio
+    e += 0.5 * np.log1p(ratio, out=ratio)
+    e *= d ** (-n)
+    done = e <= np.minimum(tol, EPS * g)
+    if not done.any():
+        return None
+    return pos[done], g[done], e[done]
+
+
+def run_green_switch_first(supplier, x, y, flt, tol, n_max, inverse):
+    """(value, status, depth, err) of green._run_green from one orbit,
+    certified in the earlier order: every point a step takes past the
+    switch bound moves to log form before the wedge certificates read it,
+    and the trap is tested only at depths where the uniform rule applies."""
+    from henonskew.green import STATUS_BOUNDED, STATUS_ESCAPED, STATUS_UNDECIDED
+    from henonskew.orbit import Orbit
+
+    flt = flt.toward(inverse)
+    n_pts = len(x)
+    value = np.zeros(n_pts)
+    status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
+    depth = np.full(n_pts, n_max, dtype=np.int32)
+    err = np.empty(n_pts)
+
+    def record(ids, n, g, e, s):
+        value[ids], status[ids], depth[ids], err[ids] = g, s, n, e
+
+    d = float(supplier.fam.degree)
+    bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap())
+    n_tail = flt.depth_for(tol)
+    orbit = Orbit(supplier.fam, x, y, inverse)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(1, n_max + 1):
+            orbit.to_log(orbit.step(supplier, n - 1))
+            found = _wedge_certificates_switch_first(orbit, flt, d, n, n >= n_tail, tol)
+            held = None
+            if flt.trap_radius and n >= n_tail:
+                held = orbit.in_bidisc(flt.trap_radius)
+                if not held.any():
+                    held = None
+            if found is None and held is None:
+                continue
+            keep = np.ones(len(orbit), dtype=bool) if held is None else ~held
+            if found is not None:
+                pos, g, e = found
+                record(orbit.ids[pos], n, g, e, np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED))
+                keep[pos] = False
+            if held is not None:
+                record(orbit.ids[held], n_max, 0.0, bounded_err, STATUS_BOUNDED)
+            orbit.keep(keep)
+            if not len(orbit):
+                return value, status, depth, err
+        g = d ** (-n_max) * orbit.log_plus_norm()
+        bounded = orbit.in_bidisc(flt.R)
+        record(orbit.ids[bounded], n_max, 0.0, bounded_err, STATUS_BOUNDED)
+        rest = ~bounded
+        record(orbit.ids[rest], n_max, g[rest], flt.tail_bound(n_max), STATUS_UNDECIDED)
+    return value, status, depth, err

@@ -607,3 +607,11 @@ def test_finite_depth_green_rejects_points_of_unequal_lengths(nx, ny):
     words = np.array([[0.1, -0.2], [0.3, 0.0]], dtype=complex)
     with pytest.raises(ValidationError, match="not 1-d of one length"):
         finite_depth_green(_u_family(), words, np.zeros(nx, dtype=complex), np.ones(ny, dtype=complex), 2)
+
+
+@pytest.mark.parametrize("words", [[0.1, 0.2], 0.1, [[[0.1, 0.2]]]], ids=["1-d", "0-d", "3-d"])
+def test_finite_depth_green_rejects_words_that_are_not_2d(words):
+    # the parent raised numpy's IndexError from TableSupplier.coeffs for a flat row of words
+    x = np.array([0.5, 1.0, 2.0], dtype=complex)
+    with pytest.raises(ValidationError, match="shape"):
+        finite_depth_green(quadratic_family(a=0.3, c="0.1*u"), np.asarray(words, dtype=complex), x, x, 2)

@@ -276,13 +276,13 @@ def test_mixed_and_explicit_orbits_step_points_alike(inverse):
     a = np.array([0.3, 0.25, 0.2 + 0.1j, 0.35])
     mixed = Orbit(fam, x, y, inverse)
     assert log_mask(mixed).tolist() == [False, True, False, False]
-    step_factor(mixed, coeffs, a)
+    mixed.to_log(step_factor(mixed, coeffs, a))
     ex = ~log_mask(mixed)
     explicit = Orbit(fam, x[ex], y[ex], inverse)
-    step_factor(explicit, coeffs, a[ex])
+    explicit.to_log(step_factor(explicit, coeffs, a[ex]))
     assert np.array_equal(mixed.x[ex], explicit.x) and np.array_equal(mixed.y[ex], explicit.y)
     alone = Orbit(fam, x[1:2], y[1:2], inverse)
-    step_factor(alone, coeffs, a[1:2])
+    alone.to_log(step_factor(alone, coeffs, a[1:2]))
     assert mixed.lpos.tolist() == [1] and alone.lpos.tolist() == [0]
     for name in ("L", "r", "u"):
         assert np.array_equal(getattr(mixed, name), getattr(alone, name)), name
@@ -363,7 +363,7 @@ def test_carried_subordinate_modulus_is_exact(inverse):
 
     def step(o, lam_pts):
         for c, a in reversed(map_coeffs(fam, lam_pts)) if inverse else map_coeffs(fam, lam_pts):
-            step_factor(o, c, a)
+            o.to_log(step_factor(o, c, a))
             _assert_moduli(o, inverse)
 
     explicit = Orbit(fam, small[0], small[1], inverse)
@@ -433,7 +433,7 @@ def test_keep_and_concat_carry_log_form_points(inverse):
             assert log_mask(both).any() and not log_mask(both).all()
             parts = [both]
         for o in parts + alone:
-            o.step(sup, k)
+            o.to_log(o.step(sup, k))
         for o in parts:
             o.keep(rng.uniform(size=len(o)) < 0.85)
             _assert_steps_as_alone(o, alone)
@@ -463,9 +463,9 @@ def test_interleaved_names_step_as_alone(inverse):
     assert both.ids[0] // width == both.ids[-1] // width and np.any(np.diff(both.ids) < 0)
     assert log_mask(both).any() and not log_mask(both).all()
     for k in range(3):
-        both.step(sup, k)
+        both.to_log(both.step(sup, k))
         for i, one in enumerate(alone):
-            step_coeffs(one, map_coeffs(fam, table[i // width, k]))
+            one.to_log(step_coeffs(one, map_coeffs(fam, table[i // width, k])))
         _assert_steps_as_alone(both, alone)
 
 
@@ -564,7 +564,7 @@ def test_table_rows_are_map_coeffs_at_the_step_base_points():
     for k in range(table.shape[1]):
         for idx in (np.arange(12), np.arange(4, 8), np.array([1, 2, 9, 11]), np.array([6])):
             want = map_coeffs(fam, table[idx // width, k])
-            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx), want):
+            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx, (idx.min(), idx.max())), want):
                 for v, w in zip(rows + (a,), want_rows + (want_a,)):
                     if np.ndim(w) == 0:
                         assert v is w  # a constant map stays the one shared scalar
@@ -574,7 +574,8 @@ def test_table_rows_are_map_coeffs_at_the_step_base_points():
 def test_table_supplier_reads_rows_by_name():
     """Names in any order: each coefficient of a u-dependent c and a equals,
     bit for bit, map_coeffs at the point's own table entry; names that all
-    lie in one row, in any order, get one shared scalar per coefficient."""
+    lie in one row, in any order, get one shared scalar per coefficient,
+    whether their bounds (span) are their own or span every row."""
     fam = HenonFamily((
         HenonFactor(2, (_P("0.1*u - 0.05i"), _P("u*u + 0.3")), _P("0.2 + 0.5*u")),
         HenonFactor(3, (_K(0.0), _P("0.7*u"), _K(0.01j)), _P("0.4 - 0.1*u")),
@@ -585,18 +586,21 @@ def test_table_supplier_reads_rows_by_name():
     sup = TableSupplier(fam, table, width)
     for k in range(table.shape[1]):
         spread = [rng.permutation(4 * width)[:25], np.array([3, 25, 7]), np.array([38, 0, 39, 12])]
+        every = (0, 4 * width - 1)
         for idx in spread:
             want = map_coeffs(fam, table[idx // width, k])
-            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx), want):
-                for v, w in zip(rows + (a,), want_rows + (want_a,)):
-                    v, w = (np.broadcast_to(c, idx.shape) for c in (v, w))
-                    assert v.tobytes() == w.tobytes(), (k, idx)
+            for span in ((idx.min(), idx.max()), every):
+                for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx, span), want):
+                    for v, w in zip(rows + (a,), want_rows + (want_a,)):
+                        v, w = (np.broadcast_to(c, idx.shape) for c in (v, w))
+                        assert v.tobytes() == w.tobytes(), (k, idx, span)
         for row in range(table.shape[0]):
             idx = row * width + rng.permutation(width)[:7]
             want = map_coeffs(fam, table[row, k])
-            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx), want):
-                for v, w in zip(rows + (a,), want_rows + (want_a,)):
-                    assert np.ndim(v) == 0 and v == w, (k, row)
+            for span in ((row * width, row * width + width - 1), every):
+                for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx, span), want):
+                    for v, w in zip(rows + (a,), want_rows + (want_a,)):
+                        assert np.ndim(v) == 0 and v == w, (k, row, span)
 
 
 def test_table_supplier_evaluates_its_maps_once(monkeypatch):
@@ -789,11 +793,11 @@ def test_pullback_orbits_hold_no_settled_points(monkeypatch):
         kernel[0] += 1
         kernel[1] += len(o.x)
         kernel[2] += len(o.lpos)
-        step_factor(o, coeffs, a)
+        return step_factor(o, coeffs, a)
 
-    def spy_to_log(o, mask):
-        switches.append((kernel[0], len(o.lpos), np.count_nonzero(mask)))
-        to_log(o, mask)
+    def spy_to_log(o, pos):
+        switches.append((kernel[0], len(o.lpos), len(pos)))
+        to_log(o, pos)
 
     monkeypatch.setattr(orbit_mod, "step_factor", spy_step)
     monkeypatch.setattr(Orbit, "to_log", spy_to_log)

@@ -6,6 +6,7 @@ rasters and for mc_green."""
 import numpy as np
 import pytest
 
+from conftest import run_green_switch_first
 from henonskew import green as green_mod
 from henonskew.base import BaseDynamics, BaseSpace, BaseSystem
 from henonskew.family import quadratic_family
@@ -21,8 +22,8 @@ from henonskew.green import (
     mc_green,
 )
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import Orbit, SigmaSupplier, TableSupplier
-from test_trap import _record_steps
+from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, TableSupplier
+from test_trap import TRAP_BASES, TRAP_FAMILIES, _record_steps, _start_points, _supplier, _untrapped
 
 TOL = 1e-6
 SPACE = BaseSpace("box", bounds=((-0.5, 0.5),))
@@ -72,8 +73,9 @@ def test_one_run_records_every_point_once(fam_name, inverse, n_max, monkeypatch)
         assert STATUS_ESCAPED in status
     if not inverse:
         assert STATUS_BOUNDED in status
-        # trapped points leave at the uniform depth; without a trap the
-        # bounded ones are stepped to n_max
+        # trapped points leave with the wedge certificates, the last ones at
+        # the uniform depth, from which the trap is tested at every step;
+        # without a trap the bounded ones are stepped to n_max
         uniform = flt.depth_for(TOL)
         assert len(steps) == (min(n_max, uniform) if fam_name == "trap" else n_max)
     if n_max < flt.depth_for(TOL):
@@ -99,7 +101,7 @@ def _spy_runs(monkeypatch):
 
     def stepping(orbit, supplier, k):
         steps.append((orbit, len(orbit)))
-        step(orbit, supplier, k)
+        return step(orbit, supplier, k)
 
     monkeypatch.setattr(green_mod, "_certify", spying)
     monkeypatch.setattr(Orbit, "step", stepping)
@@ -107,8 +109,16 @@ def _spy_runs(monkeypatch):
 
 
 # Orbit.step calls of the mc_green run below: each sequence alone to depth
-# min(n_max, 22) made 4 x 22 = 88 at depth 22, plus pool steps past it
-MC_STEPS = {"trap": {5: 20, 22: 62, 30: 62, 200: 62}, "no-trap": {5: 20, 22: 62, 30: 78, 200: 418}}
+# min(n_max, 22) made 4 x 22 = 88 at depth 22, plus pool steps past it; with
+# the trap, trapped points leave at the steps where wedge certificates do
+MC_STEPS = {"trap": {5: 20, 22: 42, 30: 42, 200: 42}, "no-trap": {5: 20, 22: 62, 30: 78, 200: 418}}
+
+
+# the depth at which the chunks of the mc_green run below hold fewer than
+# MC_CHUNK // 2 points (unless n_max comes first), and the (depth, points) of
+# the runs that start below that from the lowest depth while others wait
+CORE_DEPTH = {"trap": 6, "no-trap": 9}
+DRAINED = {"trap": [(6, 97), (7, 35)], "no-trap": []}
 
 
 @pytest.mark.parametrize("n_max", [5, 22, 30, 200])
@@ -116,10 +126,15 @@ MC_STEPS = {"trap": {5: 20, 22: 62, 30: 62, 200: 62}, "no-trap": {5: 20, 22: 62,
 def test_mc_split_records_every_point_once(fam_name, n_max, monkeypatch):
     """mc_green over 4 sequences of 638 points with MC_CHUNK = 200: each
     sequence is a chunk, which steps until fewer than 100 points are left
-    (depth 9, unless n_max comes first); three such cores join at that
-    depth and step on together, and the last chunk runs to n_max alone.
-    Every point is recorded once, and every orbit stepped except the last
-    holds at least MC_CHUNK // 2 points."""
+    (CORE_DEPTH, unless n_max comes first); three such cores join at that
+    depth and step on together. Without the trap the last chunk then runs
+    to n_max alone. With it, trapped points leave with the first wedge
+    certificates: the three joined cores wait at depth 8, the last chunk
+    stops at depth 6 too, and, no chunk being left, steps on alone from the
+    lowest depth (DRAINED) until it joins them at 8, and the joined orbit
+    runs to n_max. Every point is recorded once, and every orbit stepped
+    except the last and the drained one holds at least MC_CHUNK // 2
+    points."""
     fam = FAMILIES[fam_name]
     flt = compute_radius(fam, SPACE)
     x, y = _points()
@@ -133,10 +148,12 @@ def test_mc_split_records_every_point_once(fam_name, n_max, monkeypatch):
     assert len(steps) == MC_STEPS[fam_name][n_max]
     last = runs[-1][0]
     assert runs[-1][2] == 1 and not len(last)
-    assert all(size >= 100 for o, size in steps if o is not last)
+    drained = [(o, n_lo, size) for o, n_lo, floor, size, _ in runs if size < 100 and floor > 1]
+    assert [(n_lo, size) for _, n_lo, size in drained] == (DRAINED[fam_name] if n_max > CORE_DEPTH[fam_name] else [])
+    assert all(size >= 100 for o, size in steps if o is not last and not any(o is d for d, _, _ in drained))
     assert [n_lo for _, n_lo, _, _, _ in runs].count(0) == n_mc  # one chunk per sequence: MC_CHUNK < 2 len(x)
-    if n_max > 9:
-        joined = [size for _, n_lo, _, size, _ in runs if n_lo == 9]
+    if n_max > CORE_DEPTH[fam_name]:
+        joined = [size for _, n_lo, _, size, _ in runs if n_lo == CORE_DEPTH[fam_name] and size >= 100]
         assert len(joined) == 1 and 200 <= joined[0] < 300
 
 
@@ -181,9 +198,9 @@ def test_interleaved_rows_join_in_any_order(monkeypatch):
     unsorted = []
     coeffs = TableSupplier.coeffs
 
-    def spy(self, k, idx):
+    def spy(self, k, idx, span):
         unsorted.append(bool(np.any(np.diff(idx) < 0)))
-        return coeffs(self, k, idx)
+        return coeffs(self, k, idx, span)
 
     monkeypatch.setattr(TableSupplier, "coeffs", spy)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 30)
@@ -303,3 +320,92 @@ def test_raster_memory_is_bounded_by_the_piece():
             tracemalloc.stop()
     assert np.all(field.status == STATUS_ESCAPED) and np.all(field.depth == field.depth[0, 0])
     assert peak < 32e6, peak
+
+
+# ---------------------------------------------------------------------------
+# certifying before the switch and trapping at compacting steps change no record
+
+
+def _switch_points(seed=6):
+    """Start points past the switch bound (far beyond it, and just above it
+    in one coordinate with the other small), and non-finite starts."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    far = 1e25 * (rng.uniform(-1, 1, (2, 30)) + 1j * rng.uniform(-1, 1, (2, 30)))
+    edge = OVERFLOW_SWITCH * rng.uniform(1.0, 3.0, 20) * np.exp(2j * np.pi * rng.uniform(size=20))
+    small = 2.0 * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20))
+    nan, inf = complex("nan"), complex("inf")
+    odd_x, odd_y = [nan, 0.0, inf, 0.0, inf, nan + 1j], [0.0, nan, 0.0, inf, inf, 1.0]
+    return (np.concatenate([far[0], small, edge, odd_x]).astype(complex),
+            np.concatenate([far[1], edge, small, odd_y]).astype(complex))
+
+
+@pytest.mark.parametrize("trap", [True, False], ids=["trap", "no-trap"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("base_name", ["rotation", "shift"])
+@pytest.mark.parametrize("fam_name", TRAP_FAMILIES)
+def test_run_green_equals_the_switch_first_order(fam_name, base_name, inverse, trap):
+    """value, status, depth and err of _run_green are == to those of the
+    earlier order (conftest.run_green_switch_first), for n_max 5/30/200
+    and tol 1e-6 and 1, over points of the bidisc of radius 3, of D_r,
+    landing in D_r, escaping, past the switch bound and non-finite."""
+    fam = TRAP_FAMILIES[fam_name]
+    base, _ = TRAP_BASES[base_name]
+    flt = compute_radius(fam, base.space)
+    r = flt.trap_radius
+    if not trap:
+        flt = _untrapped(fam, base.space)
+    for n_max in (5, 30, 200):
+        sup, lams = _supplier(fam, base_name, n_max)
+        x, y = (np.concatenate(p) for p in zip(_start_points(fam, lams, r), _switch_points()))
+        for tol in (TOL, 1.0):
+            got = _run_green(sup, x, y, flt, tol, n_max, inverse)
+            want = run_green_switch_first(sup, x, y, flt, tol, n_max, inverse)
+            for name, a, b in zip(("value", "status", "depth", "err"), got, want):
+                assert a.tobytes() == b.tobytes(), (name, n_max, tol)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("fam_name", ["quadratic", "cubic"])
+def test_points_certified_at_their_switch_never_enter_log_form(fam_name, inverse, monkeypatch):
+    """One-factor families, so that every switch of a step happens after
+    the map: a point that the wedge rules certify at the step that took it
+    past the switch bound is never moved to log form at that step, and the
+    points moved are exactly those switched and not certified. Forward
+    runs certify nearly every switching point at its switch step (the own
+    tail is below one ulp well before the bound)."""
+    fam = TRAP_FAMILIES[fam_name]
+    base, _ = TRAP_BASES["rotation"]
+    flt = compute_radius(fam, base.space)
+    switched, moved, certified = {}, {}, {}
+    n = [0]
+    step, to_log, wedge = Orbit.step, Orbit.to_log, green_mod._wedge_certificates
+
+    def stepping(o, supplier, k):
+        n[0] = k + 1
+        new = step(o, supplier, k)
+        switched[n[0]] = set(o.ids[new].tolist())
+        return new
+
+    def moving(o, pos):
+        moved.setdefault(n[0], set()).update(o.ids[pos].tolist())
+        to_log(o, pos)
+
+    def certifying(o, *args):
+        found = wedge(o, *args)
+        if found is not None:
+            certified.setdefault(n[0], set()).update(o.ids[found[0]].tolist())
+        return found
+
+    monkeypatch.setattr(Orbit, "step", stepping)
+    monkeypatch.setattr(Orbit, "to_log", moving)
+    monkeypatch.setattr(green_mod, "_wedge_certificates", certifying)
+    sup, lams = _supplier(fam, "rotation", 30)
+    x, y = (np.concatenate(p) for p in zip(_start_points(fam, lams, flt.trap_radius), _switch_points()))
+    _run_green(sup, x, y, flt, TOL, 30, inverse)
+    assert switched
+    for k, ids in switched.items():
+        assert not (moved.get(k, set()) & certified.get(k, set())), k
+        assert moved.get(k, set()) == ids - certified.get(k, set()), k
+    at_switch = sum(len(ids & certified.get(k, set())) for k, ids in switched.items())
+    if not inverse:
+        assert at_switch > 0.9 * sum(map(len, switched.values())), at_switch

@@ -101,7 +101,7 @@ def _record_steps(monkeypatch):
 
     def recording(orbit, supplier, k):
         lengths.append(len(orbit))
-        step(orbit, supplier, k)
+        return step(orbit, supplier, k)
 
     monkeypatch.setattr(Orbit, "step", recording)
     return lengths
@@ -206,6 +206,19 @@ def test_trapped_points_stay_in_the_bidisc_in_mpmath(fam_name):
 # trapping changes no result
 
 
+# forward point-steps (with the trap, with trap_radius 0) of the runs below
+# the uniform depth (n_max 5, tol 1e-6): trapped points leave at the steps
+# where a wedge certificate compacts the orbit
+EARLY_TRAP_STEPS = {
+    "quadratic": {"identity": (3100, 3100), "contraction": (3100, 3100), "rotation": (3100, 3100),
+                  "shift": (3100, 3100)},
+    "cubic": {"identity": (2560, 2774), "contraction": (2560, 2774), "rotation": (2560, 2774),
+              "shift": (2561, 2775)},
+    "two-factor": {"identity": (1563, 2305), "contraction": (1561, 2301), "rotation": (1563, 2305),
+                   "shift": (1567, 2307)},
+}
+
+
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 @pytest.mark.parametrize("base_name", TRAP_BASES)
 @pytest.mark.parametrize("fam_name", TRAP_FAMILIES)
@@ -213,7 +226,8 @@ def test_trap_changes_no_engine_result(fam_name, base_name, inverse, monkeypatch
     """value, status, depth and err of _run_green are == with the trap and
     with trap_radius 0, for n_max 5/30/200 and tol 1e-6 and 1 (the uniform
     rule from step 2 or 3); forward runs past the uniform depth take fewer
-    point-steps with the trap."""
+    point-steps with the trap, those below it the counts EARLY_TRAP_STEPS
+    pins, and inverse runs (no trap) the same."""
     fam = TRAP_FAMILIES[fam_name]
     base, _ = TRAP_BASES[base_name]
     trapped, untrapped = compute_radius(fam, base.space), _untrapped(fam, base.space)
@@ -230,10 +244,12 @@ def test_trap_changes_no_engine_result(fam_name, base_name, inverse, monkeypatch
             steps.clear()
             for name, u, v in zip(("value", "status", "depth", "err"), a, b):
                 assert u.tobytes() == v.tobytes(), (name, n_max, tol)
-            if not inverse and n_max >= trapped.depth_for(tol):
+            if inverse:
+                assert with_trap == without, (n_max, tol)
+            elif n_max >= trapped.depth_for(tol):
                 assert np.any(a[1] == STATUS_BOUNDED) and with_trap < without, (n_max, tol)
             else:
-                assert with_trap == without, (n_max, tol)
+                assert (with_trap, without) == EARLY_TRAP_STEPS[fam_name][base_name], (n_max, tol)
 
 
 @pytest.mark.parametrize("base_name", ["identity", "contraction", "rotation"])
@@ -290,25 +306,26 @@ def test_trap_changes_no_monte_carlo_result(fam_name, space_name, monkeypatch):
 # step counts: a deterministic guard for the saving
 
 
-def test_bounded_raster_stops_at_the_uniform_depth(monkeypatch):
-    """A 128^2 quadratic raster (a = 0.3, c = 0.005) takes depth_for(tol)
-    steps: its bounded pixels are trapped there instead of stepped to n_max."""
+def test_bounded_raster_stops_before_the_uniform_depth(monkeypatch):
+    """A 128^2 quadratic raster (a = 0.3, c = 0.005) takes 18 steps, below
+    depth_for(tol) = 22: its bounded pixels are trapped at the steps where
+    escaping pixels are certified, instead of stepped to n_max."""
     fam, base = quadratic_family(0.3, 0.005), point_base(0.0)
     flt = compute_radius(fam, base.space)
     calls = _record_steps(monkeypatch)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-3.0, 3.0, -3.0, 3.0), 128)
     field = green_field(fam, base, 0.0, grid, TOL, 200, flt)
     assert np.count_nonzero(field.status == STATUS_BOUNDED) > 1000
-    assert len(calls) == flt.depth_for(TOL)
+    assert len(calls) == 18 and flt.depth_for(TOL) == 22
 
 
 def test_monte_carlo_pools_by_depth(monkeypatch):
     """mc_green over 4 sequences on a 128^2 raster of the random-averages
     family: each sequence is a chunk of MC_CHUNK points, which steps until
     fewer than MC_CHUNK // 2 are left, at depth 6; the four cores join there
-    and step on as one orbit to depth_for(tol), where the trap and the
-    uniform rule empty it. That is 4 x 6 + 16 = 40 steps, where the chunks
-    stepped alone to depth_for(tol) took 4 x 22 = 88."""
+    and step on as one orbit until the trap and the wedge rules empty it,
+    at depth 16, below depth_for(tol). That is 4 x 6 + 10 = 34 steps, where
+    the chunks stepped alone to depth_for(tol) took 4 x 22 = 88."""
     fam, space = quadratic_family(0.2, "0.003 + u"), BaseSpace("box", bounds=((-0.1, 0.1),))
     flt = compute_radius(fam, space)
     calls = _record_steps(monkeypatch)
@@ -317,7 +334,7 @@ def test_monte_carlo_pools_by_depth(monkeypatch):
     mc = mc_green(fam, space, 1, 4, x, y, flt, TOL, 200)
     assert np.count_nonzero(mc.values == 0.0) > 5000
     assert len(list(green_mod.mc_chunks(4, len(x)))) == 4 and flt.depth_for(TOL) == 22
-    assert len(calls) == 40
-    # the chunks step on at least MC_CHUNK // 2 points; three cores hold fewer than
-    # MC_CHUNK together, so they wait for the fourth, and the four step on as one
-    assert min(calls[:24]) >= green_mod.MC_CHUNK // 2 and calls[24] > green_mod.MC_CHUNK
+    assert len(calls) == 34
+    # the chunks step on at least MC_CHUNK // 2 points; the four cores hold fewer than
+    # MC_CHUNK together, so they wait until no chunk is left, and step on as one
+    assert min(calls[:24]) >= green_mod.MC_CHUNK // 2 and green_mod.MC_CHUNK // 2 < calls[24] < green_mod.MC_CHUNK
