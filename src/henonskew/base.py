@@ -4,8 +4,9 @@ Base points are complex scalars: for a 1-d box the imaginary part is 0,
 for a 2-d box the two box coordinates are the real/imaginary parts, for a
 circle the real part is the angle in [0, 1), and finite sets list their
 points explicitly. The PRNG is pinned to numpy's PCG64 for bit-stable,
-platform-independent sampling. Sequences are read through prefix(n), and
-a negative length n is a ValidationError.
+platform-independent sampling. A sequence is a ParamSequence (i.i.d.
+draws) or a FrozenSequence (a finite word repeated forever), read through
+prefix(n); a negative length n is a ValidationError.
 """
 
 from __future__ import annotations
@@ -185,9 +186,6 @@ class ParamSequence:
         self._extend(n)
         return self._cache[:n]
 
-    def prepend(self, lam: complex) -> "FrozenSequence":
-        return FrozenSequence(np.asarray([complex(lam)]), self)
-
     def spawn(self, i: int) -> "ParamSequence":
         """Derived independent stream i (single-consumer per stream)."""
         return ParamSequence(self.space, self.seed, self.key + (i,))
@@ -195,32 +193,22 @@ class ParamSequence:
 
 @dataclass
 class FrozenSequence:
-    """Sequence with an explicit head, continued by a parent or by cycling.
+    """The word `head` = (lam_1, ..., lam_m) repeated forever.
 
-    A cycling head must not be empty (ValidationError).
+    An empty head is a ValidationError.
     """
 
     head: np.ndarray
-    parent: "ParamSequence | FrozenSequence | None" = None
-    cycle: bool = False
 
     def __post_init__(self):
-        if self.cycle and len(self.head) == 0:
+        if len(self.head) == 0:
             raise ValidationError("a cycling sequence needs a non-empty head")
 
     def prefix(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValidationError(f"prefix length must be at least 0, got {n}")
         head = np.asarray(self.head, dtype=complex)
-        if n <= len(head):
-            return head[:n]
-        if self.cycle:
-            reps = -(-n // len(head))
-            return np.tile(head, reps)[:n]
-        if self.parent is None:
-            raise ValidationError(f"sequence prefix of length {n} unavailable")
-        tail = self.parent.prefix(n - len(head))
-        return np.concatenate((head, tail))
+        return np.tile(head, -(-n // len(head)))[:n]
 
 
 def word_sequences(space: BaseSpace, depth: int) -> np.ndarray:

@@ -497,11 +497,13 @@ def green_random(
     flt: FiltrationRadius | None = None,
     inverse: bool = False,
 ) -> GreenEval:
-    """Green function along an explicit parameter sequence.
+    """Green function along an explicit parameter sequence: G^+ forward, G^-
+    with inverse (step k applies the inverse map at lam_k).
 
-    `seq` is a ParamSequence, FrozenSequence or plain array of base
-    points; a plain array needs `flt`, since it carries no space to derive
-    the filtration constants from.
+    `seq` is a ParamSequence, a FrozenSequence (a word repeated forever) or
+    a plain array of base points, read to its end and no further; a plain
+    array needs `flt`, since it carries no space to derive the filtration
+    constants from.
     """
     flt = resolve_radius(fam, flt, getattr(seq, "space", None))
     return _green_at(SeqSupplier(fam, seq, n_max), z, flt, tol, n_max, inverse)

@@ -28,34 +28,33 @@ step is never converted. A step that overflows all
 the same leaves a non-finite state, reported undecided, and no
 floating-point warning: the engine loops run under np.errstate.
 
-A log-form factor step (_step_log) computes the correction
-delta = tail(u) - a r u^(d-1) forward, tail(u) - r u^(d-1) inverse, with
-tail(u) = c_(d-1) u + ... + c_0 u^d, and sets L' = d L + log|1 + delta|
-(- log|a| inverse). Let B bound sum_k |c_k| + |a| + 1 over every factor
-and every base point a supplier can hand the orbit. A point with |r| <= 1
-and |u| <= 2^-56 / B has |delta| <= |u| B <= 2^-56, so the computed
-1 + delta has real part exactly 1 (|Re delta| is below half an ulp of 1,
-2^-54) and modulus hypot(1, t) = 1 for |t| <= 2^-56: log|1 + delta| is 0
-and L' = d L (- log|a|) exactly. After the step |u'| <= |u| and
-|r'| <= 2^-56 (|a| |u|^(d-1) <= 2^-56 inverse), so every later step is
-the same multiply, and log||z|| = L + 1/2 log1p(|r|^2) adds at most
-2^-113 to L ~ -log|u| > 56 log 2 + log B > 38, below half an ulp of L:
-log||z|| is L. Such a point is settled: r and u no longer reach its later
-L or log||z||. Before each map step iterate retires the settled points
-when the supplier gives supplier.settled_u = 2^-56 / B (TableSupplier's
-comes from its distinct base points; SigmaSupplier's is None): they leave
-the orbit for a record of their positions, ids and L (Orbit.retire),
-stepped by the operations _step_log takes on a settled point,
-L <- d L (- log|a|), so every value iterate yields stays the same bit for
-bit. The certifying loop (green._certify) retires nothing: its own-tail
-error bound reads |r|.
+A forward log-form factor step (_step_log) computes the correction
+delta = tail(u) - a r u^(d-1), with tail(u) = c_(d-1) u + ... + c_0 u^d,
+and sets L' = d L + log|1 + delta|. Let B bound sum_k |c_k| + |a| + 1
+over every factor and every base point a supplier can hand the orbit. A
+point with |r| <= 1 and |u| <= 2^-56 / B has |delta| <= |u| B <= 2^-56,
+so the computed 1 + delta has real part exactly 1 (|Re delta| is below
+half an ulp of 1, 2^-54) and modulus hypot(1, t) = 1 for |t| <= 2^-56:
+log|1 + delta| is 0 and L' = d L exactly. After the step |u'| <= |u| and
+|r'| <= 2^-56, so every later step is the same multiply, and
+log||z|| = L + 1/2 log1p(|r|^2) adds at most 2^-113 to
+L ~ -log|u| > 56 log 2 + log B > 38, below half an ulp of L: log||z|| is
+L. Such a point is settled: r and u no longer reach its later L or
+log||z||. Before each map step of a forward orbit iterate retires the
+settled points when the supplier gives supplier.settled_u = 2^-56 / B
+(TableSupplier's comes from its distinct base points; SigmaSupplier's is
+None): they leave the orbit for a record of their positions and L
+(Orbit.retire), stepped by the operation _step_log takes on a settled
+point, L <- d L, so every value iterate yields stays the same bit for
+bit. Inverse orbits retire nothing, and neither does the certifying loop
+(green._certify): its own-tail error bound reads |r|.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import SHIFT, BaseDynamics, FrozenSequence, advance
+from .base import SHIFT, BaseDynamics, advance
 from .errors import NotInvertible, UnsupportedBase, ValidationError
 from .family import HenonFamily, factor_step, imul, map_coeffs
 
@@ -94,11 +93,10 @@ class Orbit:
     backward), so the step carries the old `dom` over as the new `sub`
     instead of taking another absolute value.
 
-    A settled log-form point (see the module docstring) leaves through
-    `retire` for the retired record: `rpos` (its position among the points
-    given to the orbit), `rids` and `rL`, in the order the points retired;
-    an inverse step reads the record's coefficients through the supplier
-    by `rids`. `at` holds the positions of the points left, None until one
+    A settled log-form point of a forward orbit (see the module docstring)
+    leaves through `retire` for the retired record: `rpos` (its position
+    among the points given to the orbit) and `rL`, in the order the points
+    retired. `at` holds the positions of the points left, None until one
     retires (as in the orbits `keep` and `concat` take). `len` and the
     per-point answers (`radial`, `in_wedge`, `in_bidisc`) cover every point.
 
@@ -110,8 +108,7 @@ class Orbit:
     its rows lie in that row.
     """
 
-    __slots__ = ("x", "y", "dom", "sub", "ids", "span", "lpos", "L", "r", "u", "switch", "inverse", "at", "rpos",
-                 "rids", "rL")
+    __slots__ = ("x", "y", "dom", "sub", "ids", "span", "lpos", "L", "r", "u", "switch", "inverse", "at", "rpos", "rL")
     _STATE = ("x", "y", "dom", "sub", "ids")
     _LOG = ("L", "r", "u")
 
@@ -171,10 +168,8 @@ class Orbit:
         coeffs = supplier.coeffs(k, self.ids, self.span)
         new = step_coeffs(self, coeffs)
         if self.at is not None:  # retired points, per factor as _step_log steps settled ones
-            for rows, a in reversed(supplier.coeffs(k, self.rids, self.span)) if self.inverse else coeffs:
+            for rows, _ in coeffs:
                 self.rL *= len(rows) - 1
-                if self.inverse:
-                    self.rL -= np.log(np.abs(a))
         return new
 
     def log_entries(self, pos: np.ndarray) -> tuple:
@@ -198,14 +193,14 @@ class Orbit:
 
     def retire(self, u_max: float) -> None:
         """Move the log-form points with |u| <= u_max = 2^-56 / B and |r| <= 1
-        (a NaN fails both) to the retired record (see the module docstring)."""
+        (a NaN fails both) of a forward orbit to the retired record (see the
+        module docstring)."""
         j = np.flatnonzero((np.abs(self.u) <= u_max) & (np.abs(self.r) <= 1.0))
         if not len(j):
             return
         gone = self.lpos[j]
         if self.at is None:
-            self.at, self.rpos, self.rids, self.rL = np.arange(len(self.x)), gone[:0], self.ids[:0], self.L[:0]
-        self.rids = np.concatenate((self.rids, self.ids[gone]))
+            self.at, self.rpos, self.rL = np.arange(len(self.x)), gone[:0], self.L[:0]
         self.rpos = np.concatenate((self.rpos, self.at[gone]))
         self.rL = np.concatenate((self.rL, self.L[j]))
         kept = np.ones(len(self.x), dtype=bool)
@@ -373,10 +368,8 @@ class TableSupplier:
     distinct base points (for a finite base, its letters), and settled_u =
     2^-56 / B (None if some coefficient is not finite) are evaluated when
     it is built. A coefficient whose map is constant stays shared; the
-    others are shared when a step's points all lie in one row, and read
-    per point from the point's row otherwise. Names whose bounds (span)
-    lie in one row are in it; for others the names' least and greatest
-    decide.
+    others are shared when the bounds of a step's names (span) lie in one
+    row, and read per point from the point's row otherwise.
     """
 
     def __init__(self, fam: HenonFamily, table, width: int = 1):
@@ -400,8 +393,6 @@ class TableSupplier:
         j, row = col[0], None
         if len(col) > 1 and len(idx):
             first, last = (v // self.width for v in span)
-            if first != last:  # bounds over several rows: the names decide
-                first, last = idx.min() // self.width, idx.max() // self.width
             if first == last:
                 j = col[first]
             else:  # each point reads its row's value
@@ -416,17 +407,13 @@ class TableSupplier:
 
 
 class SeqSupplier(TableSupplier):
-    """lam_k = entry k of a parameter sequence (or plain array of base points),
-    for k < n: the one-row table of its prefix. A finite sequence shorter
-    than n raises only at the first step past its end."""
+    """lam_k = entry k of a sequence (a ParamSequence or FrozenSequence) or
+    of a plain array of base points, for k < n: the one-row table of its
+    first n entries. An array shorter than n raises only at the first step
+    past its end."""
 
     def __init__(self, fam: HenonFamily, seq, n: int):
-        if isinstance(seq, np.ndarray):
-            seq = FrozenSequence(seq)
-        if isinstance(seq, FrozenSequence) and seq.parent is None and not seq.cycle:
-            row = np.asarray(seq.head, dtype=complex)[:n]
-        else:
-            row = seq.prefix(n)
+        row = seq[:n] if isinstance(seq, np.ndarray) else seq.prefix(n)
         super().__init__(fam, row[None, :])
 
 
@@ -436,17 +423,18 @@ def iterate(supplier, x: np.ndarray, y: np.ndarray, depths, inverse: bool = Fals
     One orbit of the points (x, y) under the supplier's family is stepped
     incrementally and updated in place, so each yielded orbit is valid
     until the next one is requested. `idx` names the points to the
-    supplier (None: 0 .. n-1). Before each map step, after the previous
-    yield, the log-form points that are settled under the supplier's bound
-    (supplier.settled_u; see the module docstring) retire from the orbit
-    (Orbit.retire): each yielded orbit's per-point answers, in the order
-    of (x, y), are those of the orbit stepped without retiring, bit for bit.
+    supplier (None: 0 .. n-1). Before each map step of a forward orbit,
+    after the previous yield, the log-form points that are settled under
+    the supplier's bound (supplier.settled_u; see the module docstring)
+    retire from the orbit (Orbit.retire): each yielded orbit's per-point
+    answers, in the order of (x, y), are those of the orbit stepped without
+    retiring, bit for bit. An inverse orbit retires nothing.
     """
     depths = sorted(depths)
     if depths and depths[0] < 0:
         raise ValidationError(f"depths must be at least 0, got {depths[0]}")
     orbit = Orbit(supplier.fam, x, y, inverse, idx)
-    u_max = supplier.settled_u
+    u_max = None if inverse else supplier.settled_u
     n_done = 0
     for n in depths:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

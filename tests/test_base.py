@@ -80,8 +80,8 @@ def test_sequence_empty_prefix():
 
 @pytest.mark.parametrize("n", [-1, -20])
 def test_negative_prefix_length_is_rejected(n):
-    # without the check a ParamSequence whose cache holds 16 entries and a three-entry
-    # FrozenSequence return cache[:n] and head[:n], 16 + n and 3 + n entries
+    # without the check a ParamSequence whose cache holds 16 entries returns cache[:n],
+    # 16 + n entries, and a three-entry FrozenSequence tiles its head -(-n // 3) times
     seq = ParamSequence(BaseSpace("circle"), 1)
     seq.prefix(3)
     for s in (seq, FrozenSequence(np.array([1, 2, 3], dtype=complex))):
@@ -105,24 +105,14 @@ def test_spawned_streams_differ():
     np.testing.assert_array_equal(a, ParamSequence(space, 5).spawn(0).prefix(8))
 
 
-def test_prepend_and_frozen():
-    space = BaseSpace("finite", points=(1 + 0j, 2 + 0j))
-    seq = ParamSequence(space, 3)
-    pre = seq.prepend(9 + 0j)
-    assert pre.prefix(1)[0] == 9 + 0j
-    np.testing.assert_array_equal(pre.prefix(6)[1:], seq.prefix(5))
-    frozen = FrozenSequence(np.array([1 + 0j, 2 + 0j]))
-    with pytest.raises(ValidationError):
-        frozen.prefix(3)
-
-
 def test_empty_cycling_head_is_rejected():
     # without the check prefix(3) divided by the head's length, 0
     with pytest.raises(ValidationError, match="non-empty head"):
-        FrozenSequence(np.array([], dtype=complex), cycle=True).prefix(3)
-    cycled = FrozenSequence(np.array([1 + 0j, 2 + 0j]), cycle=True)
+        FrozenSequence(np.array([], dtype=complex)).prefix(3)
+    cycled = FrozenSequence(np.array([1 + 0j, 2 + 0j]))
     np.testing.assert_array_equal(cycled.prefix(5), [1, 2, 1, 2, 1])
-    assert len(FrozenSequence(np.array([], dtype=complex)).prefix(0)) == 0
+    np.testing.assert_array_equal(cycled.prefix(1), [1])
+    assert len(cycled.prefix(0)) == 0
 
 
 def test_word_enumeration():

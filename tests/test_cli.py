@@ -114,6 +114,60 @@ def test_slice_mass_experiment(tmp_path):
     assert abs(float(mass) - 2 * np.pi) / (2 * np.pi) < 0.10  # coarse 32x32 raster
 
 
+@pytest.mark.parametrize("how", ["key", "flag"])
+def test_slice_mass_normalization(how, tmp_path):
+    """`normalize = true` and --normalize both divide the slice mass and its
+    density by 2 pi, and write the same bytes."""
+    text = TWO_LETTER.replace("sigma = shift", "sigma = identity") + "lam = 0.1\n"
+    runs = {}
+    for name, extra, flag in (("plain", "", []), ("norm", "normalize = true\n" if how == "key" else "",
+                                                   ["--normalize"] if how == "flag" else [])):
+        out = tmp_path / name
+        assert main(["slice-mass", "--config", str(_write(tmp_path, text + extra)), "--out", str(out)] + flag) == 0
+        runs[name] = (float((out / "slice_mass.csv").read_text().splitlines()[1].split(",")[1]),
+                      read_raw_grid(out / "density_32.grid").data)
+    assert runs["norm"][0] == pytest.approx(runs["plain"][0] / (2 * np.pi), rel=1e-8)
+    assert np.array_equal(runs["norm"][1], runs["plain"][1] / (2 * np.pi))
+    assert abs(runs["norm"][0] - 1) < 0.10
+
+
+def test_julia_raster_writes_codes_and_mass(tmp_path):
+    cfg = _write(tmp_path, TWO_LETTER.replace("sigma = shift", "sigma = identity") + "lam = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["julia-raster", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "julia.csv").read_text().splitlines()
+    assert rows[0] == "resolution,total_mass,off_band_fraction" and len(rows) == 2
+    res, mass, off = rows[1].split(",")
+    assert res == "32" and abs(float(mass) - 2 * np.pi) / (2 * np.pi) < 0.10 and 0 <= float(off) <= 1
+    codes = read_pgm16(out / "julia.pgm")
+    assert codes.shape == (32, 32) and set(np.unique(codes)) <= {0, 32768, 65535}
+    assert set(_manifest_output_hashes(out)) == {"julia.pgm", "julia.pgm.map.txt", "julia.csv"}
+
+
+@pytest.mark.parametrize("section", ["with", "without"])
+def test_seed_flag_sets_the_seed(section, tmp_path):
+    """--seed 7 writes what `seed = 7` in [experiment] writes, over a seed in
+    the config or in a config with no [experiment] section."""
+    text = MINIMAL[:MINIMAL.index("[experiment]")]
+    exp = "[experiment]\nseed = 1\npoints = 500\n" if section == "with" else ""
+    assert main(["filtration", "--config", str(_write(tmp_path, text + exp)), "--out", str(tmp_path / "a"),
+                 "--seed", "7"]) == 0
+    pinned = text + "[experiment]\nseed = 7\n" + ("points = 500\n" if section == "with" else "")
+    assert main(["filtration", "--config", str(_write(tmp_path, pinned, "b.cfg")), "--out", str(tmp_path / "b")]) == 0
+    assert _manifest_output_hashes(tmp_path / "a") == _manifest_output_hashes(tmp_path / "b")
+    assert (tmp_path / "a" / "manifest.txt").read_text().splitlines()[:2] == \
+        (tmp_path / "b" / "manifest.txt").read_text().splitlines()[:2]
+
+
+def test_experiment_errors_exit_1(tmp_path, capsys):
+    """A HenonSkewError that is no config or validation error exits 1:
+    entropy packing over a shift base."""
+    cfg = _write(tmp_path, TWO_LETTER + "eps = 0.1\nn_lo = 2\nn_hi = 3\ncandidates = 200\n")
+    assert main(["entropy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "experiment error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_avg_green_and_entropy_smoke(tmp_path):
     cfg = _write(tmp_path, TWO_LETTER)
     assert main(["avg-green", "--config", str(cfg), "--out", str(tmp_path / "avg")]) == 0

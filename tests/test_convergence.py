@@ -42,7 +42,7 @@ def test_potential_values():
 
 def test_pullback_matches_cauchy_tail(quad_fam, quad_flt):
     # u = log+ and a constant sequence: e_n is exactly the Green truncation gap
-    seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
+    seq = FrozenSequence(np.zeros(1, dtype=complex))
     rep = pullback_convergence(quad_fam, seq, U_LOG, _grid(64), n_max=10, tol=1e-8, flt=quad_flt)
     bounds = [quad_flt.tail_bound(n) for n in rep.depths]
     assert all(e <= b for e, b in zip(rep.errors, bounds))
@@ -60,7 +60,7 @@ def test_pullback_rate_fs(box_fam, two_letter_base):
 
 def test_pullback_depth_zero_gap_finite(quad_fam, quad_flt):
     # sup |u - G| is finite on the window (both have unit log growth)
-    seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
+    seq = FrozenSequence(np.zeros(1, dtype=complex))
     rep = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=1, tol=1e-6, flt=quad_flt)
     assert np.isfinite(rep.errors[0])
 
@@ -76,7 +76,7 @@ def test_fit_residual_pure_signal():
 def test_theta_constant_family_matches_pullback(quad_fam, quad_flt):
     space = BaseSpace("box", bounds=((-1.0, 1.0),))
     rep, floors = theta_average_pullback(quad_fam, space, U_FS, _grid(48), n_max=6, n_mc=4, seed=2, tol=1e-6, flt=quad_flt)
-    seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
+    seq = FrozenSequence(np.zeros(1, dtype=complex))
     direct = pullback_convergence(quad_fam, seq, U_FS, _grid(48), n_max=6, tol=1e-6, flt=quad_flt)
     np.testing.assert_allclose(rep.errors, direct.errors, rtol=1e-9, atol=1e-12)
 
@@ -92,7 +92,7 @@ def test_theta_two_letter_floor(box_fam, two_letter_base):
 
 
 def test_rigidity_same_potential_zero(quad_fam, quad_flt):
-    seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
+    seq = FrozenSequence(np.zeros(1, dtype=complex))
     d = rigidity_probe(quad_fam, seq, U_FS, U_FS, _grid(48), 8, flt=quad_flt)
     assert d == 0.0
 
@@ -109,12 +109,12 @@ def test_rigidity_distinguishes_sequences(box_fam, two_letter_base):
     grid = _grid(64)
     a = np.full(20, 0.1, dtype=complex)
     b = np.full(20, -0.1, dtype=complex)
-    fa = pullback_convergence(box_fam, FrozenSequence(a, cycle=True), U_FS, grid, 10, 1e-6, flt)
+    fa = pullback_convergence(box_fam, FrozenSequence(a), U_FS, grid, 10, 1e-6, flt)
     # limits along different fibers differ: compare the two depth-10 fields
     from henonskew.green import green_field_seq
 
-    ga = green_field_seq(box_fam, FrozenSequence(a, cycle=True), grid, 1e-6, 200, flt)
-    gb = green_field_seq(box_fam, FrozenSequence(b, cycle=True), grid, 1e-6, 200, flt)
+    ga = green_field_seq(box_fam, FrozenSequence(a), grid, 1e-6, 200, flt)
+    gb = green_field_seq(box_fam, FrozenSequence(b), grid, 1e-6, 200, flt)
     gap = np.abs(ga.values - gb.values).max()
     assert gap > 1e-2  # far above the pullback tolerance at depth 10
     assert fa.errors[-1] < gap / 10
@@ -226,7 +226,7 @@ def test_rigidity_mask_from_the_decision_pass_equals_the_certified_mask(case, qu
     the certified raster at tol = 1e-6."""
     space = two_letter_base.space
     fam, seq, grid, n_max, flt = {
-        "quadratic": (quad_fam, FrozenSequence(np.zeros(1, dtype=complex), cycle=True), _grid(48), 8, quad_flt),
+        "quadratic": (quad_fam, FrozenSequence(np.zeros(1, dtype=complex)), _grid(48), 8, quad_flt),
         "two-letter": (box_fam, ParamSequence(space, 4), _grid(), 12, None),
         "c08": (box_fam, ParamSequence(space, 99), _grid(128), 12, None),
     }[case]

@@ -21,6 +21,7 @@ from henonskew.family import HenonFactor, HenonFamily, eval_map, quadratic_famil
 from henonskew.filtration import compute_radius
 from henonskew.green import (
     MCMoments,
+    OrbitClass,
     _run_green,
     avg_green,
     avg_green_field,
@@ -135,28 +136,42 @@ def test_green_minus_cal_requires_invertible(quad_fam):
 
 def test_green_random_constant_sequence(quad_fam, single_base, quad_flt):
     z = (0.2 + 0.1j, 1.4 - 0.2j)
-    seq = FrozenSequence(np.zeros(1, dtype=complex), cycle=True)
+    seq = FrozenSequence(np.zeros(1, dtype=complex))
     a = green_random(quad_fam, seq, z, TOL, flt=quad_flt)
     b = green_plus(quad_fam, single_base, 0.0, z, TOL, flt=quad_flt)
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
-def test_green_random_prepend_invariance(box_fam, two_letter_base):
+def test_green_random_leading_letter_invariance(box_fam, two_letter_base):
+    """G along (lam, lam_1, lam_2, ...) at z is G along Lambda at H_lam(z), over d;
+    the longer word is a plain array of the letter and Lambda's prefix."""
     flt = compute_radius(box_fam, two_letter_base.space)
     seq = ParamSequence(two_letter_base.space, 17)
     lam = -0.1 + 0j
     z = (0.6 + 0.2j, 1.2 + 0.1j)
     hz = eval_map(box_fam, lam, z)
     left = green_random(box_fam, seq, hz, TOL, flt=flt)
-    right = green_random(box_fam, seq.prepend(lam), z, TOL, flt=flt)
+    right = green_random(box_fam, np.concatenate(([lam], seq.prefix(199))), z, TOL, flt=flt)
     assert left.value == pytest.approx(2 * right.value, abs=3 * TOL)
+
+
+@pytest.mark.parametrize("z", [(3.0 + 0j, 0.1 + 0j), (0.2 + 0.1j, -0.3j), (1.1 - 0.4j, 2.0 + 0.5j)])
+def test_green_random_inverse_equals_green_minus(z):
+    """Along the word sigma^k(lam), k < 200, of a contraction base, the
+    backward green_random is green_minus, bit for bit."""
+    fam = quadratic_family(a=0.3, c="0.2*u")
+    base = BaseSystem(BaseSpace("box", bounds=((-1.0, 1.0),)), BaseDynamics("contraction", c=0.5))
+    flt = compute_radius(fam, base.space)
+    lam = 0.8 + 0j
+    word = np.array([advance(base.sigma, lam, k) for k in range(200)])
+    assert green_random(fam, word, z, TOL, flt=flt, inverse=True) == green_minus(fam, base, lam, z, TOL, flt=flt)
 
 
 def test_green_random_word_matches_mpmath(box_fam, two_letter_base):
     flt = compute_radius(box_fam, two_letter_base.space)
     word = np.array([0.1, -0.1, 0.1, 0.1, -0.1, -0.1, 0.1, -0.1, 0.1, 0.1, -0.1, 0.1], dtype=complex)
     z = (0.0, 2.0 + 0j)
-    got = green_random(box_fam, FrozenSequence(word, cycle=True), z, 1e-10, flt=flt)
+    got = green_random(box_fam, FrozenSequence(word), z, 1e-10, flt=flt)
     oracle = mp_orbit_green(
         quad_factor_data(0.2, c=lambda l: complex(l).real),
         lambda n: word[n % 12] if n < 12 else word[n % 12],
@@ -217,6 +232,8 @@ def test_classify(quad_fam, single_base, quad_flt):
     assert esc.kind == "escaped-forward" and esc.depth <= 3
     bwd = classify(quad_fam, single_base, 0.0, (R + 1 + 0j, 0j), flt=quad_flt)
     assert bwd.kind in ("escaped-forward", "escaped-backward")
+    # a non-finite start is never bounded
+    assert classify(quad_fam, single_base, 0.0, (np.nan + 0j, 0j), 5, quad_flt) == OrbitClass("undecided", 5)
 
 
 def test_vanishing_iff_bounded(quad_fam, single_base, quad_flt):
@@ -585,6 +602,15 @@ def _u_family():
 
 def _box_base():
     return BaseSystem(BaseSpace("box", bounds=((-0.5, 0.5),)), BaseDynamics("identity"))
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("lam", [0.1, np.zeros(0)], ids=["shared", "per-point"])
+def test_green_values_on_no_points(lam, inverse):
+    """No points: empty values, statuses and depths, of the types one point gets."""
+    out = green_values(_u_family(), _box_base(), lam, np.zeros(0), np.zeros(0), inverse=inverse)
+    one = green_values(_u_family(), _box_base(), 0.1, np.zeros(1), np.zeros(1), inverse=inverse)
+    assert [(v.shape, v.dtype) for v in out] == [((0,), w.dtype) for w in one]
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 1), (2, 3)])

@@ -21,6 +21,7 @@ from henonskew.green import (
     green_field,
     green_field_seq,
     green_minus,
+    green_minus_tilde,
     green_plus,
 )
 from henonskew.grids import SliceGrid, SliceSpec
@@ -573,9 +574,9 @@ def test_table_rows_are_map_coeffs_at_the_step_base_points():
 
 def test_table_supplier_reads_rows_by_name():
     """Names in any order: each coefficient of a u-dependent c and a equals,
-    bit for bit, map_coeffs at the point's own table entry; names that all
-    lie in one row, in any order, get one shared scalar per coefficient,
-    whether their bounds (span) are their own or span every row."""
+    bit for bit, map_coeffs at the point's own table entry, whether the
+    names' bounds (span) are their own or span every row; names whose
+    bounds lie in one row get one shared scalar per coefficient."""
     fam = HenonFamily((
         HenonFactor(2, (_P("0.1*u - 0.05i"), _P("u*u + 0.3")), _P("0.2 + 0.5*u")),
         HenonFactor(3, (_K(0.0), _P("0.7*u"), _K(0.01j)), _P("0.4 - 0.1*u")),
@@ -600,7 +601,9 @@ def test_table_supplier_reads_rows_by_name():
             for span in ((row * width, row * width + width - 1), every):
                 for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx, span), want):
                     for v, w in zip(rows + (a,), want_rows + (want_a,)):
-                        assert np.ndim(v) == 0 and v == w, (k, row, span)
+                        assert span == every or np.ndim(v) == 0, (k, row)
+                        v, w = (np.broadcast_to(c, idx.shape) for c in (v, w))
+                        assert v.tobytes() == w.tobytes(), (k, row, span)
 
 
 def test_table_supplier_evaluates_its_maps_once(monkeypatch):
@@ -686,7 +689,8 @@ def test_settling_changes_no_value(fam_name, inverse):
     """At every depth the retiring orbit's log-form points (retired ones
     included) and their L, its log+||z||, three potentials and its wedge and
     bidisc masks equal, bit for bit, those of the orbit stepped without
-    retiring; points retire, each once, under their own ids."""
+    retiring; forward, points retire, each once, and a backward orbit
+    holds no record."""
     fam = SETTLE_FAMILIES[fam_name]
     x, y = _settle_start_points(inverse)
     width = len(x) // 2 + 1
@@ -698,6 +702,7 @@ def test_settling_changes_no_value(fam_name, inverse):
     for (n, o), (_, ref) in zip(iterate(settled_sup, x, y, depths, inverse),
                                 iterate(_Unsettled(fam, table, width), x, y, depths, inverse)):
         assert ref.at is None and len(o) == len(ref) == len(x), n
+        assert not inverse or o.at is None, n
         assert np.array_equal(log_mask(o), log_mask(ref)), n
         assert np.array_equal(_log_form_L(o), _log_form_L(ref), equal_nan=True), n
         assert np.array_equal(o.log_plus_norm(), ref.log_plus_norm(), equal_nan=True), n
@@ -705,16 +710,17 @@ def test_settling_changes_no_value(fam_name, inverse):
             assert np.array_equal(u.eval_orbit(o), u.eval_orbit(ref), equal_nan=True), (n, u)
         assert np.array_equal(o.in_wedge(1.0), ref.in_wedge(1.0)), n
         assert np.array_equal(o.in_bidisc(1e300), ref.in_bidisc(1e300)), n
-    assert o.at is not None and len(o.rpos) > 0
-    assert len(np.unique(o.rpos)) == len(o.rpos) and np.array_equal(o.rids, o.rpos)
+    if not inverse:
+        assert o.at is not None and len(o.rpos) > 0
+        assert len(np.unique(o.rpos)) == len(o.rpos)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 def test_retirement_order_changes_no_value(inverse):
-    """Points named by ids with gaps retire over several steps, later ids
-    first: the record keeps them in that order in both directions (the
-    inverse one reads its coefficients by name), and both orbits' per-point
+    """Points named by ids with gaps retire from a forward orbit over
+    several steps, later ids first, and the record keeps them in that
+    order; a backward orbit retires none. In both directions the per-point
     answers equal, bit for bit, those of an orbit that never retires."""
     fam = SETTLE_FAMILIES["per-point-a"]
     rng = np.random.Generator(np.random.PCG64(33))
@@ -736,9 +742,39 @@ def test_retirement_order_changes_no_value(inverse):
             assert np.array_equal(u.eval_orbit(o), u.eval_orbit(ref), equal_nan=True), (k, u)
         assert np.array_equal(o.in_wedge(1.0), ref.in_wedge(1.0)), k
         assert np.array_equal(o.in_bidisc(1e300), ref.in_bidisc(1e300)), k
+    if inverse:
+        assert o.at is None and not any(sizes)
+        return
     assert len(set(sizes[1:])) > 2  # points retired at several steps
-    assert np.array_equal(o.rids, ids[o.rpos]) and len(np.unique(o.rpos)) == len(o.rpos)
-    assert np.any(np.diff(o.rids) < 0)
+    assert len(np.unique(o.rpos)) == len(o.rpos)
+    assert np.any(np.diff(o.rpos) < 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backward_orbits_never_retire(monkeypatch):
+    """A spy on Orbit.retire: iterate retires settled points of forward
+    orbits only, over the settling families' start points and through
+    green_minus_tilde's one-point orbits on a contraction base."""
+    calls = []
+    retire = Orbit.retire
+
+    def spy(o, u_max):
+        calls.append(o.inverse)
+        retire(o, u_max)
+
+    monkeypatch.setattr(Orbit, "retire", spy)
+    table = np.random.Generator(np.random.PCG64(34)).uniform(-0.1, 0.1, (1, 14))
+    for fam in SETTLE_FAMILIES.values():
+        for inverse in (False, True):
+            x, y = _settle_start_points(inverse)
+            for _ in iterate(TableSupplier(fam, table), x, y, range(15), inverse):
+                pass
+    forward = len(calls)
+    assert forward > 0 and not any(calls)
+    fam = quadratic_family(a=0.3, c="0.1*u")
+    base = BaseSystem(BaseSpace("box", bounds=((-1.0, 1.0),)), BaseDynamics("contraction", c=0.5))
+    assert green_minus_tilde(fam, base, 0.8, (3.0 + 0j, 0.1 + 0j), 1e-7).status == "converged"
+    assert len(calls) == forward
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -173,6 +173,18 @@ def test_basin_green_consistency(squaring, squaring_consts):
     assert np.all(g_out > -1e-6)
 
 
+def test_default_constants_are_estimated(squaring):
+    """Without `constants`, basin_classify_batch and fatou_detect use
+    estimate_constants(F, base.space), and answer as if given them."""
+    consts = estimate_constants(squaring, BASE.space)
+    pts = np.array([[0.1, 0, 0], [3.0, 2.0, 1.0], [1.0, 1.0, 1.0]], dtype=complex)
+    assert basin_classify_batch(squaring, BASE, 0.0, pts) == [ATTRACTED, ESCAPES, INDETERMINATE]
+    assert basin_classify_batch(squaring, BASE, 0.0, pts, constants=consts) == [ATTRACTED, ESCAPES, INDETERMINATE]
+    for z, want in (([1.0, 0, 0], "fatou"), ([1.0, 1.0, 0], "julia-suspect")):
+        assert fatou_detect(squaring, BASE, 0.0, np.array(z)) == want
+        assert fatou_detect(squaring, BASE, 0.0, np.array(z), constants=consts) == want
+
+
 def test_fatou_detection(squaring, squaring_consts):
     assert fatou_detect(squaring, BASE, 0.0, np.array([1.0, 0, 0]), constants=squaring_consts) == "fatou"
     assert (
