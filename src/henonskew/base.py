@@ -214,10 +214,13 @@ class FrozenSequence:
 def word_sequences(space: BaseSpace, depth: int) -> np.ndarray:
     """All |M|^depth words over a finite base, shape (count, depth).
 
-    Exhaustive-enumeration oracle for averages over the product measure.
+    Exhaustive-enumeration oracle for averages over the product measure;
+    a negative depth is a ValidationError.
     """
     if space.kind != FINITE:
         raise UnsupportedBase("word enumeration needs a finite base")
+    if depth < 0:
+        raise ValidationError(f"word depth must be at least 0, got {depth}")
     pts = np.asarray(space.points, dtype=complex)
     m = len(pts)
     count = m ** depth

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UndecidedCells, ValidationError
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_ESCAPED, GreenField, MCMoments, mc_green
+from .green import STATUS_ESCAPED, STATUS_UNDECIDED, GreenField, MCMoments, mc_green
 from .grids import SliceGrid
 
 
@@ -163,17 +163,19 @@ def avg_current_slice(
     per-sequence Laplacians: identical up to roundoff by linearity, both
     reported so the commutation is exercised end to end. The mean
     potential, the mean density and the standard error of the slice mass
-    come from MCMoments. Both measures carry the 2*pi normalization;
-    call .normalize() on them for mass 1.
+    come from MCMoments over mc_green's rows, one per sequence; the first
+    sequence with an undecided pixel raises UndecidedCells. Both measures
+    carry the 2*pi normalization; call .normalize() on them for mass 1.
     """
     flt = resolve_radius(fam, flt, space)
     x, y = grid.points()
-    mc = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
-    bad = np.flatnonzero(mc.seq_undecided)
+    values, status, _ = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
+    undecided = np.count_nonzero(status == STATUS_UNDECIDED, axis=1)
+    bad = np.flatnonzero(undecided)
     if bad.size:
-        raise UndecidedCells(f"sequence {bad[0]}: {mc.seq_undecided[bad[0]]} undecided pixels")
+        raise UndecidedCells(f"sequence {bad[0]}: {undecided[bad[0]]} undecided pixels")
     pot, den, mass = MCMoments(), MCMoments(), MCMoments()
-    for row in mc.values:
+    for row in values:
         vals = row.reshape(grid.ny, grid.nx)
         density = laplacian_density(vals, grid.dx, grid.dy)
         pot.add(vals)

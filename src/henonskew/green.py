@@ -55,22 +55,24 @@ certified from the L and r that the switch would store
 (Orbit.log_entries) before it switches, and only the points that stay in
 the orbit switch.
 
-Every value above comes from one driver, _drive, which alone steps
-orbits: it runs the certifying loop _certify, which hands each point to a
-record callback as it leaves the orbit (certified in the wedge, trapped,
-or left at n_max), over `rows` copies of the points, row i along base
-sequence i. Each thread walks its range of the points in pieces of PIECE
-points and starts a piece's rows in chunks of MC_CHUNK points (or one
-row), so no orbit starts larger than a piece. An orbit that shrinks below
-half of the pool size (MC_CHUNK, or PIECE in a range of several pieces)
-waits at its depth until the orbits waiting there fill a pool and step on
-together, so the remnants of many chunks take one step call per depth,
-not one each. Point evaluations and rasters (_run_green) are its rows = 1
-case and the Monte-Carlo values (mc_green) its rows = n_mc case; they
-differ only in their callbacks. The averages then reduce mc_green's
-per-sequence values through one accumulator, MCMoments: means are sums in
-sequence order, and standard errors come from the shifted-data variance,
-so a point average and the raster's pixel at that point agree bit for bit.
+Every value above comes from one driver, _run_green, which alone steps
+orbits: it runs the certifying loop _certify over `rows` copies of the
+points, row i along base sequence i, and its one record callback stores
+each copy's value, status, depth and err by name as the copy leaves its
+orbit (certified in the wedge, trapped, or left at n_max). Each thread
+walks its range of the points in pieces of PIECE points and starts a
+piece's rows in chunks of MC_CHUNK points (or one row), so no orbit starts
+larger than a piece. An orbit that shrinks below half of the pool size
+(MC_CHUNK, or PIECE in a range of several pieces) waits at its depth until
+the orbits waiting there fill a pool and step on together, so the
+remnants of many chunks take one step call per depth, not one each. Point
+evaluations and rasters are its rows = 1 case and the Monte-Carlo values
+(mc_green) its rows = n_mc case, returned one row per sequence. The
+averages reduce those rows themselves: status and depth with any, max or
+count_nonzero over the rows, and the values through one accumulator,
+MCMoments, whose means are sums in sequence order and whose standard
+errors come from the shifted-data variance, so a point average and the
+raster's pixel at that point agree bit for bit.
 
 Variants differ only in the map direction and in how base points are
 drawn per step:
@@ -259,13 +261,13 @@ def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b if not a.size else a if not b.size else np.concatenate((a, b))
 
 
-# Points per chunk when _drive steps several rows (sequences) of the points
+# Points per chunk when _run_green steps several rows (sequences) of the points
 # (a chunk holds at least one row), and the size at which orbits waiting at
 # one depth are joined in a range of one piece; an orbit stops to wait once
 # it holds fewer than half.
 MC_CHUNK = 2 ** 14
 
-# Points of a thread's range that _drive starts at a time (PIECE >= MC_CHUNK),
+# Points of a thread's range that _run_green starts at a time (PIECE >= MC_CHUNK),
 # its pool size in a range of several pieces, and the points a thread needs
 # (_in_threads). Chosen from a sweep of 1024^2 rasters over 2^14 .. 2^17
 # (CHANGES.md): smaller pieces stepped two threads slower, larger ones held
@@ -306,32 +308,50 @@ def _in_threads(work, n: int, threads: int, rows: int = 1) -> None:
         list(pool.map(lambda i: work(bounds[i], bounds[i + 1]), range(threads)))
 
 
-def _drive(supplier, x: np.ndarray, y: np.ndarray, rows: int, flt: FiltrationRadius, tol: float, n_max: int,
-           inverse: bool, threads: int, record) -> None:
-    """The one stepping loop: certify `rows` copies of the points (x, y)
-    along the supplier, each copy once through record (see _certify).
+def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float, n_max: int,
+               inverse: bool, threads: int = 1, *, rows: int = 1, with_err: bool = True):
+    """The one stepping loop: certified (value, status, depth, err) arrays
+    of `rows` copies of the points (x, y) along the supplier.
 
-    The copy of point p in row i is named i * len(x) + p. Threads split
-    the points into contiguous ranges, never a point's rows. A range is
-    walked in pieces of at most PIECE points, and each piece's rows start
-    in chunks of whole rows (mc_chunks), so no orbit starts with more than
-    max(PIECE, MC_CHUNK) points. Orbits are pooled by depth at a size S,
-    MC_CHUNK in a range of one piece and PIECE in a range of several:
-    every orbit steps until the points leaving it leave fewer than S // 2
-    (_certify's floor), then waits at the depth it reached. Once the orbits
-    waiting at one depth hold S points, they are joined in the order they
-    waited (Orbit.concat) and step on as one orbit; when no chunk is left
-    to start, the orbits waiting at the lowest depth go next. The last
-    orbit, started when no chunk is left and no other orbit waits, runs to
-    n_max; so a range of one piece and one row is one orbit. Only it, and
-    orbits drained from the lowest depth while others wait, step on fewer
-    than S // 2 points. The kernel works point by point and records go by
-    name, so no output depends on PIECE, MC_CHUNK or the thread count.
+    The copy of point p in row i is named i * len(x) + p, and each array
+    holds one entry per name, rows * len(x) in all, filled as the copy
+    leaves its orbit (_certify's record). err bounds |value - G| for
+    escaped points (the truncation error; the double carries its own
+    rounding). A point whose orbit state is not finite stays undecided.
+    With with_err=False err is not kept and comes back as None.
+
+    Threads split the points into contiguous ranges, never a point's rows.
+    A range is walked in pieces of at most PIECE points, and each piece's
+    rows start in chunks of whole rows (mc_chunks), so no orbit starts
+    with more than max(PIECE, MC_CHUNK) points. Orbits are pooled by depth
+    at a size S, MC_CHUNK in a range of one piece and PIECE in a range of
+    several: every orbit steps until the points leaving it leave fewer
+    than S // 2 (_certify's floor), then waits at the depth it reached.
+    Once the orbits waiting at one depth hold S points, they are joined in
+    the order they waited (Orbit.concat) and step on as one orbit; when no
+    chunk is left to start, the orbits waiting at the lowest depth go
+    next. The last orbit, started when no chunk is left and no other orbit
+    waits, runs to n_max; so a range of one piece and one row is one
+    orbit. Only it, and orbits drained from the lowest depth while others
+    wait, step on fewer than S // 2 points. The kernel works point by
+    point and records go by name, so no output depends on PIECE, MC_CHUNK
+    or the thread count.
     """
     if n_max < 0:
         raise ValidationError(f"depth n_max must be at least 0, got {n_max}")
     n_pts = len(x)
     flt = flt.toward(inverse)
+    value = np.zeros(rows * n_pts, dtype=float)
+    status = np.full(rows * n_pts, STATUS_UNDECIDED, dtype=np.uint8)
+    depth = np.full(rows * n_pts, n_max, dtype=np.int32)
+    err = np.empty(rows * n_pts, dtype=float) if with_err else None
+
+    def record(ids, n, g, e, s):
+        value[ids] = g
+        status[ids] = s
+        depth[ids] = n
+        if with_err:
+            err[ids] = e
 
     def starts(lo, hi):
         """(names, rows, piece's first point, piece's end) per chunk of the range, piece by piece."""
@@ -369,32 +389,6 @@ def _drive(supplier, x: np.ndarray, y: np.ndarray, rows: int, flt: FiltrationRad
             orbit = None
 
     _in_threads(work, n_pts, threads, rows)
-
-
-def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float, n_max: int,
-               inverse: bool, threads: int = 1, *, with_err: bool = True):
-    """Certified (value, status, depth, err) arrays of points sharing a lam-supply.
-
-    The rows = 1 case of _drive: threads step contiguous ranges of the
-    points, piece by piece. err bounds |value - G|
-    for escaped points (the truncation error; the double carries its own
-    rounding). A point whose orbit state is not finite stays undecided.
-    With with_err=False err is not kept and comes back as None.
-    """
-    n_pts = len(x)
-    value = np.zeros(n_pts, dtype=float)
-    status = np.full(n_pts, STATUS_UNDECIDED, dtype=np.uint8)
-    depth = np.full(n_pts, n_max, dtype=np.int32)
-    err = np.empty(n_pts, dtype=float) if with_err else None
-
-    def record(ids, n, g, e, s):
-        value[ids] = g
-        status[ids] = s
-        depth[ids] = n
-        if with_err:
-            err[ids] = e
-
-    _drive(supplier, x, y, 1, flt, tol, n_max, inverse, threads, record)
     return value, status, depth, err
 
 
@@ -521,9 +515,9 @@ def avg_green(
 ) -> tuple[float, float]:
     """Monte-Carlo average Green function EG^+ with its standard error (MCMoments)."""
     flt = resolve_radius(fam, flt, space)
-    mc = mc_green(fam, space, seed, n_mc, np.array([z[0]], dtype=complex), np.array([z[1]], dtype=complex),
-                   flt, tol, n_max)
-    m = MCMoments.of(mc.values)
+    values, _, _ = mc_green(fam, space, seed, n_mc, np.array([z[0]], dtype=complex),
+                            np.array([z[1]], dtype=complex), flt, tol, n_max)
+    m = MCMoments.of(values)
     return float(m.mean()[0]), float(m.stderr()[0])
 
 
@@ -709,38 +703,19 @@ class MCMoments:
         return np.sqrt(var / self.n)
 
 
-@dataclass
-class MCGreen:
-    values: np.ndarray  # (n_mc, n_pts) certified value along each sequence
-    undecided: np.ndarray  # (n_pts,) undecided along some sequence
-    depth: np.ndarray  # (n_pts,) largest depth over the sequences
-    seq_undecided: np.ndarray  # (n_mc,) undecided points per sequence
-
-
 def mc_green(fam: HenonFamily, space, seed: int, n_mc: int, x: np.ndarray, y: np.ndarray,
-              flt: FiltrationRadius, tol: float, n_max: int, threads: int = 1) -> MCGreen:
-    """Certified forward Green values of the points (x, y) along n_mc spawned sequences.
+              flt: FiltrationRadius, tol: float, n_max: int, threads: int = 1):
+    """Certified forward (values, status, depth) of the points (x, y) along
+    n_mc spawned sequences, each of shape (n_mc, len(x)).
 
-    The rows = n_mc case of _drive, row i driven by sequence i: each point
-    along each sequence gets exactly the value, status and depth that
-    _run_green gives it along that sequence alone. The values are kept in
-    sequence order, which is the order MCMoments takes them in.
+    The rows = n_mc case of _run_green, row i driven by sequence i: each
+    point along each sequence gets exactly the value, status and depth that
+    _run_green gives it along that sequence alone. Rows come in sequence
+    order, which is the order MCMoments takes them in.
     """
-    n_pts = len(x)
-    sup = mc_supplier(fam, space, seed, n_mc, n_max, n_pts)
-    values = np.empty((n_mc, n_pts))
-    undecided = np.zeros((n_mc, n_pts), dtype=bool)
-    depth = np.zeros(n_pts, dtype=np.int32)
-    flat, flat_undecided = values.reshape(-1), undecided.reshape(-1)
-
-    def record(ids, n, g, e, status):
-        flat[ids] = g
-        flat_undecided[ids] = status == STATUS_UNDECIDED
-        p = ids % n_pts
-        depth[p] = np.maximum(depth[p], n)
-
-    _drive(sup, x, y, n_mc, flt, tol, n_max, False, threads, record)
-    return MCGreen(values, undecided.any(axis=0), depth, np.count_nonzero(undecided, axis=1))
+    sup = mc_supplier(fam, space, seed, n_mc, n_max, len(x))
+    out = _run_green(sup, x, y, flt, tol, n_max, False, threads, rows=n_mc, with_err=False)[:3]
+    return tuple(a.reshape(n_mc, len(x)) for a in out)
 
 
 def avg_green_field(
@@ -757,18 +732,19 @@ def avg_green_field(
     """Monte-Carlo EG^+ raster over n_mc >= 2 spawned sequences.
 
     Returns (mean field, per-pixel standard error of the mean), both from
-    MCMoments over the sequences in order; a pixel's entries equal
+    MCMoments over mc_green's rows in order; a pixel's entries equal
     avg_green at its point bit for bit. The per-sequence values are not
     retained. A pixel's status is undecided if it is undecided along some
     sequence, else converged; its depth is the largest over the sequences.
     """
     flt = resolve_radius(fam, flt, space)
     x, y = grid.points()
-    mc = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
+    values, status, depth = mc_green(fam, space, seed, n_mc, x.ravel(), y.ravel(), flt, tol, n_max, threads)
     shape = (grid.ny, grid.nx)
-    m = MCMoments.of(mc.values.reshape(n_mc, *shape))
-    status = np.where(mc.undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8).reshape(shape)
-    field = GreenField(grid.with_data(m.mean()), status, mc.depth.reshape(shape))
+    m = MCMoments.of(values.reshape(n_mc, *shape))
+    undecided = (status == STATUS_UNDECIDED).any(axis=0)
+    status = np.where(undecided, STATUS_UNDECIDED, STATUS_CONVERGED).astype(np.uint8).reshape(shape)
+    field = GreenField(grid.with_data(m.mean()), status, depth.max(axis=0).reshape(shape))
     return field, m.stderr()
 
 
@@ -822,8 +798,10 @@ def holder_estimate(
 
     region = (center_x, center_y, radius). Returns (beta_theory, C_emp,
     L_emp); reported, not asserted, since the true constants depend on
-    the compact set and the family.
+    the compact set and the family. n_pairs < 1 is a ValidationError.
     """
+    if n_pairs < 1:
+        raise ValidationError(f"holder_estimate needs n_pairs >= 1, got {n_pairs}")
     if not base.sigma.surjective:
         raise SurjectivityRequired("Holder continuity clause needs surjective sigma")
     flt = resolve_radius(fam, flt, base.space)

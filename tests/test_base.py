@@ -122,6 +122,13 @@ def test_word_enumeration():
     assert len({tuple(w) for w in words}) == 8
 
 
+def test_word_enumeration_rejects_a_negative_depth():
+    space = BaseSpace("finite", points=(-1 + 0j, 1 + 0j))
+    assert word_sequences(space, 0).shape == (1, 0)  # the empty word
+    with pytest.raises(ValidationError, match="at least 0, got -1"):
+        word_sequences(space, -1)
+
+
 def test_space_validation():
     with pytest.raises(ValidationError):
         BaseSpace("box", bounds=())

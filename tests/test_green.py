@@ -311,6 +311,12 @@ def test_holder_requires_surjective(quad_fam):
         holder_estimate(quad_fam, base, 0.0, (0j, 0j, 2.0))
 
 
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_holder_estimate_rejects_fewer_than_one_pair(quad_fam, single_base, quad_flt, n_pairs):
+    with pytest.raises(ValidationError, match=f"n_pairs >= 1, got {n_pairs}"):
+        holder_estimate(quad_fam, single_base, 0.0, (0j, 0j, 3.0), n_pairs=n_pairs, seed=6, flt=quad_flt)
+
+
 def test_holder_coincident_pair_ratio_zero(quad_fam, single_base, quad_flt):
     z = (0.3 + 0j, 0.4 + 0j)
     g1, _, _ = green_values(quad_fam, single_base, 0.0, np.array([z[0]]), np.array([z[1]]), TOL, 200, quad_flt)

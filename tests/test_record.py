@@ -8,7 +8,7 @@ import pytest
 
 from conftest import run_green_switch_first
 from henonskew import green as green_mod
-from henonskew.base import BaseDynamics, BaseSpace, BaseSystem
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence
 from henonskew.family import quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import (
@@ -22,7 +22,7 @@ from henonskew.green import (
     mc_green,
 )
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SigmaSupplier, TableSupplier
+from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SeqSupplier, SigmaSupplier, TableSupplier
 from test_trap import TRAP_BASES, TRAP_FAMILIES, _record_steps, _start_points, _supplier, _untrapped
 
 TOL = 1e-6
@@ -141,9 +141,10 @@ def test_mc_split_records_every_point_once(fam_name, n_max, monkeypatch):
     monkeypatch.setattr(green_mod, "MC_CHUNK", 200)
     runs, steps, seen = _spy_runs(monkeypatch)
     n_mc = 4
-    mc = mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, n_max)
+    _, status, _ = mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, n_max)
     assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(n_mc * len(x)))
-    assert mc.undecided[-2:].all() and mc.seq_undecided.min() >= 2
+    undecided = status == STATUS_UNDECIDED
+    assert undecided.any(axis=0)[-2:].all() and np.count_nonzero(undecided, axis=1).min() >= 2
 
     assert len(steps) == MC_STEPS[fam_name][n_max]
     last = runs[-1][0]
@@ -169,8 +170,7 @@ def test_chunk_size_changes_no_value(fam_name, threads, monkeypatch):
     sup = SigmaSupplier(fam, BaseDynamics("identity"), 0.1)
 
     def outputs():
-        mc = mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, 200, threads)
-        out = [mc.values, mc.undecided, mc.depth, mc.seq_undecided]
+        out = list(mc_green(fam, SPACE, 5, n_mc, x, y, flt, TOL, 200, threads))
         for inverse in (False, True):
             out += _run_green(sup, x, y, flt, TOL, 200, inverse, threads)
         return out
@@ -179,9 +179,45 @@ def test_chunk_size_changes_no_value(fam_name, threads, monkeypatch):
     small = outputs()
     monkeypatch.setattr(green_mod, "MC_CHUNK", n_mc * len(x) + 1)
     whole = outputs()
-    assert len(small) == 12
+    assert len(small) == 11
     for i, (a, b) in enumerate(zip(small, whole)):
         assert a.tobytes() == b.tobytes(), i
+
+
+# lam-dependent families, with and without a trapping bidisc
+SEQ_FAMILIES = {"trap": TRAP_FAMILIES["quadratic"], "no-trap": quadratic_family(0.3, "0.3 * u")}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("space_name", ["box", "two-letter"])
+@pytest.mark.parametrize("fam_name", SEQ_FAMILIES)
+def test_monte_carlo_rows_equal_their_sequences_alone(fam_name, space_name, threads, monkeypatch):
+    """Row i of mc_green (value, status, depth) equals _run_green along
+    ParamSequence(space, seed).spawn(i) alone, bit for bit. With 66 points,
+    MC_CHUNK = PIECE = 200 and 8 sequences, a chunk holds 3 rows (one
+    thread) or 6 (two threads, 33 points each), and orbits from several
+    chunks are joined."""
+    fam = SEQ_FAMILIES[fam_name]
+    space = SPACE if space_name == "box" else BaseSpace("finite", points=(-0.5 + 0j, 0.5 + 0j))
+    flt = compute_radius(fam, space)
+    x, y = (np.concatenate([p[:-2:10], p[-2:]]) for p in _points())
+    seed, n_mc, n_max = 3, 8, 30
+    root = ParamSequence(space, seed)
+    alone = [_run_green(SeqSupplier(fam, root.spawn(i), n_max), x, y, flt, TOL, n_max, False, with_err=False)[:3]
+             for i in range(n_mc)]
+
+    monkeypatch.setattr(green_mod, "MC_CHUNK", 200)
+    monkeypatch.setattr(green_mod, "PIECE", 200)
+    monkeypatch.setattr(green_mod.os, "cpu_count", lambda: 2)
+    joins, concat = [], Orbit.concat
+    monkeypatch.setattr(Orbit, "concat", staticmethod(lambda parts: joins.append(len(parts)) or concat(parts)))
+    rows = mc_green(fam, space, seed, n_mc, x, y, flt, TOL, n_max, threads)
+    assert len(x) == 66 and max(joins) > 1
+    assert all(r.shape == (n_mc, len(x)) for r in rows)
+    assert not np.array_equal(rows[0][0], rows[0][1])  # the sequences drive the points apart
+    for name, got, want in zip(("value", "status", "depth"), rows, zip(*alone)):
+        for i in range(n_mc):
+            assert got[i].tobytes() == want[i].tobytes(), (name, i)
 
 
 def test_interleaved_rows_join_in_any_order(monkeypatch):
@@ -208,8 +244,8 @@ def test_interleaved_rows_join_in_any_order(monkeypatch):
     assert any(unsorted)
     monkeypatch.setattr(green_mod, "MC_CHUNK", 40 * len(x) + 1)
     b = mc_green(fam, space, 1, 40, x, y, flt, TOL, 60)
-    for name in ("values", "undecided", "depth", "seq_undecided"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name, u, v in zip(("values", "status", "depth"), a, b):
+        assert u.tobytes() == v.tobytes(), name
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -272,11 +308,10 @@ def test_piece_size_changes_no_value(fam_name, threads, monkeypatch):
             field = green_field(fam, base, 0.1, grid, TOL, n_max, flt, inverse, threads)
             out += [field.values, field.status, field.depth]
         out += green_values(fam, base, 0.1, x, y, TOL, n_max, flt)
-        mc = mc_green(fam, SPACE, 5, 3, x, y, flt, TOL, n_max, threads)
-        return out + [mc.values, mc.undecided, mc.depth, mc.seq_undecided]
+        return out + list(mc_green(fam, SPACE, 5, 3, x, y, flt, TOL, n_max, threads))
 
     whole = outputs(10 ** 9, 1)
-    assert len(whole) == 21
+    assert len(whole) == 20
     for piece in (7, 1000):
         for i, (a, b) in enumerate(zip(outputs(piece, threads), whole)):
             assert a.tobytes() == b.tobytes(), (piece, i)

@@ -298,8 +298,8 @@ def test_trap_changes_no_monte_carlo_result(fam_name, space_name, monkeypatch):
     for n_max in (5, 30, 200):
         a = mc_green(fam, space, 3, 5, x, y, trapped, TOL, n_max)
         b = mc_green(fam, space, 3, 5, x, y, untrapped, TOL, n_max)
-        for name in ("values", "undecided", "depth", "seq_undecided"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (name, n_max)
+        for name, u, v in zip(("values", "status", "depth"), a, b):
+            assert u.tobytes() == v.tobytes(), (name, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,8 @@ def test_monte_carlo_pools_by_depth(monkeypatch):
     calls = _record_steps(monkeypatch)
     grid = SliceGrid.from_window(SliceSpec("x", 0j), (-2.6, 2.6, -2.6, 2.6), 128)
     x, y = (p.ravel() for p in grid.points())
-    mc = mc_green(fam, space, 1, 4, x, y, flt, TOL, 200)
-    assert np.count_nonzero(mc.values == 0.0) > 5000
+    values, _, _ = mc_green(fam, space, 1, 4, x, y, flt, TOL, 200)
+    assert np.count_nonzero(values == 0.0) > 5000
     assert len(list(green_mod.mc_chunks(4, len(x)))) == 4 and flt.depth_for(TOL) == 22
     assert len(calls) == 34
     # the chunks step on at least MC_CHUNK // 2 points; the four cores hold fewer than
