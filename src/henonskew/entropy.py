@@ -13,19 +13,31 @@ n_dec, the smallest n >= depth_for(tol) with 2 (d^-n M + tol) < threshold
 (M = FiltrationRadius.bidisc_cap), instead of n_max. The kept set is
 bit-identical to that of runs to n_max.
 
-The packing is a block sweep over the shuffled candidates (`_greedy_pack`).
 The candidates' step-0 cells, at least eps wide, and a CSR list of the
 occupied cells adjacent to each occupied cell form one index per cloud
-and eps (`_cell_index`), built once and shared by every depth. At each
-depth the positions of the shuffled order are listed cell by cell, and a
-per-cell cursor marks where the current block starts in each cell, so
-the sweep finds each cell's entries without searching for them. For each
-block of `BLOCK` candidates the pairs in adjacent cells are tested stage
-by stage against the Bowen increment in a few vectorised passes,
-first-fit resolves the block, and the block's kept candidates kill their
-conflicts further on. The count is exactly that of candidate-by-candidate
-first-fit, for any grid at least eps wide. Pairs are expanded at most
-`PAIR_BUDGET` at a time, so memory stays bounded for any eps.
+and eps (`_cell_index`), built once and shared by every depth. Only pairs
+in adjacent cells can lie within eps, and the packing takes one of two
+paths (`_pack_depths`), chosen from the number of such pairs among the
+candidates packed at the smallest depth, counted per cell before any pair
+is expanded (`_adjacent_pairs`):
+
+- a sparse cloud, with at most `PAIR_BUDGET` pairs per block that the
+  sweep below would resolve over all depths, builds one conflict graph
+  (`_conflict_graph`): each pair in adjacent cells is expanded once and
+  tested step by step against the Bowen increment, and the pairs within
+  eps at step 0 are kept with the number of leading steps they stay
+  within eps. At depth n the conflicts are the pairs with at least n such
+  steps whose ends both survive n steps, and first-fit visits only the
+  candidates with a later conflict (`_graph_first_fit`);
+- a dense one is swept depth by depth in blocks of `BLOCK` shuffled
+  candidates (`_greedy_pack`): each block's pairs in adjacent cells are
+  tested in a few vectorised passes, first-fit resolves the block, and
+  the block's kept candidates kill their conflicts further on, so only
+  the pairs a kept candidate reaches are tested.
+
+Both count exactly candidate-by-candidate first-fit in the same shuffled
+order, for any grid at least eps wide, and expand pairs at most
+`PAIR_BUDGET` at a time.
 """
 
 from __future__ import annotations
@@ -205,6 +217,10 @@ def draw_candidates(
     """
     if n_candidates < 1:
         raise ValidationError(f"n_candidates must be at least 1, got {n_candidates}")
+    if not green_threshold > 0:
+        raise ValidationError(f"green_threshold must be positive, got {green_threshold}")
+    if max_batches < 1:
+        raise ValidationError(f"max_batches must be at least 1, got {max_batches}")
     flt = resolve_radius(fam, flt, base.space)
     R = flt.R
     if window is None:
@@ -285,23 +301,20 @@ def _cell_index(x0: np.ndarray, y0: np.ndarray, eps: float) -> _CellIndex:
 
     Adjacent pairs of occupied cells are found by searching the sorted
     codes `cells + h` for the 40 hood offsets h > 0, one offset at a time,
-    and each pair is listed from both of its ends. The offsets are searched
-    twice, once to count each cell's neighbours and once to place them, so
-    no temporary larger than a few per-cell arrays exists beside the list.
+    and each pair is listed from both of its ends. Each offset is searched
+    once; its pairs are kept as int32 for the pass that places them.
     """
     code, hood = _cell_codes(x0, y0, eps)
     cells, cell_of = np.unique(code, return_inverse=True)
-    hood = hood[hood > 0]
-
-    def adjacent(h):
+    pairs = []
+    for h in hood[hood > 0]:
         # (i, j) with cells[j] == cells[i] + h; both are distinct within one h
         want = cells + h
         j = np.searchsorted(cells, want)
         i = np.flatnonzero(cells[np.minimum(j, cells.size - 1)] == want)
-        return i, j[i]
-
+        pairs.append((i.astype(np.int32), j[i].astype(np.int32)))
     fill = np.ones(cells.size, dtype=np.int32)  # each cell is adjacent to itself
-    for i, j in map(adjacent, hood):
+    for i, j in pairs:
         fill[i] += 1
         fill[j] += 1
     near_start = np.zeros(cells.size + 1, dtype=np.int32)
@@ -310,7 +323,7 @@ def _cell_index(x0: np.ndarray, y0: np.ndarray, eps: float) -> _CellIndex:
     fill = near_start[:-1].copy()
     near[fill] = np.arange(cells.size)
     fill += 1
-    for i, j in map(adjacent, hood):
+    for i, j in pairs:
         near[fill[i]] = j
         fill[i] += 1
         near[fill[j]] = i
@@ -321,6 +334,7 @@ def _cell_index(x0: np.ndarray, y0: np.ndarray, eps: float) -> _CellIndex:
 def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray, index: _CellIndex) -> int:
     """First-fit maximal (n, eps)-separated subset; returns its size.
 
+    The path `_pack_depths` takes for a dense cloud, one depth at a time.
     Candidates are taken in `order`; one is kept iff no earlier kept
     candidate lies within d_n <= eps of it. `index` holds the step-0 cells
     of a superset of `order` (`_cell_index`, built once per cloud and eps
@@ -425,6 +439,121 @@ def _greedy_pack(xs, ys, ls, eps: float, circ: bool, order: np.ndarray, index: _
     return kept_total
 
 
+def _adjacent_pairs(index: _CellIndex, members: np.ndarray) -> int:
+    """The number of pairs of `members` whose step-0 cells are adjacent
+    (a cell is adjacent to itself): sum over cells c of n_c times the
+    members of the cells around c, less the members themselves, halved."""
+    count = np.bincount(index.cell_of[members], minlength=index.near_start.size - 1).astype(np.int32)
+    around = np.add.reduceat(count[index.near], index.near_start[:-1], dtype=np.int32)
+    return (int(count.astype(np.int64) @ around.astype(np.int64)) - members.size) // 2
+
+
+def _conflict_graph(xs, ys, ls, eps: float, circ: bool, members: np.ndarray, index: _CellIndex):
+    """(p, q, steps): every pair of `members` within eps at step 0, once,
+    and the number of leading steps of xs, ys, ls at which it stays within
+    eps (`_bowen_step`, the sweep's test).
+
+    The members are listed cell by cell. Each pair of adjacent occupied
+    cells c < c' contributes its n_c n_c' pairs, and each cell the
+    n_c (n_c - 1) / 2 pairs of its own members; they are expanded at most
+    `PAIR_BUDGET` at a time.
+    """
+    cell = index.cell_of[members]
+    entry = members[np.argsort(cell, kind="stable")]
+    count = np.bincount(cell, minlength=index.near_start.size - 1)
+    first = np.cumsum(count) - count
+    # (c, c') for each pair of occupied cells adjacent to each other, c <= c'
+    owner = np.repeat(np.arange(count.size, dtype=np.int32), np.diff(index.near_start))
+    take = index.near >= owner
+    take &= count[index.near] > 0
+    take &= count[owner] > 0
+    c, c2 = owner[take], index.near[take]
+    del owner, take  # as large as the index: freed before the pairs are expanded
+    same = c == c2
+    # member u of c meets member v of c'; within a cell, v' = v - 1 >= u
+    width = count[c2] - same
+    size = count[c] * width
+    ends = np.cumsum(size)
+    found = []
+    for t0 in range(0, int(ends[-1]) if ends.size else 0, PAIR_BUDGET):
+        t = np.arange(t0, min(t0 + PAIR_BUDGET, int(ends[-1])))
+        r = np.searchsorted(ends, t, side="right")
+        u, v = np.divmod(t - (ends[r] - size[r]), width[r])
+        once = ~same[r] | (v >= u)
+        r, u, v = r[once], u[once], v[once] + same[r[once]]
+        p, q = entry[first[c[r]] + u], entry[first[c2[r]] + v]
+        near = _bowen_step(circ, ls[0][q], xs[0][q], ys[0][q], ls[0][p], xs[0][p], ys[0][p]) <= eps
+        found.append((p[near], q[near]))
+    p, q = (np.concatenate(v) for v in zip(*found)) if found else (np.empty(0, dtype=np.intp),) * 2
+    # the later steps, on the few pairs within eps at step 0
+    steps = np.ones(p.size, dtype=np.int32)
+    live = np.arange(p.size)
+    for i in range(1, xs.shape[0]):
+        ip, iq = p[live], q[live]
+        live = live[_bowen_step(circ, ls[i][iq], xs[i][iq], ys[i][iq], ls[i][ip], xs[i][ip], ys[i][ip]) <= eps]
+        if live.size == 0:
+            break
+        steps[live] += 1
+    return p, q, steps
+
+
+def _graph_first_fit(p: np.ndarray, q: np.ndarray, order: np.ndarray, n_pts: int) -> int:
+    """Size of the first-fit set over `order`, a permutation of some of
+    n_pts candidates, whose conflicts are the pairs (p[k], q[k]) with both
+    ends in `order`.
+
+    Only candidates with a later conflict can kill: they are visited in
+    `order`, and each one still alive kills its later conflicts, so the
+    loop runs over the conflicts, not over the candidates.
+    """
+    rank = np.full(n_pts, order.size)
+    rank[order] = np.arange(order.size)
+    rp, rq = rank[p], rank[q]
+    lo, hi = np.minimum(rp, rq), np.maximum(rp, rq)
+    inside = hi < order.size
+    lo, hi = lo[inside], hi[inside]
+    if lo.size == 0:
+        return order.size
+    sort = np.argsort(lo, kind="stable")
+    lo, hi = lo[sort], hi[sort]
+    bounds = np.r_[0, np.flatnonzero(lo[1:] != lo[:-1]) + 1, lo.size].tolist()
+    heads, hi = lo[bounds[:-1]].tolist(), hi.tolist()
+    dead = set()
+    for head, s, e in zip(heads, bounds, bounds[1:]):
+        if head not in dead:
+            dead.update(hi[s:e])
+    return order.size - len(dead)
+
+
+def _pack_depths(xs, ys, ls, eps: float, circ: bool, depths, orders, index: _CellIndex) -> list[int]:
+    """First-fit sizes at each depth n of `depths` (ascending), over orders[k] at depth depths[k].
+
+    Each order's candidates lie among the first order's. The pairs of
+    those in adjacent cells are counted first (`_adjacent_pairs`). If they
+    are at most `PAIR_BUDGET` times the number of `BLOCK`s the sweep would
+    resolve over all depths, so that expanding each pair once costs no
+    more chunks than the sweep has blocks, one conflict graph is built
+    (`_conflict_graph` over the first order's candidates and depths[-1]
+    steps), and at depth n a pair conflicts when it stays within eps for
+    at least n leading steps and both ends are in the order
+    (`_graph_first_fit`). Otherwise the cloud is dense, its pairs grow
+    quadratically, and it is swept depth by depth (`_greedy_pack`), which
+    tests only the pairs a kept candidate reaches. Both count exactly
+    candidate-by-candidate first-fit.
+    """
+    blocks = sum(-(-order.size // BLOCK) for order in orders)
+    members = np.sort(orders[0])
+    if _adjacent_pairs(index, members) > PAIR_BUDGET * blocks:
+        return [_greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order, index) for n, order in zip(depths, orders)]
+    top = depths[-1]
+    p, q, steps = _conflict_graph(xs[:top], ys[:top], ls[:top], eps, circ, members, index)
+    out = []
+    for n, order in zip(depths, orders):
+        hit = steps >= n
+        out.append(_graph_first_fit(p[hit], q[hit], order, xs.shape[1]))
+    return out
+
+
 def entropy_lower_bound(
     fam: HenonFamily,
     base: BaseSystem,
@@ -441,7 +570,10 @@ def entropy_lower_bound(
     draw_candidates with any window or threshold, to reuse one cloud
     across eps/n sweeps; None draws n_candidates from the filtration
     bidisc with the default threshold. One cell index of the cloud's
-    step-0 points (`_cell_index`) serves the packing at every depth.
+    step-0 points (`_cell_index`) serves the packing at every depth, and
+    a sparse cloud is packed at every depth from one conflict graph
+    (`_pack_depths`). Each depth draws its own shuffled order, so s_n does
+    not depend on the path.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -462,17 +594,16 @@ def entropy_lower_bound(
         raise ValidationError("candidate base points and coordinates must be finite")
     if not len(lam):
         raise EmptyCandidateSet("the candidate cloud has no points")
-    n_top = max(n_range)
-    xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, n_top, flt.R)
+    depths = sorted(n_range)
+    xs, ys, ls, ok_hist = _orbit_track(fam, base, lam, x, y, depths[-1], flt.R)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    circ = base.space.kind == CIRCLE
-    index = _cell_index(xs[0], ys[0], eps)
-    out = []
-    for n in sorted(n_range):
+    orders = []
+    for n in depths:
         keep = np.flatnonzero(ok_hist[n - 1])
         if keep.size == 0:
             raise EmptyCandidateSet(f"no candidate orbit stays in the bidisc for {n} steps")
-        order = keep[rng.permutation(keep.size)]
-        s_n = _greedy_pack(xs[:n], ys[:n], ls[:n], eps, circ, order, index)
-        out.append(SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, survivors=keep.size))
-    return out
+        orders.append(keep[rng.permutation(keep.size)])
+    index = _cell_index(xs[0], ys[0], eps)
+    sizes = _pack_depths(xs, ys, ls, eps, base.space.kind == CIRCLE, depths, orders, index)
+    return [SeparatedSetEstimate(n=n, eps=eps, s_n=s_n, survivors=order.size)
+            for n, order, s_n in zip(depths, orders, sizes)]

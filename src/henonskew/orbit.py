@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SHIFT, BaseDynamics, advance
+from .base import IDENTITY, SHIFT, BaseDynamics, advance
 from .errors import NotInvertible, UnsupportedBase, ValidationError
 from .family import HenonFamily, factor_step, imul, map_coeffs
 
@@ -338,7 +338,12 @@ def step_coeffs(o: Orbit, coeffs: tuple) -> np.ndarray:
 
 
 class SigmaSupplier:
-    """The maps of `fam` at lam_k = sigma^(k * step)(lam), step = +1 forward or -1 backward."""
+    """The maps of `fam` at lam_k = sigma^(k * step)(lam), step = +1 forward or -1 backward.
+
+    Over an identity base lam_k = lam at every step, so the coefficients
+    are evaluated once, when the supplier is built, and each step reads
+    its points' values from them.
+    """
 
     settled_u = None  # no bound, so no point retires: the base points of later steps are not known ahead
 
@@ -354,8 +359,12 @@ class SigmaSupplier:
         self.sigma = sigma
         self.lam = np.asarray(lam, dtype=complex) if np.ndim(lam) else complex(lam)
         self.back = back
+        self.lam_coeffs = map_coeffs(fam, self.lam) if sigma.kind == IDENTITY else None
 
     def coeffs(self, k: int, idx: np.ndarray, span) -> tuple:
+        if self.lam_coeffs is not None:
+            return tuple((rows[:1] + tuple(c if np.ndim(c) == 0 else c[idx] for c in rows[1:]),
+                          a if np.ndim(a) == 0 else a[idx]) for rows, a in self.lam_coeffs)
         lam = self.lam if np.ndim(self.lam) == 0 else self.lam[idx]
         return map_coeffs(self.fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
 

@@ -323,6 +323,39 @@ def check_invariance_two_pass(fam, space, R, n_points=10_000, seed=0, lam_grid=1
     return InvarianceReport(R, per_lam * len(lam_all), len(lam_all), *counts)
 
 
+def cell_index_two_search(x0, y0, eps):
+    """entropy._cell_index searching each hood offset twice: once to count
+    each cell's neighbours and once to place them."""
+    from henonskew.entropy import _cell_codes, _CellIndex
+
+    code, hood = _cell_codes(x0, y0, eps)
+    cells, cell_of = np.unique(code, return_inverse=True)
+    hood = hood[hood > 0]
+
+    def adjacent(h):
+        want = cells + h
+        j = np.searchsorted(cells, want)
+        i = np.flatnonzero(cells[np.minimum(j, cells.size - 1)] == want)
+        return i, j[i]
+
+    fill = np.ones(cells.size, dtype=np.int32)
+    for i, j in map(adjacent, hood):
+        fill[i] += 1
+        fill[j] += 1
+    near_start = np.zeros(cells.size + 1, dtype=np.int32)
+    np.cumsum(fill, out=near_start[1:])
+    near = np.empty(int(near_start[-1]), dtype=np.int32)
+    fill = near_start[:-1].copy()
+    near[fill] = np.arange(cells.size)
+    fill += 1
+    for i, j in map(adjacent, hood):
+        near[fill[i]] = j
+        fill[i] += 1
+        near[fill[j]] = i
+        fill[j] += 1
+    return _CellIndex(cell_of.astype(np.int32), near_start, near)
+
+
 def dn_distance_loop(fam, base, p, q, n):
     """entropy.dn_distance as a step loop of its own: the two orbits stepped
     together, the step terms reduced by Python's max, which skips NaN terms."""

@@ -5,19 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dn_distance_loop, draw_candidates_full_depth
+from conftest import cell_index_two_search, dn_distance_loop, draw_candidates_full_depth
 
 from henonskew import entropy as entropy_mod
 from henonskew.base import CIRCLE, BaseDynamics, BaseSpace, BaseSystem, point_base
 from henonskew.entropy import (
     BLOCK,
     CELL_RANGE,
+    PAIR_BUDGET,
     SeparatedSetEstimate,
     _base_dist,
     _decision_depth,
+    _adjacent_pairs,
     _cell_index,
     _greedy_pack,
     _orbit_track,
+    _pack_depths,
     dn_distance,
     draw_candidates,
     entropy_lower_bound,
@@ -145,6 +148,16 @@ def test_rejects_fewer_than_one_candidate(n_candidates, quad_fam, single_base, q
         draw_candidates(quad_fam, single_base, None, n_candidates, seed=1, flt=quad_flt)
     with pytest.raises(ValidationError, match="n_candidates"):
         entropy_lower_bound(quad_fam, single_base, eps=0.1, n_range=[2], n_candidates=n_candidates, seed=1, flt=quad_flt)
+
+
+@pytest.mark.parametrize("kw", [{"green_threshold": 0.0}, {"green_threshold": -0.05},
+                                {"green_threshold": float("nan")}, {"max_batches": 0}, {"max_batches": -1}],
+                         ids=["threshold-0", "threshold-negative", "threshold-nan", "batches-0", "batches-negative"])
+def test_draw_rejects_bad_parameters_before_drawing(kw, quad_fam, single_base, quad_flt, monkeypatch):
+    # a threshold nothing can be below, or no batch at all, is a ValidationError, not an empty window
+    monkeypatch.setattr(entropy_mod, "green_values", None)
+    with pytest.raises(ValidationError, match=next(iter(kw))):
+        draw_candidates(quad_fam, single_base, None, 500, seed=1, flt=quad_flt, **kw)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -372,13 +385,18 @@ def test_entropy_lower_bound_builds_one_index(monkeypatch):
     assert built == [600]
 
 
-@pytest.mark.parametrize("eps", [0.02, 0.1, 1.0])
-def test_packing_memory_stays_bounded(eps):
-    # index and sweep on 20 000 uniform points in [0, 1]^4, traced with the cloud already in place
+def _stress_cloud():
+    """The 20 000 uniform points in [0, 1]^4 of the packing memory tests, one step, and their order."""
     rng = np.random.Generator(np.random.PCG64(8))
     u = rng.uniform(0, 1, (4, 20_000))
     xs, ys, ls = (u[0] + 1j * u[1])[None], (u[2] + 1j * u[3])[None], np.zeros((1, 20_000), dtype=complex)
-    order = rng.permutation(20_000)
+    return xs, ys, ls, rng.permutation(20_000)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 1.0])
+def test_packing_memory_stays_bounded(eps):
+    # index and sweep on 20 000 uniform points in [0, 1]^4, traced with the cloud already in place
+    xs, ys, ls, order = _stress_cloud()
     tracemalloc.start()
     try:
         s = _greedy_pack(xs, ys, ls, eps, False, order, _cell_index(xs[0], ys[0], eps))
@@ -387,6 +405,130 @@ def test_packing_memory_stays_bounded(eps):
         tracemalloc.stop()
     assert 1 <= s <= 20_000
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 1.0])
+def test_entropy_lower_bound_memory_stays_bounded(eps):
+    # the stress cloud as candidates at depth 1, traced with the cloud and its radius already in place
+    xs, ys, _, _ = _stress_cloud()
+    fam, base = quadratic_family(a=0.3), point_base(0.0)
+    flt = compute_radius(fam, base.space, margin=1.0)
+    cands = (np.zeros(20_000, dtype=complex), xs[0], ys[0])
+    assert max(np.abs(xs[0]).max(), np.abs(ys[0]).max()) < flt.R
+    tracemalloc.start()
+    try:
+        (est,) = entropy_lower_bound(fam, base, eps, [1], seed=8, flt=flt, candidates=cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.survivors == 20_000 and 1 <= est.s_n <= 20_000
+    assert peak < 8 * 2**20
+
+
+def _spy_paths(monkeypatch):
+    """Record which packing path each depth takes: 'graph' once per conflict graph, 'sweep' per depth."""
+    taken = []
+    graph, sweep = entropy_mod._conflict_graph, entropy_mod._greedy_pack
+
+    def spy_graph(*args):
+        taken.append("graph")
+        return graph(*args)
+
+    def spy_sweep(*args):
+        taken.append("sweep")
+        return sweep(*args)
+
+    monkeypatch.setattr(entropy_mod, "_conflict_graph", spy_graph)
+    monkeypatch.setattr(entropy_mod, "_greedy_pack", spy_sweep)
+    return taken
+
+
+def _force_path(monkeypatch, path):
+    """Count no pairs (the conflict graph) or more than any bound (the block sweep)."""
+    monkeypatch.setattr(entropy_mod, "_adjacent_pairs", lambda index, members: 0 if path == "graph" else 2**62)
+    return _spy_paths(monkeypatch)
+
+
+@pytest.mark.parametrize("path", ["graph", "sweep"])
+@pytest.mark.parametrize("case", range(16), ids=lambda c: f"{_CLOUDS[c % 4]}-{c // 4}")
+def test_both_packing_paths_equal_first_fit(case, path, monkeypatch):
+    # each synthetic cloud packed at depths 1, 2 and 4 over shrinking survivors, on the forced path
+    rng = np.random.Generator(np.random.PCG64(300 + case))
+    xs, ys, ls, circ, eps = _synthetic_cloud(rng, _CLOUDS[case % 4])
+    index = _cell_index(xs[0], ys[0], eps)
+    depths, orders = [1, 2, 4], []
+    survive = np.ones(xs.shape[1], dtype=bool)
+    for _ in depths:
+        keep = np.flatnonzero(survive)
+        orders.append(keep[rng.permutation(keep.size)])
+        survive &= rng.random(survive.size) < 0.8
+    taken = _force_path(monkeypatch, path)
+    got = _pack_depths(xs, ys, ls, eps, circ, depths, orders, index)
+    assert taken == (["graph"] if path == "graph" else ["sweep"] * 3)
+    for n, order, s_n in zip(depths, orders, got):
+        assert s_n == _first_fit(xs[:n], ys[:n], ls[:n], eps, circ, order), (n, eps)
+
+
+@pytest.mark.parametrize("path", ["graph", "sweep"])
+@pytest.mark.parametrize("bname", sorted(_BASES))
+def test_both_packing_paths_equal_first_fit_on_orbits(bname, path, monkeypatch):
+    # orbits leaving the bidisc between depths, the smallest depth above 1, several eps
+    fam, base = _BASES[bname]
+    flt = compute_radius(fam, base.space, margin=1.0)
+    cands = draw_candidates(fam, base, None, 600, seed=12, flt=flt)
+    taken = _force_path(monkeypatch, path)
+    for eps in (0.05, 0.4, 1.0):
+        ests = _check_against_first_fit(fam, base, flt, cands, eps, [2, 3, 6], seed=12)
+        assert ests[0].survivors > ests[-1].survivors
+    assert set(taken) == {path}
+
+
+@pytest.mark.parametrize("eps, path", [(0.02, "graph"), (1.0, "sweep")])
+def test_stress_cloud_selects_its_path(eps, path, monkeypatch):
+    # 2 457 pairs in adjacent cells at eps 0.02; at eps 1.0 every pair is, far above the sweep's bound
+    xs, ys, ls, order = _stress_cloud()
+    index = _cell_index(xs[0], ys[0], eps)
+    pairs = _adjacent_pairs(index, order)
+    assert (pairs <= PAIR_BUDGET * -(-order.size // BLOCK)) == (path == "graph")
+    if eps == 1.0:
+        assert pairs == 20_000 * 19_999 // 2
+    taken = _spy_paths(monkeypatch)
+    (s_n,) = _pack_depths(xs, ys, ls, eps, False, [1], [order], index)
+    assert taken == [path]
+    assert s_n == _greedy_pack(xs, ys, ls, eps, False, order, index)
+
+
+@pytest.mark.parametrize("case", range(8), ids=lambda c: f"{_CLOUDS[c % 4]}-{c // 4}")
+def test_adjacent_pairs_counts_every_pair_in_adjacent_cells(case):
+    # against a direct count: pairs whose step-0 cells are adjacent in every real coordinate
+    rng = np.random.Generator(np.random.PCG64(500 + case))
+    xs, ys, _, _, eps = _synthetic_cloud(rng, _CLOUDS[case % 4])
+    index = _cell_index(xs[0], ys[0], eps)
+    members = np.flatnonzero(rng.random(xs.shape[1]) < 0.7)
+    adjacent = np.zeros((index.near_start.size - 1,) * 2, dtype=bool)
+    for c in range(adjacent.shape[0]):
+        adjacent[c, index.near[index.near_start[c]:index.near_start[c + 1]]] = True
+    cell = index.cell_of[members]
+    direct = int(np.triu(adjacent[cell[:, None], cell[None, :]], 1).sum())
+    assert _adjacent_pairs(index, members) == direct
+
+
+def _index_clouds():
+    rng = np.random.Generator(np.random.PCG64(40))
+    for case in range(12):
+        xs, ys, _, _, eps = _synthetic_cloud(rng, _CLOUDS[case % 4])
+        yield pytest.param(xs[0], ys[0], eps, id=f"{_CLOUDS[case % 4]}-{case // 4}")
+    xs, ys, _, _ = _stress_cloud()
+    for eps in (0.02, 0.1, 1.0):
+        yield pytest.param(xs[0], ys[0], eps, id=f"stress-{eps}")
+
+
+@pytest.mark.parametrize("x0, y0, eps", _index_clouds())
+def test_cell_index_equals_two_search_index(x0, y0, eps):
+    got, ref = _cell_index(x0, y0, eps), cell_index_two_search(x0, y0, eps)
+    for field in ("cell_of", "near_start", "near"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 @pytest.mark.parametrize("bname", sorted(_BASES))

@@ -23,6 +23,7 @@ from henonskew.green import (
     green_minus,
     green_minus_tilde,
     green_plus,
+    green_values,
 )
 from henonskew.grids import SliceGrid, SliceSpec
 from henonskew.orbit import (
@@ -627,6 +628,89 @@ def test_table_supplier_evaluates_its_maps_once(monkeypatch):
     depths = [n for n, _ in iterate(sup, x, y, range(table.shape[1] + 1))]
     assert depths == list(range(table.shape[1] + 1))
     assert len(calls) == built
+
+
+class _PerStepSigma(SigmaSupplier):
+    """SigmaSupplier evaluating map_coeffs at sigma^k(lam) at every step, over any base."""
+
+    def coeffs(self, k, idx, span):
+        lam = self.lam if np.ndim(self.lam) == 0 else self.lam[idx]
+        return map_coeffs(self.fam, advance(self.sigma, lam, -(k + 1) if self.back else k))
+
+
+def _identity_cloud(n=40, seed=26):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lam = rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n)
+    x, y = rng.uniform(0.1, 2.0, n) * (rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n)))
+    return lam, x, y
+
+
+@pytest.mark.parametrize("back", [False, True], ids=["forward", "back"])
+def test_identity_supplier_rows_are_map_coeffs_at_lam(back):
+    """Over an identity base with one lam per point, each step's rows equal
+    map_coeffs at the named points' lam bit for bit, for names in any
+    order, one name or none; a constant map stays the one shared scalar."""
+    fam = _mixed_family()
+    lam, _, _ = _identity_cloud()
+    sup = SigmaSupplier(fam, BaseDynamics("identity"), lam, back=back)
+    rng = np.random.Generator(np.random.PCG64(27))
+    for k in range(4):
+        for idx in (np.arange(lam.size), rng.permutation(lam.size)[:17], np.array([5]), np.array([], dtype=np.intp)):
+            span = (idx.min(), idx.max()) if idx.size else (0, 0)
+            want = map_coeffs(fam, advance(BaseDynamics("identity"), lam[idx], -(k + 1) if back else k))
+            for (rows, a), (want_rows, want_a) in zip(sup.coeffs(k, idx, span), want):
+                for v, w in zip(rows + (a,), want_rows + (want_a,)):
+                    if np.ndim(w) == 0:
+                        assert v is w
+                    assert np.asarray(v).tobytes() == np.asarray(w).tobytes(), (k, idx)
+
+
+@pytest.mark.parametrize("back", [False, True], ids=["forward", "back"])
+@pytest.mark.parametrize("per_point", [True, False], ids=["lam-per-point", "one-lam"])
+def test_identity_supplier_changes_no_value(per_point, back):
+    """Green values over an identity base, forward and backward (back=True,
+    inverse orbits), are bit-identical to those of a supplier that
+    evaluates the coefficients at every step."""
+    fam = _mixed_family()
+    lam, x, y = _identity_cloud()
+    lam = lam if per_point else lam[0]
+    flt = compute_radius(fam, BaseSpace("box", bounds=((-0.3, 0.3), (-0.3, 0.3))), margin=1.0)
+    got = _run_green(SigmaSupplier(fam, BaseDynamics("identity"), lam, back=back), x, y, flt, TOL, 60, back)
+    ref = _run_green(_PerStepSigma(fam, BaseDynamics("identity"), lam, back=back), x, y, flt, TOL, 60, back)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+    assert got[2].min() > 2 and np.unique(got[0]).size == x.size
+
+
+def test_identity_supplier_evaluates_its_maps_once(monkeypatch):
+    """green_values over an identity base with one lam per point (the
+    entropy draw's call) evaluates the coefficients once: one map_coeffs
+    call per supplier, one CoeffMap evaluation per lam-dependent map."""
+    calls, evals = [], []
+    build, call = orbit_mod.map_coeffs, CoeffMap.__call__
+
+    def spy_build(fam, lam):
+        calls.append(np.shape(lam))
+        return build(fam, lam)
+
+    def spy_call(m, lam):
+        evals.append(np.shape(lam))
+        return call(m, lam)
+
+    monkeypatch.setattr(orbit_mod, "map_coeffs", spy_build)
+    monkeypatch.setattr(CoeffMap, "__call__", spy_call)
+    fam = _mixed_family()
+    lam, x, y = _identity_cloud()
+    base = BaseSystem(BaseSpace("box", bounds=((-0.3, 0.3), (-0.3, 0.3))), BaseDynamics("identity"))
+    flt = compute_radius(fam, base.space, margin=1.0)
+    evals.clear()
+    for backward_base in (False, True):
+        _, _, depth = green_values(fam, base, lam, x, y, TOL, 60, flt, inverse=backward_base,
+                                   backward_base=backward_base)
+        assert depth.max() > 2
+    assert calls == [lam.shape, lam.shape]
+    # four lam-dependent maps in _mixed_family (a constant one is evaluated at a scalar, once per family)
+    assert [e for e in evals if e != ()] == [lam.shape] * 2 * 4
 
 
 # ---------------------------------------------------------------------------
