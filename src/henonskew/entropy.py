@@ -7,11 +7,18 @@ region gives s_n(eps); rate = log(s_n)/n lower-bounds the entropy (which
 is at least log d on the Julia set).
 
 The candidates are drawn uniformly in a window and kept when their Green
-value at depth n_max is below a threshold (`draw_candidates`). The draw
-needs only that predicate, so it iterates each batch to a decision depth
-n_dec, the smallest n >= depth_for(tol) with 2 (d^-n M + tol) < threshold
-(M = FiltrationRadius.bidisc_cap), instead of n_max. The kept set is
-bit-identical to that of runs to n_max.
+value at depth n_max is below a threshold (`draw_candidates`). The default
+window is the square (-R, R) in each real coordinate, not the bidisc V_R:
+its corners lie outside V_R, so a kept candidate there leaves the bidisc
+at step 0 and is never packed. The draw needs only that predicate, so it
+iterates to a decision depth n_dec, the smallest n >= depth_for(tol) with
+2 (d^-n M + tol) < threshold (M = FiltrationRadius.bidisc_cap), instead of
+n_max, and a forward point leaves its orbit once it is proved to have
+G >= 2 (threshold + tol) (green._certify's `above`), a value the run to
+n_max rejects too. The first batch is decided alone; each later engine
+call decides the batches that the acceptance so far says are still
+needed, at most DRAW_GROUP. The kept set is bit-identical to that of runs
+to n_max.
 
 The candidates' step-0 cells, at least eps wide, and a CSR list of the
 occupied cells adjacent to each occupied cell form one index per cloud
@@ -52,8 +59,11 @@ from .base import CIRCLE, SHIFT, BaseSystem, advance
 from .errors import EmptyCandidateSet, UnsupportedBase, ValidationError
 from .family import HenonFamily, eval_map
 from .filtration import FiltrationRadius, resolve_radius
-from .green import STATUS_UNDECIDED, green_values
+from .green import STATUS_UNDECIDED, _run_green
+from .orbit import SigmaSupplier
 
+#: Most batches of the draw decided in one engine call.
+DRAW_GROUP = 2
 #: Positions of the shuffled candidate order resolved per packing block.
 BLOCK = 256
 #: Most candidate pairs the packer expands at once.
@@ -163,16 +173,21 @@ def _below(fam, base, lam, x, y, threshold, tol, n_max, flt, inverse=False, back
     """Mask of the points whose Green value at depth n_max is below `threshold`.
 
     Decided at `_decision_depth`; the points left undecided there are
-    re-run to n_max.
+    re-run to n_max. Forward, a point proved to have G >= 2 (threshold +
+    tol) leaves the run at once (_certify's `above`, recorded as +inf).
+    Inverse runs stop no point early: backward the increments drift by
+    -log|a|, which the forward proof does not cover.
     """
     flt = flt.toward(inverse)
     n_dec = _decision_depth(flt, threshold, tol, n_max)
-    g, status, _ = green_values(fam, base, lam, x, y, tol, n_dec, flt, inverse=inverse, backward_base=backward_base)
+    above = None if inverse else 2.0 * (threshold + tol)
+    sup = SigmaSupplier(fam, base.sigma, lam, back=backward_base)
+    g, status, _, _ = _run_green(sup, x, y, flt, tol, n_dec, inverse, with_err=False, above=above)
     if n_dec < n_max:
         redo = np.flatnonzero(status == STATUS_UNDECIDED)
         if redo.size:
-            g[redo], _, _ = green_values(fam, base, lam[redo], x[redo], y[redo], tol, n_max, flt, inverse=inverse,
-                                         backward_base=backward_base)
+            sup = SigmaSupplier(fam, base.sigma, lam[redo], back=backward_base)
+            g[redo] = _run_green(sup, x[redo], y[redo], flt, tol, n_max, inverse, with_err=False, above=above)[0]
     return g < threshold
 
 
@@ -201,19 +216,28 @@ def draw_candidates(
     separate under the ambient metric.
 
     window = (re x, im x, re y, im y) bounds as four (lo, hi) pairs; None
-    uses the filtration bidisc.
+    uses the square (-R, R) in each real coordinate. That square holds the
+    bidisc V_R and corners outside it (|x| or |y| up to sqrt(2) R), whose
+    kept candidates leave the bidisc at step 0 and are never packed.
 
-    Each batch is decided with one `green_values` call per direction at
-    the decision depth n_dec <= n_max (module docstring; the direction's K).
-    Since n_dec >= depth_for(tol), every point that reaches the wedge by
-    n_dec is certified there at the depth and with the value that a run
-    to n_max gives it. A point in V_R at n_dec is kept: its value at n_max
-    is 0 or, if it escapes later, at most d^-n_dec M + tol plus a few ulp,
-    below the threshold with a factor 2 to spare. A point left undecided at
-    n_dec (in the opposite wedge, or with a non-finite state) is re-run to
-    n_max in a second call on those points alone. A window inside the
-    bidisc leaves none: forward, V_R maps into V_R u V_R^+, and backward
-    into V_R u V_R^-.
+    Batches of max(n_candidates, 4096) points are drawn one after another
+    from one generator. The first is decided alone; each later call
+    decides the batches that the acceptance so far says are still needed,
+    at most DRAW_GROUP, until n_candidates are kept or max_batches are
+    drawn, and the kept points are taken in draw order. A group is decided
+    with one engine call per direction (green._run_green) at the decision
+    depth n_dec <= n_max (module docstring; the direction's K). Since
+    n_dec >= depth_for(tol), every point that reaches the wedge by n_dec
+    is certified there at the depth and with the value that a run to
+    n_max gives it. A point in V_R at n_dec is kept: its value at n_max is
+    0 or, if it escapes later, at most d^-n_dec M + tol plus a few ulp,
+    below the threshold with a factor 2 to spare. Forward, a point proved
+    to have G >= 2 (threshold + tol) leaves at once (`_below`): its value
+    at n_max is within tol of G, so at least 2 threshold + tol, and that
+    run rejects it too. A point left undecided at n_dec (in the opposite
+    wedge, or with a non-finite state) is re-run to n_max in a second call
+    on those points alone. A window inside the bidisc leaves none:
+    forward, V_R maps into V_R u V_R^+, and backward into V_R u V_R^-.
     """
     if n_candidates < 1:
         raise ValidationError(f"n_candidates must be at least 1, got {n_candidates}")
@@ -226,13 +250,25 @@ def draw_candidates(
     if window is None:
         window = (-R, R, -R, R, -R, R, -R, R)
     rng = np.random.Generator(np.random.PCG64(seed))
-    got_lam, got_x, got_y = [], [], []
-    total = 0
-    for _ in range(max_batches):
-        m = max(n_candidates, 4096)
+    m = max(n_candidates, 4096)
+
+    def batch():
         lam = base.space.sample(rng, m)
         x = rng.uniform(window[0], window[1], m) + 1j * rng.uniform(window[2], window[3], m)
         y = rng.uniform(window[4], window[5], m) + 1j * rng.uniform(window[6], window[7], m)
+        return lam, x, y
+
+    got_lam, got_x, got_y = [], [], []
+    total = drawn = 0
+    while drawn < max_batches and total < n_candidates:
+        if drawn == 0:
+            group = 1
+        else:
+            # the batches still needed at the acceptance so far (DRAW_GROUP while none was kept)
+            need = -(-(n_candidates - total) * drawn // total) if total else DRAW_GROUP
+            group = min(need, DRAW_GROUP, max_batches - drawn)
+        lam, x, y = (np.concatenate(v) for v in zip(*(batch() for _ in range(group))))
+        drawn += group
         keep = _below(fam, base, lam, x, y, green_threshold, tol, n_max, flt)
         if use_pluri:
             keep &= _below(fam, base, lam, x, y, green_threshold, tol, n_max, flt, inverse=True,
@@ -241,8 +277,6 @@ def draw_candidates(
         got_x.append(x[keep])
         got_y.append(y[keep])
         total += int(keep.sum())
-        if total >= n_candidates:
-            break
     if total == 0:
         raise EmptyCandidateSet("no points below the Green threshold in the window")
     lam = np.concatenate(got_lam)[:n_candidates]
@@ -568,12 +602,13 @@ def entropy_lower_bound(
 
     `candidates` may carry a precomputed (lam, x, y) triple, from
     draw_candidates with any window or threshold, to reuse one cloud
-    across eps/n sweeps; None draws n_candidates from the filtration
-    bidisc with the default threshold. One cell index of the cloud's
-    step-0 points (`_cell_index`) serves the packing at every depth, and
-    a sparse cloud is packed at every depth from one conflict graph
-    (`_pack_depths`). Each depth draws its own shuffled order, so s_n does
-    not depend on the path.
+    across eps/n sweeps; None draws n_candidates with the default window
+    and threshold: the square (-R, R) in each real coordinate, whose
+    candidates outside the bidisc are never packed (draw_candidates). One
+    cell index of the cloud's step-0 points (`_cell_index`) serves the
+    packing at every depth, and a sparse cloud is packed at every depth
+    from one conflict graph (`_pack_depths`). Each depth draws its own
+    shuffled order, so s_n does not depend on the path.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")

@@ -41,19 +41,29 @@ depth. A finite point left in the opposite wedge is undecided.
 Forward orbits are bounded earlier where the family is dissipative enough:
 every factor maps the bidisc D_r, r = FiltrationRadius.trap_radius <= 1 < R,
 into itself, so an orbit that enters D_r stays in V_R through n_max. At
-every step where the wedge rules certify some point, which compacts the
-orbit anyway, and at every step from the uniform rule's depth on, an
-explicit point in D_r is dropped from the orbit and recorded as the run to
-n_max would record it: value 0, bounded-certified, depth n_max and the
-same err_bound. Other steps skip the test, a pass over the orbit. Inverse
-orbits have no such disc. GreenField.depth is each pixel's certification
-depth (n_max for bounded and undecided pixels). Orbits are iterated by the
-engine in orbit.py, which switches them to a log-scale representation
-before doubles overflow; inside the invariant wedge the switch is exact to
-machine precision. A point that a step takes past the switch bound is
-certified from the L and r that the switch would store
-(Orbit.log_entries) before it switches, and only the points that stay in
-the orbit switch.
+every step where the wedge rules certify some point (or the `above` stop
+below drops one), which compacts the orbit anyway, and at every step from
+the uniform rule's depth on, an explicit point in D_r is dropped from the
+orbit and recorded as the run to n_max would record it: value 0,
+bounded-certified, depth n_max and the same err_bound. Other steps skip
+the test, a pass over the orbit. Inverse orbits have no such disc.
+GreenField.depth is each pixel's certification depth (n_max for bounded
+and undecided pixels). Orbits are iterated by the engine in orbit.py,
+which switches them to a log-scale representation before doubles
+overflow; inside the invariant wedge the switch is exact to machine
+precision. A point that a step takes past the switch bound is certified
+from the L and r that the switch would store (Orbit.log_entries) before
+it switches, and only the points that stay in the orbit switch.
+
+A caller that needs only whether G is below some bound can stop forward
+points earlier (_run_green's private `above`, which only the entropy draw
+passes): a point in V_R^+ at depth n with
+log|y_n| >= d^n above + e(R)/(d-1) has G >= above, since e(rho) falls
+with rho and so G - d^(-n) log|y_n| >= -d^(-n) e(R)/(d-1). It leaves at
+that step, with the wedge certificates and the trap, recorded with value
++inf (proved >= above, not a Green value); every other point keeps its
+record. Inverse runs refuse `above`: backward the increments drift by
+-log|a|, which that bound does not cover.
 
 Every value above comes from one driver, _run_green, which alone steps
 orbits: it runs the certifying loop _certify over `rows` copies of the
@@ -133,7 +143,7 @@ class GreenEval:
 
 
 def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: int, n_max: int, record,
-             floor: int = 1) -> int:
+             floor: int = 1, *, above: float | None = None) -> int:
     """Step the orbit from depth n_lo toward n_max, certifying as it goes;
     returns the depth reached.
 
@@ -145,29 +155,45 @@ def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: in
     trapped in D_r (recorded as at n_max), and at n_max: bounded in the
     bidisc V_R, else undecided. The trap is tested at the steps that
     compact the orbit anyway, those where the wedge rules certify some
-    point, and at every step from the uniform rule's depth on; D_r is
-    invariant, so a point trapped at any depth gets the record of the run
-    to n_max. The points a step takes past the switch bound are certified
-    before they move to log form, and only those that stay move (see
-    orbit.py). The run stops early, before n_max, once points leaving the
-    orbit leave fewer than `floor` in it (by default: none); otherwise it
-    records each point once and empties the orbit.
+    point or `above` stops one, and at every step from the uniform rule's
+    depth on; D_r is invariant, so a point trapped at any depth gets the
+    record of the run to n_max. The points a step takes past the switch
+    bound are certified before they move to log form, and only those that
+    stay move (see orbit.py). The run stops early, before n_max, once
+    points leaving the orbit leave fewer than `floor` in it (by default:
+    none); otherwise it records each point once and empties the orbit.
+
+    With `above` set (forward orbits only), a point also leaves at depth n
+    once it is proved to have G >= above: it lies in V_R^+ (an explicit
+    point with dom > R and dom >= sub, the step's `new` points included; a
+    log-form point with L > log R) and log|y_n| >= d^n above + e(R)/(d-1),
+    e(R) = flt.wedge_distortion(1/R). Since e(rho) falls with rho and the
+    orbit stays in V_R^+, G - d^-n log|y_n| >= -d^-n e(R)/(d-1). It is
+    recorded with value +inf, status escaped and depth n: +inf marks the
+    proof, not a Green value. The bound is one scalar per step, compared
+    with log|y_n| (d^n above is far beyond the double range of exp).
     """
     d = float(supplier.fam.degree)
     # value 0 at a point whose orbit is in V_R at n_max: there G <= d^-n_max M,
     # M = FiltrationRadius.bidisc_cap
     bounded_err = max(tol, d ** (-n_max) * flt.bidisc_cap())
     n_tail = flt.depth_for(tol)  # the uniform rule's first depth; tail_bound falls with n
+    if above is not None:
+        drift = float(flt.wedge_distortion(1.0 / flt.R)) / (d - 1.0)  # e(R)/(d-1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(n_lo + 1, n_max + 1):
             new = orbit.step(supplier, n - 1)
             found = _wedge_certificates(orbit, new, flt, d, n, n >= n_tail, tol)
+            stop = None
+            if above is not None:
+                # d^n above in float64: past the double range it is inf and nothing stops
+                stop = _proved_above(orbit, flt.R, above * np.float64(d) ** n + drift)
             held = None
-            if flt.trap_radius and (found is not None or n >= n_tail):
+            if flt.trap_radius and (found is not None or stop is not None or n >= n_tail):
                 held = orbit.in_bidisc(flt.trap_radius)
                 if not held.any():
                     held = None
-            if found is None and held is None:
+            if found is None and stop is None and held is None:
                 orbit.to_log(new)
                 continue
             keep = np.ones(len(orbit), dtype=bool) if held is None else ~held
@@ -176,12 +202,16 @@ def _certify(supplier, orbit: Orbit, flt: FiltrationRadius, tol: float, n_lo: in
                 record(orbit.ids[pos], n, g, e, np.where(np.isfinite(g), STATUS_ESCAPED, STATUS_UNDECIDED))
                 keep[pos] = False
                 del pos, g, e
+            if stop is not None:
+                stop = stop[keep[stop]]  # a point the wedge rules certified keeps its value
+                record(orbit.ids[stop], n, np.inf, np.inf, STATUS_ESCAPED)
+                keep[stop] = False
             if held is not None:
                 record(orbit.ids[held], n_max, 0.0, bounded_err, STATUS_BOUNDED)
             orbit.to_log(new[keep[new]])
             orbit.keep(keep)
             # free the per-step arrays before the next step, where memory peaks
-            del found, held, keep
+            del found, stop, held, keep
             if len(orbit) < floor and n < n_max:
                 return n
         g = d ** (-n_max) * orbit.log_plus_norm()
@@ -256,6 +286,24 @@ def _wedge_certificates(orbit: Orbit, new: np.ndarray, flt: FiltrationRadius, d:
     return pos[done], g[done], e[done]
 
 
+def _proved_above(orbit: Orbit, R: float, bound: float):
+    """Positions of the points in V_R^+ with log|y_n| >= bound (forward), or None.
+
+    An explicit point is in the wedge when dom > R and dom >= sub (the
+    points a step took past the switch bound are still explicit here), a
+    log-form point when L > log R. NaN entries fail.
+    """
+    log_R = math.log(R)
+    lg = orbit.lpos[orbit.L > log_R if bound <= log_R else orbit.L >= bound]
+    inside = orbit.dom > R
+    inside &= orbit.dom >= orbit.sub
+    ex = np.flatnonzero(inside)
+    del inside
+    ex = ex[np.log(orbit.dom[ex]) >= bound]
+    pos = _cat(ex, lg)
+    return pos if pos.size else None
+
+
 def _cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a then b; when one of them is empty, the other as it is."""
     return b if not a.size else a if not b.size else np.concatenate((a, b))
@@ -309,7 +357,8 @@ def _in_threads(work, n: int, threads: int, rows: int = 1) -> None:
 
 
 def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, tol: float, n_max: int,
-               inverse: bool, threads: int = 1, *, rows: int = 1, with_err: bool = True):
+               inverse: bool, threads: int = 1, *, rows: int = 1, with_err: bool = True,
+               above: float | None = None):
     """The one stepping loop: certified (value, status, depth, err) arrays
     of `rows` copies of the points (x, y) along the supplier.
 
@@ -318,7 +367,9 @@ def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, to
     leaves its orbit (_certify's record). err bounds |value - G| for
     escaped points (the truncation error; the double carries its own
     rounding). A point whose orbit state is not finite stays undecided.
-    With with_err=False err is not kept and comes back as None.
+    With with_err=False err is not kept and comes back as None. With
+    `above` set (forward only) a point proved to have G >= above leaves
+    with value +inf (_certify); the other points' records do not change.
 
     Threads split the points into contiguous ranges, never a point's rows.
     A range is walked in pieces of at most PIECE points, and each piece's
@@ -339,6 +390,9 @@ def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, to
     """
     if n_max < 0:
         raise ValidationError(f"depth n_max must be at least 0, got {n_max}")
+    if above is not None and inverse:
+        # backward, log|x_(k+1)| - d log|x_k| tends to -log|a|, which the forward bound does not cover
+        raise ValidationError("a proved lower bound `above` holds for forward orbits only")
     n_pts = len(x)
     flt = flt.toward(inverse)
     value = np.zeros(rows * n_pts, dtype=float)
@@ -379,7 +433,7 @@ def _run_green(supplier, x: np.ndarray, y: np.ndarray, flt: FiltrationRadius, to
                 n = min(waiting)
                 orbit = Orbit.concat(waiting.pop(n))
             last = chunk is None and not waiting
-            n = _certify(supplier, orbit, flt, tol, n, n_max, record, 1 if last else size // 2)
+            n = _certify(supplier, orbit, flt, tol, n, n_max, record, 1 if last else size // 2, above=above)
             if len(orbit):
                 group = waiting.setdefault(n, [])
                 group.append(orbit)

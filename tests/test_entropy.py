@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from henonskew.base import CIRCLE, BaseDynamics, BaseSpace, BaseSystem, point_ba
 from henonskew.entropy import (
     BLOCK,
     CELL_RANGE,
+    DRAW_GROUP,
     PAIR_BUDGET,
     SeparatedSetEstimate,
     _base_dist,
@@ -155,7 +157,7 @@ def test_rejects_fewer_than_one_candidate(n_candidates, quad_fam, single_base, q
                          ids=["threshold-0", "threshold-negative", "threshold-nan", "batches-0", "batches-negative"])
 def test_draw_rejects_bad_parameters_before_drawing(kw, quad_fam, single_base, quad_flt, monkeypatch):
     # a threshold nothing can be below, or no batch at all, is a ValidationError, not an empty window
-    monkeypatch.setattr(entropy_mod, "green_values", None)
+    monkeypatch.setattr(entropy_mod, "_run_green", None)
     with pytest.raises(ValidationError, match=next(iter(kw))):
         draw_candidates(quad_fam, single_base, None, 500, seed=1, flt=quad_flt, **kw)
 
@@ -559,6 +561,12 @@ def test_estimate_survivors_bound():
 # -- candidate draw decided at the bidisc-cap depth ------------------------------------------
 
 
+def _quartic_family():
+    """y^4 - 1 - 0.3 x: no trap (trap_radius 0), so bounded points stay in the orbit to n_max."""
+    return HenonFamily((HenonFactor(4, tuple(CoeffMap.constant(c) for c in (0.0, 0.0, 0.0, -1.0)),
+                                    CoeffMap.constant(0.3)),))
+
+
 def _two_factor_family():
     return HenonFamily((
         HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse("0.1*u")), CoeffMap.constant(0.3)),
@@ -604,31 +612,47 @@ _DRAWS = {
                            {"use_pluri": True, "green_threshold": 1000.0, "max_batches": 2}),
     "short-n_max": (quadratic_family(a=0.3), point_base(0.0), None, {"n_max": 5}),
     "tol-above-half-threshold": (_two_factor_family(), _ROTATION, None, {"tol": 0.03}),
+    # d^n times the stop's bound is about 3e59 at n = 100, where the decision
+    # runs (tol above half the threshold) and no trap empties the orbit first
+    "quartic-n_max-100": (_quartic_family(), point_base(0.0), None, {"tol": 0.03, "n_max": 100}),
+    # forward values reach about 710 in this window, all below the threshold
+    "far-threshold-1000": (quadratic_family(a=0.05), point_base(0.0), _far,
+                           {"green_threshold": 1000.0, "max_batches": 2}),
 }
 
 
-def _recording(monkeypatch, module, calls):
-    real = module.green_values
+def _recording(monkeypatch, module, name, calls):
+    """Record (points, n_max, inverse, above) of each call of module.<name>."""
+    real = getattr(module, name)
+    sig = inspect.signature(real)
 
-    def recorded(fam, base, lam, x, y, tol=1e-6, n_max=200, flt=None, inverse=False, backward_base=False):
-        calls.append((len(x), n_max, inverse))
-        return real(fam, base, lam, x, y, tol, n_max, flt, inverse, backward_base)
+    def recorded(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        arg = bound.arguments
+        calls.append((len(arg["x"]), arg["n_max"], arg["inverse"], arg.get("above")))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "green_values", recorded)
+    monkeypatch.setattr(module, name, recorded)
 
 
 def _draw_both(monkeypatch, fam, base, window, kw, n_candidates=3000, seed=4):
-    """(draw, full-depth reference, draw's green_values calls, reference's calls)."""
+    """(draw, full-depth reference, draw's engine calls, reference's green_values calls)."""
     from henonskew import green as green_mod
 
     flt = compute_radius(fam, base.space)
     window = None if window is None else window(flt.R)
     calls, ref_calls = [], []
-    _recording(monkeypatch, entropy_mod, calls)
-    _recording(monkeypatch, green_mod, ref_calls)
+    _recording(monkeypatch, entropy_mod, "_run_green", calls)
+    _recording(monkeypatch, green_mod, "green_values", ref_calls)
     got = draw_candidates(fam, base, window, n_candidates, seed, flt=flt, **kw)
     ref = draw_candidates_full_depth(fam, base, window, n_candidates, seed, flt=flt, **kw)
     return got, ref, calls, ref_calls
+
+
+def _groups(calls, m):
+    """The batch counts of the draw's decision calls (those of whole batches of m points), in order."""
+    return [c[0] // m for c in calls if c[0] % m == 0 and not c[2]]
 
 
 @pytest.mark.parametrize("case", sorted(_DRAWS))
@@ -639,27 +663,45 @@ def test_draw_matches_full_depth_loop(case, monkeypatch):
     for g, r in zip(got, ref):
         assert g.dtype == r.dtype and g.shape == r.shape
         assert np.array_equal(g, r)
-    # the reference's calls, each at the decision depth, then the re-runs to n_max
+    # the reference decides one batch of m points per call; the draw its first
+    # batch alone, then groups of at most DRAW_GROUP batches, each at the
+    # decision depth, then re-runs of the undecided points to n_max
     m = ref_calls[0][0]
-    full = [c for c in calls if c[0] == m]
-    rerun = [c for c in calls if c[0] < m]
-    assert [c[2] for c in full] == [c[2] for c in ref_calls]
+    full = [c for c in calls if c[0] % m == 0]
+    rerun = [c for c in calls if c[0] % m]
+    groups = _groups(calls, m)
+    pluri = kw.get("use_pluri", False)
+    batches = len(ref_calls) // (2 if pluri else 1)
+    assert groups[0] == 1 and all(1 <= g <= DRAW_GROUP for g in groups)
+    assert batches <= sum(groups) <= min(kw.get("max_batches", 40), batches + DRAW_GROUP - 1)
+    assert [c[2] for c in full] == [c[2] for c in ref_calls[:len(full)]]
+    if pluri:  # each group is decided forward, then backward on the same points
+        assert [c[0] for c in full if c[2]] == [c[0] for c in full if not c[2]]
+    else:
+        assert len(full) == len(groups)
     flt = compute_radius(fam, base.space)
     threshold, tol, n_max = kw.get("green_threshold", 0.05), kw.get("tol", 1e-3), kw.get("n_max", 100)
-    assert all(n == _decision_depth(flt.toward(inverse), threshold, tol, n_max) for _, n, inverse in full)
-    assert all(n == n_max for _, n, _ in rerun)
-    if case in ("short-n_max", "tol-above-half-threshold"):
-        assert all(n == n_max for _, n, _ in full)
+    assert all(n == _decision_depth(flt.toward(inverse), threshold, tol, n_max) for _, n, inverse, _ in full)
+    assert all(n == n_max for _, n, _, _ in rerun)
+    # forward runs stop points proved above 2 (threshold + tol); inverse runs stop none
+    assert all(above == (None if inverse else 2.0 * (threshold + tol)) for _, _, inverse, above in calls)
+    if case in ("short-n_max", "tol-above-half-threshold", "quartic-n_max-100"):
+        assert all(n == n_max for _, n, _, _ in full)
     assert bool(rerun) == (case == "far-pluri-overflow")
 
 
 @pytest.mark.parametrize("case", ["quadratic-point", "two-factor-rotation", "conservative-point-pluri"])
 def test_draw_inside_the_bidisc_makes_one_call_per_batch(case, monkeypatch):
+    """Inside the bidisc nothing is left undecided: each group of batches is
+    decided in one call per direction at the decision depth, with no re-run."""
     fam, base, _, kw = _DRAWS[case]
     got, ref, calls, ref_calls = _draw_both(monkeypatch, fam, base, _inside, dict(kw, max_batches=2), n_candidates=6000)
     assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-    assert len(calls) == len(ref_calls) >= 2
-    assert all(c[0] == 6000 and c[1] < 100 for c in calls)
+    assert len(ref_calls) >= 2 and all(c[0] == 6000 for c in ref_calls)
+    assert all(c[0] % 6000 == 0 and c[1] < 100 for c in calls)
+    per_direction = 2 if kw.get("use_pluri") else 1
+    assert sum(c[0] for c in calls) == sum(c[0] for c in ref_calls)
+    assert len(calls) == per_direction * len(_groups(calls, 6000))
 
 
 def test_decision_depth():

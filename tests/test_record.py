@@ -1,15 +1,21 @@
 """Every point leaves the certifying engine through its record callback
 exactly once: wedge certificates, trapped points and the finish at n_max,
 in one-call runs and in the shared driver's orbits pooled by depth, for
-rasters and for mc_green."""
+rasters and for mc_green; and the proved-above stop (`above`) leaves only
+points whose Green value it proves above its bound."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import run_green_switch_first
+from conftest import _mp_map, mp_orbit_green, run_green_switch_first
 from henonskew import green as green_mod
-from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence
-from henonskew.family import quadratic_family
+from henonskew.base import BaseDynamics, BaseSpace, BaseSystem, ParamSequence, advance
+from henonskew.errors import ValidationError
+from henonskew.expr import CoeffMap
+from henonskew.family import HenonFactor, HenonFamily, map_coeffs, quadratic_family
 from henonskew.filtration import compute_radius
 from henonskew.green import (
     STATUS_BOUNDED,
@@ -22,8 +28,8 @@ from henonskew.green import (
     mc_green,
 )
 from henonskew.grids import SliceGrid, SliceSpec
-from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SeqSupplier, SigmaSupplier, TableSupplier
-from test_trap import TRAP_BASES, TRAP_FAMILIES, _record_steps, _start_points, _supplier, _untrapped
+from henonskew.orbit import OVERFLOW_SWITCH, Orbit, SeqSupplier, SigmaSupplier, TableSupplier, iterate
+from test_trap import TRAP_BASES, TRAP_FAMILIES, _landing, _record_steps, _start_points, _supplier, _untrapped
 
 TOL = 1e-6
 SPACE = BaseSpace("box", bounds=((-0.5, 0.5),))
@@ -89,13 +95,13 @@ def _spy_runs(monkeypatch):
     runs, steps, seen = [], [], []
     certify, step = green_mod._certify, Orbit.step
 
-    def spying(supplier, orbit, flt, tol, n_lo, n_max, record, floor=1):
+    def spying(supplier, orbit, flt, tol, n_lo, n_max, record, floor=1, *, above=None):
         def spy(ids, *rest):
             seen.append(ids.copy())
             record(ids, *rest)
 
         size = len(orbit)
-        n = certify(supplier, orbit, flt, tol, n_lo, n_max, spy, floor)
+        n = certify(supplier, orbit, flt, tol, n_lo, n_max, spy, floor, above=above)
         runs.append((orbit, n_lo, floor, size, n))
         return n
 
@@ -444,3 +450,147 @@ def test_points_certified_at_their_switch_never_enter_log_form(fam_name, inverse
     at_switch = sum(len(ids & certified.get(k, set())) for k, ids in switched.items())
     if not inverse:
         assert at_switch > 0.9 * sum(map(len, switched.values())), at_switch
+
+
+# -- the proved-above stop (_certify's `above`) ----------------------------------------------
+
+ROTATION = TRAP_BASES["rotation"][0]
+# 1-3 factors, degrees 2 to 8, |a| from 0.05 to 0.3, coefficients varying over the circle
+ABOVE_FAMILIES = {
+    "quadratic": quadratic_family(0.3, "0.1 + 0.2*u"),
+    "cubic": TRAP_FAMILIES["cubic"],
+    "two-factor": TRAP_FAMILIES["two-factor"],
+    "three-factor": HenonFamily(tuple(
+        HenonFactor(2, (CoeffMap.constant(0.0), CoeffMap.parse(c)), CoeffMap.constant(a))
+        for c, a in (("0.1*u", 0.3), ("-0.2", 0.2), ("0.05 + 0.1*u", 0.25)))),
+    "small-a": quadratic_family(0.05, "-0.3 + 0.2*u"),
+}
+
+
+def _factor_data(fam):
+    """conftest's mpmath factor data of fam: [(degree, [c_(d-1)..c_0], a)] per factor at lam."""
+    return lambda lam: [(len(rows) - 1, [complex(c) for c in rows[1:]], complex(a))
+                        for rows, a in map_coeffs(fam, lam)]
+
+
+def _mp_green(fam, lam, z, n):
+    """G(z) along the rotation from lam, from mpmath at a depth where the orbit is far out."""
+    extra = math.ceil(12 / math.log2(fam.degree))
+    return mp_orbit_green(_factor_data(fam), lambda k: advance(ROTATION.sigma, lam, k), z, n + extra, fam.degree)
+
+
+def _drift(flt):
+    """e(R)/(d-1), the stop's allowance for the tail beyond depth n."""
+    return float(flt.wedge_distortion(1.0 / flt.R)) / (flt.degree - 1)
+
+
+@pytest.mark.parametrize("fam_name", ABOVE_FAMILIES)
+def test_wedge_lower_bound_holds_against_mpmath(fam_name):
+    """At a random start point whose orbit lies in V_R^+ at depth n (0 to 3),
+    d^-n (log|y_n| - e(R)/(d-1)) <= G, G from mpmath."""
+    fam = ABOVE_FAMILIES[fam_name]
+    flt = compute_radius(fam, ROTATION.space)
+    d, R = fam.degree, flt.R
+    data = _factor_data(fam)
+    rng = np.random.Generator(np.random.PCG64(11))
+    gaps = []
+    for n in range(4):
+        found = 0
+        while found < 8:
+            lam = complex(rng.uniform())
+            z = tuple(complex(*rng.uniform(-2 * R, 2 * R, 2)) for _ in range(2))
+            with mpmath.workdps(40):
+                x, y = mpmath.mpc(z[0]), mpmath.mpc(z[1])
+                for k in range(n):
+                    x, y = _mp_map(data, advance(ROTATION.sigma, lam, k), x, y, False)
+                if not (abs(y) > R and abs(y) >= abs(x)):
+                    continue
+                bound = float((mpmath.log(abs(y)) - _drift(flt)) / mpmath.mpf(d) ** n)
+            found += 1
+            g = _mp_green(fam, lam, z, n)
+            assert bound <= g, (n, z, lam, bound, g)
+            gaps.append((g - bound) * d ** n)
+    # the allowance is of the size of the tail it bounds, not a vacuous margin
+    assert min(gaps) < _drift(flt)
+
+
+def _escaping(fam, flt, rng, count):
+    """(lam, x, y) of start points of the square window of side 4R with G > 0, and their mpmath G."""
+    R = flt.R
+    lam = rng.uniform(size=4 * count).astype(complex)
+    x, y = (rng.uniform(-2 * R, 2 * R, 4 * count) + 1j * rng.uniform(-2 * R, 2 * R, 4 * count) for _ in range(2))
+    g = np.array([_mp_green(fam, lam[i], (x[i], y[i]), 3) for i in range(len(x))])
+    pick = np.flatnonzero(g > 1e-3)[:count]
+    return lam[pick], x[pick], y[pick], g[pick]
+
+
+@pytest.mark.parametrize("fam_name", ABOVE_FAMILIES)
+def test_above_stops_only_points_proved_above(fam_name):
+    """_run_green with `above`: a point recorded +inf has mpmath G >= above,
+    every other point gets the record of the run without `above`; with
+    above at each point's own G (plus 1e-9 of it) nothing stops, and with
+    above at half of it nearly every point stops, no deeper than the run
+    without `above` certifies it."""
+    fam = ABOVE_FAMILIES[fam_name]
+    flt = compute_radius(fam, ROTATION.space)
+    rng = np.random.Generator(np.random.PCG64(12))
+    lam, x, y, g = _escaping(fam, flt, rng, 60)
+    sup = SigmaSupplier(fam, ROTATION.sigma, lam)
+    plain = _run_green(sup, x, y, flt, TOL, 60, False)
+    for above in np.quantile(g, [0.25, 0.5, 0.75]):
+        got = _run_green(sup, x, y, flt, TOL, 60, False, above=above)
+        stopped = got[0] == np.inf
+        assert stopped.any() and not stopped.all()
+        assert np.all(g[stopped] >= above)
+        assert np.all(got[1][stopped] == STATUS_ESCAPED) and np.all(got[2][stopped] <= plain[2][stopped])
+        for a, b in zip(got, plain):
+            assert a[~stopped].tobytes() == b[~stopped].tobytes()
+    for i in range(len(x)):
+        one = SigmaSupplier(fam, ROTATION.sigma, lam[i:i + 1])
+        value, _, depth, _ = _run_green(one, x[i:i + 1], y[i:i + 1], flt, TOL, 60, False, above=g[i] * (1 + 1e-9))
+        assert value[0] != np.inf, (i, g[i], depth[0])
+    half = _run_green(sup, x, y, flt, TOL, 60, False, above=float(g.min()) / 2)
+    assert np.count_nonzero(half[0] == np.inf) >= 0.9 * len(x)
+
+
+@pytest.mark.parametrize("fam_name", ["quadratic", "cubic", "two-factor", "small-a"])
+def test_above_skips_points_outside_the_wedge(fam_name):
+    """Points whose orbit lands in the trap after k steps, from states with
+    R < |y| < |x| and log|y| past the stop's bound one step in (outside
+    V_R^+, where log|y| alone proves nothing) and bounded: `above` stops
+    none of them and changes no record."""
+    fam = {**ABOVE_FAMILIES, **TRAP_FAMILIES}[fam_name]  # the quadratic one with a trap
+    base, lam0 = TRAP_BASES["identity"]
+    flt = compute_radius(fam, base.space)
+    R, r = flt.R, flt.trap_radius or 0.1
+    lams = [lam0] * 4
+    rng = np.random.Generator(np.random.PCG64(13))
+    w = tuple(0.5 * r * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)) / math.sqrt(2) for _ in range(2))
+    sup = SigmaSupplier(fam, base.sigma, lam0)
+    starts = []
+    for k in range(2, 5):
+        x, y = _landing(fam, lams, w, k, False)
+        (_, orbit), = iterate(sup, x, y, [1])
+        outside = (orbit.dom > R) & (orbit.dom < orbit.sub) & (orbit.dom >= math.exp(2 * 0.1 + _drift(flt)))
+        starts.append((x[outside], y[outside]))
+    x, y = (np.concatenate(v) for v in zip(*starts))
+    # landings from far out may lose the trap to rounding; the others are bounded
+    bounded = _run_green(sup, x, y, flt, TOL, 60, False)[1] == STATUS_BOUNDED
+    x, y = x[bounded], y[bounded]
+    assert len(x) >= 20
+    plain = _run_green(sup, x, y, flt, TOL, 60, False)
+    got = _run_green(sup, x, y, flt, TOL, 60, False, above=0.1)
+    assert not np.any(got[0] == np.inf)
+    for a, b in zip(got, plain):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_above_is_refused_on_inverse_orbits():
+    """Backward, log|x_(k+1)| - d log|x_k| tends to -log|a|, which the forward
+    allowance e(R)/(d-1) does not bound: an inverse run with `above` raises."""
+    fam = FAMILIES["trap"]
+    flt = compute_radius(fam, SPACE)
+    x, y = _points()
+    sup = SigmaSupplier(fam, BaseDynamics("identity"), 0.1)
+    with pytest.raises(ValidationError, match="forward"):
+        _run_green(sup, x, y, flt, TOL, 30, True, above=0.1)
